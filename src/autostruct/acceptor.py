@@ -14,12 +14,11 @@ never both a word and its machine reduction.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
-from .fsa import Fsa
+from .fsa import Fsa, explore
 from .history import (
     HistoryBounds,
     bounds_for,
@@ -28,9 +27,12 @@ from .history import (
     history_step,
     in_bounds,
 )
-from .orders import Order, WREATH
 from .rewrite import RewriteSystem
 from .words import PAD, Word
+
+# caps on the interned shadows and on the subset states of build_acceptor
+MAX_SHADOWS = 200_000
+MAX_STATES = 150_000
 
 
 def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
@@ -56,31 +58,15 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
         return ()
 
     gens = rs.order.alphabet.symbols
-    ids: dict = {(): 0}
-    order_of: list = [()]
-    transitions = {}
-    queue = deque([()])
-    while queue:
-        p = queue.popleft()
-        sid = ids[p]
+
+    def successors(p: Word):
         for a in gens:
             t = extend(p, a)
-            if t is None:
-                continue
-            if t not in ids:
-                ids[t] = len(order_of)
-                order_of.append(t)
-                queue.append(t)
-            transitions[(sid, a)] = ids[t]
-    fsa = Fsa(
-        symbols=gens,
-        num_states=len(order_of),
-        start=0,
-        accepting=range(len(order_of)),
-        transitions=transitions,
-        track=1,
-    )
-    return fsa.minimized()
+            if t is not None:
+                yield a, t
+
+    raw, _ = explore(gens, (), successors, lambda p: True, 1)
+    return raw.minimized()
 
 
 def _least_trivial_companions(diff: DiffMachine, g: str) -> dict:
@@ -142,19 +128,11 @@ def _fresh_shadows(diff: DiffMachine, bounds: HistoryBounds, g: str) -> frozense
     return frozenset(out)
 
 
-def build_acceptor(
-    diff: DiffMachine,
-    bounds: Optional[HistoryBounds] = None,
-    prune_dominated: bool = False,
-    max_shadows: int = 200_000,
-    max_states: int = 150_000,
-) -> Fsa:
+def build_acceptor(diff: DiffMachine) -> Fsa:
     order = diff.order
     gens = diff.alpha.symbols
-    if bounds is None:
-        bounds = bounds_for(order, diff.labels)
+    bounds = bounds_for(order, diff.labels)
     cap = bounds.overhang_cap
-    wt_like = order.kind != WREATH
 
     reduces = {g: _generator_reduces(diff, g) for g in gens}
     fresh = {
@@ -178,9 +156,9 @@ def build_acceptor(
         sid = shadow_ids.get(key)
         if sid is None:
             sid = len(shadow_list)
-            if sid >= max_shadows:
+            if sid >= MAX_SHADOWS:
                 raise ResourceLimit(
-                    f"acceptor shadow universe exceeded {max_shadows}"
+                    f"acceptor shadow universe exceeded {MAX_SHADOWS}"
                 )
             shadow_ids[key] = sid
             shadow_list.append(key)
@@ -233,20 +211,6 @@ def build_acceptor(
         g: frozenset(intern(d, h) for d, h in fresh[g]) for g in gens
     }
 
-    def prune(out: set) -> set:
-        # optional discard of dominated shadows: with machine state, the
-        # stopped flag and the lex sign all equal, a lighter companion
-        # decides everything a heavier one decides, so only the largest
-        # weight gap needs keeping (weighted orders only)
-        best: dict = {}
-        for sid in out:
-            d, hist = shadow_list[sid]
-            key = (d, hist.longer, hist.lexsign)
-            cur = best.get(key)
-            if cur is None or hist.wtdiff > shadow_list[cur][1].wtdiff:
-                best[key] = sid
-        return set(best.values())
-
     def target(sids: frozenset, g: str) -> Optional[frozenset]:
         if reduces[g]:
             return None
@@ -267,38 +231,16 @@ def build_acceptor(
                 t = compute_successors(sid, g)
                 row[gi] = t
             out.update(t)
-        if prune_dominated and wt_like:
-            out = prune(out)
         return frozenset(out)
 
-    start: frozenset = frozenset()
-    ids = {start: 0}
-    order_of = [start]
-    transitions = {}
-    queue = deque([start])
-    while queue:
-        shadows = queue.popleft()
-        sid = ids[shadows]
+    def successors(shadows: frozenset):
         for g in gens:
             tset = target(shadows, g)
-            if tset is None:
-                continue
-            if tset not in ids:
-                if len(order_of) >= max_states:
-                    raise ResourceLimit(
-                        f"acceptor subset construction exceeded {max_states} states"
-                    )
-                ids[tset] = len(order_of)
-                order_of.append(tset)
-                queue.append(tset)
-            transitions[(sid, g)] = ids[tset]
+            if tset is not None:
+                yield g, tset
 
-    fsa = Fsa(
-        symbols=gens,
-        num_states=len(order_of),
-        start=0,
-        accepting=range(len(order_of)),
-        transitions=transitions,
-        track=1,
+    raw, _ = explore(
+        gens, frozenset(), successors, lambda shadows: True, 1,
+        max_states=MAX_STATES,
     )
-    return fsa.minimized()
+    return raw.minimized()

@@ -222,7 +222,7 @@ def _cmd_fsaop(args) -> int:
     elif args.op == "or":
         out = a.union(b)
     elif args.op == "compose":
-        out = a.compose(b).minimized()
+        out = a.compose(b)
     elif args.op == "min":
         out = a.minimized()
     else:  # not

@@ -81,15 +81,14 @@ class DiffMachine:
             d = rw(left + d + right)
             self._add_label(d)
 
-    def close(self, max_states: Optional[int] = None) -> None:
+    def close(self) -> None:
         """Close labels under inversion, prefix and suffix; recompute moves.
 
         Factors of reduced words are reduced, so only the inverses need a
         rewrite.  The fixpoint is guarded for pathological incomplete
         systems where inversion chains could wander.
         """
-        if max_states is None:
-            max_states = 10 * len(self.labels) + 1000
+        max_states = 10 * len(self.labels) + 1000
         queue = list(self.labels)
         while queue:
             w = queue.pop()

@@ -9,7 +9,6 @@ the start state before writing.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .diff import DiffMachine
@@ -296,23 +295,9 @@ def serialize_fsa(a: Fsa, labels: Optional[dict] = None) -> str:
     labels, when given, maps original state numbers to words and is
     renumbered along with the states.
     """
-    canon = a._bfs_form()
-    # recover the renumbering to carry labels across
-    if labels:
-        number = {a.start: 0}
-        queue = deque([a.start])
-        while queue:
-            s = queue.popleft()
-            for sym in a.symbols:
-                t = a.transitions.get((s, sym))
-                if t is not None and t not in number:
-                    number[t] = len(number)
-                    queue.append(t)
-        carried = {
-            number[s]: w for s, w in labels.items() if s in number
-        }
-    else:
-        carried = {}
+    canon, order = a._bfs_form()
+    number = {s: i for i, s in enumerate(order)}
+    carried = {number[s]: w for s, w in (labels or {}).items() if s in number}
 
     if a.track == 2:
         base = []

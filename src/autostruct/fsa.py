@@ -7,9 +7,15 @@ words never pad both coordinates at once and never resume a track after it
 padded; the padding discipline is its own small automaton, and complement is
 taken relative to it.
 
-All operations return machines in a canonical form: minimal, trimmed, and
-numbered breadth-first in alphabet order, so identical languages serialize
-identically.
+Every construction returns machines in a canonical form: minimal, trimmed,
+and numbered breadth-first in alphabet order, so identical languages
+serialize identically and callers never minimize a result again.
+
+Two helpers carry all the graph searches.  `explore` builds a machine
+breadth-first from a start state and a successor function; every product
+and subset construction here and in the acceptor and multiplier builders
+goes through it.  `coreachable` is one backward search from acceptance,
+used for trimming, enumeration and emptiness.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
-from .errors import InputError, LogicError
+from .errors import InputError, LogicError, ResourceLimit
 from .words import PAD, Word
 
 
@@ -96,18 +102,14 @@ class Fsa:
         return self.accepts(pad_pair(w1, w2))
 
     def is_empty(self) -> bool:
-        seen = {self.start}
-        queue = deque(seen)
-        while queue:
-            s = queue.popleft()
-            if s in self.accepting:
-                return False
-            for sym in self.symbols:
-                t = self.transitions.get((s, sym))
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return True
+        return self.start not in coreachable(self)
+
+    def successors(self, s: int) -> Iterator[tuple]:
+        """(symbol, target) for each move out of s, in alphabet order."""
+        for sym in self.symbols:
+            t = self.transitions.get((s, sym))
+            if t is not None:
+                yield sym, t
 
     # -------------------------------------------------- canonical rebuilds
 
@@ -142,51 +144,38 @@ class Fsa:
             if newblock == block:
                 break
             block = newblock
-        # quotient, then trim states that cannot reach acceptance
-        q_start = block[self.start]
-        q_accept = {block[s] for s in total.accepting}
+        # quotient, then keep the states that can reach acceptance
         q_trans = {}
         for s in range(n):
             for sym in total.symbols:
                 q_trans[(block[s], sym)] = block[total.transitions[(s, sym)]]
-        nq = len(set(block))
-        alive = set(q_accept)
-        changed = True
-        while changed:
-            changed = False
-            for (s, _sym), t in q_trans.items():
-                if t in alive and s not in alive:
-                    alive.add(s)
-                    changed = True
-        if q_start not in alive:
-            return Fsa(self.symbols, 1, 0, frozenset(), {}, self.track)
-        trans = {
-            (s, sym): t
-            for (s, sym), t in q_trans.items()
-            if s in alive and t in alive
-        }
-        pruned = Fsa(self.symbols, nq, q_start, q_accept & alive, trans, self.track)
-        return pruned._bfs_form()
+        quotient = Fsa(
+            self.symbols, len(set(block)), block[self.start],
+            {block[s] for s in total.accepting}, q_trans, self.track,
+        )
+        alive = coreachable(quotient)
+        if quotient.start not in alive:
+            return empty_fsa(self.symbols, self.track)
 
-    def _bfs_form(self) -> "Fsa":
-        """Renumber reachable states breadth-first in alphabet order."""
-        number = {self.start: 0}
-        order = [self.start]
-        queue = deque(order)
-        while queue:
-            s = queue.popleft()
+        def live_successors(s):
             for sym in self.symbols:
-                t = self.transitions.get((s, sym))
-                if t is not None and t not in number:
-                    number[t] = len(number)
-                    order.append(t)
-                    queue.append(t)
-        trans = {}
-        for (s, sym), t in self.transitions.items():
-            if s in number and t in number:
-                trans[(number[s], sym)] = number[t]
-        accepting = frozenset(number[s] for s in self.accepting if s in number)
-        return Fsa(self.symbols, len(number), 0, accepting, trans, self.track)
+                t = q_trans[(s, sym)]
+                if t in alive:
+                    yield sym, t
+
+        canon, _ = explore(
+            self.symbols, quotient.start, live_successors,
+            quotient.accepting.__contains__, self.track,
+        )
+        return canon
+
+    def _bfs_form(self) -> tuple:
+        """(reachable part renumbered breadth-first in alphabet order,
+        the original state behind each new number)."""
+        return explore(
+            self.symbols, self.start, self.successors,
+            self.accepting.__contains__, self.track,
+        )
 
     # ------------------------------------------------------ rational ops
 
@@ -196,53 +185,41 @@ class Fsa:
 
     def intersect(self, other: "Fsa") -> "Fsa":
         self._check_compatible(other)
-        start = (self.start, other.start)
-        number = {start: 0}
-        trans = {}
-        accepting = set()
-        queue = deque([start])
-        while queue:
-            pair = queue.popleft()
+
+        def successors(pair):
             s, t = pair
-            if s in self.accepting and t in other.accepting:
-                accepting.add(number[pair])
             for sym in self.symbols:
                 s2 = self.transitions.get((s, sym))
                 t2 = other.transitions.get((t, sym))
-                if s2 is None or t2 is None:
-                    continue
-                nxt = (s2, t2)
-                if nxt not in number:
-                    number[nxt] = len(number)
-                    queue.append(nxt)
-                trans[(number[pair], sym)] = number[nxt]
-        return Fsa(
-            self.symbols, len(number), 0, accepting, trans, self.track
-        ).minimized()
+                if s2 is not None and t2 is not None:
+                    yield sym, (s2, t2)
+
+        def is_accept(pair):
+            return pair[0] in self.accepting and pair[1] in other.accepting
+
+        raw, _ = explore(
+            self.symbols, (self.start, other.start), successors, is_accept,
+            self.track,
+        )
+        return raw.minimized()
 
     def union(self, other: "Fsa") -> "Fsa":
         self._check_compatible(other)
         a, _ = self.completed()
         b, _ = other.completed()
-        start = (a.start, b.start)
-        number = {start: 0}
-        trans = {}
-        accepting = set()
-        queue = deque([start])
-        while queue:
-            pair = queue.popleft()
+
+        def successors(pair):
             s, t = pair
-            if s in a.accepting or t in b.accepting:
-                accepting.add(number[pair])
             for sym in self.symbols:
-                nxt = (a.transitions[(s, sym)], b.transitions[(t, sym)])
-                if nxt not in number:
-                    number[nxt] = len(number)
-                    queue.append(nxt)
-                trans[(number[pair], sym)] = number[nxt]
-        return Fsa(
-            self.symbols, len(number), 0, accepting, trans, self.track
-        ).minimized()
+                yield sym, (a.transitions[(s, sym)], b.transitions[(t, sym)])
+
+        def is_accept(pair):
+            return pair[0] in a.accepting or pair[1] in b.accepting
+
+        raw, _ = explore(
+            self.symbols, (a.start, b.start), successors, is_accept, self.track
+        )
+        return raw.minimized()
 
     def complement(self) -> "Fsa":
         """Complement within valid words: all words for track 1, the padding
@@ -271,54 +248,43 @@ class Fsa:
         if keep not in (1, 2):
             raise InputError("keep must be 1 or 2")
         idx = keep - 1
-        silent = {}
-        visible = {}
-        gens = []
+        silent = []
+        visible = {}  # kept generator -> the pairs that read it
         for sym in self.symbols:
             out = sym[idx]
             if out == PAD:
-                silent.setdefault(None, []).append(sym)
+                silent.append(sym)
             else:
                 visible.setdefault(out, []).append(sym)
-                if out not in gens:
-                    gens.append(out)
 
         def closure(states) -> frozenset:
             seen = set(states)
             queue = deque(states)
             while queue:
                 s = queue.popleft()
-                for sym in silent.get(None, ()):
+                for sym in silent:
                     t = self.transitions.get((s, sym))
                     if t is not None and t not in seen:
                         seen.add(t)
                         queue.append(t)
             return frozenset(seen)
 
-        start = closure({self.start})
-        number = {start: 0}
-        trans = {}
-        accepting = set()
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            if any(s in self.accepting for s in cur):
-                accepting.add(number[cur])
-            for g in gens:
+        def successors(cur):
+            for g, syms in visible.items():
                 nxt = set()
                 for s in cur:
-                    for sym in visible[g]:
+                    for sym in syms:
                         t = self.transitions.get((s, sym))
                         if t is not None:
                             nxt.add(t)
-                if not nxt:
-                    continue
-                nxt = closure(nxt)
-                if nxt not in number:
-                    number[nxt] = len(number)
-                    queue.append(nxt)
-                trans[(number[cur], g)] = number[nxt]
-        return Fsa(tuple(gens), len(number), 0, accepting, trans, 1).minimized()
+                if nxt:
+                    yield g, closure(nxt)
+
+        raw, _ = explore(
+            tuple(visible), closure({self.start}), successors,
+            lambda cur: not self.accepting.isdisjoint(cur), 1,
+        )
+        return raw.minimized()
 
     def compose(self, other: "Fsa") -> "Fsa":
         """Relational composition of two pair languages.
@@ -405,23 +371,9 @@ class Fsa:
 
     # -------------------------------------------------------- enumeration
 
-    def _distance_to_accept(self):
-        dist = {s: 0 for s in self.accepting}
-        back = {}
-        for (s, _sym), t in self.transitions.items():
-            back.setdefault(t, []).append(s)
-        queue = deque(self.accepting)
-        while queue:
-            t = queue.popleft()
-            for s in back.get(t, ()):
-                if s not in dist:
-                    dist[s] = dist[t] + 1
-                    queue.append(s)
-        return dist
-
     def enumerate_words(self, max_len: int) -> Iterator[tuple]:
         """Accepted words in length order, alphabet order within a length."""
-        dist = self._distance_to_accept()
+        dist = coreachable(self)
         if self.start not in dist:
             return
         for n in range(max_len + 1):
@@ -483,26 +435,6 @@ class Fsa:
                     queue.append((nxt, path + (sym,)))
         return None
 
-    def check_pad_discipline(self) -> None:
-        """Raise unless every accepted pair word pads only at its tail."""
-        if self.track != 2:
-            raise LogicError("pad discipline applies to track-2 machines")
-        bad = self.intersect(pad_universe(self.symbols).complement_raw())
-        if not bad.is_empty():
-            raise LogicError("machine accepts words violating pad discipline")
-
-    def complement_raw(self) -> "Fsa":
-        # complement over all symbol strings, ignoring pad discipline
-        total, _ = self.completed()
-        return Fsa(
-            self.symbols,
-            total.num_states,
-            total.start,
-            frozenset(range(total.num_states)) - total.accepting,
-            total.transitions,
-            self.track,
-        ).minimized()
-
 
 def empty_fsa(symbols, track: int = 1) -> Fsa:
     return Fsa(symbols, 1, 0, frozenset(), {}, track)
@@ -530,24 +462,64 @@ def pad_pair(w1: Word, w2: Word) -> tuple:
 
 def _determinize(symbols, track, start_set, moves, is_accept) -> Fsa:
     """Subset construction over an implicit nondeterministic machine."""
-    start = frozenset(start_set)
-    number = {start: 0}
-    trans = {}
-    accepting = set()
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if any(is_accept(s) for s in cur):
-            accepting.add(number[cur])
+
+    def successors(cur):
         for sym in symbols:
             nxt = set()
             for s in cur:
                 nxt |= moves(s, sym)
-            if not nxt:
-                continue
-            nxt = frozenset(nxt)
-            if nxt not in number:
-                number[nxt] = len(number)
-                queue.append(nxt)
-            trans[(number[cur], sym)] = number[nxt]
-    return Fsa(symbols, len(number), 0, accepting, trans, track).minimized()
+            if nxt:
+                yield sym, frozenset(nxt)
+
+    raw, _ = explore(
+        symbols, frozenset(start_set), successors,
+        lambda cur: any(is_accept(s) for s in cur), track,
+    )
+    return raw.minimized()
+
+
+def explore(symbols, start, successors, is_accept, track, max_states=None):
+    """Build a machine breadth-first from start.
+
+    successors(state) yields (symbol, next state) in alphabet order; states
+    are any hashable values and are numbered as they are discovered.
+    Returns (machine, the state behind each number).  Raises ResourceLimit
+    when a new state would pass max_states.
+    """
+    ids = {start: 0}
+    states = [start]
+    transitions = {}
+    accepting = []
+    # the list of states is its own queue: it grows as they are discovered
+    for sid, state in enumerate(states):
+        if is_accept(state):
+            accepting.append(sid)
+        for sym, nxt in successors(state):
+            tid = ids.get(nxt)
+            if tid is None:
+                tid = len(states)
+                if max_states is not None and tid >= max_states:
+                    raise ResourceLimit(
+                        f"construction exceeded {max_states} states"
+                    )
+                ids[nxt] = tid
+                states.append(nxt)
+            transitions[(sid, sym)] = tid
+    return Fsa(symbols, len(states), 0, accepting, transitions, track), states
+
+
+def coreachable(fsa: Fsa) -> dict:
+    """The states that can reach acceptance, each mapped to the length of
+    its shortest path there."""
+    back = {}
+    for (s, _sym), t in fsa.transitions.items():
+        back.setdefault(t, []).append(s)
+    dist = {s: 0 for s in fsa.accepting}
+    queue = deque(dist)
+    while queue:
+        t = queue.popleft()
+        for s in back.get(t, ()):
+            if s not in dist:
+                dist[s] = dist[t] + 1
+                queue.append(s)
+    return dist

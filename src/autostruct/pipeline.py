@@ -24,14 +24,13 @@ AXIOM_FAILED, with the machines and counts gathered in the result.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
-from .fsa import Fsa, pair_symbols
+from .fsa import Fsa, coreachable, explore, pair_symbols
 from .orders import Order
 from .rewrite import CONFLUENT, RUNNING, KbCompletion, RewriteSystem
 from .words import PAD, Word
@@ -155,74 +154,44 @@ def build_multiplier(
     """Product of two acceptor copies with the difference machine,
     accepting where the difference hits the target state.  Also returns
     the difference labels used on accepting paths, for pruning."""
-    gens = acc.symbols
-    symbols = pair_symbols(gens)
-    start = (acc.start, acc.start, EPS, _LIVE)
-    ids = {start: 0}
-    states = [start]
-    transitions = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    symbols = pair_symbols(acc.symbols)
+    step = acc.transitions.get
+    dstep = diff.transitions.get
+
+    def successors(state):
         sv, sw, d, mode = state
-        sid = ids[state]
-        for a, b in symbols:
+        for sym in symbols:
+            a, b = sym
             if a != PAD and b != PAD:
                 if mode != _LIVE:
                     continue
-                nv = acc.step(sv, a)
-                nw = acc.step(sw, b)
-                nd = diff.step(d, a, b)
+                nv = step((sv, a))
+                nw = step((sw, b))
                 nmode = _LIVE
             elif b == PAD:
                 if mode == _ONLY2:
                     continue
-                nv = acc.step(sv, a)
+                nv = step((sv, a))
                 nw = sw
-                nd = diff.step(d, a, PAD)
                 nmode = _ONLY1
             else:
                 if mode == _ONLY1:
                     continue
                 nv = sv
-                nw = acc.step(sw, b)
-                nd = diff.step(d, PAD, b)
+                nw = step((sw, b))
                 nmode = _ONLY2
-            if nv is None or nw is None or nd is None:
-                continue
-            nstate = (nv, nw, nd, nmode)
-            if nstate not in ids:
-                if len(states) >= max_states:
-                    raise ResourceLimit(
-                        f"multiplier product exceeded {max_states} states"
-                    )
-                ids[nstate] = len(states)
-                states.append(nstate)
-                queue.append(nstate)
-            transitions[(sid, (a, b))] = ids[nstate]
-    accepting = {i for i, (_, _, d, _) in enumerate(states) if d == target}
-    # difference labels on useful paths: reachable and co-reachable
-    back = {}
-    for (sid, _), tid in transitions.items():
-        back.setdefault(tid, set()).add(sid)
-    alive = set(accepting)
-    frontier = deque(alive)
-    while frontier:
-        s = frontier.popleft()
-        for p in back.get(s, ()):
-            if p not in alive:
-                alive.add(p)
-                frontier.append(p)
-    used = {diff.labels[states[i][2]] for i in alive}
-    fsa = Fsa(
-        symbols=symbols,
-        num_states=len(states),
-        start=0,
-        accepting=accepting,
-        transitions=transitions,
-        track=2,
-    ).minimized()
-    return fsa, used
+            nd = dstep((d, sym))
+            if nv is not None and nw is not None and nd is not None:
+                yield sym, (nv, nw, nd, nmode)
+
+    start = (acc.start, acc.start, EPS, _LIVE)
+    raw, states = explore(
+        symbols, start, successors, lambda state: state[2] == target, 2,
+        max_states=max_states,
+    )
+    # difference labels on useful paths: every product state is reachable
+    used = {diff.labels[states[i][2]] for i in coreachable(raw)}
+    return raw.minimized(), used
 
 
 def _multiplier_target(diff: DiffMachine, g: str) -> int:
@@ -257,7 +226,7 @@ def check_domains(acc: Fsa, mults: dict) -> list:
 def _compose_chain(mults: dict, identity: Fsa, letters: Word) -> Fsa:
     out = identity
     for a in letters:
-        out = out.compose(mults[a]).minimized()
+        out = out.compose(mults[a])
     return out
 
 

@@ -260,21 +260,6 @@ def test_compose_asymmetric_lengths():
     assert got == want
 
 
-def test_pad_discipline_checker():
-    good = append_machine(("a",))
-    good.check_pad_discipline()
-    bad = Fsa(
-        PAIRS,
-        3,
-        0,
-        {2},
-        {(0, ("a", PAD)): 1, (1, ("a", "a")): 2},
-        2,
-    )
-    with pytest.raises(LogicError):
-        bad.check_pad_discipline()
-
-
 def test_validate_catches_malformed():
     with pytest.raises(LogicError):
         Fsa(AB, 2, 5, set(), {}).validate()

@@ -3,9 +3,11 @@
 import pytest
 
 from autostruct import Alphabet, Order
+from autostruct import acceptor
 from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
 from autostruct.diff import DiffMachine
 from autostruct.errors import ResourceLimit
+from autostruct.formats import serialize_fsa
 from autostruct.fsa import Fsa
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct import pipeline
@@ -15,6 +17,7 @@ from autostruct.pipeline import (
     LOOP_LIMIT,
     VERIFIED,
     build_all_multipliers,
+    build_multiplier,
     check_axioms,
     check_domains,
     compute_structure,
@@ -93,9 +96,50 @@ def test_resource_limit_maps_to_loop_limit(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_acceptor", explode)
     # non-confluent runs go through build_acceptor; force that path by
-    # stopping completion right after the relation is oriented
-    res = run_family("BSpq", 2, 2, kb_max_rules=1000, kb_max_len=3)
-    assert res.outcome in (KB_STOPPED, LOOP_LIMIT)
+    # proceeding with the oriented relation alone, unconfirmed
+    monkeypatch.setattr(pipeline, "run_knuth_bendix", lambda *a, **k: (True, False))
+    res = run_family("BSpq", 2, 2)
+    assert res.outcome == LOOP_LIMIT
+    assert res.loops == 0
+
+
+def raw_sizes(monkeypatch) -> list:
+    """Record the size of every machine handed to Fsa.minimized."""
+    seen = []
+    real = Fsa.minimized
+
+    def spy(self):
+        seen.append(self.num_states)
+        return real(self)
+
+    monkeypatch.setattr(Fsa, "minimized", spy)
+    return seen
+
+
+def test_multiplier_product_cap_is_exact(monkeypatch):
+    res = run_family("BSpq", 1, 1)
+    acc, diff = res.acceptor, res.diff
+    target = pipeline._multiplier_target(diff, "x")
+    seen = raw_sizes(monkeypatch)
+    want, _ = build_multiplier(acc, diff, target)
+    raw = seen[0]  # the product goes straight to minimization
+    assert raw > want.num_states
+    got, _ = build_multiplier(acc, diff, target, max_states=raw)
+    assert serialize_fsa(got) == serialize_fsa(want)
+    with pytest.raises(ResourceLimit):
+        build_multiplier(acc, diff, target, max_states=raw - 1)
+
+
+def test_acceptor_subset_cap_fires(monkeypatch):
+    diff = run_family("BSpq", 1, 1).diff
+    seen = raw_sizes(monkeypatch)
+    want = build_acceptor(diff)
+    raw = seen[0]
+    monkeypatch.setattr(acceptor, "MAX_STATES", raw)
+    assert serialize_fsa(build_acceptor(diff)) == serialize_fsa(want)
+    monkeypatch.setattr(acceptor, "MAX_STATES", raw - 1)
+    with pytest.raises(ResourceLimit):
+        build_acceptor(diff)
 
 
 def test_axiom_check_flags_swapped_multipliers():
