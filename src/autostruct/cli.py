@@ -28,7 +28,7 @@ from .formats import (
 from .pipeline import VERIFIED, compute_structure
 from .presentations import FAMILY_NAMES, FamilySpec, builtin_family
 from .rewrite import CONFLUENT, RewriteSystem, kb_complete
-from .words import PAD, format_word, parse_word
+from .words import format_word, parse_word
 
 
 class _Parser(argparse.ArgumentParser):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import InputError, LogicError
+from .errors import InputError, LogicError, ResourceLimit
 from .fsa import pad_pair, pair_symbols
 from .rewrite import RewriteSystem
 from .words import PAD, Word
@@ -85,8 +85,9 @@ class DiffMachine:
         """Close labels under inversion, prefix and suffix; recompute moves.
 
         Factors of reduced words are reduced, so only the inverses need a
-        rewrite.  The fixpoint is guarded for pathological incomplete
-        systems where inversion chains could wander.
+        rewrite.  The fixpoint is capped for pathological incomplete
+        systems where inversion chains could wander; the cap raises
+        ResourceLimit.
         """
         max_states = 10 * len(self.labels) + 1000
         queue = list(self.labels)
@@ -95,7 +96,9 @@ class DiffMachine:
             for cand in (self.rws.rewrite(self.alpha.invert(w)), w[:-1], w[1:]):
                 if cand not in self.index:
                     if len(self.labels) >= max_states:
-                        raise LogicError("difference label closure exploded")
+                        raise ResourceLimit(
+                            f"difference label closure exceeded {max_states} labels"
+                        )
                     self._add_label(cand)
                     queue.append(cand)
         self.rebuild()

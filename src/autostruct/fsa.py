@@ -4,8 +4,9 @@ States are 0..num_states-1 and a missing transition rejects.  Track-1
 machines read plain words; track-2 machines read words of symbol pairs in
 which the shorter of two words has been padded at its tail end.  Valid pair
 words never pad both coordinates at once and never resume a track after it
-padded; the padding discipline is its own small automaton, and complement is
-taken relative to it.
+padded; that padding discipline lives in `_pad_kind`, which the language
+comparison and composition carry in their state.  Complement is for word
+machines only.
 
 Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages
@@ -15,7 +16,8 @@ Two helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
 and subset construction here and in the acceptor and multiplier builders
 goes through it.  `coreachable` is one backward search from acceptance,
-used for trimming, enumeration and emptiness.
+used for trimming, enumeration and emptiness; `search_back` is the same
+search over an implicit graph, which composition uses for its silent tail.
 """
 
 from __future__ import annotations
@@ -144,13 +146,18 @@ class Fsa:
             if newblock == block:
                 break
             block = newblock
-        # quotient, then keep the states that can reach acceptance
-        q_trans = {}
+        # quotient, then keep the states that can reach acceptance; the
+        # partition is stable, so one member per block gives its moves
+        rep = {}
         for s in range(n):
-            for sym in total.symbols:
-                q_trans[(block[s], sym)] = block[total.transitions[(s, sym)]]
+            rep.setdefault(block[s], s)
+        q_trans = {
+            (b, sym): block[total.transitions[(s, sym)]]
+            for b, s in rep.items()
+            for sym in total.symbols
+        }
         quotient = Fsa(
-            self.symbols, len(set(block)), block[self.start],
+            self.symbols, len(rep), block[self.start],
             {block[s] for s in total.accepting}, q_trans, self.track,
         )
         alive = coreachable(quotient)
@@ -222,20 +229,17 @@ class Fsa:
         return raw.minimized()
 
     def complement(self) -> "Fsa":
-        """Complement within valid words: all words for track 1, the padding
-        discipline's language for track 2."""
+        """Complement of a word machine's language among all words."""
+        if self.track != 1:
+            raise LogicError("complement needs a track-1 machine")
         total, _ = self.completed()
-        flipped = Fsa(
+        return Fsa(
             self.symbols,
             total.num_states,
             total.start,
             frozenset(range(total.num_states)) - total.accepting,
             total.transitions,
-            self.track,
-        )
-        if self.track == 2:
-            return flipped.intersect(pad_universe(self.symbols))
-        return flipped.minimized()
+        ).minimized()
 
     def project(self, keep: int) -> "Fsa":
         """Track-1 machine for one coordinate of a track-2 language.
@@ -290,84 +294,69 @@ class Fsa:
         """Relational composition of two pair languages.
 
         Accepts (u, w) when some middle word v has (u, v) here and (v, w)
-        there.  The middle word may outlive both outer words; such silent
-        tail moves are folded into acceptance.  A machine whose input ends
-        early freezes in an accepting state while the other finishes.
+        there.  One subset construction reads (x, z) by guessing the middle
+        letter y, padding included: this machine steps on (x, y) and the
+        other on (y, z), except that a side whose pair is (padding, padding)
+        has finished.  A side may finish only from an accepting state, and
+        then it stays frozen.  Each subset state also carries the pad kind
+        read so far, so only words obeying the padding discipline are
+        accepted.  The middle word may outlive both outer words; one
+        backward search folds those silent tail moves into acceptance.
         """
+        if self.track != 2:
+            raise LogicError("compose needs track-2 machines")
         self._check_compatible(other)
-        gens = tuple(g for g, b in self.symbols if g != PAD and b == PAD)
-        # silent tail pairs: self reads (PAD, y) while other reads (y, PAD)
-        tail = set()
-        pool = {
-            (sa, sb)
-            for sa in self.accepting
-            for sb in other.accepting
-        }
-        tail |= pool
-        changed = True
-        while changed:
-            changed = False
-            for sa in range(self.num_states):
-                for sb in range(other.num_states):
-                    if (sa, sb) in tail:
-                        continue
-                    for y in gens:
-                        ta = self.transitions.get((sa, (PAD, y)))
-                        tb = other.transitions.get((sb, (y, PAD)))
-                        if ta is not None and tb is not None and (ta, tb) in tail:
-                            tail.add((sa, sb))
-                            changed = True
-                            break
+        gens = tuple(g for g, b in self.symbols if b == PAD)
+        done = -1  # a finished side: it counts as accepting
+        final_a = self.accepting | {done}
+        final_b = other.accepting | {done}
+        # this machine's moves by state, the other's by state and middle
+        # letter, and both backwards along the silent tail, where this
+        # machine reads (PAD, y) while the other reads (y, PAD)
+        moves_a, moves_b, into_a, into_b = {}, {}, {}, {}
+        for (s, (x, y)), t in self.transitions.items():
+            moves_a.setdefault(s, []).append((x, y, t))
+            if x == PAD:
+                into_a.setdefault((t, y), []).append(s)
+        for (s, (y, z)), t in other.transitions.items():
+            moves_b.setdefault((s, y), []).append((z, t))
+            if z == PAD:
+                into_b.setdefault((t, y), []).append(s)
+        # finishing is a move on (PAD, PAD), and the only move of done
+        for s in final_a:
+            moves_a.setdefault(s, []).append((PAD, PAD, done))
+        for s in final_b:
+            moves_b.setdefault((s, PAD), []).append((PAD, done))
 
-        LIVE, A_DONE, B_DONE = 0, 1, 2
-
-        def moves(state, sym):
-            sa, sb, tag = state
-            x, z = sym
-            out = set()
-            if tag == A_DONE:
-                if x == PAD:
-                    tb = other.transitions.get((sb, (PAD, z)))
-                    if tb is not None:
-                        out.add((sa, tb, A_DONE))
-                return out
-            if tag == B_DONE:
-                if z == PAD:
-                    ta = self.transitions.get((sa, (x, PAD)))
-                    if ta is not None:
-                        out.add((ta, sb, B_DONE))
-                return out
+        def silent_predecessors(pair):
+            ta, tb = pair
             for y in gens:
-                ta = self.transitions.get((sa, (x, y)))
-                tb = other.transitions.get((sb, (y, z)))
-                if ta is not None and tb is not None:
-                    out.add((ta, tb, LIVE))
-            if x != PAD and z != PAD:
-                ta = self.transitions.get((sa, (x, PAD)))
-                tb = other.transitions.get((sb, (PAD, z)))
-                if ta is not None and tb is not None:
-                    out.add((ta, tb, LIVE))
-            if x == PAD and sa in self.accepting:
-                tb = other.transitions.get((sb, (PAD, z)))
-                if tb is not None:
-                    out.add((sa, tb, A_DONE))
-            if z == PAD and sb in other.accepting:
-                ta = self.transitions.get((sa, (x, PAD)))
-                if ta is not None:
-                    out.add((ta, sb, B_DONE))
-            return out
+                for sa in into_a.get((ta, y), ()):
+                    for sb in into_b.get((tb, y), ()):
+                        yield sa, sb
 
-        def is_accept(state):
-            sa, sb, tag = state
-            if tag == A_DONE:
-                return sb in other.accepting
-            if tag == B_DONE:
-                return sa in self.accepting
-            return (sa, sb) in tail
+        tail = search_back(
+            [(sa, sb) for sa in final_a for sb in final_b], silent_predecessors
+        )
 
-        start = {(self.start, other.start, LIVE)}
-        composed = _determinize(self.symbols, 2, start, moves, is_accept)
-        return composed.intersect(pad_universe(self.symbols))
+        def successors(state):
+            kind, cur = state
+            nxt = {}
+            for sa, sb in cur:
+                for x, y, ta in moves_a.get(sa, ()):
+                    for z, tb in moves_b.get((sb, y), ()):
+                        nxt.setdefault((x, z), set()).add((ta, tb))
+            # (PAD, PAD) here is a silent tail move, which acceptance covers
+            for sym in self.symbols:
+                k = _pad_kind(sym)
+                if sym in nxt and (k == kind or not kind):
+                    yield sym, (k, frozenset(nxt[sym]))
+
+        raw, _ = explore(
+            self.symbols, (0, frozenset({(self.start, other.start)})),
+            successors, lambda state: not tail.keys().isdisjoint(state[1]), 2,
+        )
+        return raw.minimized()
 
     # -------------------------------------------------------- enumeration
 
@@ -440,17 +429,6 @@ def empty_fsa(symbols, track: int = 1) -> Fsa:
     return Fsa(symbols, 1, 0, frozenset(), {}, track)
 
 
-def pad_universe(symbols) -> Fsa:
-    """All pair words whose padding, if any, sits at one track's tail."""
-    trans = {}
-    for sym in symbols:
-        k = _pad_kind(sym)
-        trans[(0, sym)] = k
-        if k:
-            trans[(k, sym)] = k
-    return Fsa(symbols, 3, 0, {0, 1, 2}, trans, 2)
-
-
 def pad_pair(w1: Word, w2: Word) -> tuple:
     """Zip two words into a padded pair word."""
     n = max(len(w1), len(w2))
@@ -458,24 +436,6 @@ def pad_pair(w1: Word, w2: Word) -> tuple:
         (w1[i] if i < len(w1) else PAD, w2[i] if i < len(w2) else PAD)
         for i in range(n)
     )
-
-
-def _determinize(symbols, track, start_set, moves, is_accept) -> Fsa:
-    """Subset construction over an implicit nondeterministic machine."""
-
-    def successors(cur):
-        for sym in symbols:
-            nxt = set()
-            for s in cur:
-                nxt |= moves(s, sym)
-            if nxt:
-                yield sym, frozenset(nxt)
-
-    raw, _ = explore(
-        symbols, frozenset(start_set), successors,
-        lambda cur: any(is_accept(s) for s in cur), track,
-    )
-    return raw.minimized()
 
 
 def explore(symbols, start, successors, is_accept, track, max_states=None):
@@ -514,11 +474,17 @@ def coreachable(fsa: Fsa) -> dict:
     back = {}
     for (s, _sym), t in fsa.transitions.items():
         back.setdefault(t, []).append(s)
-    dist = {s: 0 for s in fsa.accepting}
+    return search_back(fsa.accepting, lambda t: back.get(t, ()))
+
+
+def search_back(targets, predecessors) -> dict:
+    """Breadth-first search backwards from targets: each state that can
+    reach one of them, mapped to the length of its shortest path there."""
+    dist = dict.fromkeys(targets, 0)
     queue = deque(dist)
     while queue:
         t = queue.popleft()
-        for s in back.get(t, ()):
+        for s in predecessors(t):
             if s not in dist:
                 dist[s] = dist[t] + 1
                 queue.append(s)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import LogicError
-from .orders import LT, EQ, GT, Order, SHORTLEX, WTLEX, WTSHORTLEX, WREATH, lex_cmp, shortlex_cmp, strip_common_prefix
+from .orders import LT, EQ, Order, SHORTLEX, WTLEX, WTSHORTLEX, lex_cmp, shortlex_cmp, strip_common_prefix
 from .words import PAD, Word
 
 

@@ -223,9 +223,11 @@ def check_domains(acc: Fsa, mults: dict) -> list:
     return gaps
 
 
-def _compose_chain(mults: dict, identity: Fsa, letters: Word) -> Fsa:
-    out = identity
-    for a in letters:
+def _compose_chain(mults: dict, letters: Word) -> Fsa:
+    # every multiplier's first track lies in the accepted language, so
+    # starting from the identity multiplier would change nothing
+    out = mults[letters[0]]
+    for a in letters[1:]:
         out = out.compose(mults[a])
     return out
 
@@ -234,12 +236,15 @@ def check_axioms(
     order: Order, relations, mults: dict, identity: Fsa
 ) -> Optional[tuple]:
     """First relator (or generator-inverse word) whose composed
-    multiplier differs from the identity multiplier."""
+    multiplier differs from the identity multiplier.  An empty relator
+    holds trivially."""
     alpha = order.alphabet
     words = [x + alpha.invert(y) for x, y in relations]
     words += [(g, alpha.inverse[g]) for g in alpha.symbols]
     for r in words:
-        composed = _compose_chain(mults, identity, r)
+        if not r:
+            continue
+        composed = _compose_chain(mults, r)
         wit = composed.equal_languages(identity)
         if wit is not None:
             return r, wit
@@ -266,77 +271,64 @@ def compute_structure(
     if not proceed:
         return done(StructureResult(KB_STOPPED, order, rs, False, 0))
 
-    diff = DiffMachine.from_rules(rs)
-    # a confluent system names its language directly (no factor may be a
-    # left-hand side), and that does not move as the machine grows
-    exact_acc = irreducible_word_acceptor(rs) if confluent else None
-    loops = 0
-    while True:
-        try:
+    diff, loops = None, 0
+    try:
+        diff = DiffMachine.from_rules(rs)
+        # a confluent system names its language directly (no factor may be
+        # a left-hand side), and that does not move as the machine grows
+        exact_acc = irreducible_word_acceptor(rs) if confluent else None
+        while True:
             acc = exact_acc if exact_acc is not None else build_acceptor(diff)
             mults, used = build_all_multipliers(acc, diff)
-        except ResourceLimit:
-            return done(StructureResult(
-                LOOP_LIMIT, order, rs, confluent, loops, diff=diff,
-            ))
-        identity = _diagonal_multiplier(acc)
-
-        gaps = check_domains(acc, mults)
-        if gaps:
+            identity = _diagonal_multiplier(acc)
+            gaps = check_domains(acc, mults)
+            bad = None
+            if not gaps and not confluent:
+                bad = check_axioms(order, relations, mults, identity)
+            if not gaps and bad is None:
+                break
             loops += 1
             if loops > max_loops:
-                res = StructureResult(
+                return done(StructureResult(
                     LOOP_LIMIT, order, rs, confluent, loops,
                     diff=diff, acceptor=acc, multipliers=mults,
-                    identity=identity, witness=gaps[0],
-                )
-                return done(res)
+                    identity=identity, witness=gaps[0] if gaps else bad,
+                ))
+            before = diff.state_count()
             for g, v in gaps:
                 w = diff.reduce(rs.rewrite(v + (g,)))
                 diff.add_equation(v + (g,), w)
                 diff.add_equation(v, w)
-            diff.close()
-            continue
-
-        if not confluent:
-            bad = check_axioms(order, relations, mults, identity)
             if bad is not None:
-                relator, wit = bad
-                loops += 1
-                if loops > max_loops:
-                    res = StructureResult(
-                        LOOP_LIMIT, order, rs, confluent, loops,
-                        diff=diff, acceptor=acc, multipliers=mults,
-                        identity=identity, witness=(relator, wit),
-                    )
-                    return done(res)
-                before = diff.state_count()
                 # the witness is a padded pair word; the repair walks the
                 # relator starting from its first track
+                relator, wit = bad
                 u = rs.rewrite(tuple(g for g, _ in wit if g != PAD))
                 for a in relator:
                     nxt = diff.reduce(rs.rewrite(u + (a,)))
                     diff.add_equation(u + (a,), nxt)
                     diff.add_equation(u, nxt)
                     u = nxt
-                diff.close()
-                if diff.state_count() == before:
-                    res = StructureResult(
-                        AXIOM_FAILED, order, rs, confluent, loops,
-                        diff=diff, acceptor=acc, multipliers=mults,
-                        identity=identity, witness=(relator, wit),
-                    )
-                    return done(res)
-                continue
+            diff.close()
+            if bad is not None and diff.state_count() == before:
+                return done(StructureResult(
+                    AXIOM_FAILED, order, rs, confluent, loops,
+                    diff=diff, acceptor=acc, multipliers=mults,
+                    identity=identity, witness=bad,
+                ))
+    except ResourceLimit:
+        return done(StructureResult(
+            LOOP_LIMIT, order, rs, confluent, loops, diff=diff,
+        ))
 
-        res = StructureResult(
-            VERIFIED, order, rs, confluent, loops,
-            diff=diff, acceptor=acc, multipliers=mults, identity=identity,
-            raw_diff_count=diff.state_count(),
-        )
-        if prune:
-            _prune_verified(res, used)
-        return done(res)
+    res = StructureResult(
+        VERIFIED, order, rs, confluent, loops,
+        diff=diff, acceptor=acc, multipliers=mults, identity=identity,
+        raw_diff_count=diff.state_count(),
+    )
+    if prune:
+        _prune_verified(res, used)
+    return done(res)
 
 
 def _prune_verified(res: StructureResult, used: set) -> None:
@@ -345,10 +337,10 @@ def _prune_verified(res: StructureResult, used: set) -> None:
     still checks out."""
     rs, diff = res.rws, res.diff
     small = DiffMachine(rs, sorted(used, key=lambda w: (len(w), w)))
-    small.close()
-    if small.state_count() >= diff.state_count():
-        return
     try:
+        small.close()
+        if small.state_count() >= diff.state_count():
+            return
         acc = (
             irreducible_word_acceptor(rs) if res.confluent
             else build_acceptor(small)

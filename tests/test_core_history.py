@@ -14,7 +14,6 @@ import pytest
 from autostruct import Alphabet, Order, LT
 from autostruct.history import (
     OVERFLOW,
-    LevelRec,
     WreathHistory,
     WtHistory,
     bounds_for,

@@ -4,6 +4,7 @@ import pytest
 
 from autostruct import Alphabet, LogicError, Order, PAD, SHORTLEX, WREATH
 from autostruct.diff import DiffMachine, EPS
+from autostruct.errors import ResourceLimit
 from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
 
 
@@ -196,3 +197,11 @@ def test_violations_flag_duplicate_labels():
     d = DiffMachine.from_rules(z2_system())
     d.labels[3] = d.labels[2]
     assert any("share the label" in msg for msg in d.violations())
+
+
+def test_closure_cap_raises_resource_limit(monkeypatch):
+    # a rewrite that lengthens every word makes inversion chains wander
+    rs = RewriteSystem(Order(Alphabet(("x", "X"), {"x": "X", "X": "x"}), SHORTLEX))
+    monkeypatch.setattr(rs, "rewrite", lambda w: ("x",) * (len(w) + 1))
+    with pytest.raises(ResourceLimit):
+        DiffMachine(rs).close()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from autostruct import Alphabet, Order
 from autostruct.diff import DiffMachine
 from autostruct.errors import InputError
 from autostruct.formats import (

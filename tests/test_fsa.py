@@ -1,6 +1,7 @@
 """Automaton operations against brute-force set computations."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,6 @@ from autostruct.fsa import (
     empty_fsa,
     pad_pair,
     pair_symbols,
-    pad_universe,
 )
 from autostruct.words import PAD
 
@@ -192,10 +192,11 @@ def brute_pairs(m, max_len):
 
 def test_pad_pair_and_universe():
     assert pad_pair(("a",), ("a", "b")) == (("a", "a"), (PAD, "b"))
-    u = pad_universe(PAIRS)
-    assert u.accepts(pad_pair(("a", "b"), ("b",)))
-    assert not u.accepts((("a", PAD), ("a", "a")))  # resumed after padding
-    assert u.accepts(())
+
+
+def test_complement_refuses_pair_machines():
+    with pytest.raises(LogicError):
+        diagonal_machine().complement()
 
 
 def test_accepts_pair_and_brute():
@@ -258,6 +259,46 @@ def test_compose_asymmetric_lengths():
     }
     want = {(u, v) for u, v in want if len(u) <= 4 and len(v) <= 4}
     assert got == want
+
+
+def relation_machine(pairs):
+    return fsa_from_words(PAIRS, [pad_pair(u, v) for u, v in pairs], track=2)
+
+
+def test_compose_matches_brute_force_join():
+    # random finite relations, joined by comparing middle words; every pair
+    # word of length <= 3 is probed, including ones that break the padding
+    # discipline
+    rng = random.Random(1997)
+    words = [w for n in range(4) for w in itertools.product(AB, repeat=n)]
+    probes = [w for n in range(4) for w in itertools.product(PAIRS, repeat=n)]
+    for _ in range(100):
+        first = {
+            (rng.choice(words), rng.choice(words))
+            for _ in range(rng.randint(0, 5))
+        }
+        # middle words are also drawn from the first relation's outputs,
+        # so that most joins are not empty
+        mids = [v for _, v in first] + words
+        second = {
+            (rng.choice(mids), rng.choice(words))
+            for _ in range(rng.randint(0, 5))
+        }
+        joined = {
+            pad_pair(u, w)
+            for u, v in first
+            for v2, w in second
+            if v == v2
+        }
+        c = relation_machine(first).compose(relation_machine(second))
+        for p in probes:
+            assert c.accepts(p) == (p in joined), (first, second, p)
+
+
+def test_compose_keeps_the_padding_discipline():
+    # an input that resumes a padded track cannot make the composite do so
+    resumed = fsa_from_words(PAIRS, [((PAD, "a"), ("a", "a"))], track=2)
+    assert resumed.compose(diagonal_machine()).is_empty()
 
 
 def test_validate_catches_malformed():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from autostruct import Alphabet, Order
 from autostruct import acceptor
 from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
 from autostruct.diff import DiffMachine
@@ -16,7 +15,6 @@ from autostruct.pipeline import (
     KB_STOPPED,
     LOOP_LIMIT,
     VERIFIED,
-    build_all_multipliers,
     build_multiplier,
     check_axioms,
     check_domains,
@@ -101,6 +99,51 @@ def test_resource_limit_maps_to_loop_limit(monkeypatch):
     res = run_family("BSpq", 2, 2)
     assert res.outcome == LOOP_LIMIT
     assert res.loops == 0
+
+
+def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
+    # BSpq(2, 2) needs one domain repair; its label closure hits the cap
+    real_domains = pipeline.check_domains
+    real_close = DiffMachine.close
+    repairing = []
+
+    def domains(acc, mults):
+        gaps = real_domains(acc, mults)
+        repairing.extend(gaps)
+        return gaps
+
+    def close(self):
+        if repairing:
+            raise ResourceLimit("closure cap")
+        real_close(self)
+
+    monkeypatch.setattr(pipeline, "check_domains", domains)
+    monkeypatch.setattr(DiffMachine, "close", close)
+    res = run_family("BSpq", 2, 2)
+    assert repairing
+    assert res.outcome == LOOP_LIMIT
+    assert res.loops == 1
+
+
+def test_pruning_closure_cap_keeps_the_unpruned_result(monkeypatch):
+    res = run_family("BSpq", 2, 2)
+    before = (res.diff, res.acceptor, res.multipliers)
+
+    def close(self):
+        raise ResourceLimit("closure cap")
+
+    monkeypatch.setattr(DiffMachine, "close", close)
+    pipeline._prune_verified(res, set(res.diff.labels))
+    assert (res.diff, res.acceptor, res.multipliers) == before
+    assert res.pruned_diff_count is None
+
+
+def test_empty_relator_holds_trivially():
+    fam = builtin_family(FamilySpec("KNOT41", 1, 1), wirtinger=True)
+    relations = list(fam.presentation.relations) + [((), ())]
+    res = compute_structure(fam.order, relations)
+    assert res.outcome == VERIFIED
+    assert not res.confluent  # so the axiom check did run
 
 
 def raw_sizes(monkeypatch) -> list:
