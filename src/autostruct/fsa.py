@@ -11,6 +11,9 @@ machines only.
 Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages
 serialize identically and callers never minimize a result again.
+Minimization trims first and then refines only along the defined moves, so
+it never completes a machine; `completed`, which adds a sink state, serves
+`union`, `complement` and `equal_languages`.
 
 Two helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
@@ -128,51 +131,66 @@ class Fsa:
         )
 
     def minimized(self) -> "Fsa":
-        """Canonical minimal partial DFA with the same language."""
-        total, _sink = self.completed()
-        n = total.num_states
-        # Moore refinement on the completed machine
-        block = [1 if s in total.accepting else 0 for s in range(n)]
+        """Canonical minimal partial DFA with the same language.
+
+        The machine is trimmed first and never completed: only the states
+        reachable from the start that can still reach acceptance are kept,
+        with the moves between them.  Moore refinement then reads only those
+        defined moves, so a round costs O(kept moves) rather than
+        O(states * symbols).  A missing move counts as its own value, which
+        is exact only because every kept state is live: without the trim, a
+        move into a dead state would be told apart from a missing move.
+        The quotient is numbered by `explore`, one member per block.
+        """
+        alive = coreachable(self)
+        if self.start not in alive:
+            return empty_fsa(self.symbols, self.track)
+        # trim: number the live states reachable from the start as they are
+        # found, each with its row of symbols and targets in alphabet order
+        ids = {self.start: 0}
+        kept = [self.start]
+        rows, targets = [], []
+        get_move = self.transitions.get
+        for s in kept:
+            row, tgts = [], []
+            for sym in self.symbols:
+                t = get_move((s, sym))
+                if t in alive:
+                    if t not in ids:
+                        ids[t] = len(kept)
+                        kept.append(t)
+                    row.append(sym)
+                    tgts.append(ids[t])
+            rows.append(tuple(row))
+            targets.append(tgts)
+        # Moore refinement; the symbols of a row are fixed, so one id per
+        # distinct row stands for them and a signature is one flat tuple
+        row_ids = {}
+        row_id = [row_ids.setdefault(row, len(row_ids)) for row in rows]
+        block = [1 if s in self.accepting else 0 for s in kept]
+        count = len(set(block))
         while True:
             sig = {}
-            newblock = [0] * n
-            for s in range(n):
-                key = (block[s],) + tuple(
-                    block[total.transitions[(s, sym)]] for sym in total.symbols
-                )
-                if key not in sig:
-                    sig[key] = len(sig)
-                newblock[s] = sig[key]
-            if newblock == block:
+            get = block.__getitem__
+            block = [
+                sig.setdefault((b, r, *map(get, tgts)), len(sig))
+                for b, r, tgts in zip(block, row_id, targets)
+            ]
+            if len(sig) == count:
                 break
-            block = newblock
-        # quotient, then keep the states that can reach acceptance; the
-        # partition is stable, so one member per block gives its moves
+            count = len(sig)
+        # the partition is stable, so one member per block gives its moves
         rep = {}
-        for s in range(n):
-            rep.setdefault(block[s], s)
-        q_trans = {
-            (b, sym): block[total.transitions[(s, sym)]]
-            for b, s in rep.items()
-            for sym in total.symbols
-        }
-        quotient = Fsa(
-            self.symbols, len(rep), block[self.start],
-            {block[s] for s in total.accepting}, q_trans, self.track,
-        )
-        alive = coreachable(quotient)
-        if quotient.start not in alive:
-            return empty_fsa(self.symbols, self.track)
+        for i, b in enumerate(block):
+            rep.setdefault(b, i)
+        final = {block[i] for i, s in enumerate(kept) if s in self.accepting}
 
-        def live_successors(s):
-            for sym in self.symbols:
-                t = q_trans[(s, sym)]
-                if t in alive:
-                    yield sym, t
+        def successors(b):
+            i = rep[b]
+            return zip(rows[i], map(block.__getitem__, targets[i]))
 
         canon, _ = explore(
-            self.symbols, quotient.start, live_successors,
-            quotient.accepting.__contains__, self.track,
+            self.symbols, block[0], successors, final.__contains__, self.track
         )
         return canon
 
@@ -348,9 +366,10 @@ class Fsa:
                         nxt.setdefault((x, z), set()).add((ta, tb))
             # (PAD, PAD) here is a silent tail move, which acceptance covers
             for sym in self.symbols:
-                k = _pad_kind(sym)
-                if sym in nxt and (k == kind or not kind):
-                    yield sym, (k, frozenset(nxt[sym]))
+                if sym in nxt:
+                    k = _pad_kind(sym)
+                    if k == kind or not kind:
+                        yield sym, (k, frozenset(nxt[sym]))
 
         raw, _ = explore(
             self.symbols, (0, frozenset({(self.start, other.start)})),

@@ -24,6 +24,7 @@ from autostruct import (
     check_domains,
     compute_structure,
     is_confluent,
+    serialize_fsa,
 )
 from autostruct.history import decide_precedes, history, history_step
 from autostruct.presentations import FamilySpec, builtin_family
@@ -253,6 +254,20 @@ def test_figure_eight_knot_structure_is_exact():
     assert res.acceptor.num_states == 18
     assert res.diff.state_count() == 21
     assert res.seconds < 600.0, res.seconds
+
+
+def test_verified_machines_are_already_canonical():
+    """Every machine a verified run returns, the acceptor, each multiplier
+    and the identity, is already minimal and canonically numbered: one more
+    minimization leaves its serialized bytes unchanged."""
+    for fam, res in (
+        _structure("BSpq", 3, 3),
+        _structure("KNOT41", wirtinger=True),
+    ):
+        assert res.verified, res.outcome
+        machines = [res.acceptor, res.identity, *res.multipliers.values()]
+        for m in machines:
+            assert serialize_fsa(m.minimized()) == serialize_fsa(m)
 
 
 def test_grid_acceptor_counts_spheres():

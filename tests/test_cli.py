@@ -153,6 +153,24 @@ def test_fsaop_arity_errors(grid_out, capsys):
     assert main(["fsaop", "not", str(grid_out / "M_x.fsa")]) == 3
 
 
+def test_fsaop_mismatched_machines_are_input_errors(grid_out, tmp_path, capsys):
+    w, mx = str(grid_out / "W.fsa"), str(grid_out / "M_x.fsa")
+    other = tmp_path / "other.fsa"
+    other.write_text(
+        "fsa version 1\ntype word\nalphabet x X\npad _\n"
+        "states 1\nstart 1\naccept 1\n1 x 1\n"
+    )
+    capsys.readouterr()
+    for op in ("compose", "and", "or", "equal"):
+        assert main(["fsaop", op, w, mx]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+    for op in ("and", "equal"):
+        assert main(["fsaop", op, w, str(other)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["fsaop", "compose", w, w]) == 3
+    assert "pair machines" in capsys.readouterr().err
+
+
 def test_family_command_round_trips(tmp_path, capsys):
     assert main(["family", "BSpq", "1", "1"]) == 0
     assert capsys.readouterr().out == GRID.replace("# ", "")

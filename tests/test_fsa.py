@@ -6,6 +6,7 @@ import random
 import pytest
 
 from autostruct.errors import LogicError
+from autostruct.formats import serialize_fsa
 from autostruct.fsa import (
     Fsa,
     empty_fsa,
@@ -130,6 +131,95 @@ def test_minimize_canonical_and_minimal():
     assert a.num_states == 2
     empty = Fsa(AB, 3, 0, set(), {(0, "a"): 1, (1, "b"): 2})
     assert fingerprint(empty.minimized()) == fingerprint(empty_fsa(AB))
+    # 0 and 1 both accept a*; only 0 has a move, on b, into the dead state
+    # 2, so a minimizer that skipped the trim would keep them apart
+    dead_end = Fsa(
+        AB, 3, 0, {0, 1},
+        {(0, "a"): 1, (1, "a"): 1, (0, "b"): 2, (2, "a"): 2},
+    )
+    assert fingerprint(dead_end.minimized()) == fingerprint(
+        Fsa(AB, 1, 0, {0}, {(0, "a"): 0})
+    )
+
+
+ABC = ("a", "b", "c")
+
+
+def residual(m, q, max_len=8):
+    """Accepted suffixes of length <= max_len from state q, found by
+    walking every path."""
+    out = set()
+    stack = [(q, ())]
+    while stack:
+        s, w = stack.pop()
+        if s in m.accepting:
+            out.add(w)
+        if len(w) < max_len:
+            for sym in m.symbols:
+                t = m.transitions.get((s, sym))
+                if t is not None:
+                    stack.append((t, w + (sym,)))
+    return frozenset(out)
+
+
+def reachable(m):
+    seen = {m.start}
+    stack = [m.start]
+    while stack:
+        s = stack.pop()
+        for sym in m.symbols:
+            t = m.transitions.get((s, sym))
+            if t is not None and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def test_minimize_against_brute_force_residuals():
+    # residuals of length <= 8 tell apart any two states of a machine with
+    # at most 7 states (8 once completed), so their count is the minimum
+    rng = random.Random(20121)
+    seen_unreachable = seen_dead_with_moves = seen_missing = 0
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.3, 0.6, 0.9))
+        trans = {
+            (s, sym): rng.randrange(n)
+            for s in range(n)
+            for sym in ABC
+            if rng.random() < density
+        }
+        m = Fsa(ABC, n, rng.randrange(n), {
+            s for s in range(n) if rng.random() < 0.35
+        }, trans)
+        live = reachable(m)
+        res = {s: residual(m, s) for s in range(n)}
+        seen_unreachable += len(live) < n
+        seen_dead_with_moves += any(
+            not res[s] and (s, sym) in trans for s in live for sym in ABC
+        )
+        seen_missing += len(trans) < n * len(ABC)
+
+        mm = m.minimized()
+        assert residual(mm, mm.start) == res[m.start]
+        distinct = {res[s] for s in live if res[s]}
+        if distinct:
+            assert mm.num_states == len(distinct)
+        else:
+            assert fingerprint(mm) == fingerprint(empty_fsa(ABC))
+        assert fingerprint(mm.minimized()) == fingerprint(mm)
+
+        # the same machine under other state numbers and move order
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moves = [((perm[s], sym), perm[t]) for (s, sym), t in trans.items()]
+        rng.shuffle(moves)
+        renamed = Fsa(
+            ABC, n, perm[m.start], {perm[s] for s in m.accepting}, moves
+        )
+        assert fingerprint(renamed.minimized()) == fingerprint(mm)
+        assert serialize_fsa(renamed.minimized()) == serialize_fsa(mm)
+    assert seen_unreachable and seen_dead_with_moves and seen_missing
 
 
 def test_boolean_ops_against_sets():
