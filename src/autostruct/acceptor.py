@@ -157,9 +157,7 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
         if sid is None:
             sid = len(shadow_list)
             if sid >= MAX_SHADOWS:
-                raise ResourceLimit(
-                    f"acceptor shadow universe exceeded {MAX_SHADOWS}"
-                )
+                raise ResourceLimit("shadows", MAX_SHADOWS)
             shadow_ids[key] = sid
             shadow_list.append(key)
             kill_rows.append([None] * n_gens)

@@ -92,6 +92,9 @@ def _report_lines(res) -> list:
             out.append(f"  M_{g}: {res.multipliers[g].num_states}")
     if res.witness is not None:
         out.append(f"witness: {res.witness!r}")
+    if res.stopped_by is not None:
+        s = res.stopped_by
+        out.append(f"stopped by: {s['cap']} cap {s['limit']} in stage {s['stage']}")
     out.append(f"seconds: {res.seconds:.3f}")
     return out
 

@@ -96,9 +96,7 @@ class DiffMachine:
             for cand in (self.rws.rewrite(self.alpha.invert(w)), w[:-1], w[1:]):
                 if cand not in self.index:
                     if len(self.labels) >= max_states:
-                        raise ResourceLimit(
-                            f"difference label closure exceeded {max_states} labels"
-                        )
+                        raise ResourceLimit("difference labels", max_states)
                     self._add_label(cand)
                     queue.append(cand)
         self.rebuild()
@@ -198,7 +196,15 @@ class DiffMachine:
 
     def _find_reduction(self, w: Word):
         gens = self.alpha.symbols
-        order = self.order
+        order_key = self.order.key
+        keys = {}  # sort keys of the spellings seen in this call only
+
+        def key(u: Word) -> tuple:
+            k = keys.get(u)
+            if k is None:
+                k = keys[u] = order_key(u)
+            return k
+
         for p in range(len(w)):
             # (state, track-2 padded) -> earliest candidate spelling
             frontier = {(EPS, False): ()}
@@ -206,10 +212,10 @@ class DiffMachine:
                 g = w[i]
                 nxt = {}
 
-                def offer(key, cand):
-                    old = nxt.get(key)
-                    if old is None or order.precedes(cand, old):
-                        nxt[key] = cand
+                def offer(at, cand):
+                    old = nxt.get(at)
+                    if old is None or key(cand) < key(old):
+                        nxt[at] = cand
 
                 for (d, padded), cand in frontier.items():
                     if padded:
@@ -227,11 +233,11 @@ class DiffMachine:
                 frontier = nxt
                 if not frontier:
                     break
-                factor = w[p : i + 1]
+                factor = key(w[p : i + 1])
                 best = None
                 for (d, _padded), cand in frontier.items():
-                    if d == EPS and order.precedes(cand, factor):
-                        if best is None or order.precedes(cand, best):
+                    if d == EPS and key(cand) < factor:
+                        if best is None or key(cand) < key(best):
                             best = cand
                 # candidates longer than the factor: silent track-1 tail
                 tails = {
@@ -249,12 +255,12 @@ class DiffMachine:
                                 continue
                             longer = cand + (h,)
                             old = tails.get(t)
-                            if old is None or order.precedes(longer, old):
+                            if old is None or key(longer) < key(old):
                                 tails[t] = longer
                                 changed = True
                 ext = tails.get(EPS)
-                if ext is not None and order.precedes(ext, factor):
-                    if best is None or order.precedes(ext, best):
+                if ext is not None and key(ext) < factor:
+                    if best is None or key(ext) < key(best):
                         best = ext
                 if best is not None:
                     return p, i + 1, best

@@ -13,4 +13,10 @@ class LogicError(RuntimeError):
 
 class ResourceLimit(RuntimeError):
     """Raised when a construction exceeds its configured size budget.  The
-    caller decides whether that means failure or a retry with other settings."""
+    caller decides whether that means failure or a retry with other settings.
+    ``cap`` names the budget and ``limit`` is its value."""
+
+    def __init__(self, cap: str, limit: int):
+        super().__init__(f"{cap} exceeded {limit}")
+        self.cap = cap
+        self.limit = limit

@@ -478,9 +478,7 @@ def explore(symbols, start, successors, is_accept, track, max_states=None):
             if tid is None:
                 tid = len(states)
                 if max_states is not None and tid >= max_states:
-                    raise ResourceLimit(
-                        f"construction exceeded {max_states} states"
-                    )
+                    raise ResourceLimit("states", max_states)
                 ids[nxt] = tid
                 states.append(nxt)
             transitions[(sid, sym)] = tid

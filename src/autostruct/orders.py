@@ -11,16 +11,27 @@ Comparison conventions:
   prefix precedes every extension of itself
 * the weighted orders compare total weight first; the shortlex variant
   breaks weight ties by length before falling back to lex
-* the wreath-product order strips the common prefix, then repeatedly
-  compares the projections to the highest remaining level by shortlex and,
-  on a tie, cuts both words back to the prefix before their first symbol of
-  that level
+* the wreath-product order (ECHLPT, *Word Processing in Groups*, 1992)
+  compares the projections to the top level by shortlex and, on a tie,
+  the segments between the top-level symbols one by one, each by the
+  wreath order one level down
+
+Every kind is given by a sort key: ``Order.key(u) < Order.key(v)`` exactly
+when u precedes v, and ``compare`` compares keys.  A key is a flat tuple of
+integers built from rank (and, for the wreath kind, level) tables made once
+per order.  Each key is self-delimiting, since it states how many entries
+follow before it lists them, so tuple order on a concatenation of keys is
+the lexicographic order of the keys themselves.  The wreath key of a word
+for the top level J is the length of its level-J projection, the ranks of
+that projection, then the keys one level down of the segments before,
+between and after its level-J symbols; one level below the lowest, the key
+is the shortlex key (length, then ranks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .errors import InputError, LogicError
 from .words import Alphabet, Word
@@ -57,27 +68,43 @@ def strip_common_prefix(u: Word, v: Word) -> tuple:
     return u[i:], v[i:]
 
 
-def _wt_cmp(alpha: Alphabet, u: Word, v: Word, length_tier: bool) -> int:
-    wu, wv = alpha.word_weight(u), alpha.word_weight(v)
-    if wu != wv:
-        return LT if wu < wv else GT
-    if length_tier and len(u) != len(v):
-        return LT if len(u) < len(v) else GT
-    return lex_cmp(alpha, u, v)
+def _key_function(kind: str, alpha: Alphabet):
+    """The sort key of the order kind, closed over its integer tables."""
+    rank = {s: i for i, s in enumerate(alpha.symbols)}.__getitem__
+    weight = alpha.weights.__getitem__
+    if kind == SHORTLEX:
+        return lambda w: (len(w),) + tuple(map(rank, w))
+    if kind == WTLEX:
+        return lambda w: (sum(map(weight, w)),) + tuple(map(rank, w))
+    if kind == WTSHORTLEX:
+        return lambda w: (sum(map(weight, w)), len(w)) + tuple(map(rank, w))
+    # levels renumbered 0, 1, ... so that a gap in the declared levels
+    # costs nothing
+    tiers = sorted(set(alpha.levels.values()))
+    tier = {s: tiers.index(alpha.levels[s]) for s in alpha.symbols}.__getitem__
 
+    def emit(w: Word, k: int, out: list) -> None:
+        if k == 0:
+            out.append(len(w))
+            out.extend(map(rank, w))
+            return
+        cuts = [i for i, s in enumerate(w) if tier(s) == k]
+        out.append(len(cuts))
+        out.extend(rank(w[i]) for i in cuts)
+        prev = 0
+        for i in cuts:
+            emit(w[prev:i], k - 1, out)
+            prev = i + 1
+        emit(w[prev:], k - 1, out)
 
-def _wreath_cmp(alpha: Alphabet, u: Word, v: Word) -> int:
-    u, v = strip_common_prefix(u, v)
-    # Invariant: u and v differ in their first symbol (or one is empty), so
-    # the loop always decides before the words can become equal and nonempty.
-    while u != v:
-        j = max(alpha.max_level(u), alpha.max_level(v))
-        c = shortlex_cmp(alpha, alpha.project(u, j), alpha.project(v, j))
-        if c != EQ:
-            return c
-        u = alpha.prefix_below(u, j)
-        v = alpha.prefix_below(v, j)
-    return EQ
+    top = len(tiers) - 1
+
+    def wreath_key(w: Word) -> tuple:
+        out = []
+        emit(w, top, out)
+        return tuple(out)
+
+    return wreath_key
 
 
 @dataclass(frozen=True)
@@ -86,22 +113,23 @@ class Order:
 
     alphabet: Alphabet
     kind: str
+    _key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown order kind {self.kind!r}")
         if self.kind == WREATH and self.alphabet.levels is None:
             raise InputError("the wreath-product order needs generator levels")
+        object.__setattr__(self, "_key", _key_function(self.kind, self.alphabet))
+
+    def key(self, w: Word) -> tuple:
+        """Sort key of w: u precedes v exactly when key(u) < key(v)."""
+        return self._key(w)
 
     def compare(self, u: Word, v: Word) -> int:
-        a = self.alphabet
-        if self.kind == SHORTLEX:
-            return shortlex_cmp(a, u, v)
-        if self.kind == WTLEX:
-            return _wt_cmp(a, u, v, False)
-        if self.kind == WTSHORTLEX:
-            return _wt_cmp(a, u, v, True)
-        return _wreath_cmp(a, u, v)
+        if u == v:
+            return EQ
+        return LT if self._key(u) < self._key(v) else GT
 
     def precedes(self, u: Word, v: Word) -> bool:
         """Strictly earlier in the order."""

@@ -18,7 +18,10 @@ The stages:
    refuted.
 
 The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
-AXIOM_FAILED, with the machines and counts gathered in the result.
+AXIOM_FAILED, with the machines and counts gathered in the result.  When a
+cap (a size budget or the number of correction loops) ends the run at
+LOOP_LIMIT, ``stopped_by`` names the stage that was running, the cap and
+its value.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class StructureResult:
     witness: Optional[tuple] = None
     raw_diff_count: Optional[int] = None
     pruned_diff_count: Optional[int] = None
+    stopped_by: Optional[dict] = None  # {"stage", "cap", "limit"}
     seconds: float = 0.0
 
     @property
@@ -85,6 +89,8 @@ class StructureResult:
             }
         if self.witness is not None:
             out["witness"] = self.witness
+        if self.stopped_by is not None:
+            out["stopped_by"] = self.stopped_by
         return out
 
 
@@ -272,18 +278,23 @@ def compute_structure(
         return done(StructureResult(KB_STOPPED, order, rs, False, 0))
 
     diff, loops = None, 0
+    stage = "diff-close"  # what runs now, for stopped_by
     try:
         diff = DiffMachine.from_rules(rs)
         # a confluent system names its language directly (no factor may be
         # a left-hand side), and that does not move as the machine grows
         exact_acc = irreducible_word_acceptor(rs) if confluent else None
         while True:
+            stage = "acceptor"
             acc = exact_acc if exact_acc is not None else build_acceptor(diff)
+            stage = "multipliers"
             mults, used = build_all_multipliers(acc, diff)
             identity = _diagonal_multiplier(acc)
+            stage = "domains"
             gaps = check_domains(acc, mults)
             bad = None
             if not gaps and not confluent:
+                stage = "axioms"
                 bad = check_axioms(order, relations, mults, identity)
             if not gaps and bad is None:
                 break
@@ -293,7 +304,12 @@ def compute_structure(
                     LOOP_LIMIT, order, rs, confluent, loops,
                     diff=diff, acceptor=acc, multipliers=mults,
                     identity=identity, witness=gaps[0] if gaps else bad,
+                    stopped_by={
+                        "stage": stage, "cap": "correction loops",
+                        "limit": max_loops,
+                    },
                 ))
+            stage = "repair"
             before = diff.state_count()
             for g, v in gaps:
                 w = diff.reduce(rs.rewrite(v + (g,)))
@@ -316,9 +332,10 @@ def compute_structure(
                     diff=diff, acceptor=acc, multipliers=mults,
                     identity=identity, witness=bad,
                 ))
-    except ResourceLimit:
+    except ResourceLimit as cap:
         return done(StructureResult(
             LOOP_LIMIT, order, rs, confluent, loops, diff=diff,
+            stopped_by={"stage": stage, "cap": cap.cap, "limit": cap.limit},
         ))
 
     res = StructureResult(

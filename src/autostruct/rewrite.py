@@ -5,6 +5,18 @@ its inverse cancels) ahead of the oriented relation rules, and rewriting is
 deterministic: leftmost match first, lowest rule index on ties.  Completion
 is the classic critical-pair loop with interreduction, run in bounded passes
 so a caller can interleave it with other work and stop early.
+
+The active left sides are indexed by a trie (the left-side index of Sims,
+*Computation with Finitely Presented Groups*, 1994).  Each node is a dict
+from symbol to child; a node where left sides end also holds, under the
+key None, the ascending indices of the active rules with that left side.
+Adding a rule inserts its path and deactivating one removes its index and
+prunes the nodes left empty, so the trie always holds exactly the active
+rules even while interreduction changes them mid-pass.  Rewriting walks
+the trie from each position in turn; at the first position where some
+left side matches it takes the lowest rule index among all left sides
+that start there, whatever their lengths, and then backs up by the
+longest left side so no earlier match is missed.
 """
 
 from __future__ import annotations
@@ -27,7 +39,8 @@ class RewriteSystem:
     def __init__(self, order: Order):
         self.order = order
         self.rules = []  # [lhs, rhs, active]
-        self._by_first = {}
+        self._trie = {}
+        self._active = 0
         self._max_lhs = 0
         for g in order.alphabet.symbols:
             self._append((g, order.alphabet.inverse[g]), ())
@@ -44,7 +57,11 @@ class RewriteSystem:
     def _append(self, lhs: Word, rhs: Word) -> int:
         idx = len(self.rules)
         self.rules.append([lhs, rhs, True])
-        self._by_first.setdefault(lhs[0], []).append(idx)
+        node = self._trie
+        for s in lhs:
+            node = node.setdefault(s, {})
+        node.setdefault(None, []).append(idx)
+        self._active += 1
         self._max_lhs = max(self._max_lhs, len(lhs))
         return idx
 
@@ -68,7 +85,23 @@ class RewriteSystem:
         return self.add_rule(x, y)
 
     def deactivate(self, idx: int) -> None:
-        self.rules[idx][2] = False
+        rule = self.rules[idx]
+        if not rule[2]:
+            return
+        rule[2] = False
+        self._active -= 1
+        path = [self._trie]
+        for s in rule[0]:
+            path.append(path[-1][s])
+        ends = path[-1][None]
+        ends.remove(idx)
+        if not ends:
+            del path[-1][None]
+        # prune the nodes this left side alone kept alive, deepest first
+        for depth in range(len(rule[0]), 0, -1):
+            if path[depth]:
+                break
+            del path[depth - 1][rule[0][depth - 1]]
 
     def active(self) -> Iterator[tuple]:
         for lhs, rhs, on in self.rules:
@@ -76,37 +109,44 @@ class RewriteSystem:
                 yield lhs, rhs
 
     def active_count(self) -> int:
-        return sum(1 for r in self.rules if r[2])
+        return self._active
 
     # ----------------------------------------------------------- rewriting
 
     def rewrite(self, w: Word) -> Word:
         """Deterministic normal form of w under the active rules."""
         out = list(w)
+        trie, rules = self._trie, self.rules
+        n = len(out)
         i = 0
-        while i < len(out):
-            hit = False
-            for idx in self._by_first.get(out[i], ()):
-                rule = self.rules[idx]
-                if not rule[2]:
-                    continue
-                lhs = rule[0]
-                n = len(lhs)
-                if out[i : i + n] == list(lhs):
-                    out[i : i + n] = rule[1]
-                    # no earlier match can start before this window
-                    i = max(0, i - self._max_lhs + 1)
-                    hit = True
+        while i < n:
+            # the lowest rule index among the left sides starting at i
+            node, best = trie, None
+            for j in range(i, n):
+                node = node.get(out[j])
+                if node is None:
                     break
-            if not hit:
+                ends = node.get(None)
+                if ends is not None and (best is None or ends[0] < best):
+                    best, end = ends[0], j + 1
+            if best is None:
                 i += 1
+                continue
+            out[i:end] = rules[best][1]
+            n = len(out)
+            # no earlier match can start before this window
+            i = max(0, i - self._max_lhs + 1)
         return tuple(out)
 
     def is_irreducible(self, w: Word) -> bool:
+        trie = self._trie
         for i in range(len(w)):
-            for idx in self._by_first.get(w[i], ()):
-                rule = self.rules[idx]
-                if rule[2] and w[i : i + len(rule[0])] == rule[0]:
+            node = trie
+            for j in range(i, len(w)):
+                node = node.get(w[j])
+                if node is None:
+                    break
+                if None in node:
                     return False
         return True
 

@@ -536,6 +536,10 @@ def _check_knot_enumerations(rng):
 
     fam74, res74 = _structure("KNOT74", wirtinger=True)
     assert res74.outcome in (KB_STOPPED, LOOP_LIMIT), res74.outcome
+    # completion finishes; the first multiplier product reaches its cap
+    assert res74.stopped_by == {
+        "stage": "multipliers", "cap": "states", "limit": 100_000,
+    }
 
 
 def test_randomized_and_exhaustive_invariants():

@@ -5,6 +5,7 @@ The references below implement each order straight from its definition
 separate from the package implementation on purpose.
 """
 
+import functools
 import itertools
 import random
 
@@ -131,8 +132,6 @@ def test_shortlex_small_table():
 
 
 def _cmp_key(order):
-    import functools
-
     return functools.cmp_to_key(lambda u, v: order.compare(u, v))
 
 
@@ -223,6 +222,15 @@ def test_random_agreement_longer_words(kind, alpha, ref):
         u = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 12)))
         v = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 12)))
         assert o.compare(u, v) == ref(alpha, u, v), (u, v)
+
+
+@pytest.mark.parametrize("alpha", [z2_alpha(), three_level_alpha()])
+def test_wreath_key_sorts_like_the_reference(alpha):
+    o = Order(alpha, "wreathshortlex")
+    rng = random.Random(7351)
+    words = [_random_word(rng, alpha.symbols, 13) for _ in range(500)]
+    ref_key = functools.cmp_to_key(lambda u, v: ref_wreath(alpha, u, v))
+    assert sorted(words, key=o.key) == sorted(words, key=ref_key)
 
 
 # ------------------------------------------------------------- order axioms

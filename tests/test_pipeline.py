@@ -1,9 +1,12 @@
 """End-to-end structure computation and its failure handling."""
 
+import functools
+
 import pytest
 
 from autostruct import acceptor
 from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
+from autostruct.cli import _report_lines
 from autostruct.diff import DiffMachine
 from autostruct.errors import ResourceLimit
 from autostruct.formats import serialize_fsa
@@ -70,6 +73,9 @@ def test_doubling_conjugation_hits_the_loop_limit():
     assert res.outcome == LOOP_LIMIT
     assert res.loops == 5
     assert res.witness is not None
+    assert res.stopped_by == {
+        "stage": "domains", "cap": "correction loops", "limit": 4,
+    }
 
 
 def test_completion_budget_reports_kb_stopped():
@@ -90,7 +96,7 @@ def test_compute_structure_reports_kb_stopped(monkeypatch):
 
 def test_resource_limit_maps_to_loop_limit(monkeypatch):
     def explode(*a, **k):
-        raise ResourceLimit("acceptor too large")
+        raise ResourceLimit("states", acceptor.MAX_STATES)
 
     monkeypatch.setattr(pipeline, "build_acceptor", explode)
     # non-confluent runs go through build_acceptor; force that path by
@@ -99,6 +105,9 @@ def test_resource_limit_maps_to_loop_limit(monkeypatch):
     res = run_family("BSpq", 2, 2)
     assert res.outcome == LOOP_LIMIT
     assert res.loops == 0
+    assert res.stopped_by == {
+        "stage": "acceptor", "cap": "states", "limit": acceptor.MAX_STATES,
+    }
 
 
 def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
@@ -114,7 +123,7 @@ def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
 
     def close(self):
         if repairing:
-            raise ResourceLimit("closure cap")
+            raise ResourceLimit("difference labels", 7)
         real_close(self)
 
     monkeypatch.setattr(pipeline, "check_domains", domains)
@@ -123,6 +132,10 @@ def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
     assert repairing
     assert res.outcome == LOOP_LIMIT
     assert res.loops == 1
+    want = {"stage": "repair", "cap": "difference labels", "limit": 7}
+    assert res.stopped_by == want
+    assert res.report()["stopped_by"] == want
+    assert "stopped by: difference labels cap 7 in stage repair" in _report_lines(res)
 
 
 def test_pruning_closure_cap_keeps_the_unpruned_result(monkeypatch):
@@ -130,7 +143,7 @@ def test_pruning_closure_cap_keeps_the_unpruned_result(monkeypatch):
     before = (res.diff, res.acceptor, res.multipliers)
 
     def close(self):
-        raise ResourceLimit("closure cap")
+        raise ResourceLimit("difference labels", 7)
 
     monkeypatch.setattr(DiffMachine, "close", close)
     pipeline._prune_verified(res, set(res.diff.labels))
@@ -169,8 +182,19 @@ def test_multiplier_product_cap_is_exact(monkeypatch):
     assert raw > want.num_states
     got, _ = build_multiplier(acc, diff, target, max_states=raw)
     assert serialize_fsa(got) == serialize_fsa(want)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as hit:
         build_multiplier(acc, diff, target, max_states=raw - 1)
+    assert (hit.value.cap, hit.value.limit) == ("states", raw - 1)
+    # in a full run the same cap is reported with the stage it stopped
+    monkeypatch.setattr(
+        pipeline, "build_multiplier",
+        functools.partial(build_multiplier, max_states=raw - 1),
+    )
+    capped = run_family("BSpq", 1, 1)
+    assert capped.outcome == LOOP_LIMIT
+    assert capped.stopped_by == {
+        "stage": "multipliers", "cap": "states", "limit": raw - 1,
+    }
 
 
 def test_acceptor_subset_cap_fires(monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 
 from autostruct import Alphabet, Order
 from autostruct.errors import LogicError
+from autostruct.pipeline import run_knuth_bendix
+from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.rewrite import (
     CONFLUENT,
     STOPPED,
@@ -161,3 +163,85 @@ def test_trivial_equation_dropped():
     n = rs.active_count()
     assert rs.add_equation(("a", "b"), ("a", "b")) is None
     assert rs.active_count() == n
+
+
+# ------------------------------------------- the documented rewrite choice
+
+
+def _brute_rewrite(rs, w):
+    """Leftmost start first, then the lowest active rule index among every
+    left side that starts there; rescan from the start after each step."""
+    w = tuple(w)
+    while True:
+        for i in range(len(w)):
+            hits = [
+                k for k, (lhs, _rhs, on) in enumerate(rs.rules)
+                if on and w[i : i + len(lhs)] == lhs
+            ]
+            if hits:
+                lhs, rhs, _on = rs.rules[min(hits)]
+                w = w[:i] + rhs + w[i + len(lhs) :]
+                break
+        else:
+            return w
+
+
+def _brute_irreducible(rs, w):
+    return not any(
+        on and w[i : i + len(lhs)] == lhs
+        for i in range(len(w))
+        for lhs, _rhs, on in rs.rules
+    )
+
+
+def _tangled_system(rng):
+    """Rules whose left sides overlap, nest, share prefixes and repeat,
+    added in shuffled order so neither the shortest nor the longest left
+    side at a position is reliably the lowest index; some retired."""
+    order = sl(free_alpha())
+    syms = order.alphabet.symbols
+    rs = RewriteSystem(order)
+    sides = []
+    for _ in range(4):
+        stem = tuple(rng.choice(syms) for _ in range(rng.randrange(3, 6)))
+        sides += [stem[:n] for n in range(1, len(stem) + 1)]  # nested
+        sides.append(stem[1:])  # overlaps the stem
+        sides.append(stem[:2] + (rng.choice(syms),))  # shares a prefix
+    sides += rng.sample(sides, 3)  # the same left side twice
+    rng.shuffle(sides)
+    for lhs in sides:
+        # anything shorter is earlier in shortlex
+        rhs = tuple(rng.choice(syms) for _ in range(rng.randrange(len(lhs))))
+        rs.add_rule(lhs, rhs)
+    for idx in rng.sample(range(len(rs.rules)), len(rs.rules) // 4):
+        rs.deactivate(idx)
+    return rs
+
+
+def test_rewrite_keeps_the_documented_choice():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        rs = _tangled_system(rng)
+        syms = rs.order.alphabet.symbols
+        for _ in range(100):
+            w = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 13)))
+            assert rs.rewrite(w) == _brute_rewrite(rs, w), w
+            assert rs.is_irreducible(w) == _brute_irreducible(rs, w), w
+
+
+def test_active_count_follows_completion():
+    for name, p, q in (("KNOT41", 1, 1), ("BSpq", 1, 2)):
+        fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT41")
+        rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
+        run_knuth_bendix(rs)
+        assert any(not on for _l, _r, on in rs.rules)  # some rules retired
+        assert rs.active_count() == sum(1 for _l, _r, on in rs.rules if on)
+
+
+def test_deactivating_twice_counts_once():
+    rs = RewriteSystem.from_relations(sl(free_alpha()), [(("a", "b"), ("b", "a"))])
+    n = rs.active_count()
+    rs.deactivate(len(rs.rules) - 1)
+    rs.deactivate(len(rs.rules) - 1)
+    assert rs.active_count() == n - 1
+    assert rs.rewrite(("b", "a")) == ("b", "a")
