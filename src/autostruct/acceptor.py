@@ -41,17 +41,16 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
     For a confluent system this language is exactly the set of least
     representatives, so it can serve as the word acceptor directly,
     bypassing the history construction."""
-    lhss = [lhs for lhs, _ in rs.active()]
     prefixes = {()}
-    for lhs in lhss:
+    for lhs, _ in rs.active():
         for i in range(len(lhs)):
             prefixes.add(lhs[:i])
 
     def extend(p: Word, a: str) -> Optional[Word]:
+        # the live suffix p holds no left side, so any in w ends at a
         w = p + (a,)
-        for l in lhss:
-            if len(l) <= len(w) and w[-len(l):] == l:
-                return None
+        if not rs.is_irreducible(w):
+            return None
         for i in range(len(w) + 1):
             if w[i:] in prefixes:
                 return w[i:]  # longest live suffix
@@ -67,43 +66,6 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
 
     raw, _ = explore(gens, (), successors, lambda p: True, 1)
     return raw.minimized()
-
-
-def _least_trivial_companions(diff: DiffMachine, g: str) -> dict:
-    """For each difference state: the least word z such that the padded
-    pair (g, z) drives the start state there.  Track-1 silent moves are
-    relaxed to a fixpoint; translation invariance keeps that finite."""
-    order = diff.order
-    best: dict = {}
-
-    def offer(s, z):
-        old = best.get(s)
-        if old is None or order.precedes(z, old):
-            best[s] = z
-            return True
-        return False
-
-    for b in diff.alpha.symbols:
-        t = diff.step(EPS, g, b)
-        if t is not None:
-            offer(t, (b,))
-    t = diff.step(EPS, g, PAD)
-    if t is not None:
-        offer(t, ())
-    changed = True
-    while changed:
-        changed = False
-        for s, z in list(best.items()):
-            for h in diff.alpha.symbols:
-                t = diff.step(s, PAD, h)
-                if t is not None and offer(t, z + (h,)):
-                    changed = True
-    return best
-
-
-def _generator_reduces(diff: DiffMachine, g: str) -> bool:
-    z = _least_trivial_companions(diff, g).get(EPS)
-    return z is not None and diff.order.precedes(z, (g,))
 
 
 def _fresh_shadows(diff: DiffMachine, bounds: HistoryBounds, g: str) -> frozenset:
@@ -134,7 +96,7 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     bounds = bounds_for(order, diff.labels)
     cap = bounds.overhang_cap
 
-    reduces = {g: _generator_reduces(diff, g) for g in gens}
+    reduces = {g: diff.reduce((g,)) != (g,) for g in gens}
     fresh = {
         g: (frozenset() if reduces[g] else _fresh_shadows(diff, bounds, g))
         for g in gens

@@ -12,10 +12,21 @@ under inversion, prefix and suffix is then a plain set fixpoint.
 Labels are reduced by the rewriting system.  When the system is confluent
 the labels are the least representatives under the order; otherwise they
 are a best effort, which the later verification stages compensate for.
+
+Reducing a word asks one question of the machine: the least word z that
+the padded pair (factor, z) drives from the start state back to it.  Every
+order here is translation invariant with the empty word least, so u < v
+gives u.h < v.h, and u < u.h.  Hence a search may keep one least companion
+per state, and the companions longer than the factor, read on silent
+track-1 moves (PAD, h), come from one best-first search by sort key that
+is exact (``DiffMachine._least_silent_tail``).  The word acceptor asks the
+same question of each generator through ``DiffMachine.reduce``.
 """
 
 from __future__ import annotations
 
+import heapq
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InputError, LogicError, ResourceLimit
@@ -76,10 +87,14 @@ class DiffMachine:
             self._add_label(rw(inv(x[:i]) + y[:i]))
         d: Word = ()
         for a, b in pad_pair(x, y):
-            left = inv((a,)) if a != PAD else ()
-            right = (b,) if b != PAD else ()
-            d = rw(left + d + right)
+            d = self._moved(d, a, b)
             self._add_label(d)
+
+    def _moved(self, label: Word, a: str, b: str) -> Word:
+        """The reduced a^-1 label b, a padded coordinate counting as empty."""
+        left = self.alpha.invert((a,)) if a != PAD else ()
+        right = (b,) if b != PAD else ()
+        return self.rws.rewrite(left + label + right)
 
     def close(self) -> None:
         """Close labels under inversion, prefix and suffix; recompute moves.
@@ -107,9 +122,7 @@ class DiffMachine:
         self.transitions = {}
         for s, label in enumerate(self.labels):
             for a, b in self.pairs:
-                left = inv((a,)) if a != PAD else ()
-                right = (b,) if b != PAD else ()
-                t = self.index.get(rw(left + label + right))
+                t = self.index.get(self._moved(label, a, b))
                 if t is not None:
                     self.transitions[(s, (a, b))] = t
         self.inverse_state = {}
@@ -137,7 +150,6 @@ class DiffMachine:
         stores no rejecting states at all.
         """
         out = []
-        rw, inv = self.rws.rewrite, self.alpha.invert
         seen = {}
         for i, w in enumerate(self.labels):
             try:
@@ -154,10 +166,9 @@ class DiffMachine:
         for g in self.alpha.symbols:
             if self.transitions.get((EPS, (g, g))) != EPS:
                 out.append(f"missing diagonal loop on {g!r}")
+        rw = self.rws.rewrite
         for (s, (a, b)), t in sorted(self.transitions.items()):
-            left = inv((a,)) if a != PAD else ()
-            right = (b,) if b != PAD else ()
-            if rw(left + self.labels[s] + right) != rw(self.labels[t]):
+            if self._moved(self.labels[s], a, b) != rw(self.labels[t]):
                 out.append(
                     f"transition {s} --({a},{b})--> {t} does not track the labels"
                 )
@@ -195,73 +206,70 @@ class DiffMachine:
             w = w[:p] + u + w[i:]
 
     def _find_reduction(self, w: Word):
-        gens = self.alpha.symbols
-        order_key = self.order.key
-        keys = {}  # sort keys of the spellings seen in this call only
-
-        def key(u: Word) -> tuple:
-            k = keys.get(u)
-            if k is None:
-                k = keys[u] = order_key(u)
-            return k
-
+        """(p, i, u) for the first factor w[p:i], scanning p then i upwards,
+        with a witnessed earlier spelling u, the least one; None if none."""
+        key = lru_cache(maxsize=None)(self.order.key)
+        moves = (PAD,) + self.alpha.symbols
         for p in range(len(w)):
             # (state, track-2 padded) -> earliest candidate spelling
             frontier = {(EPS, False): ()}
             for i in range(p, len(w)):
                 g = w[i]
                 nxt = {}
-
-                def offer(at, cand):
-                    old = nxt.get(at)
-                    if old is None or key(cand) < key(old):
-                        nxt[at] = cand
-
                 for (d, padded), cand in frontier.items():
-                    if padded:
-                        t = self.transitions.get((d, (g, PAD)))
-                        if t is not None:
-                            offer((t, True), cand)
-                        continue
-                    for b in gens:
+                    for b in (PAD,) if padded else moves:
                         t = self.transitions.get((d, (g, b)))
-                        if t is not None:
-                            offer((t, False), cand + (b,))
-                    t = self.transitions.get((d, (g, PAD)))
-                    if t is not None:
-                        offer((t, True), cand)
+                        if t is None:
+                            continue
+                        at = (t, b == PAD)
+                        longer = cand if b == PAD else cand + (b,)
+                        old = nxt.get(at)
+                        if old is None or key(longer) < key(old):
+                            nxt[at] = longer
                 frontier = nxt
                 if not frontier:
                     break
                 factor = key(w[p : i + 1])
-                best = None
-                for (d, _padded), cand in frontier.items():
-                    if d == EPS and key(cand) < factor:
-                        if best is None or key(cand) < key(best):
-                            best = cand
-                # candidates longer than the factor: silent track-1 tail
-                tails = {
-                    d: cand
-                    for (d, padded), cand in frontier.items()
-                    if not padded
-                }
-                changed = True
-                while changed:
-                    changed = False
-                    for d, cand in list(tails.items()):
-                        for h in gens:
-                            t = self.transitions.get((d, (PAD, h)))
-                            if t is None:
-                                continue
-                            longer = cand + (h,)
-                            old = tails.get(t)
-                            if old is None or key(longer) < key(old):
-                                tails[t] = longer
-                                changed = True
-                ext = tails.get(EPS)
-                if ext is not None and key(ext) < factor:
-                    if best is None or key(ext) < key(best):
-                        best = ext
-                if best is not None:
-                    return p, i + 1, best
+                # companions longer than the factor go on from the unpadded
+                # states, the start state among them, on silent moves
+                tail = self._least_silent_tail(
+                    {d: c for (d, padded), c in frontier.items() if not padded}
+                )
+                hits = [
+                    c
+                    for c in (frontier.get((EPS, True)), tail)
+                    if c is not None and key(c) < factor
+                ]
+                if hits:
+                    return p, i + 1, min(hits, key=key)
+        return None
+
+    def _least_silent_tail(self, seeds: dict) -> Optional[Word]:
+        """Least z.t over the seeds {state: z} and the words t whose silent
+        track-1 moves (PAD, h) drive the seed's state to the start state;
+        None when no seed gets there.
+
+        A best-first search by sort key that settles each state the first
+        time it is popped.  It is exact because the order is translation
+        invariant with the empty word least: u < v gives u.h < v.h, so the
+        least word at a state extends to the least words beyond it, and
+        u < u.h, so no word popped later leads to anything smaller.
+        """
+        key = self.order.key
+        gens = self.alpha.symbols
+        heap = [(key(z), d, z) for d, z in seeds.items()]
+        heapq.heapify(heap)
+        settled = set()
+        while heap:
+            _, d, z = heapq.heappop(heap)
+            if d == EPS:
+                return z
+            if d in settled:
+                continue
+            settled.add(d)
+            for h in gens:
+                t = self.transitions.get((d, (PAD, h)))
+                if t is not None and t not in settled:
+                    longer = z + (h,)
+                    heapq.heappush(heap, (key(longer), t, longer))
         return None

@@ -31,9 +31,9 @@ is the shortlex key (length, then ranks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
-from .errors import InputError, LogicError
+from .errors import InputError
 from .words import Alphabet, Word
 
 LT, EQ, GT = -1, 0, 1
@@ -142,12 +142,3 @@ class Order:
 
     def word_weight(self, w: Word) -> int:
         return sum(self.weight(s) for s in w)
-
-    def least(self, ws: Iterable[Word]) -> Word:
-        best = None
-        for w in ws:
-            if best is None or self.compare(w, best) == LT:
-                best = w
-        if best is None:
-            raise LogicError("least() of an empty collection")
-        return best

@@ -1,8 +1,19 @@
+import itertools
 import random
 
 import pytest
 
-from autostruct import Alphabet, LogicError, Order, PAD, SHORTLEX, WREATH
+from autostruct import (
+    Alphabet,
+    FamilySpec,
+    LogicError,
+    Order,
+    PAD,
+    SHORTLEX,
+    WREATH,
+    builtin_family,
+    compute_structure,
+)
 from autostruct.diff import DiffMachine, EPS
 from autostruct.errors import ResourceLimit
 from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
@@ -205,3 +216,57 @@ def test_closure_cap_raises_resource_limit(monkeypatch):
     monkeypatch.setattr(rs, "rewrite", lambda w: ("x",) * (len(w) + 1))
     with pytest.raises(ResourceLimit):
         DiffMachine(rs).close()
+
+
+def _brute_witnesses(d, factor, bound):
+    """Every track-2 word of length at most bound that the padded pair
+    (factor, z) walks from the start state back to it, and that precedes
+    the factor."""
+    key = d.order.key
+    return [
+        z
+        for n in range(bound + 1)
+        for z in itertools.product(d.alpha.symbols, repeat=n)
+        if key(z) < key(factor) and d.trace_pair(factor, z) == EPS
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, pq, extra",
+    [("BSpq", (1, 2), 2), ("KNOT41", (1, 1), 0)],
+    ids=["BSpq-1-2", "KNOT41"],
+)
+def test_find_reduction_matches_brute_force(family, pq, extra):
+    # BSpq(1,2) runs under the wreath order, where the least witness can be
+    # longer than the factor and come from the silent track-1 tail; KNOT41
+    # runs under shortlex, where no witness is longer, so a bound of the
+    # factor's length enumerates them all
+    fam = builtin_family(
+        FamilySpec(family, *pq), wirtinger=family.startswith("KNOT")
+    )
+    d = compute_structure(fam.order, fam.presentation.relations).diff
+    assert any(a == PAD for _, (a, _b) in d.transitions)
+    exact = d.order.kind == SHORTLEX
+    key = d.order.key
+    rng = random.Random(11)
+    tails = 0
+    for _ in range(12):
+        w = tuple(rng.choice(d.alpha.symbols) for _ in range(rng.randint(2, 6)))
+        hit = d._find_reduction(w)
+        # the factors the search scans before its hit have no witness
+        scan = [(p, i) for p in range(len(w)) for i in range(p + 1, len(w) + 1)]
+        for p, i in scan[: scan.index(hit[:2]) if hit else len(scan)]:
+            assert _brute_witnesses(d, w[p:i], i - p + extra) == [], (w, p, i)
+        if hit is None:
+            continue
+        p, i, u = hit
+        factor = w[p:i]
+        found = _brute_witnesses(d, factor, len(factor) + extra)
+        assert d.trace_pair(factor, u) == EPS
+        assert key(u) < key(factor)
+        assert all(key(u) <= key(z) for z in found)
+        if exact:
+            assert u == min(found, key=key)
+        tails += len(u) > len(factor)
+    if not exact:
+        assert tails > 0  # the silent-tail search was exercised
