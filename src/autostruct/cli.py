@@ -186,6 +186,8 @@ def _cmd_enumerate(args) -> int:
     a = parse_fsa(_read(args.fsa))
     if a.track != 1:
         raise InputError("enumerate expects a word machine")
+    if args.maxlen < 0:
+        raise InputError("--maxlen must not be negative")
     for w in a.enumerate_words(args.maxlen):
         print(format_word(w))
     return 0
@@ -195,6 +197,8 @@ def _cmd_growth(args) -> int:
     a = parse_fsa(_read(args.fsa))
     if a.track != 1:
         raise InputError("growth expects a word machine")
+    if args.maxlen < 0:
+        raise InputError("--maxlen must not be negative")
     for n in range(args.maxlen + 1):
         print(n, a.count_accepted(n))
     return 0

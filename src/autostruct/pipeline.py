@@ -7,10 +7,14 @@ The stages:
    caps bite;
 2. trace the rules into a difference machine and close it;
 3. build the word acceptor from the machine;
-4. build one multiplier per generator as the product of two acceptor
-   copies with the machine, plus the diagonal identity multiplier;
-5. check every multiplier's domain equals the accepted language; a gap
-   word feeds new differences back in and restarts from stage 3;
+4. build every generator's multiplier from one product of two acceptor
+   copies with the machine, explored once per loop on integer-packed
+   states: M_g minimizes it under the states whose difference is g's
+   target; plus the diagonal identity multiplier;
+5. check every multiplier's domain equals the accepted language, by one
+   search per generator that runs W in step with the subset construction
+   of M_g's first track; a gap word feeds new differences back in and
+   restarts from stage 3;
 6. unless the rewriting system was confluent, check every defining
    relation (and every generator against its inverse) by composing
    multipliers and comparing with the identity multiplier; a mismatch
@@ -21,12 +25,14 @@ The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
 AXIOM_FAILED, with the machines and counts gathered in the result.  When a
 cap (a size budget or the number of correction loops) ends the run at
 LOOP_LIMIT, ``stopped_by`` names the stage that was running, the cap and
-its value.
+its value; at KB_STOPPED it names stage "kb" and the completion cap that
+fired.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -120,8 +126,11 @@ def run_knuth_bendix(
     max_passes: int = 400,
 ) -> tuple:
     """Drive completion in passes until confluence or the difference
-    labels derived from the rules stop moving.  Returns (proceed,
-    confluent): proceed is False when the caps won out first."""
+    labels derived from the rules stop moving.  Returns (confluent,
+    stopped_by): stopped_by is None when the run may go on, and when the
+    caps won out first it names the one that fired: "rules" (more than
+    max_rules active), "rule length" (pairs past max_len were discarded
+    and nothing else is left) or "passes" (max_passes ran out)."""
     comp = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
     prev = None
     cache: dict = {}  # rules persist across passes, so their labels do too
@@ -129,14 +138,20 @@ def run_knuth_bendix(
         comp.run(pass_pairs)
         status = comp.status()
         if status == CONFLUENT:
-            return True, True
+            return True, None
         snap = _rule_difference_labels(rs, cache)
         if snap == prev:
-            return True, False
+            return False, None
         prev = snap
         if status != RUNNING:
-            return False, False
-    return False, False
+            if rs.active_count() > max_rules:
+                return False, _kb_cap("rules", max_rules)
+            return False, _kb_cap("rule length", max_len)
+    return False, _kb_cap("passes", max_passes)
+
+
+def _kb_cap(cap: str, limit: int) -> dict:
+    return {"stage": "kb", "cap": cap, "limit": limit}
 
 
 def _diagonal_multiplier(acc: Fsa) -> Fsa:
@@ -155,49 +170,79 @@ def _diagonal_multiplier(acc: Fsa) -> Fsa:
 
 
 def build_multiplier(
-    acc: Fsa, diff: DiffMachine, target: int, max_states: int = 100_000
+    acc: Fsa, diff: DiffMachine, targets: dict, max_states: int = 100_000
 ) -> tuple:
-    """Product of two acceptor copies with the difference machine,
-    accepting where the difference hits the target state.  Also returns
-    the difference labels used on accepting paths, for pruning."""
+    """Every generator's multiplier from one product of two acceptor copies
+    with the difference machine.
+
+    The product's moves do not depend on the target, so it is explored
+    once; targets maps each generator to its target difference state, and
+    M_g is the minimization of that one machine accepting where the
+    difference is g's target.  A product state (v, w, d, mode) is packed
+    into the integer ((v*|W| + w)*|D| + d)*3 + mode.  Also returns the
+    difference labels used on paths to any target, for pruning."""
     symbols = pair_symbols(acc.symbols)
-    step = acc.transitions.get
-    dstep = diff.transitions.get
+    width = diff.state_count()
+    rows = [{} for _ in range(acc.num_states)]  # acceptor moves by state
+    for (s, a), t in acc.transitions.items():
+        rows[s][a] = t
+    # the difference machine's moves by state and mode, in alphabet order:
+    # (symbol, track-1 letter, track-2 letter, packed d and mode after);
+    # a padded track keeps its acceptor state, so its letter is None
+    moves = []
+    for d in range(width):
+        by_mode = [[], [], []]
+        for sym in symbols:
+            nd = diff.transitions.get((d, sym))
+            if nd is None:
+                continue
+            a, b = sym
+            if a == PAD:
+                mode, a = _ONLY2, None
+            elif b == PAD:
+                mode, b = _ONLY1, None
+            else:
+                mode = _LIVE
+            move = (sym, a, b, nd * 3 + mode)
+            by_mode[_LIVE].append(move)
+            if mode != _LIVE:
+                by_mode[mode].append(move)
+        moves.append(by_mode)
+    side = acc.num_states
 
     def successors(state):
-        sv, sw, d, mode = state
-        for sym in symbols:
-            a, b = sym
-            if a != PAD and b != PAD:
-                if mode != _LIVE:
-                    continue
-                nv = step((sv, a))
-                nw = step((sw, b))
-                nmode = _LIVE
-            elif b == PAD:
-                if mode == _ONLY2:
-                    continue
-                nv = step((sv, a))
-                nw = sw
-                nmode = _ONLY1
-            else:
-                if mode == _ONLY1:
-                    continue
-                nv = sv
-                nw = step((sw, b))
-                nmode = _ONLY2
-            nd = dstep((d, sym))
-            if nv is not None and nw is not None and nd is not None:
-                yield sym, (nv, nw, nd, nmode)
+        rest, mode = divmod(state, 3)
+        rest, d = divmod(rest, width)
+        v, w = divmod(rest, side)
+        row_v, row_w = rows[v], rows[w]
+        for sym, a, b, tail in moves[d][mode]:
+            nv = v if a is None else row_v.get(a)
+            nw = w if b is None else row_w.get(b)
+            if nv is not None and nw is not None:
+                yield sym, (nv * side + nw) * width * 3 + tail
 
-    start = (acc.start, acc.start, EPS, _LIVE)
+    def difference(state):
+        return state // 3 % width
+
+    hits = set(targets.values())
+    start = (acc.start * side + acc.start) * width * 3 + EPS * 3 + _LIVE
     raw, states = explore(
-        symbols, start, successors, lambda state: state[2] == target, 2,
-        max_states=max_states,
+        symbols, start, successors, lambda state: difference(state) in hits,
+        2, max_states=max_states,
     )
+    by_target = {}
+    for i in raw.accepting:
+        by_target.setdefault(difference(states[i]), []).append(i)
+    mults = {
+        g: Fsa(
+            symbols, raw.num_states, raw.start, by_target.get(t, ()),
+            raw.transitions, 2,
+        ).minimized()
+        for g, t in targets.items()
+    }
     # difference labels on useful paths: every product state is reachable
-    used = {diff.labels[states[i][2]] for i in coreachable(raw)}
-    return raw.minimized(), used
+    used = {diff.labels[difference(states[i])] for i in coreachable(raw)}
+    return mults, used
 
 
 def _multiplier_target(diff: DiffMachine, g: str) -> int:
@@ -209,24 +254,72 @@ def _multiplier_target(diff: DiffMachine, g: str) -> int:
 
 
 def build_all_multipliers(acc: Fsa, diff: DiffMachine) -> tuple:
-    mults = {}
-    used = set()
-    for g in diff.alpha.symbols:
-        m, u = build_multiplier(acc, diff, _multiplier_target(diff, g))
-        mults[g] = m
-        used |= u
-    return mults, used
+    # every target first: resolving one may grow the machine the product reads
+    targets = {g: _multiplier_target(diff, g) for g in diff.alpha.symbols}
+    return build_multiplier(acc, diff, targets)
 
 
 def check_domains(acc: Fsa, mults: dict) -> list:
-    """Words the acceptor takes but some multiplier cannot move."""
+    """Words the acceptor takes but some multiplier cannot move, or that a
+    multiplier moves but the acceptor rejects: for each generator g, the
+    shortest, then alphabet-first, word whose acceptance by W differs from
+    its acceptance as a first track of M_g.
+
+    One breadth-first search per generator runs over nodes (W state, or
+    None once W has fallen off; the set of M_g states the word can reach
+    as a first track, closed under the silent moves (PAD, b)).  This is the
+    subset construction of M_g's first-track projection run in step with
+    W, so whether the two disagree is a function of the node.  A search in
+    alphabet order over a deterministic machine reaches each node first by
+    its least access word, so the first disagreeing node it meets gives the
+    least disagreeing word: the same witness that comparing W with the
+    minimized projection would return.
+    """
     gaps = []
     for g in acc.symbols:
-        dom = mults[g].project(1)
-        wit = acc.equal_languages(dom)
+        wit = _domain_gap(acc, mults[g])
         if wit is not None:
             gaps.append((g, wit))
     return gaps
+
+
+def _domain_gap(acc: Fsa, m: Fsa) -> Optional[tuple]:
+    silent = {}  # M state -> targets of its (PAD, b) moves
+    reads = {}  # (M state, first-track letter) -> targets
+    for (s, (a, _b)), t in m.transitions.items():
+        if a == PAD:
+            silent.setdefault(s, []).append(t)
+        else:
+            reads.setdefault((s, a), []).append(t)
+
+    def closure(seeds) -> frozenset:
+        seen = set(seeds)
+        todo = list(seen)
+        while todo:
+            for t in silent.get(todo.pop(), ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return frozenset(seen)
+
+    step = acc.transitions.get
+    node = (acc.start, closure((m.start,)))
+    seen = {node}
+    queue = deque([(node, ())])
+    while queue:
+        (w, cur), path = queue.popleft()
+        if (w in acc.accepting) != (not m.accepting.isdisjoint(cur)):
+            return path
+        for a in acc.symbols:
+            nw = None if w is None else step((w, a))
+            nxt = {t for s in cur for t in reads.get((s, a), ())}
+            if nw is None and not nxt:
+                continue  # both reject every longer word
+            node = (nw, closure(nxt))
+            if node not in seen:
+                seen.add(node)
+                queue.append((node, path + (a,)))
+    return None
 
 
 def _compose_chain(mults: dict, letters: Word) -> Fsa:
@@ -273,9 +366,11 @@ def compute_structure(
         result.seconds = time.monotonic() - began
         return result
 
-    proceed, confluent = run_knuth_bendix(rs, kb_max_rules, kb_max_len)
-    if not proceed:
-        return done(StructureResult(KB_STOPPED, order, rs, False, 0))
+    confluent, stopped_by = run_knuth_bendix(rs, kb_max_rules, kb_max_len)
+    if stopped_by is not None:
+        return done(StructureResult(
+            KB_STOPPED, order, rs, False, 0, stopped_by=stopped_by,
+        ))
 
     diff, loops = None, 0
     stage = "diff-close"  # what runs now, for stopped_by

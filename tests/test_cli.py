@@ -114,6 +114,20 @@ def test_enumerate_and_growth(grid_out, capsys):
     assert out[5:] == ["0 1", "1 4", "2 8", "3 12"]
 
 
+@pytest.mark.parametrize("command", ["enumerate", "growth"])
+def test_negative_maxlen_is_an_input_error(grid_out, capsys, command):
+    w = str(grid_out / "W.fsa")
+    assert main([command, w, "--maxlen", "-2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--maxlen must not be negative" in captured.err
+    # zero is a length: the empty word alone
+    assert main([command, w, "--maxlen", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == (
+        ["e"] if command == "enumerate" else ["0 1"]
+    )
+
+
 def test_fsaop_not_and_equal(grid_out, tmp_path, capsys):
     w = str(grid_out / "W.fsa")
     comp = tmp_path / "notW.fsa"

@@ -1,16 +1,17 @@
 """End-to-end structure computation and its failure handling."""
 
 import functools
+import random
 
 import pytest
 
 from autostruct import acceptor
 from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
 from autostruct.cli import _report_lines
-from autostruct.diff import DiffMachine
+from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import ResourceLimit
 from autostruct.formats import serialize_fsa
-from autostruct.fsa import Fsa
+from autostruct.fsa import Fsa, coreachable, explore, pair_symbols
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct import pipeline
 from autostruct.pipeline import (
@@ -25,6 +26,7 @@ from autostruct.pipeline import (
     run_knuth_bendix,
 )
 from autostruct.rewrite import RewriteSystem
+from autostruct.words import PAD
 
 
 def family(name, p, q):
@@ -81,17 +83,33 @@ def test_doubling_conjugation_hits_the_loop_limit():
 def test_completion_budget_reports_kb_stopped():
     fam = family("BSpq", 2, 2)
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
-    proceed, confluent = run_knuth_bendix(
+    confluent, stopped_by = run_knuth_bendix(
         rs, max_rules=5, max_len=40, pass_pairs=1, max_passes=1
     )
-    assert (proceed, confluent) == (False, False)
+    assert not confluent
+    assert stopped_by == {"stage": "kb", "cap": "passes", "limit": 1}
 
 
 def test_compute_structure_reports_kb_stopped(monkeypatch):
-    monkeypatch.setattr(pipeline, "run_knuth_bendix", lambda *a, **k: (False, False))
+    why = {"stage": "kb", "cap": "passes", "limit": 400}
+    monkeypatch.setattr(pipeline, "run_knuth_bendix", lambda *a, **k: (False, why))
     res = run_family("BSpq", 1, 1)
     assert res.outcome == KB_STOPPED
     assert not res.verified
+    assert res.stopped_by == why
+
+
+@pytest.mark.parametrize("caps, cap, limit", [
+    ({"kb_max_rules": 5}, "rules", 5),
+    ({"kb_max_len": 3}, "rule length", 3),
+])
+def test_kb_stopped_names_the_cap(caps, cap, limit):
+    res = run_family("BSpq", 2, 2, **caps)
+    assert res.outcome == KB_STOPPED
+    want = {"stage": "kb", "cap": cap, "limit": limit}
+    assert res.stopped_by == want
+    assert res.report()["stopped_by"] == want
+    assert f"stopped by: {cap} cap {limit} in stage kb" in _report_lines(res)
 
 
 def test_resource_limit_maps_to_loop_limit(monkeypatch):
@@ -101,7 +119,7 @@ def test_resource_limit_maps_to_loop_limit(monkeypatch):
     monkeypatch.setattr(pipeline, "build_acceptor", explode)
     # non-confluent runs go through build_acceptor; force that path by
     # proceeding with the oriented relation alone, unconfirmed
-    monkeypatch.setattr(pipeline, "run_knuth_bendix", lambda *a, **k: (True, False))
+    monkeypatch.setattr(pipeline, "run_knuth_bendix", lambda *a, **k: (False, None))
     res = run_family("BSpq", 2, 2)
     assert res.outcome == LOOP_LIMIT
     assert res.loops == 0
@@ -172,18 +190,26 @@ def raw_sizes(monkeypatch) -> list:
     return seen
 
 
+def multiplier_targets(diff) -> dict:
+    return {g: pipeline._multiplier_target(diff, g) for g in diff.alpha.symbols}
+
+
 def test_multiplier_product_cap_is_exact(monkeypatch):
     res = run_family("BSpq", 1, 1)
     acc, diff = res.acceptor, res.diff
-    target = pipeline._multiplier_target(diff, "x")
+    targets = multiplier_targets(diff)
     seen = raw_sizes(monkeypatch)
-    want, _ = build_multiplier(acc, diff, target)
-    raw = seen[0]  # the product goes straight to minimization
-    assert raw > want.num_states
-    got, _ = build_multiplier(acc, diff, target, max_states=raw)
-    assert serialize_fsa(got) == serialize_fsa(want)
+    want, _ = build_multiplier(acc, diff, targets)
+    # the one product goes straight to minimization, once per generator
+    raw = seen[0]
+    assert seen == [raw] * len(targets)
+    assert raw > max(m.num_states for m in want.values())
+    got, _ = build_multiplier(acc, diff, targets, max_states=raw)
+    assert {g: serialize_fsa(m) for g, m in got.items()} == {
+        g: serialize_fsa(m) for g, m in want.items()
+    }
     with pytest.raises(ResourceLimit) as hit:
-        build_multiplier(acc, diff, target, max_states=raw - 1)
+        build_multiplier(acc, diff, targets, max_states=raw - 1)
     assert (hit.value.cap, hit.value.limit) == ("states", raw - 1)
     # in a full run the same cap is reported with the stage it stopped
     monkeypatch.setattr(
@@ -195,6 +221,138 @@ def test_multiplier_product_cap_is_exact(monkeypatch):
     assert capped.stopped_by == {
         "stage": "multipliers", "cap": "states", "limit": raw - 1,
     }
+
+
+RUN_CASES = [("BSpq", 1, 1), ("BSpq", 3, 3), ("KNOT41", 1, 1)]
+
+
+def one_target_multiplier(acc, diff, target) -> tuple:
+    """Reference: the product for one target alone, on tuple states."""
+    symbols = pair_symbols(acc.symbols)
+
+    def successors(state):
+        v, w, d, mode = state  # mode: the pad kind read so far
+        for sym in symbols:
+            a, b = sym
+            kind = 2 if a == PAD else 1 if b == PAD else 0
+            if mode and kind != mode:
+                continue
+            nv = v if a == PAD else acc.step(v, a)
+            nw = w if b == PAD else acc.step(w, b)
+            nd = diff.transitions.get((d, sym))
+            if None not in (nv, nw, nd):
+                yield sym, (nv, nw, nd, kind)
+
+    raw, states = explore(
+        symbols, (acc.start, acc.start, EPS, 0), successors,
+        lambda state: state[2] == target, 2,
+    )
+    used = {diff.labels[states[i][2]] for i in coreachable(raw)}
+    return raw.minimized(), used
+
+
+@pytest.mark.parametrize("case", RUN_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_shared_product_matches_one_product_per_target(case):
+    name, p, q = case
+    fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT41")
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert res.outcome == VERIFIED
+    acc, diff = res.acceptor, res.diff
+    targets = multiplier_targets(diff)
+    mults, used = build_multiplier(acc, diff, targets)
+    want_used = set()
+    for g, target in targets.items():
+        ref, ref_used = one_target_multiplier(acc, diff, target)
+        assert serialize_fsa(mults[g]) == serialize_fsa(ref), g
+        assert serialize_fsa(mults[g]) == serialize_fsa(res.multipliers[g]), g
+        want_used |= ref_used
+    assert used == want_used
+
+
+def domains_by_projection(acc, mults) -> list:
+    """Reference: each multiplier's first-track projection against W."""
+    gaps = []
+    for g in acc.symbols:
+        wit = acc.equal_languages(mults[g].project(1))
+        if wit is not None:
+            gaps.append((g, wit))
+    return gaps
+
+
+def random_domain_case(rng, kind) -> tuple:
+    """A random word machine over a, b and a partial pair machine per
+    letter.  kind 0: any pair machine; 1: W's diagonal with moves added
+    and dropped; 2: the diagonal with (PAD, b) tails that alone reach
+    acceptance; 3: one of those with no accepting state at all."""
+    gens = ("a", "b")
+    pairs = pair_symbols(gens)
+    n = rng.randint(1, 5)
+    acc = Fsa(
+        gens, n, 0, {s for s in range(n) if rng.random() < 0.5},
+        {(s, a): rng.randrange(n) for s in range(n) for a in gens
+         if rng.random() < 0.8},
+    )
+    mults = {}
+    for g in gens:
+        if kind == 0:
+            m = rng.randint(1, 6)
+            trans = {(s, sym): rng.randrange(m) for s in range(m)
+                     for sym in pairs if rng.random() < 0.3}
+            final = {s for s in range(m) if rng.random() < 0.4}
+        else:
+            m = n
+            trans = {(s, (a, a)): t for (s, a), t in acc.transitions.items()}
+            final = set(acc.accepting)
+            for _ in range(rng.randint(0, 3)):
+                if trans:
+                    del trans[rng.choice(sorted(trans))]
+                trans[(rng.randrange(n), rng.choice(pairs))] = rng.randrange(n)
+            if kind >= 2:
+                # a chain of silent moves into a fresh accepting state
+                for _ in range(rng.randint(1, 3)):
+                    trans[(rng.randrange(m), (PAD, rng.choice(gens)))] = m
+                    if rng.random() < 0.5:
+                        trans[(m, (PAD, rng.choice(gens)))] = rng.randrange(m + 1)
+                    final.discard(rng.randrange(m))
+                    final.add(m)
+                    m += 1
+            if kind == 3:
+                final = set()
+        mults[g] = Fsa(pairs, m, 0, final, trans, track=2)
+    return acc, mults
+
+
+def test_fused_domain_check_matches_the_projection():
+    rng = random.Random(20261018)
+    found = 0
+    for i in range(200):
+        acc, mults = random_domain_case(rng, i % 4)
+        want = domains_by_projection(acc, mults)
+        assert check_domains(acc, mults) == want, i
+        found += len(want)
+    assert found > 100  # most cases do have gaps to compare
+
+
+@pytest.mark.parametrize("case", RUN_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_fused_domain_check_matches_the_projection_on_runs(case):
+    name, p, q = case
+    fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT41")
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert check_domains(res.acceptor, res.multipliers) == []
+    assert domains_by_projection(res.acceptor, res.multipliers) == []
+    # the first loop's machines, before any repair, and a gutted multiplier
+    rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
+    confluent, _ = run_knuth_bendix(rs)
+    diff = DiffMachine.from_rules(rs)
+    acc = irreducible_word_acceptor(rs) if confluent else build_acceptor(diff)
+    mults, _ = pipeline.build_all_multipliers(acc, diff)
+    m = mults[fam.order.alphabet.symbols[0]]
+    mults[fam.order.alphabet.symbols[-1]] = Fsa(
+        m.symbols, m.num_states, m.start, frozenset(), m.transitions, track=2
+    )
+    gaps = check_domains(acc, mults)
+    assert gaps
+    assert gaps == domains_by_projection(acc, mults)
 
 
 def test_acceptor_subset_cap_fires(monkeypatch):
@@ -251,7 +409,7 @@ def test_untrue_axiom_witness_ends_in_axiom_failed(monkeypatch):
     monkeypatch.setattr(
         pipeline,
         "run_knuth_bendix",
-        lambda rs, *a, **k: (real_kb(rs)[0], False),
+        lambda rs, *a, **k: (False, real_kb(rs)[1]),
     )
     res = run_family("BSpq", 2, 2)
     assert res.outcome == AXIOM_FAILED
@@ -270,7 +428,7 @@ def test_pruning_keeps_the_language_and_the_verdict():
 def test_confluent_and_history_acceptors_agree():
     fam = family("BSpq", 1, 1)
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
-    assert pipeline.run_knuth_bendix(rs) == (True, True)
+    assert pipeline.run_knuth_bendix(rs) == (True, None)
     direct = irreducible_word_acceptor(rs)
     viahist = build_acceptor(DiffMachine.from_rules(rs))
     assert direct.equal_languages(viahist) is None
