@@ -94,7 +94,10 @@ def _report_lines(res) -> list:
         out.append(f"witness: {res.witness!r}")
     if res.stopped_by is not None:
         s = res.stopped_by
-        out.append(f"stopped by: {s['cap']} cap {s['limit']} in stage {s['stage']}")
+        if s["limit"] is None:
+            out.append(f"stopped by: {s['cap']} in stage {s['stage']}")
+        else:
+            out.append(f"stopped by: {s['cap']} cap {s['limit']} in stage {s['stage']}")
     out.append(f"seconds: {res.seconds:.3f}")
     return out
 

@@ -26,7 +26,9 @@ AXIOM_FAILED, with the machines and counts gathered in the result.  When a
 cap (a size budget or the number of correction loops) ends the run at
 LOOP_LIMIT, ``stopped_by`` names the stage that was running, the cap and
 its value; at KB_STOPPED it names stage "kb" and the completion cap that
-fired.
+fired.  A domain repair that adds no difference ends the run at
+LOOP_LIMIT at once, with ``stopped_by`` naming stage "repair" and cap
+"stalled" (no limit value), since every later loop would repeat it.
 """
 
 from __future__ import annotations
@@ -421,11 +423,20 @@ def compute_structure(
                     diff.add_equation(u, nxt)
                     u = nxt
             diff.close()
-            if bad is not None and diff.state_count() == before:
+            if diff.state_count() == before:
+                if bad is not None:
+                    return done(StructureResult(
+                        AXIOM_FAILED, order, rs, confluent, loops,
+                        diff=diff, acceptor=acc, multipliers=mults,
+                        identity=identity, witness=bad,
+                    ))
+                # the labels alone fix the machine, so every later loop
+                # would find the same gaps and repeat this one
                 return done(StructureResult(
-                    AXIOM_FAILED, order, rs, confluent, loops,
+                    LOOP_LIMIT, order, rs, confluent, loops,
                     diff=diff, acceptor=acc, multipliers=mults,
-                    identity=identity, witness=bad,
+                    identity=identity, witness=gaps[0],
+                    stopped_by={"stage": "repair", "cap": "stalled", "limit": None},
                 ))
     except ResourceLimit as cap:
         return done(StructureResult(

@@ -17,11 +17,37 @@ the trie from each position in turn; at the first position where some
 left side matches it takes the lowest rule index among all left sides
 that start there, whatever their lengths, and then backs up by the
 longest left side so no earlier match is missed.
+
+Completion keeps one invariant: every active right side is irreducible,
+except those it has not normalized yet (the rules it was built with and
+rules added by anyone else between passes, after which every right side
+is due).  A new rule's left side L is a normal form under the rules before
+it, so no active left side is a factor of L, and every left side holding L
+is retired before pairing.  A right side the completion normalized stays
+irreducible until a new left side occurs in it, since retiring a rule never
+makes a word reducible, and a new rule's right side, being earlier than L
+in a reduction order, cannot hold L.  So each new rule visits only:
+
+* for interreduction, the rules with L as a factor of either side, plus
+  the ones not yet normalized.  Each rule is spelled as one string, one
+  character per generator, and the strings are joined so that ``str.find``
+  locates the hits;
+* for pairing, the rules whose left side properly overlaps L: those that
+  start with a proper suffix of L, found by bisecting the sorted left-side
+  strings, and those that end with a proper prefix of L, found the same
+  way in the sorted reversed strings.  Containments cannot arise.
+
+Candidates are taken in ascending rule index, with retirements and
+right-side rewrites interleaved as a scan over every rule would do them;
+every rule skipped is one where that scan's rewrite or superposition was a
+no-op, so the rules and the queue come out the same.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, LogicError
@@ -190,13 +216,17 @@ def is_confluent(rs: RewriteSystem) -> bool:
 # ------------------------------------------------------------- completion
 
 
+_END, _ARROW = "\x00", "\x01"  # close a rule's text; part its two sides
+_TOP = chr(0x10FFFF)  # sorts after every symbol's character
+
+
 class KbCompletion:
     """Critical-pair completion driver over a rewriting system.
 
     Runs in bounded passes; between passes the caller may inspect the rule
-    set.  Equations whose normalized sides exceed the length cap are
-    discarded but remembered: a drained queue then means the system is
-    incomplete, not confluent.
+    set or add rules.  Equations whose normalized sides exceed the length
+    cap are discarded but remembered: a drained queue then means the
+    system is incomplete, not confluent.
     """
 
     def __init__(
@@ -213,6 +243,13 @@ class KbCompletion:
         self.discarded = False
         self._queue = []
         self._seq = 0
+        chars = {g: chr(2 + k) for k, g in enumerate(rs.order.alphabet.symbols)}
+        self._char = chars.__getitem__
+        self._texts = []  # per rule: lhs, _ARROW, rhs, _END; "" once retired
+        self._heads = ([], [])  # sorted left sides, and their rule indices
+        self._tails = ([], [])  # sorted reversed left sides, and theirs
+        self._unnormalized = set()
+        self._catch_up()
         rules = [
             (i, r[0], r[1]) for i, r in enumerate(rs.rules) if r[2]
         ]
@@ -228,6 +265,50 @@ class KbCompletion:
         self._seq += 1
         heapq.heappush(self._queue, (prio, self._seq, p, q))
 
+    # ------------------------------------------------------------ indexes
+
+    def _spell(self, w: Word) -> str:
+        return "".join(map(self._char, w))
+
+    def _catch_up(self) -> None:
+        """Index the rules appended since the last pass by anyone but the
+        completion.  Their right sides were never normalized here, and
+        their left sides may occur in any right side, so every active rule
+        is due for interreduction."""
+        rules = self.rs.rules
+        if len(self._texts) == len(rules):
+            return
+        for i in range(len(self._texts), len(rules)):
+            self._index(i)
+        self._unnormalized = {i for i, r in enumerate(rules) if r[2]}
+
+    def _index(self, i: int) -> None:
+        lhs, rhs, on = self.rs.rules[i]
+        if not on:
+            self._texts.append("")
+            return
+        word = self._spell(lhs)
+        self._texts.append(word + _ARROW + self._spell(rhs) + _END)
+        for (keys, ids), key in ((self._heads, word), (self._tails, word[::-1])):
+            at = bisect_right(keys, key)
+            keys.insert(at, key)
+            ids.insert(at, i)
+
+    def _holding(self, word: str) -> set:
+        """Indices of the rules with word as a factor of either side."""
+        texts = self._texts
+        joined = "".join(texts)
+        starts = list(accumulate(map(len, texts), initial=0))
+        out = set()
+        at = joined.find(word)
+        while at >= 0:
+            i = bisect_right(starts, at) - 1
+            out.add(i)
+            at = joined.find(word, starts[i + 1])
+        return out
+
+    # ---------------------------------------------------------------- loop
+
     def status(self) -> str:
         if self.rs.active_count() > self.max_rules:
             return STOPPED
@@ -239,6 +320,8 @@ class KbCompletion:
         """Process up to max_pairs queued superpositions; return status."""
         done = 0
         rs = self.rs
+        rules, texts = rs.rules, self._texts
+        self._catch_up()
         while self._queue and done < max_pairs:
             if rs.active_count() > self.max_rules:
                 break
@@ -253,34 +336,50 @@ class KbCompletion:
                 self.discarded = True
                 continue
             new_idx = rs.add_rule(lhs, rhs)
+            word = self._spell(lhs)
             # interreduce: retire rules whose left side the new rule hits,
-            # and renormalize right sides in place
-            for i, rule in enumerate(rs.rules):
-                if i == new_idx or not rule[2]:
+            # and renormalize the right sides it occurs in
+            for i in sorted(self._holding(word) | self._unnormalized):
+                rule = rules[i]
+                if not rule[2]:
                     continue
                 old_lhs, old_rhs = rule[0], rule[1]
-                if _contains(old_lhs, lhs):
+                if word in texts[i][: len(old_lhs)]:
                     rs.deactivate(i)
+                    texts[i] = ""
                     self._push(len(old_lhs), old_lhs, old_rhs)
                     continue
                 reduced = rs.rewrite(old_rhs)
                 if reduced != old_rhs:
                     rule[1] = reduced
-            for i, rule in enumerate(rs.rules):
-                if not rule[2]:
+                    head = texts[i][: len(old_lhs) + 1]  # through _ARROW
+                    texts[i] = head + self._spell(reduced) + _END
+            self._unnormalized = set()
+            # pair with the rules whose left side starts with a proper
+            # suffix of the new one, or ends with a proper prefix of it
+            after = _overlapping(self._heads, word)
+            before = _overlapping(self._tails, word[::-1])
+            self._index(new_idx)
+            for i in sorted(after | before):
+                l2, r2, on = rules[i]
+                if not on:
                     continue
-                l2, r2 = rule[0], rule[1]
-                if i != new_idx:
+                if i in after:
                     self._push_pairs(lhs, rhs, l2, r2, False)
+                if i in before:
                     self._push_pairs(l2, r2, lhs, rhs, False)
-                else:
-                    self._push_pairs(lhs, rhs, lhs, rhs, True)
+            self._push_pairs(lhs, rhs, lhs, rhs, True)
         return self.status()
 
 
-def _contains(w: Word, factor: Word) -> bool:
-    n = len(factor)
-    return any(w[i : i + n] == factor for i in range(len(w) - n + 1))
+def _overlapping(index: tuple, word: str) -> set:
+    """Rule indices whose key in index starts with a proper suffix of word."""
+    keys, ids = index
+    out = set()
+    for j in range(1, len(word)):
+        lo = bisect_left(keys, word[j:])
+        out.update(ids[lo : bisect_left(keys, word[j:] + _TOP, lo)])
+    return out
 
 
 def kb_complete(

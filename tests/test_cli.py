@@ -56,6 +56,18 @@ def test_autostructure_exit_two_on_loop_limit(tmp_path, capsys):
     assert (out / "R.rws").exists()
 
 
+def test_autostructure_reports_a_stalled_repair(tmp_path, capsys):
+    f = tmp_path / "knot52.pres"
+    assert main(["family", "KNOT52"]) == 0
+    f.write_text(capsys.readouterr().out)
+    out = tmp_path / "out"
+    assert main(["autostructure", str(f), "-o", str(out)]) == 2
+    report = (out / "report.txt").read_text()
+    assert "outcome: loop-limit" in report
+    assert "correction loops: 2" in report
+    assert "stopped by: stalled in stage repair\n" in report
+
+
 def test_autostructure_exit_three_on_bad_file(tmp_path, capsys):
     f = tmp_path / "broken.pres"
     f.write_text("version 1\ngenerators x\n")

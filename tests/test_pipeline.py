@@ -80,6 +80,30 @@ def test_doubling_conjugation_hits_the_loop_limit():
     }
 
 
+def test_stalled_domain_repair_stops_at_once():
+    # the full KNOT52 presentation: from loop 2 on the repair adds no
+    # difference, so every later loop would be the same
+    res = run_family("KNOT52", 1, 1)
+    assert res.outcome == LOOP_LIMIT
+    assert res.loops == 2
+    assert res.witness is not None
+    want = {"stage": "repair", "cap": "stalled", "limit": None}
+    assert res.stopped_by == want
+    assert res.report()["stopped_by"] == want
+    assert "stopped by: stalled in stage repair" in _report_lines(res)
+
+
+def test_growing_domain_repair_runs_to_the_loop_cap():
+    # BSpq(1,2) gains differences on every loop, so the stall test never
+    # fires and the run ends at the loop cap
+    res = run_family("BSpq", 1, 2)
+    assert res.outcome == LOOP_LIMIT
+    assert res.loops == 11
+    assert res.stopped_by == {
+        "stage": "domains", "cap": "correction loops", "limit": 10,
+    }
+
+
 def test_completion_budget_reports_kb_stopped():
     fam = family("BSpq", 2, 2)
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)

@@ -1,5 +1,6 @@
 """Rewriting and completion behavior on known group presentations."""
 
+import heapq
 import itertools
 import random
 
@@ -7,10 +8,13 @@ import pytest
 
 from autostruct import Alphabet, Order
 from autostruct.errors import LogicError
+from autostruct.formats import parse_rules
+from autostruct.orders import GT, KINDS
 from autostruct.pipeline import run_knuth_bendix
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.rewrite import (
     CONFLUENT,
+    RUNNING,
     STOPPED,
     KbCompletion,
     RewriteSystem,
@@ -245,3 +249,138 @@ def test_deactivating_twice_counts_once():
     rs.deactivate(len(rs.rules) - 1)
     assert rs.active_count() == n - 1
     assert rs.rewrite(("b", "a")) == ("b", "a")
+
+
+# ------------------------------- indexed completion against the full scan
+
+
+def _full_scan_run(comp, max_pairs):
+    """The completion loop as it was before its candidate indexes:
+    interreduction rewrites every right side and pairing tries every
+    active rule.  Drives comp's queue and rules in place."""
+    rs = comp.rs
+    done = 0
+    while comp._queue and done < max_pairs:
+        if rs.active_count() > comp.max_rules:
+            break
+        _prio, _seq, p, q = heapq.heappop(comp._queue)
+        done += 1
+        p2, q2 = rs.rewrite(p), rs.rewrite(q)
+        if p2 == q2:
+            continue
+        lhs, rhs = (p2, q2) if rs.order.compare(p2, q2) == GT else (q2, p2)
+        if len(lhs) > comp.max_len or len(rhs) > comp.max_len:
+            comp.discarded = True
+            continue
+        new_idx = rs.add_rule(lhs, rhs)
+        n = len(lhs)
+        for i, rule in enumerate(rs.rules):
+            if i == new_idx or not rule[2]:
+                continue
+            old_lhs, old_rhs = rule[0], rule[1]
+            if any(old_lhs[k : k + n] == lhs for k in range(len(old_lhs) - n + 1)):
+                rs.deactivate(i)
+                comp._push(len(old_lhs), old_lhs, old_rhs)
+                continue
+            reduced = rs.rewrite(old_rhs)
+            if reduced != old_rhs:
+                rule[1] = reduced
+        for i, rule in enumerate(rs.rules):
+            if not rule[2]:
+                continue
+            l2, r2 = rule[0], rule[1]
+            if i != new_idx:
+                comp._push_pairs(lhs, rhs, l2, r2, False)
+                comp._push_pairs(l2, r2, lhs, rhs, False)
+            else:
+                comp._push_pairs(lhs, rhs, lhs, rhs, True)
+    return comp.status()
+
+
+def _assert_same_passes(make_rs, passes, pass_pairs, between=None, **caps):
+    """Run the indexed and the full-scan loop side by side, comparing the
+    rules and the queue after every pass; between(rs) may edit both
+    systems after the first pass."""
+    fast = KbCompletion(make_rs(), **caps)
+    ref = KbCompletion(make_rs(), **caps)
+    for n in range(passes):
+        got, want = fast.run(pass_pairs), _full_scan_run(ref, pass_pairs)
+        assert got == want
+        assert fast.rs.rules == ref.rs.rules, n
+        assert sorted(fast._queue) == sorted(ref._queue), n
+        if got != RUNNING:
+            break
+        if between is not None and n == 0:
+            between(fast.rs)
+            between(ref.rs)
+
+
+def _corpus_system(family, p, q):
+    fam = builtin_family(
+        FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
+    )
+    return RewriteSystem.from_relations(fam.order, fam.presentation.relations)
+
+
+@pytest.mark.parametrize("family,p,q", [
+    ("BSpq", 1, 1), ("BSpq", 2, 2), ("BSpq", 3, 3), ("BSpNegq", 1, 1),
+    ("Hpq", 1, 1), ("Hpq", 2, 1), ("HpNegq", 1, 1), ("HpNegq", 2, 1),
+    ("BSpq", 1, 2), ("KNOT41", 1, 1), ("KNOT52", 1, 1), ("KNOT74", 1, 1),
+])
+def test_indexed_completion_matches_full_scan_on_corpus(family, p, q):
+    _assert_same_passes(lambda: _corpus_system(family, p, q), 12, 500)
+
+
+def _random_presentation(rng, kind):
+    """Two generators and one or two relators of length 4 to 6, each cut
+    into an equation x = y so that right sides may reduce; random weights,
+    and levels for the wreath order."""
+    alpha = Alphabet(
+        ["a", "A", "b", "B"],
+        {"a": "A", "A": "a", "b": "B", "B": "b"},
+        weights={g: rng.randint(1, 3) for g in "aAbB"},
+        levels={"a": 1, "A": 1, "b": 2, "B": 2},
+    )
+    relations = []
+    for _ in range(rng.randint(1, 2)):
+        r = tuple(rng.choice(alpha.symbols) for _ in range(rng.randint(4, 6)))
+        cut = rng.randint(0, len(r))
+        relations.append((r[:cut], alpha.invert(r[cut:])))
+    return Order(alpha, kind), relations
+
+
+def test_indexed_completion_matches_full_scan_on_random_presentations():
+    rng = random.Random(8)
+    for n in range(32):
+        order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
+        _assert_same_passes(
+            lambda: RewriteSystem.from_relations(order, relations),
+            12, 40, max_rules=100, max_len=16,
+        )
+
+
+UNNORMALIZED_RULES = """rws version 1
+generators a b
+inverse a A
+inverse b B
+rule b a -> a b
+rule b b b -> b a A
+rule a a a a a -> b a A
+"""
+
+
+def test_completion_normalizes_right_sides_it_did_not_write():
+    # a rules file may carry reducible right sides
+    rs = parse_rules(UNNORMALIZED_RULES)
+    assert any(not rs.is_irreducible(rhs) for _lhs, rhs in rs.active())
+    _assert_same_passes(lambda: parse_rules(UNNORMALIZED_RULES), 40, 3)
+
+    # a relator added between passes: its left side a b occurs in the
+    # right side of b a -> a b, which the completion had left alone
+    def add_relator(rs):
+        assert (("b", "a"), ("a", "b")) in set(rs.active())
+        rs.add_rule(("a", "b"), ())
+
+    _assert_same_passes(
+        lambda: parse_rules(UNNORMALIZED_RULES), 40, 3, between=add_relator
+    )
