@@ -10,6 +10,18 @@ surviving state accepts.
 
 The result accepts every word with no machine-witnessed reduction, and
 never both a word and its machine reduction.
+
+The subset construction runs on Python ints.  Each shadow is interned to
+a bit, so a subset state is one int and the union of its members'
+successors is one `|` per member.  Whether a shadow kills the word under
+a generator does not depend on the subset it sits in, so each shadow
+carries one kill mask over the generators, worked out the first time a
+subset holding it is expanded; a subset ORs its members' masks once and
+skips every generator whose bit is set.  A shadow's successor mask under a generator is filled
+the first time a subset holding it survives that generator, so exactly
+the shadows some surviving subset reaches are interned, and the raw
+machine, numbered breadth-first in generator order, does not depend on
+how subsets are stored.
 """
 
 from __future__ import annotations
@@ -95,23 +107,15 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     gens = diff.alpha.symbols
     bounds = bounds_for(order, diff.labels)
     cap = bounds.overhang_cap
+    # indices of the generators that do not reduce on their own
+    live = [i for i, g in enumerate(gens) if diff.reduce((g,)) == (g,)]
 
-    reduces = {g: diff.reduce((g,)) != (g,) for g in gens}
-    fresh = {
-        g: (frozenset() if reduces[g] else _fresh_shadows(diff, bounds, g))
-        for g in gens
-    }
-
-    # Shadows are interned to integers so the hot loop hashes small ints,
-    # not nested history records.  A shadow's fate under a generator is
-    # independent of the set it sits in, so kill flags and successor id
-    # tuples are filled lazily per (shadow id, generator index).
-    n_gens = len(gens)
-    gen_index = {g: i for i, g in enumerate(gens)}
+    # per shadow id: its key, its kill mask over the live generators, and
+    # per generator its successor mask (each None until first needed)
     shadow_ids: dict = {}
     shadow_list: list = []
-    kill_rows: list = []
-    succ_rows: list = []
+    kill_masks: list = []
+    succ_cols: list = [[] for _ in gens]
 
     def intern(d: int, hist) -> int:
         key = (d, hist)
@@ -122,12 +126,22 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
                 raise ResourceLimit("shadows", MAX_SHADOWS)
             shadow_ids[key] = sid
             shadow_list.append(key)
-            kill_rows.append([None] * n_gens)
-            succ_rows.append([None] * n_gens)
+            kill_masks.append(None)
+            for col in succ_cols:
+                col.append(None)
         return sid
 
-    def compute_kill(sid: int, g: str) -> bool:
+    def kill_mask(sid: int) -> int:
+        # the live generators under which the shadow kills the word;
+        # compute_kill interns nothing
         d, hist = shadow_list[sid]
+        mask = 0
+        for i in live:
+            if compute_kill(d, hist, gens[i]):
+                mask |= 1 << i
+        return mask
+
+    def compute_kill(d: int, hist, g: str) -> bool:
         # (a) the companion already equals the extended word
         t = diff.step(d, g, PAD)
         if t == EPS and decide_precedes(order, hist, (g,), ()):
@@ -147,9 +161,9 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
                     return True
         return False
 
-    def compute_successors(sid: int, g: str) -> tuple:
+    def compute_successors(sid: int, g: str) -> int:
         d, hist = shadow_list[sid]
-        out = []
+        out = 0
         # a move onto the trivial difference is not a shadow: the kill
         # rules already weighed it and found the companion larger, and
         # an equal companion stays larger
@@ -157,50 +171,47 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
         if t is not None and t != EPS:
             nh = history_step(order, hist, g, PAD, overhang_cap=cap)
             if in_bounds(order, bounds, nh, diff.labels[t]):
-                out.append(intern(t, nh))
+                out |= 1 << intern(t, nh)
         if not hist.longer:  # a companion that stopped cannot resume
             for h in gens:
                 t = diff.step(d, g, h)
                 if t is not None and t != EPS:
                     nh = history_step(order, hist, g, h, overhang_cap=cap)
                     if in_bounds(order, bounds, nh, diff.labels[t]):
-                        out.append(intern(t, nh))
-        return tuple(out)
+                        out |= 1 << intern(t, nh)
+        return out
 
-    fresh_ids = {
-        g: frozenset(intern(d, h) for d, h in fresh[g]) for g in gens
-    }
+    fresh_masks = [0] * len(gens)
+    for i in live:
+        for d, hist in _fresh_shadows(diff, bounds, gens[i]):
+            fresh_masks[i] |= 1 << intern(d, hist)
 
-    def target(sids: frozenset, g: str) -> Optional[frozenset]:
-        if reduces[g]:
-            return None
-        gi = gen_index[g]
-        for sid in sids:
-            row = kill_rows[sid]
-            v = row[gi]
-            if v is None:
-                v = compute_kill(sid, g)
-                row[gi] = v
-            if v:
-                return None
-        out = set(fresh_ids[g])
-        for sid in sids:
-            row = succ_rows[sid]
-            t = row[gi]
-            if t is None:
-                t = compute_successors(sid, g)
-                row[gi] = t
-            out.update(t)
-        return frozenset(out)
-
-    def successors(shadows: frozenset):
-        for g in gens:
-            tset = target(shadows, g)
-            if tset is not None:
-                yield g, tset
+    def successors(subset: int):
+        # decode the members once, lowest id first, and OR their kills
+        bits = bin(subset)[:1:-1]
+        members = []
+        killed = 0
+        sid = bits.find("1")
+        while sid >= 0:
+            members.append(sid)
+            kill = kill_masks[sid]
+            if kill is None:
+                kill = kill_masks[sid] = kill_mask(sid)
+            killed |= kill
+            sid = bits.find("1", sid + 1)
+        for i in live:
+            if killed >> i & 1:
+                continue
+            col = succ_cols[i]
+            out = fresh_masks[i]
+            for sid in members:
+                t = col[sid]
+                if t is None:
+                    t = col[sid] = compute_successors(sid, gens[i])
+                out |= t
+            yield gens[i], out
 
     raw, _ = explore(
-        gens, frozenset(), successors, lambda shadows: True, 1,
-        max_states=MAX_STATES,
+        gens, 0, successors, lambda subset: True, 1, max_states=MAX_STATES,
     )
     return raw.minimized()

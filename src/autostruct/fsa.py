@@ -21,6 +21,9 @@ and subset construction here and in the acceptor and multiplier builders
 goes through it.  `coreachable` is one backward search from acceptance,
 used for trimming, enumeration and emptiness; `search_back` is the same
 search over an implicit graph, which composition uses for its silent tail.
+A machine gathers its forward and backward adjacency once, when it is
+first minimized, so one set of moves minimized under several accepting
+states (the multipliers of one product) is trimmed from one copy.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class Fsa:
         self.transitions = dict(transitions)
         self.track = track
         self._symset = frozenset(self.symbols)
+        self._adjacency = None  # see _graph
 
     # ------------------------------------------------------------- basics
 
@@ -130,8 +134,26 @@ class Fsa:
             sink,
         )
 
-    def minimized(self) -> "Fsa":
-        """Canonical minimal partial DFA with the same language.
+    def _graph(self) -> tuple:
+        """(each state's defined symbols, as ascending indices into the
+        alphabet, each state's predecessors), built by the first
+        minimization and kept, since the machine does not change."""
+        if self._adjacency is None:
+            rank = {sym: k for k, sym in enumerate(self.symbols)}
+            defined, back = {}, {}
+            for (s, sym), t in self.transitions.items():
+                defined.setdefault(s, []).append(rank[sym])
+                back.setdefault(t, []).append(s)
+            for ranks in defined.values():
+                ranks.sort()
+            self._adjacency = defined, back
+        return self._adjacency
+
+    def minimized(self, accepting=None) -> "Fsa":
+        """Canonical minimal partial DFA with the same language, or with
+        these moves under the given accepting states instead of its own.
+        One machine minimized under several accepting sets gathers its
+        adjacency once (see `_graph`).
 
         The machine is trimmed first and never completed: only the states
         reachable from the start that can still reach acceptance are kept,
@@ -142,7 +164,11 @@ class Fsa:
         move into a dead state would be told apart from a missing move.
         The quotient is numbered by `explore`, one member per block.
         """
-        alive = coreachable(self)
+        accepting = (
+            self.accepting if accepting is None else frozenset(accepting)
+        )
+        defined, _back = self._graph()
+        alive = coreachable(self, accepting)
         if self.start not in alive:
             return empty_fsa(self.symbols, self.track)
         # trim: number the live states reachable from the start as they are
@@ -150,10 +176,11 @@ class Fsa:
         ids = {self.start: 0}
         kept = [self.start]
         rows, targets = [], []
-        get_move = self.transitions.get
+        symbols, get_move = self.symbols, self.transitions.get
         for s in kept:
             row, tgts = [], []
-            for sym in self.symbols:
+            for k in defined.get(s, ()):
+                sym = symbols[k]
                 t = get_move((s, sym))
                 if t in alive:
                     if t not in ids:
@@ -167,7 +194,7 @@ class Fsa:
         # distinct row stands for them and a signature is one flat tuple
         row_ids = {}
         row_id = [row_ids.setdefault(row, len(row_ids)) for row in rows]
-        block = [1 if s in self.accepting else 0 for s in kept]
+        block = [1 if s in accepting else 0 for s in kept]
         count = len(set(block))
         while True:
             sig = {}
@@ -183,7 +210,7 @@ class Fsa:
         rep = {}
         for i, b in enumerate(block):
             rep.setdefault(b, i)
-        final = {block[i] for i, s in enumerate(kept) if s in self.accepting}
+        final = {block[i] for i, s in enumerate(kept) if s in accepting}
 
         def successors(b):
             i = rep[b]
@@ -485,13 +512,19 @@ def explore(symbols, start, successors, is_accept, track, max_states=None):
     return Fsa(symbols, len(states), 0, accepting, transitions, track), states
 
 
-def coreachable(fsa: Fsa) -> dict:
-    """The states that can reach acceptance, each mapped to the length of
-    its shortest path there."""
-    back = {}
-    for (s, _sym), t in fsa.transitions.items():
-        back.setdefault(t, []).append(s)
-    return search_back(fsa.accepting, lambda t: back.get(t, ()))
+def coreachable(fsa: Fsa, accepting=None) -> dict:
+    """The states that can reach acceptance (the machine's own, or the
+    given accepting states), each mapped to the length of its shortest
+    path there."""
+    if fsa._adjacency is not None:  # kept by a minimization
+        _moves, back = fsa._adjacency
+    else:  # built for this search alone: walked machines keep no copy
+        back = {}
+        for (s, _sym), t in fsa.transitions.items():
+            back.setdefault(t, []).append(s)
+    if accepting is None:
+        accepting = fsa.accepting
+    return search_back(accepting, lambda t: back.get(t, ()))
 
 
 def search_back(targets, predecessors) -> dict:

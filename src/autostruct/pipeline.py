@@ -102,22 +102,56 @@ class StructureResult:
         return out
 
 
-def _rule_difference_labels(rs: RewriteSystem, cache: dict = None) -> frozenset:
-    inv = rs.order.alphabet.invert
-    out = set()
-    for lhs, rhs in rs.active():
+class _RuleLabels:
+    """The union of the difference labels of the active rules, kept as a
+    count per label over the rules that bring it.
+
+    A rule's labels are the reduced words inv(lhs[:i]).rhs[:i] and
+    inv(rhs[:i]).lhs[:i].  They are worked out under the system as it
+    stands when the rule, with its current right side, is first counted,
+    and are kept for that (lhs, rhs) pair, since rules persist across
+    passes.  Each update recounts only the rules added, retired or given a
+    new right side since the last: one pass over the rule list finds them
+    by comparing each rule's right side with the one counted."""
+
+    def __init__(self, rs: RewriteSystem):
+        self.rs = rs
+        self.cache: dict = {}  # (lhs, rhs) -> frozenset of labels
+        self.count: dict = {}  # label -> number of counted rules with it
+        self.counted: list = []  # per rule: the right side counted, or None
+
+    def _labels(self, lhs: Word, rhs: Word) -> frozenset:
         key = (lhs, rhs)
-        labels = None if cache is None else cache.get(key)
+        labels = self.cache.get(key)
         if labels is None:
+            inv, rewrite = self.rs.order.alphabet.invert, self.rs.rewrite
             labels = set()
             for i in range(max(len(lhs), len(rhs)) + 1):
-                labels.add(rs.rewrite(inv(lhs[:i]) + rhs[:i]))
-                labels.add(rs.rewrite(inv(rhs[:i]) + lhs[:i]))
-            labels = frozenset(labels)
-            if cache is not None:
-                cache[key] = labels
-        out |= labels
-    return frozenset(out)
+                labels.add(rewrite(inv(lhs[:i]) + rhs[:i]))
+                labels.add(rewrite(inv(rhs[:i]) + lhs[:i]))
+            labels = self.cache[key] = frozenset(labels)
+        return labels
+
+    def update(self) -> frozenset:
+        rules, counted, count = self.rs.rules, self.counted, self.count
+        counted.extend([None] * (len(rules) - len(counted)))
+        for i, (lhs, rhs, on) in enumerate(rules):
+            now = rhs if on else None
+            was = counted[i]
+            if now is was:
+                continue
+            if was is not None:
+                for label in self._labels(lhs, was):
+                    left = count[label] - 1
+                    if left:
+                        count[label] = left
+                    else:
+                        del count[label]
+            if now is not None:
+                for label in self._labels(lhs, now):
+                    count[label] = count.get(label, 0) + 1
+            counted[i] = now
+        return frozenset(count)
 
 
 def run_knuth_bendix(
@@ -134,14 +168,14 @@ def run_knuth_bendix(
     max_rules active), "rule length" (pairs past max_len were discarded
     and nothing else is left) or "passes" (max_passes ran out)."""
     comp = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
+    labels = _RuleLabels(rs)
     prev = None
-    cache: dict = {}  # rules persist across passes, so their labels do too
     for _ in range(max_passes):
         comp.run(pass_pairs)
         status = comp.status()
         if status == CONFLUENT:
             return True, None
-        snap = _rule_difference_labels(rs, cache)
+        snap = labels.update()
         if snap == prev:
             return False, None
         prev = snap
@@ -180,48 +214,69 @@ def build_multiplier(
     The product's moves do not depend on the target, so it is explored
     once; targets maps each generator to its target difference state, and
     M_g is the minimization of that one machine accepting where the
-    difference is g's target.  A product state (v, w, d, mode) is packed
-    into the integer ((v*|W| + w)*|D| + d)*3 + mode.  Also returns the
-    difference labels used on paths to any target, for pruning."""
+    difference is g's target, all from one copy of its moves.  A product
+    state (v, w, d, mode) is packed into the integer
+    ((v*|W| + w)*|D| + d)*3 + mode.  A state walks only the letters the
+    track-1 copy defines at v, each with the difference moves that read
+    it.  Also returns the difference labels used on paths to any target,
+    for pruning."""
     symbols = pair_symbols(acc.symbols)
     width = diff.state_count()
-    rows = [{} for _ in range(acc.num_states)]  # acceptor moves by state
+    side = acc.num_states
+    # acceptor moves by state, each target scaled to its place in a packed
+    # product state: track 2's as a dict by letter, and track 1's as
+    # (letter, target) pairs in alphabet order
+    rows = [{} for _ in range(side)]
     for (s, a), t in acc.transitions.items():
-        rows[s][a] = t
+        rows[s][a] = t * width * 3
+    firsts = [
+        [(a, row[a] * side) for a in acc.symbols if a in row] for row in rows
+    ]
     # the difference machine's moves by state and mode, in alphabet order:
-    # (symbol, track-1 letter, track-2 letter, packed d and mode after);
-    # a padded track keeps its acceptor state, so its letter is None
-    moves = []
+    # (symbol, track-2 letter, packed d and mode after).  Those reading a
+    # track-1 letter are keyed by it; the (PAD, b) moves, which come last,
+    # stand apart.  A padded track 2 keeps its state, so its letter is None.
+    reads, silent = [], []
     for d in range(width):
-        by_mode = [[], [], []]
+        by_letter = [{}, {}, {}]
+        pads = [[], [], []]
         for sym in symbols:
             nd = diff.transitions.get((d, sym))
             if nd is None:
                 continue
             a, b = sym
             if a == PAD:
-                mode, a = _ONLY2, None
-            elif b == PAD:
-                mode, b = _ONLY1, None
+                move = (sym, b, nd * 3 + _ONLY2)
+                pads[_LIVE].append(move)
+                pads[_ONLY2].append(move)
+                continue
+            if b == PAD:
+                move = (sym, None, nd * 3 + _ONLY1)
+                by_letter[_ONLY1].setdefault(a, []).append(move)
             else:
-                mode = _LIVE
-            move = (sym, a, b, nd * 3 + mode)
-            by_mode[_LIVE].append(move)
-            if mode != _LIVE:
-                by_mode[mode].append(move)
-        moves.append(by_mode)
-    side = acc.num_states
+                move = (sym, b, nd * 3 + _LIVE)
+            by_letter[_LIVE].setdefault(a, []).append(move)
+        reads.append(by_letter)
+        silent.append(pads)
 
     def successors(state):
         rest, mode = divmod(state, 3)
         rest, d = divmod(rest, width)
         v, w = divmod(rest, side)
-        row_v, row_w = rows[v], rows[w]
-        for sym, a, b, tail in moves[d][mode]:
-            nv = v if a is None else row_v.get(a)
-            nw = w if b is None else row_w.get(b)
-            if nv is not None and nw is not None:
-                yield sym, (nv * side + nw) * width * 3 + tail
+        row_w = rows[w]
+        moves = reads[d][mode]
+        if moves:
+            stay_w = w * width * 3
+            for a, at_v in firsts[v]:
+                for sym, b, tail in moves.get(a, ()):
+                    at_w = stay_w if b is None else row_w.get(b)
+                    if at_w is not None:
+                        yield sym, at_v + at_w + tail
+        stay_v = v * side * width * 3
+        for sym, b, tail in silent[d][mode]:
+            at_w = row_w.get(b)
+            if at_w is not None:
+                yield sym, stay_v + at_w + tail
 
     def difference(state):
         return state // 3 % width
@@ -236,11 +291,7 @@ def build_multiplier(
     for i in raw.accepting:
         by_target.setdefault(difference(states[i]), []).append(i)
     mults = {
-        g: Fsa(
-            symbols, raw.num_states, raw.start, by_target.get(t, ()),
-            raw.transitions, 2,
-        ).minimized()
-        for g, t in targets.items()
+        g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()
     }
     # difference labels on useful paths: every product state is reachable
     used = {diff.labels[difference(states[i])] for i in coreachable(raw)}

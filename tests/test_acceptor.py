@@ -1,9 +1,21 @@
+import random
 from itertools import product
 
-from autostruct import Alphabet, Order, SHORTLEX, WREATH, WTLEX
-from autostruct.acceptor import build_acceptor
-from autostruct.diff import DiffMachine
+import pytest
+
+from autostruct import Alphabet, Order, SHORTLEX, WREATH, WTLEX, acceptor, pipeline
+from autostruct.acceptor import _fresh_shadows, build_acceptor
+from autostruct.diff import EPS, DiffMachine
+from autostruct.errors import ResourceLimit
+from autostruct.formats import serialize_fsa
+from autostruct.fsa import Fsa, explore
+from autostruct.history import bounds_for, decide_precedes, history_step, in_bounds
+from autostruct.orders import KINDS
+from autostruct.pipeline import LOOP_LIMIT, compute_structure, run_knuth_bendix
+from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
+from autostruct.words import PAD
+from test_rewrite import _random_presentation
 
 
 def all_words(syms, max_len):
@@ -99,3 +111,231 @@ def test_acceptor_language_prefix_closed():
     lang = accepted_language(w, 6)
     for word in lang:
         assert all(word[:i] in lang for i in range(len(word)))
+
+
+# ------------------------------ bitset subsets against frozenset subsets
+
+
+def reference_acceptor(diff) -> tuple:
+    """The subset construction as it was before subsets became bitsets:
+    each subset a frozenset of interned shadow ids, kill flags and
+    successor tuples filled lazily per (shadow, generator), and the
+    members walked twice per generator.  Returns (raw machine, number of
+    shadows interned).  Reads the caps of the acceptor module."""
+    order = diff.order
+    gens = diff.alpha.symbols
+    bounds = bounds_for(order, diff.labels)
+    cap = bounds.overhang_cap
+    reduces = {g: diff.reduce((g,)) != (g,) for g in gens}
+    fresh = {
+        g: (frozenset() if reduces[g] else _fresh_shadows(diff, bounds, g))
+        for g in gens
+    }
+    gen_index = {g: i for i, g in enumerate(gens)}
+    shadow_ids, shadow_list, kill_rows, succ_rows = {}, [], [], []
+
+    def intern(d, hist):
+        key = (d, hist)
+        sid = shadow_ids.get(key)
+        if sid is None:
+            sid = len(shadow_list)
+            if sid >= acceptor.MAX_SHADOWS:
+                raise ResourceLimit("shadows", acceptor.MAX_SHADOWS)
+            shadow_ids[key] = sid
+            shadow_list.append(key)
+            kill_rows.append([None] * len(gens))
+            succ_rows.append([None] * len(gens))
+        return sid
+
+    def compute_kill(sid, g):
+        d, hist = shadow_list[sid]
+        t = diff.step(d, g, PAD)
+        if t == EPS and decide_precedes(order, hist, (g,), ()):
+            return True
+        for h in gens:
+            t = diff.step(d, g, h)
+            if t is None:
+                continue
+            if t == EPS:
+                if decide_precedes(order, hist, (g,), (h,)):
+                    return True
+            else:
+                dd = diff.labels[diff.inverse_state[t]]
+                if decide_precedes(order, hist, (g,), (h,) + dd):
+                    return True
+        return False
+
+    def compute_successors(sid, g):
+        d, hist = shadow_list[sid]
+        out = []
+        t = diff.step(d, g, PAD)
+        if t is not None and t != EPS:
+            nh = history_step(order, hist, g, PAD, overhang_cap=cap)
+            if in_bounds(order, bounds, nh, diff.labels[t]):
+                out.append(intern(t, nh))
+        if not hist.longer:
+            for h in gens:
+                t = diff.step(d, g, h)
+                if t is not None and t != EPS:
+                    nh = history_step(order, hist, g, h, overhang_cap=cap)
+                    if in_bounds(order, bounds, nh, diff.labels[t]):
+                        out.append(intern(t, nh))
+        return tuple(out)
+
+    fresh_ids = {g: frozenset(intern(d, h) for d, h in fresh[g]) for g in gens}
+
+    def target(sids, g):
+        if reduces[g]:
+            return None
+        gi = gen_index[g]
+        for sid in sids:
+            row = kill_rows[sid]
+            if row[gi] is None:
+                row[gi] = compute_kill(sid, g)
+            if row[gi]:
+                return None
+        out = set(fresh_ids[g])
+        for sid in sids:
+            row = succ_rows[sid]
+            if row[gi] is None:
+                row[gi] = compute_successors(sid, g)
+            out.update(row[gi])
+        return frozenset(out)
+
+    def successors(shadows):
+        for g in gens:
+            tset = target(shadows, g)
+            if tset is not None:
+                yield g, tset
+
+    raw, _ = explore(
+        gens, frozenset(), successors, lambda shadows: True, 1,
+        max_states=acceptor.MAX_STATES,
+    )
+    return raw, len(shadow_list)
+
+
+def reference_result(diff) -> tuple:
+    """(W's bytes, raw states, raw moves), or the cap the reference hit."""
+    try:
+        raw, _ = reference_acceptor(diff)
+    except ResourceLimit as hit:
+        return ("cap", hit.cap, hit.limit)
+    return serialize_fsa(raw.minimized()), raw.num_states, len(raw.transitions)
+
+
+def bitset_build(diff) -> tuple:
+    """(W, result) for build_acceptor, as reference_result gives them; W
+    is None when a cap fired.  The raw machine is the one build_acceptor
+    hands to minimization."""
+    raws = []
+    real = Fsa.minimized
+
+    def spy(self, *args):
+        raws.append(self)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fsa, "minimized", spy)
+        try:
+            w = build_acceptor(diff)
+        except ResourceLimit as hit:
+            return None, ("cap", hit.cap, hit.limit)
+    return w, (serialize_fsa(w), raws[0].num_states, len(raws[0].transitions))
+
+
+# A confluent run reads its acceptor off the rules, so the pipeline never
+# builds the history acceptor from those machines; from some of them
+# (Hpq(2,1), BSpq(1,2) after a few loops) the construction runs away.
+# These caps stop it within a fraction of a second, and both constructions
+# must then stop at the same cap.  KNOT74, the largest acceptor the
+# pipeline builds, interns 306 shadows and has 9 124 raw states.
+TEST_SHADOWS, TEST_STATES = 400, 12_000
+
+CORPUS = {
+    "BSpq-1-1": ("BSpq", 1, 1), "BSpq-2-2": ("BSpq", 2, 2),
+    "BSpq-3-3": ("BSpq", 3, 3), "BSpNegq-1-1": ("BSpNegq", 1, 1),
+    "Hpq-1-1": ("Hpq", 1, 1), "Hpq-2-1": ("Hpq", 2, 1),
+    "HpNegq-1-1": ("HpNegq", 1, 1), "HpNegq-2-1": ("HpNegq", 2, 1),
+    "BSpq-1-2": ("BSpq", 1, 2), "KNOT41": ("KNOT41", 1, 1),
+    "KNOT52": ("KNOT52", 1, 1), "KNOT74": ("KNOT74", 1, 1),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CORPUS))
+def corpus_loops(request) -> list:
+    """One run of a corpus case (knots on their Wirtinger presentations)
+    under the test caps, with the (reference, bitsets) results for the
+    difference machine of each correction loop, taken as the loop reaches
+    its multipliers.  Where the run builds W from that machine itself, its
+    build is the one compared."""
+    family, p, q = CORPUS[request.param]
+    fam = builtin_family(
+        FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
+    )
+    loops, built = [], []
+    real = pipeline.build_all_multipliers
+
+    def build(diff):
+        w, got = bitset_build(diff)
+        assert w is not None, got  # no corpus run stops at the test caps
+        built.append(got)
+        return w
+
+    def record(acc, diff):
+        got = built.pop() if built else bitset_build(diff)[1]
+        loops.append((reference_result(diff), got))
+        return real(acc, diff)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
+        mp.setattr(acceptor, "MAX_STATES", TEST_STATES)
+        mp.setattr(pipeline, "build_acceptor", build)
+        mp.setattr(pipeline, "build_all_multipliers", record)
+        compute_structure(fam.order, fam.presentation.relations)
+    assert loops
+    return loops
+
+
+def test_bitset_acceptor_matches_reference_on_corpus(corpus_loops):
+    for n, (want, got) in enumerate(corpus_loops):
+        assert got == want, n
+
+
+def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):
+    monkeypatch.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
+    monkeypatch.setattr(acceptor, "MAX_STATES", TEST_STATES)
+    rng = random.Random(9)
+    built = 0
+    for n in range(32):
+        order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
+        rs = RewriteSystem.from_relations(order, relations)
+        run_knuth_bendix(rs, max_rules=60, max_len=12)
+        try:
+            diff = DiffMachine.from_rules(rs)
+        except ResourceLimit:
+            continue
+        want = reference_result(diff)
+        assert bitset_build(diff)[1] == want, n
+        built += want[0] != "cap"
+    assert built >= 16  # most cases compare whole machines
+
+
+def test_shadow_cap_is_exact(monkeypatch):
+    fam = builtin_family(FamilySpec("KNOT41", 1, 1), wirtinger=True)
+    rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
+    run_knuth_bendix(rs)
+    diff = DiffMachine.from_rules(rs)  # the first loop's machine
+    want = build_acceptor(diff)
+    _, shadows = reference_acceptor(diff)
+    monkeypatch.setattr(acceptor, "MAX_SHADOWS", shadows)
+    assert serialize_fsa(build_acceptor(diff)) == serialize_fsa(want)
+    n = shadows - 1
+    monkeypatch.setattr(acceptor, "MAX_SHADOWS", n)
+    with pytest.raises(ResourceLimit) as hit:
+        build_acceptor(diff)
+    assert (hit.value.cap, hit.value.limit) == ("shadows", n)
+    # in a full run the cap is reported with the stage it stopped
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert res.outcome == LOOP_LIMIT
+    assert res.stopped_by == {"stage": "acceptor", "cap": "shadows", "limit": n}

@@ -25,8 +25,10 @@ from autostruct.pipeline import (
     compute_structure,
     run_knuth_bendix,
 )
+from autostruct.orders import KINDS
 from autostruct.rewrite import RewriteSystem
 from autostruct.words import PAD
+from test_rewrite import _corpus_system, _random_presentation
 
 
 def family(name, p, q):
@@ -206,9 +208,9 @@ def raw_sizes(monkeypatch) -> list:
     seen = []
     real = Fsa.minimized
 
-    def spy(self):
+    def spy(self, *args):
         seen.append(self.num_states)
-        return real(self)
+        return real(self, *args)
 
     monkeypatch.setattr(Fsa, "minimized", spy)
     return seen
@@ -478,3 +480,68 @@ def test_report_dict_is_json_friendly():
     assert out["outcome"] == VERIFIED
     assert out["acceptor_states"] == 5
     json.dumps(out)
+
+
+# ----------------------------- label counts against the rebuilt union
+
+
+def _rule_difference_labels(rs, cache) -> frozenset:
+    """Reference: the union of every active rule's labels, rebuilt whole;
+    each rule's set is worked out when its (lhs, rhs) is first seen."""
+    inv = rs.order.alphabet.invert
+    out = set()
+    for lhs, rhs in rs.active():
+        labels = cache.get((lhs, rhs))
+        if labels is None:
+            labels = set()
+            for i in range(max(len(lhs), len(rhs)) + 1):
+                labels.add(rs.rewrite(inv(lhs[:i]) + rhs[:i]))
+                labels.add(rs.rewrite(inv(rhs[:i]) + lhs[:i]))
+            labels = cache[(lhs, rhs)] = frozenset(labels)
+        out |= labels
+    return frozenset(out)
+
+
+def label_snapshots(rs, **caps) -> list:
+    """Run completion as compute_structure does, checking the label union
+    after every pass against the reference; returns, per pass, the labels
+    and how many of the last pass's labels left."""
+    cache, passes = {}, []
+    real = pipeline._RuleLabels.update
+
+    def spy(self):
+        before = frozenset(self.count)
+        got = real(self)
+        assert got == _rule_difference_labels(rs, cache), len(passes)
+        passes.append((got, len(before - got)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline._RuleLabels, "update", spy)
+        run_knuth_bendix(rs, **caps)
+    return passes
+
+
+@pytest.mark.parametrize("family,p,q", [
+    ("BSpq", 1, 1), ("BSpq", 2, 2), ("BSpq", 3, 3), ("BSpNegq", 1, 1),
+    ("Hpq", 1, 1), ("Hpq", 2, 1), ("HpNegq", 1, 1), ("HpNegq", 2, 1),
+    ("BSpq", 1, 2), ("KNOT41", 1, 1), ("KNOT52", 1, 1), ("KNOT74", 1, 1),
+])
+def test_label_counts_match_the_union_on_corpus(family, p, q):
+    passes = label_snapshots(_corpus_system(family, p, q))
+    if family == "KNOT74":
+        # rules retire between its passes, and some labels go with them
+        assert sum(lost for _labels, lost in passes) > 0
+
+
+def test_label_counts_follow_retired_rules():
+    # short passes over small presentations retire and rewrite rules
+    # between snapshots
+    rng = random.Random(19)
+    lost = 0
+    for n in range(16):
+        order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
+        rs = RewriteSystem.from_relations(order, relations)
+        passes = label_snapshots(rs, max_rules=60, max_len=12, pass_pairs=4)
+        lost += sum(k for _labels, k in passes)
+    assert lost > 0
