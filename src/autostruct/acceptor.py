@@ -85,18 +85,17 @@ def _fresh_shadows(diff: DiffMachine, bounds: HistoryBounds, g: str) -> frozense
     whose difference with g is a known state, bounded."""
     order = diff.order
     out = set()
-    cap = bounds.overhang_cap
     for h in diff.alpha.symbols:
         if h == g:
             continue
         t = diff.step(EPS, g, h)
         if t is not None:
-            hist = history(order, (g,), (h,), overhang_cap=cap)
+            hist = history(order, (g,), (h,))
             if in_bounds(order, bounds, hist, diff.labels[t]):
                 out.add((t, hist))
     t = diff.step(EPS, g, PAD)
     if t is not None:
-        hist = history(order, (g,), (), overhang_cap=cap)
+        hist = history(order, (g,), ())
         if in_bounds(order, bounds, hist, diff.labels[t]):
             out.add((t, hist))
     return frozenset(out)
@@ -106,7 +105,6 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     order = diff.order
     gens = diff.alpha.symbols
     bounds = bounds_for(order, diff.labels)
-    cap = bounds.overhang_cap
     # indices of the generators that do not reduce on their own
     live = [i for i, g in enumerate(gens) if diff.reduce((g,)) == (g,)]
 
@@ -169,14 +167,14 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
         # an equal companion stays larger
         t = diff.step(d, g, PAD)
         if t is not None and t != EPS:
-            nh = history_step(order, hist, g, PAD, overhang_cap=cap)
+            nh = history_step(order, hist, g, PAD)
             if in_bounds(order, bounds, nh, diff.labels[t]):
                 out |= 1 << intern(t, nh)
         if not hist.longer:  # a companion that stopped cannot resume
             for h in gens:
                 t = diff.step(d, g, h)
                 if t is not None and t != EPS:
-                    nh = history_step(order, hist, g, h, overhang_cap=cap)
+                    nh = history_step(order, hist, g, h)
                     if in_bounds(order, bounds, nh, diff.labels[t]):
                         out |= 1 << intern(t, nh)
         return out

@@ -45,21 +45,6 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from e
 
 
-def _word_over(symbols, text: str) -> tuple:
-    """A word argument over a bare symbol list (no alphabet around)."""
-    text = text.strip()
-    if text in ("", "e"):
-        return ()
-    syms = set(symbols)
-    toks = text.split() if any(c.isspace() for c in text) else None
-    if toks is None:
-        toks = [text] if text in syms else list(text)
-    for t in toks:
-        if t not in syms:
-            raise InputError(f"unknown symbol {t!r} in word {text!r}")
-    return tuple(toks)
-
-
 def _file_token(sym: str) -> str:
     """Symbol as a safe file-name fragment; odd characters get escaped."""
     if all(c.isalnum() for c in sym):
@@ -179,7 +164,7 @@ def _cmd_accept(args) -> int:
     a = parse_fsa(_read(args.fsa))
     if a.track != 1:
         raise InputError("accept expects a word machine")
-    w = _word_over(a.symbols, args.word)
+    w = parse_word(args.word, a.symbols)
     ok = a.accepts(w)
     print("accepted" if ok else "rejected")
     return 0 if ok else 1

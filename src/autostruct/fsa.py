@@ -11,16 +11,20 @@ machines only.
 Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages
 serialize identically and callers never minimize a result again.
-Minimization trims first and then refines only along the defined moves, so
-it never completes a machine; `completed`, which adds a sink state, serves
-`union`, `complement` and `equal_languages`.
+Minimization trims first and then refines only along the defined moves.
+No machine ever gets a sink state: the products, the complement and the
+language comparison walk each machine's own moves and carry None for a
+side that has fallen off; no move leaves None, so it acts as the sink.
 
-Two helpers carry all the graph searches.  `explore` builds a machine
+A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
 and subset construction here and in the acceptor and multiplier builders
 goes through it.  `coreachable` is one backward search from acceptance,
 used for trimming, enumeration and emptiness; `search_back` is the same
 search over an implicit graph, which composition uses for its silent tail.
+`search_forward` is its forward twin, which stops at the first node where
+a test holds: the language comparison and the pipeline's domain check use
+it to find their least disagreeing word.
 A machine gathers its forward and backward adjacency once, when it is
 first minimized, so one set of moves minimized under several accepting
 states (the multipliers of one product) is trimmed from one copy.
@@ -122,18 +126,6 @@ class Fsa:
 
     # -------------------------------------------------- canonical rebuilds
 
-    def completed(self) -> tuple:
-        """(machine with a total transition function, sink index)."""
-        sink = self.num_states
-        trans = dict(self.transitions)
-        for s in range(self.num_states + 1):
-            for sym in self.symbols:
-                trans.setdefault((s, sym), sink)
-        return (
-            Fsa(self.symbols, sink + 1, self.start, self.accepting, trans, self.track),
-            sink,
-        )
-
     def _graph(self) -> tuple:
         """(each state's defined symbols, as ascending indices into the
         alphabet, each state's predecessors), built by the first
@@ -155,7 +147,7 @@ class Fsa:
         One machine minimized under several accepting sets gathers its
         adjacency once (see `_graph`).
 
-        The machine is trimmed first and never completed: only the states
+        The machine is trimmed first and never made total: only the states
         reachable from the start that can still reach acceptance are kept,
         with the moves between them.  Moore refinement then reads only those
         defined moves, so a round costs O(kept moves) rather than
@@ -235,56 +227,56 @@ class Fsa:
         if self.symbols != other.symbols or self.track != other.track:
             raise LogicError("machines over different alphabets")
 
-    def intersect(self, other: "Fsa") -> "Fsa":
+    def _pairs(self, other: "Fsa", kinds):
+        """Successors of (state here, state there, pad kind) nodes, a side
+        that has fallen off carried as None.  kinds pairs each symbol with
+        its pad kind; a symbol of another kind than the node's (unless
+        that is 0) would break the padding discipline and is skipped."""
+        get_a, get_b = self.transitions.get, other.transitions.get
+
+        def successors(node):
+            s, t, kind = node
+            for sym, k in kinds:
+                if kind and k != kind:
+                    continue
+                s2, t2 = get_a((s, sym)), get_b((t, sym))
+                if s2 is not None or t2 is not None:
+                    yield sym, (s2, t2, k)
+
+        return successors
+
+    def _product(self, other: "Fsa", accept) -> "Fsa":
+        """Product machine accepting where accept(here, there) holds."""
         self._check_compatible(other)
-
-        def successors(pair):
-            s, t = pair
-            for sym in self.symbols:
-                s2 = self.transitions.get((s, sym))
-                t2 = other.transitions.get((t, sym))
-                if s2 is not None and t2 is not None:
-                    yield sym, (s2, t2)
-
-        def is_accept(pair):
-            return pair[0] in self.accepting and pair[1] in other.accepting
-
         raw, _ = explore(
-            self.symbols, (self.start, other.start), successors, is_accept,
+            self.symbols, (self.start, other.start, 0),
+            self._pairs(other, [(sym, 0) for sym in self.symbols]),
+            lambda n: accept(n[0] in self.accepting, n[1] in other.accepting),
             self.track,
         )
         return raw.minimized()
 
+    def intersect(self, other: "Fsa") -> "Fsa":
+        return self._product(other, lambda a, b: a and b)
+
     def union(self, other: "Fsa") -> "Fsa":
-        self._check_compatible(other)
-        a, _ = self.completed()
-        b, _ = other.completed()
-
-        def successors(pair):
-            s, t = pair
-            for sym in self.symbols:
-                yield sym, (a.transitions[(s, sym)], b.transitions[(t, sym)])
-
-        def is_accept(pair):
-            return pair[0] in a.accepting or pair[1] in b.accepting
-
-        raw, _ = explore(
-            self.symbols, (a.start, b.start), successors, is_accept, self.track
-        )
-        return raw.minimized()
+        return self._product(other, lambda a, b: a or b)
 
     def complement(self) -> "Fsa":
         """Complement of a word machine's language among all words."""
         if self.track != 1:
             raise LogicError("complement needs a track-1 machine")
-        total, _ = self.completed()
-        return Fsa(
-            self.symbols,
-            total.num_states,
-            total.start,
-            frozenset(range(total.num_states)) - total.accepting,
-            total.transitions,
-        ).minimized()
+        get = self.transitions.get
+
+        def successors(s):
+            for sym in self.symbols:
+                yield sym, get((s, sym))
+
+        raw, _ = explore(
+            self.symbols, self.start, successors,
+            lambda s: s not in self.accepting, 1,
+        )
+        return raw.minimized()
 
     def project(self, keep: int) -> "Fsa":
         """Track-1 machine for one coordinate of a track-2 language.
@@ -447,28 +439,12 @@ class Fsa:
         compared; disagreement outside it is meaningless.
         """
         self._check_compatible(other)
-        a, _ = self.completed()
-        b, _ = other.completed()
-        start = (a.start, b.start, 0)
-        seen = {start}
-        queue = deque([(start, ())])
-        while queue:
-            (sa, sb, pk), path = queue.popleft()
-            if (sa in a.accepting) != (sb in b.accepting):
-                return path
-            for sym in self.symbols:
-                if self.track == 2:
-                    k = _pad_kind(sym)
-                    if pk and k != pk:
-                        continue
-                    nk = k
-                else:
-                    nk = 0
-                nxt = (a.transitions[(sa, sym)], b.transitions[(sb, sym)], nk)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, path + (sym,)))
-        return None
+        pair = self.track == 2
+        kinds = [(sym, _pad_kind(sym) if pair else 0) for sym in self.symbols]
+        return search_forward(
+            (self.start, other.start, 0), self._pairs(other, kinds),
+            lambda n: (n[0] in self.accepting) != (n[1] in other.accepting),
+        )
 
 
 def empty_fsa(symbols, track: int = 1) -> Fsa:
@@ -525,6 +501,26 @@ def coreachable(fsa: Fsa, accepting=None) -> dict:
     if accepting is None:
         accepting = fsa.accepting
     return search_back(accepting, lambda t: back.get(t, ()))
+
+
+def search_forward(start, successors, found) -> Optional[tuple]:
+    """Breadth-first search forwards from start: the shortest, then
+    alphabet-first, word to a node where found holds, or None.
+
+    successors(node) yields (symbol, next node) in alphabet order, at most
+    one move per symbol, so the search reaches each node first by its
+    least word."""
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        node, path = queue.popleft()
+        if found(node):
+            return path
+        for sym, nxt in successors(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, path + (sym,)))
+    return None
 
 
 def search_back(targets, predecessors) -> dict:

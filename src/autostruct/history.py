@@ -18,9 +18,9 @@ Conventions:
   and wtdiff capped at 1 once track 1 is strictly longer
 * for the wreath-product order the summary keeps, per level, either a final
   verdict (level settled for one side), equality, or the lex sign of the
-  matched parts of the level projections plus the single-sided overhang;
-  overhangs longer than the cap collapse to an overflow marker that the
-  bounds filter rejects
+  matched parts of the level projections plus the single-sided overhang.
+  Overhangs are not capped here: `in_bounds` is the one filter, and the
+  acceptor steps, decides on and keeps only histories that pass it
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ from typing import Optional, Union
 from .errors import LogicError
 from .orders import LT, EQ, Order, SHORTLEX, WTLEX, WTSHORTLEX, lex_cmp, shortlex_cmp, strip_common_prefix
 from .words import PAD, Word
-
-
-class _Overflow:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "OVERFLOW"
-
-
-OVERFLOW = _Overflow()
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,7 @@ class LevelRec:
     over2: Word  # overhang of track 2's projection (then over1 is empty)
 
 
-LevelComp = Union[int, LevelRec, _Overflow]  # int is -1, 0 or +1
+LevelComp = Union[int, LevelRec]  # int is -1, 0 or +1
 
 
 @dataclass(frozen=True)
@@ -86,9 +76,7 @@ def _wt_like(order: Order) -> bool:
 # ------------------------------------------------------------ construction
 
 
-def history(
-    order: Order, w1: Word, w2: Word, overhang_cap: Optional[int] = None
-) -> History:
+def history(order: Order, w1: Word, w2: Word) -> History:
     """Summary of the pair (w1, w2) computed from scratch."""
     w1, w2 = strip_common_prefix(w1, w2)
     if w1 == w2:
@@ -97,7 +85,7 @@ def history(
         raise LogicError("track 1 must not be shorter than track 2")
     if _wt_like(order):
         return _wt_history(order, w1, w2)
-    return _wreath_history(order, w1, w2, overhang_cap)
+    return _wreath_history(order, w1, w2)
 
 
 def _divergence_sign(order: Order, w1: Word, w2: Word) -> int:
@@ -127,7 +115,6 @@ def _normalize_level(
     longer: bool,
     top1: int,
     top2: int,
-    cap: Optional[int],
 ) -> LevelComp:
     """Classify one level from its raw matched-part/overhang content."""
     if not over1 and not over2 and sign == EQ:
@@ -141,14 +128,10 @@ def _normalize_level(
     else:
         if top1 > j:
             return -1
-    if cap is not None and (len(over1) > cap or len(over2) > cap):
-        return OVERFLOW
     return LevelRec(sign, over1, over2)
 
 
-def _wreath_history(
-    order: Order, w1: Word, w2: Word, cap: Optional[int]
-) -> WreathHistory:
+def _wreath_history(order: Order, w1: Word, w2: Word) -> WreathHistory:
     a = order.alphabet
     top1, top2 = a.max_level(w1), a.max_level(w2)
     longer = len(w1) > len(w2)
@@ -158,7 +141,7 @@ def _wreath_history(
         m = min(len(p1), len(p2))
         sign = lex_cmp(a, p2[:m], p1[:m])
         comps.append(
-            _normalize_level(sign, p1[m:], p2[m:], j, longer, top1, top2, cap)
+            _normalize_level(sign, p1[m:], p2[m:], j, longer, top1, top2)
         )
     return WreathHistory(longer, top1, top2, tuple(comps))
 
@@ -166,13 +149,7 @@ def _wreath_history(
 # ----------------------------------------------------------------- stepping
 
 
-def history_step(
-    order: Order,
-    h: History,
-    a: str,
-    b: str,
-    overhang_cap: Optional[int] = None,
-) -> History:
+def history_step(order: Order, h: History, a: str, b: str) -> History:
     """History of the pair extended by one letter pair (a, b).
 
     a is a generator; b is a generator or the padding symbol.  A history
@@ -184,7 +161,7 @@ def history_step(
         raise LogicError("track 2 cannot resume after falling behind")
     if _wt_like(order):
         return _wt_step(order, h, a, b)
-    return _wreath_step(order, h, a, b, overhang_cap)
+    return _wreath_step(order, h, a, b)
 
 
 def _wt_step(order: Order, h: WtHistory, a: str, b: str) -> WtHistory:
@@ -196,9 +173,7 @@ def _wt_step(order: Order, h: WtHistory, a: str, b: str) -> WtHistory:
     return WtHistory(False, h.lexsign, wtd)
 
 
-def _wreath_step(
-    order: Order, h: WreathHistory, a: str, b: str, cap: Optional[int]
-) -> WreathHistory:
+def _wreath_step(order: Order, h: WreathHistory, a: str, b: str) -> WreathHistory:
     alpha = order.alphabet
     la = alpha.level(a)
     lb = None if b == PAD else alpha.level(b)
@@ -213,14 +188,12 @@ def _wreath_step(
         app1 = a if (h.top1 <= j and la == j) else None
         app2 = b if (lb is not None and h.top2 <= j and lb == j) else None
         comps.append(
-            _step_level(alpha, old, app1, app2, j, longer, top1, top2, cap)
+            _step_level(alpha, old, app1, app2, j, longer, top1, top2)
         )
     return WreathHistory(longer, top1, top2, tuple(comps))
 
 
-def _step_level(alpha, old, app1, app2, j, longer, top1, top2, cap):
-    if old is OVERFLOW:
-        return OVERFLOW
+def _step_level(alpha, old, app1, app2, j, longer, top1, top2):
     if old == 1 or old == -1:
         # settled levels stay settled: the losing side's projection is
         # frozen by construction while the winner can only grow
@@ -238,7 +211,7 @@ def _step_level(alpha, old, app1, app2, j, longer, top1, top2, cap):
             sign, over1, over2 = EQ, (app1,), ()
         else:
             sign, over1, over2 = EQ, (), (app2,)
-        return _normalize_level(sign, over1, over2, j, longer, top1, top2, cap)
+        return _normalize_level(sign, over1, over2, j, longer, top1, top2)
 
     sign, over1, over2 = old.sign, old.over1, old.over2
     if app1 is not None and app2 is None:
@@ -267,7 +240,7 @@ def _step_level(alpha, old, app1, app2, j, longer, top1, top2, cap):
         else:
             if sign == EQ:
                 sign = lex_cmp(alpha, (app2,), (app1,))
-    return _normalize_level(sign, over1, over2, j, longer, top1, top2, cap)
+    return _normalize_level(sign, over1, over2, j, longer, top1, top2)
 
 
 # ----------------------------------------------------------------- deciding
@@ -311,8 +284,6 @@ def _wreath_decide(order: Order, h: WreathHistory, e1: Word, e2: Word) -> bool:
         c = h.levels[j - 1] if j <= len(h.levels) else 0
         ext1 = _pi(order, e1, j) if h.top1 <= j else ()
         ext2 = _pi(order, e2, j) if h.top2 <= j else ()
-        if c is OVERFLOW:
-            raise LogicError("deciding with an overflowed history")
         if c == 1:
             # settled for synced steps, but an extension can reopen the
             # level unless track 2's projection here is frozen
@@ -347,7 +318,7 @@ class HistoryBounds:
     """Admissible-history bounds computed from a difference label set."""
 
     max_weight: Optional[int] = None  # weighted orders
-    overhang_cap: Optional[int] = None  # wreath-product order
+    max_overhang: Optional[int] = None  # wreath-product order
 
 
 def bounds_for(order: Order, labels) -> HistoryBounds:
@@ -358,17 +329,15 @@ def bounds_for(order: Order, labels) -> HistoryBounds:
     for d in labels:
         for j in range(1, (a.max_level(d) if d else 0) + 1):
             cap = max(cap, sum(1 for s in d if a.level(s) == j))
-    return HistoryBounds(overhang_cap=cap)
+    return HistoryBounds(max_overhang=cap)
 
 
 def in_bounds(order: Order, bounds: HistoryBounds, h: History, label: Word) -> bool:
     """Is this history inside the sufficient set at the given state label?"""
     if _wt_like(order):
         return -order.word_weight(label) <= h.wtdiff <= bounds.max_weight
-    cap = bounds.overhang_cap
+    cap = bounds.max_overhang
     for c in h.levels:
-        if c is OVERFLOW:
-            return False
         if isinstance(c, LevelRec) and (len(c.over1) > cap or len(c.over2) > cap):
             return False
     return True

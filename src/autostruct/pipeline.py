@@ -34,14 +34,13 @@ LOOP_LIMIT at once, with ``stopped_by`` naming stage "repair" and cap
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
-from .fsa import Fsa, coreachable, explore, pair_symbols
+from .fsa import Fsa, _pad_kind, coreachable, explore, pair_symbols, search_forward
 from .orders import Order
 from .rewrite import CONFLUENT, RUNNING, KbCompletion, RewriteSystem
 from .words import PAD, Word
@@ -50,8 +49,6 @@ VERIFIED = "verified"
 KB_STOPPED = "kb-stopped"
 LOOP_LIMIT = "loop-limit"
 AXIOM_FAILED = "axiom-failed"
-
-_LIVE, _ONLY2, _ONLY1 = 0, 1, 2  # which track is still reading
 
 
 @dataclass
@@ -216,10 +213,11 @@ def build_multiplier(
     M_g is the minimization of that one machine accepting where the
     difference is g's target, all from one copy of its moves.  A product
     state (v, w, d, mode) is packed into the integer
-    ((v*|W| + w)*|D| + d)*3 + mode.  A state walks only the letters the
-    track-1 copy defines at v, each with the difference moves that read
-    it.  Also returns the difference labels used on paths to any target,
-    for pruning."""
+    ((v*|W| + w)*|D| + d)*3 + mode, where the mode is the pad kind read so
+    far (see `_pad_kind`).  A state walks only the letters the track-1 copy
+    defines at v, each with the difference moves that read it.  Also
+    returns the difference labels used on paths to any target, for
+    pruning."""
     symbols = pair_symbols(acc.symbols)
     width = diff.state_count()
     side = acc.num_states
@@ -233,9 +231,10 @@ def build_multiplier(
         [(a, row[a] * side) for a in acc.symbols if a in row] for row in rows
     ]
     # the difference machine's moves by state and mode, in alphabet order:
-    # (symbol, track-2 letter, packed d and mode after).  Those reading a
-    # track-1 letter are keyed by it; the (PAD, b) moves, which come last,
-    # stand apart.  A padded track 2 keeps its state, so its letter is None.
+    # (symbol, track-2 letter, packed d and mode after).  A move of pad kind
+    # k is legal in modes 0 and k.  Those reading a track-1 letter are keyed
+    # by it; the (PAD, b) moves, which come last, stand apart.  A padded
+    # track 2 keeps its state, so its letter is None.
     reads, silent = [], []
     for d in range(width):
         by_letter = [{}, {}, {}]
@@ -245,17 +244,13 @@ def build_multiplier(
             if nd is None:
                 continue
             a, b = sym
-            if a == PAD:
-                move = (sym, b, nd * 3 + _ONLY2)
-                pads[_LIVE].append(move)
-                pads[_ONLY2].append(move)
-                continue
-            if b == PAD:
-                move = (sym, None, nd * 3 + _ONLY1)
-                by_letter[_ONLY1].setdefault(a, []).append(move)
-            else:
-                move = (sym, b, nd * 3 + _LIVE)
-            by_letter[_LIVE].setdefault(a, []).append(move)
+            k = _pad_kind(sym)
+            move = (sym, None if b == PAD else b, nd * 3 + k)
+            for mode in {0, k}:
+                if a == PAD:
+                    pads[mode].append(move)
+                else:
+                    by_letter[mode].setdefault(a, []).append(move)
         reads.append(by_letter)
         silent.append(pads)
 
@@ -282,7 +277,7 @@ def build_multiplier(
         return state // 3 % width
 
     hits = set(targets.values())
-    start = (acc.start * side + acc.start) * width * 3 + EPS * 3 + _LIVE
+    start = (acc.start * side + acc.start) * width * 3 + EPS * 3
     raw, states = explore(
         symbols, start, successors, lambda state: difference(state) in hits,
         2, max_states=max_states,
@@ -318,15 +313,14 @@ def check_domains(acc: Fsa, mults: dict) -> list:
     shortest, then alphabet-first, word whose acceptance by W differs from
     its acceptance as a first track of M_g.
 
-    One breadth-first search per generator runs over nodes (W state, or
-    None once W has fallen off; the set of M_g states the word can reach
-    as a first track, closed under the silent moves (PAD, b)).  This is the
+    One `search_forward` per generator runs over nodes (W state, or None
+    once W has fallen off; the set of M_g states the word can reach as a
+    first track, closed under the silent moves (PAD, b)).  This is the
     subset construction of M_g's first-track projection run in step with
-    W, so whether the two disagree is a function of the node.  A search in
-    alphabet order over a deterministic machine reaches each node first by
-    its least access word, so the first disagreeing node it meets gives the
-    least disagreeing word: the same witness that comparing W with the
-    minimized projection would return.
+    W, so whether the two disagree is a function of the node, and the
+    first disagreeing node the search meets gives the least disagreeing
+    word: the same witness that comparing W with the minimized projection
+    would return.
     """
     gaps = []
     for g in acc.symbols:
@@ -356,23 +350,20 @@ def _domain_gap(acc: Fsa, m: Fsa) -> Optional[tuple]:
         return frozenset(seen)
 
     step = acc.transitions.get
-    node = (acc.start, closure((m.start,)))
-    seen = {node}
-    queue = deque([(node, ())])
-    while queue:
-        (w, cur), path = queue.popleft()
-        if (w in acc.accepting) != (not m.accepting.isdisjoint(cur)):
-            return path
+
+    def successors(node):
+        w, cur = node
         for a in acc.symbols:
-            nw = None if w is None else step((w, a))
+            nw = step((w, a))
             nxt = {t for s in cur for t in reads.get((s, a), ())}
-            if nw is None and not nxt:
-                continue  # both reject every longer word
-            node = (nw, closure(nxt))
-            if node not in seen:
-                seen.add(node)
-                queue.append((node, path + (a,)))
-    return None
+            if nw is not None or nxt:  # else both reject every longer word
+                yield a, (nw, closure(nxt))
+
+    def disagree(node):
+        w, cur = node
+        return (w in acc.accepting) != (not m.accepting.isdisjoint(cur))
+
+    return search_forward((acc.start, closure((m.start,))), successors, disagree)
 
 
 def _compose_chain(mults: dict, letters: Word) -> Fsa:

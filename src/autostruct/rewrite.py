@@ -176,9 +176,6 @@ class RewriteSystem:
                     return False
         return True
 
-    def normal_form(self, w: Word) -> Word:
-        return self.rewrite(self.order.alphabet.check_word(w))
-
 
 # -------------------------------------------------------- critical pairs
 

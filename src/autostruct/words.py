@@ -7,7 +7,7 @@ here as well, so every module agrees on what padding looks like.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .errors import InputError, LogicError
 
@@ -22,12 +22,14 @@ EMPTY: Word = ()
 _RESERVED = {PAD, "e", "#"}
 
 
-def parse_word(text: str, alphabet: "Optional[Alphabet]" = None) -> Word:
+def parse_word(text: str, alphabet: Optional[Container[str]] = None) -> Word:
     """Read a word from text.
 
     Whitespace-separated symbol names, or a run of single-character symbols
     when the text has no whitespace.  "e" (or nothing) is the empty word.
-    With an alphabet given, every symbol is checked against it.
+    With symbols given (an `Alphabet`, or a machine's `symbols`), a text
+    that is one of them is read as that one symbol, and every symbol is
+    checked against them.
     """
     text = text.strip()
     if text in ("", "e"):
@@ -39,7 +41,9 @@ def parse_word(text: str, alphabet: "Optional[Alphabet]" = None) -> Word:
     else:
         w = tuple(text)
     if alphabet is not None:
-        alphabet.check_word(w)
+        for s in w:
+            if s not in alphabet:
+                raise InputError(f"unknown symbol {s!r} in word {text!r}")
     return w
 
 

@@ -125,7 +125,6 @@ def reference_acceptor(diff) -> tuple:
     order = diff.order
     gens = diff.alpha.symbols
     bounds = bounds_for(order, diff.labels)
-    cap = bounds.overhang_cap
     reduces = {g: diff.reduce((g,)) != (g,) for g in gens}
     fresh = {
         g: (frozenset() if reduces[g] else _fresh_shadows(diff, bounds, g))
@@ -170,14 +169,14 @@ def reference_acceptor(diff) -> tuple:
         out = []
         t = diff.step(d, g, PAD)
         if t is not None and t != EPS:
-            nh = history_step(order, hist, g, PAD, overhang_cap=cap)
+            nh = history_step(order, hist, g, PAD)
             if in_bounds(order, bounds, nh, diff.labels[t]):
                 out.append(intern(t, nh))
         if not hist.longer:
             for h in gens:
                 t = diff.step(d, g, h)
                 if t is not None and t != EPS:
-                    nh = history_step(order, hist, g, h, overhang_cap=cap)
+                    nh = history_step(order, hist, g, h)
                     if in_bounds(order, bounds, nh, diff.labels[t]):
                         out.append(intern(t, nh))
         return tuple(out)

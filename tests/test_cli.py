@@ -118,6 +118,21 @@ def test_accept_exit_codes(grid_out, capsys):
     assert out == ["accepted", "rejected", "accepted"]
 
 
+def test_accept_reads_words_over_the_machine_symbols(tmp_path, capsys):
+    # a machine over "ab" and the one-character "a" and "b": (ab)* a b*
+    m = tmp_path / "m.fsa"
+    m.write_text(
+        "fsa version 1\ntype word\nalphabet ab a b\npad _\n"
+        "states 2\nstart 1\naccept 2\n1 ab 1\n1 a 2\n2 b 2\n"
+    )
+    assert main(["accept", str(m), "ab"]) == 1  # one symbol "ab"
+    assert main(["accept", str(m), "abb"]) == 0  # the run a, b, b
+    assert main(["accept", str(m), "ab ab a"]) == 0
+    assert capsys.readouterr().out.split() == ["rejected", "accepted", "accepted"]
+    assert main(["accept", str(m), "ac"]) == 3
+    assert "unknown symbol 'c'" in capsys.readouterr().err
+
+
 def test_enumerate_and_growth(grid_out, capsys):
     assert main(["enumerate", str(grid_out / "W.fsa"), "--maxlen", "1"]) == 0
     assert main(["growth", str(grid_out / "W.fsa"), "--maxlen", "3"]) == 0

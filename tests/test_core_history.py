@@ -13,7 +13,6 @@ import pytest
 
 from autostruct import Alphabet, Order, LT
 from autostruct.history import (
-    OVERFLOW,
     WreathHistory,
     WtHistory,
     bounds_for,
@@ -166,14 +165,13 @@ def test_wreath_history_worked_example():
 def test_wreath_overflow_and_bounds():
     order = Order(z2_alpha(), "wreathshortlex")
     # track 1 piles up level-1 letters against a frozen track 2 projection
-    h = history(order, ("x", "x", "x", "y"), ("y", "x", "x"), overhang_cap=2)
+    h = history(order, ("x", "x", "x", "y"), ("y", "x", "x"))
     # at level 1 track 1's projection xxx overhangs track 2's empty one,
     # but track 2 is already at level 2, so the level is settled
     assert h.levels[0] == 1
-    hb = history(order, ("x", "x", "x"), ("X", "X", "X"), overhang_cap=2)
-    assert all(c is not OVERFLOW for c in hb.levels)
+    hb = history(order, ("x", "x", "x"), ("X", "X", "X"))
     bounds = bounds_for(order, [(), ("x",), ("Y", "x")])
-    assert bounds.overhang_cap == 1
+    assert bounds.max_overhang == 1
     assert in_bounds(order, bounds, hb, ())
 
 
@@ -181,13 +179,13 @@ def test_wreath_overflow_collapse():
     order = Order(z2_alpha(), "wreathshortlex")
     # yyy against xxy: at level 2 the projections are yyy and y, leaving an
     # unsettled two-letter overhang on track 1, past a cap of 1
-    h = history(order, ("y", "y", "y"), ("x", "x", "y"), overhang_cap=1)
-    assert h.levels[1] is OVERFLOW
+    h = history(order, ("y", "y", "y"), ("x", "x", "y"))
+    assert len(h.levels[1].over1) == 2
     bounds = bounds_for(order, [(), ("x",)])
     assert not in_bounds(order, bounds, h, ())
-    # overflow absorbs further steps
-    h2 = history_step(order, h, "y", "y", overhang_cap=1)
-    assert h2.levels[1] is OVERFLOW
+    # a synced step keeps the overhang, so the history stays out of bounds
+    h2 = history_step(order, h, "y", "y")
+    assert not in_bounds(order, bounds, h2, ())
 
 
 def test_wt_bounds_filter():
@@ -206,12 +204,3 @@ def test_wt_bounds_filter():
     assert not in_bounds(order, bounds, light, ("a",))  # -wt(a) = -1 > -2
     assert in_bounds(order, bounds, light, ("b", "a"))
 
-
-def test_capped_equals_uncapped_when_within():
-    order = Order(three_level_alpha(), "wreathshortlex")
-    rng = random.Random(7)
-    for _ in range(300):
-        for w1, w2, h in _evolve(order, rng, 6):
-            pass
-        wide = history(order, w1, w2, overhang_cap=50)
-        assert wide == history(order, w1, w2)

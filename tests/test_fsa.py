@@ -243,6 +243,114 @@ def test_equal_languages_and_witness():
     assert w == ("a",)
 
 
+def random_partial_machine(rng, symbols, track=1, max_states=4, density=0.6):
+    """A random partial DFA: each move is defined with the given chance."""
+    n = rng.randint(1, max_states)
+    trans = {
+        (s, sym): rng.randrange(n)
+        for s in range(n)
+        for sym in symbols
+        if rng.random() < density
+    }
+    accepting = {s for s in range(n) if rng.random() < 0.5}
+    return Fsa(symbols, n, 0, accepting, trans, track)
+
+
+def perturbed(rng, m):
+    """The machine with one edit: a move redirected, added or dropped, or
+    one state's acceptance flipped, so the two often agree on short words."""
+    trans = dict(m.transitions)
+    accepting = set(m.accepting)
+    s = rng.randrange(m.num_states)
+    if rng.random() < 0.25:
+        accepting ^= {s}
+    else:
+        key = (s, rng.choice(m.symbols))
+        if key in trans and rng.random() < 0.5:
+            del trans[key]
+        else:
+            trans[key] = rng.randrange(m.num_states)
+    return Fsa(m.symbols, m.num_states, m.start, accepting, trans, m.track)
+
+
+def shortlex_words(symbols, max_len):
+    """Every word up to max_len, shortest first, then in alphabet order."""
+    for n in range(max_len + 1):
+        yield from itertools.product(symbols, repeat=n)
+
+
+ABC = ("a", "b", "c")
+
+
+def test_word_machine_ops_against_brute_force():
+    # two partial machines with n1 and n2 states complete to n1 + 1 and
+    # n2 + 1 states, so if their languages differ, some word of length at
+    # most n1 + n2 tells them apart: below that bound the brute force is
+    # exhaustive
+    rng = random.Random(1991)
+    disagreed = 0
+    for _ in range(80):
+        m1 = random_partial_machine(rng, ABC)
+        m2 = (
+            perturbed(rng, m1) if rng.random() < 0.7
+            else random_partial_machine(rng, ABC)
+        )
+        bound = m1.num_states + m2.num_states
+        want = next(
+            (
+                w for w in shortlex_words(ABC, bound)
+                if m1.accepts(w) != m2.accepts(w)
+            ),
+            None,
+        )
+        assert m1.equal_languages(m2) == want
+        assert m2.equal_languages(m1) == want
+        disagreed += want is not None
+        union, comp = m1.union(m2), m1.complement()
+        for w in shortlex_words(ABC, 5):
+            assert union.accepts(w) == (m1.accepts(w) or m2.accepts(w)), w
+            assert comp.accepts(w) != m1.accepts(w), w
+    assert 20 < disagreed < 70
+
+
+def test_pair_machine_ops_against_brute_force():
+    # only words that keep the padding rule are compared: every pad_pair of
+    # two words.  The brute force reaches length 5; a machine pair whose
+    # first disagreement lies beyond that must still get a valid witness
+    # that they disagree on.
+    rng = random.Random(1992)
+    max_len = 5
+    words = list(shortlex_words(AB, max_len))
+    rank = {sym: i for i, sym in enumerate(PAIRS)}
+    valid = sorted(
+        {pad_pair(u, v) for u in words for v in words},
+        key=lambda p: (len(p), [rank[sym] for sym in p]),
+    )
+    disagreed = 0
+    for _ in range(60):
+        m1 = random_partial_machine(rng, PAIRS, track=2, max_states=3, density=0.4)
+        m2 = perturbed(rng, m1)
+        want = next(
+            (p for p in valid if m1.accepts(p) != m2.accepts(p)), None
+        )
+        got = m1.equal_languages(m2)
+        assert m2.equal_languages(m1) == got
+        if want is not None:
+            assert got == want
+            disagreed += 1
+        elif got is not None:
+            assert len(got) > max_len
+            u = tuple(a for a, _ in got if a != PAD)
+            v = tuple(b for _, b in got if b != PAD)
+            assert pad_pair(u, v) == got
+            assert m1.accepts(got) != m2.accepts(got)
+        union = m1.union(m2)
+        for n in range(4):
+            for p in itertools.product(PAIRS, repeat=n):
+                assert union.accepts(p) == (m1.accepts(p) or m2.accepts(p)), p
+    assert 20 < disagreed < 50
+
+
 # ------------------------------------------------------------- track 2
 
 

@@ -39,15 +39,16 @@ def test_no_unused_imports():
     assert found == []
 
 
-def _references(tree) -> set:
-    """Names a module refers to: names, attributes, import aliases and the
-    strings of an ``__all__`` list."""
-    out = set()
+def _references(tree) -> tuple:
+    """(names a module refers to: names, attributes, import aliases and the
+    strings of an ``__all__`` list; the attribute names alone)."""
+    out, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 out.add(alias.name.split(".")[-1])
@@ -60,7 +61,7 @@ def _references(tree) -> set:
                 for e in ast.walk(node.value)
                 if isinstance(e, ast.Constant) and isinstance(e.value, str)
             )
-    return out
+    return out, attrs
 
 
 def _overrides(module_name: str, tree) -> set:
@@ -82,23 +83,34 @@ def _overrides(module_name: str, tree) -> set:
 
 def unreferenced_definitions(package: Path, roots: list) -> list:
     """Functions, methods and classes defined under package that no module
-    under roots refers to.  Special methods and overrides are called
+    under roots refers to.  A method counts as referenced only through
+    attribute access (``x.name``), so a plain function of the same name
+    elsewhere does not keep it.  Special methods and overrides are called
     implicitly."""
-    referenced = set()
+    referenced, attributes = set(), set()
     for root in roots:
         for path in root.rglob("*.py"):
-            referenced |= _references(ast.parse(path.read_text(), str(path)))
+            names, attrs = _references(ast.parse(path.read_text(), str(path)))
+            referenced |= names
+            attributes |= attrs
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         implicit = _overrides(f"{package.name}.{path.stem}", tree)
+        methods = {
+            item
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, kinds)
+        }
         for node in ast.walk(tree):
             if (
                 isinstance(node, kinds)
                 and node not in implicit
                 and not (node.name.startswith("__") and node.name.endswith("__"))
-                and node.name not in referenced
+                and node.name not in (attributes if node in methods else referenced)
             ):
                 out.append(f"{path.name}:{node.lineno}: {node.name}")
     return sorted(out)
