@@ -63,7 +63,7 @@ def _report_lines(res) -> list:
     ]
     if res.diff is not None:
         out.append(f"difference machine states: {res.diff.state_count()}")
-    if res.raw_diff_count is not None and res.pruned_diff_count is not None:
+    if res.raw_diff_count is not None:
         out.append(
             f"difference machine states before pruning: {res.raw_diff_count}"
         )
@@ -261,7 +261,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-loops", type=int, default=10, metavar="N")
     p.add_argument(
         "--prune", action="store_true",
-        help="retry with only the word differences the multipliers used",
+        help="once verified, keep only the word differences the"
+        " multipliers used (in D.fsa and the report)",
     )
     p.set_defaults(run=_cmd_autostructure)
 

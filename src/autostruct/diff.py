@@ -188,10 +188,6 @@ class DiffMachine:
                 return None
         return s
 
-    def equal_in_group(self, w1: Word, w2: Word) -> bool:
-        """Do the words fellow travel to the trivial difference?"""
-        return self.trace_pair(w1, w2) == EPS
-
     # ----------------------------------------------------------- reducing
 
     def reduce(self, w: Word) -> Word:

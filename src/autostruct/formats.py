@@ -176,35 +176,42 @@ def _parse_side(no: int, toks: list, alpha: Alphabet) -> Word:
     return tuple(toks)
 
 
-# ----------------------------------------------------------- presentation
-
-
-def parse_presentation(text: str) -> tuple:
-    """Read a presentation file; returns (Presentation, Order)."""
+def _read_entries(text: str, version: list, keyword: str, sep: str) -> tuple:
+    """The reader that presentation and rules files share: a version line,
+    then order-block lines and `keyword lhs sep rhs` lines.  Returns the
+    order and the (line number, lhs tokens, rhs tokens) entries."""
     block = _OrderBlock()
-    relations = []  # raw token lists until the alphabet exists
+    entries = []  # raw token lists until the alphabet exists
     saw_version = False
     last_no = 0
     for no, toks in _lines(text):
         last_no = no
         if not saw_version:
-            if toks != ["version", "1"]:
-                _fail(no, "file must start with: version 1")
+            if toks != version:
+                _fail(no, "file must start with: " + " ".join(version))
             saw_version = True
             continue
-        if toks[0] == "relation":
+        if toks[0] == keyword:
             body = toks[1:]
-            if body.count("=") != 1:
-                _fail(no, "relation needs exactly one =")
-            i = body.index("=")
+            if body.count(sep) != 1:
+                _fail(no, f"{keyword} needs exactly one {sep}")
+            i = body.index(sep)
             if not body[:i] or not body[i + 1:]:
-                _fail(no, "relation side is empty; write e for the empty word")
-            relations.append((no, body[:i], body[i + 1:]))
+                _fail(no, f"{keyword} side is empty; write e for the empty word")
+            entries.append((no, body[:i], body[i + 1:]))
         elif not block.feed(no, toks):
             _fail(no, f"unrecognized directive {toks[0]!r}")
     if not saw_version:
-        _fail(last_no or 1, "file must start with: version 1")
-    order = block.build(last_no)
+        _fail(last_no or 1, "file must start with: " + " ".join(version))
+    return block.build(last_no), entries
+
+
+# ----------------------------------------------------------- presentation
+
+
+def parse_presentation(text: str) -> tuple:
+    """Read a presentation file; returns (Presentation, Order)."""
+    order, relations = _read_entries(text, ["version", "1"], "relation", "=")
     alpha = order.alphabet
     rels = tuple(
         (_parse_side(no, lhs, alpha), _parse_side(no, rhs, alpha))
@@ -231,30 +238,7 @@ def serialize_presentation(pres: Presentation, order: Order) -> str:
 def parse_rules(text: str) -> RewriteSystem:
     """Read a rules file.  Free-reduction rules are implied by the
     alphabet and merged with the listed ones."""
-    block = _OrderBlock()
-    rules = []
-    saw_version = False
-    last_no = 0
-    for no, toks in _lines(text):
-        last_no = no
-        if not saw_version:
-            if toks != ["rws", "version", "1"]:
-                _fail(no, "file must start with: rws version 1")
-            saw_version = True
-            continue
-        if toks[0] == "rule":
-            body = toks[1:]
-            if body.count("->") != 1:
-                _fail(no, "rule needs exactly one ->")
-            i = body.index("->")
-            if not body[:i] or not body[i + 1:]:
-                _fail(no, "rule side is empty; write e for the empty word")
-            rules.append((no, body[:i], body[i + 1:]))
-        elif not block.feed(no, toks):
-            _fail(no, f"unrecognized directive {toks[0]!r}")
-    if not saw_version:
-        _fail(last_no or 1, "file must start with: rws version 1")
-    order = block.build(last_no)
+    order, rules = _read_entries(text, ["rws", "version", "1"], "rule", "->")
     alpha = order.alphabet
     rs = RewriteSystem(order)
     have = set(rs.active())

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
-from .errors import InputError, LogicError, ResourceLimit
+from .errors import LogicError, ResourceLimit
 from .words import PAD, Word
 
 
@@ -275,55 +275,6 @@ class Fsa:
         raw, _ = explore(
             self.symbols, self.start, successors,
             lambda s: s not in self.accepting, 1,
-        )
-        return raw.minimized()
-
-    def project(self, keep: int) -> "Fsa":
-        """Track-1 machine for one coordinate of a track-2 language.
-
-        Pairs padded on the kept coordinate contribute nothing and become
-        silent moves, so the result is built by subset construction.
-        """
-        if self.track != 2:
-            raise LogicError("project needs a track-2 machine")
-        if keep not in (1, 2):
-            raise InputError("keep must be 1 or 2")
-        idx = keep - 1
-        silent = []
-        visible = {}  # kept generator -> the pairs that read it
-        for sym in self.symbols:
-            out = sym[idx]
-            if out == PAD:
-                silent.append(sym)
-            else:
-                visible.setdefault(out, []).append(sym)
-
-        def closure(states) -> frozenset:
-            seen = set(states)
-            queue = deque(states)
-            while queue:
-                s = queue.popleft()
-                for sym in silent:
-                    t = self.transitions.get((s, sym))
-                    if t is not None and t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-            return frozenset(seen)
-
-        def successors(cur):
-            for g, syms in visible.items():
-                nxt = set()
-                for s in cur:
-                    for sym in syms:
-                        t = self.transitions.get((s, sym))
-                        if t is not None:
-                            nxt.add(t)
-                if nxt:
-                    yield g, closure(nxt)
-
-        raw, _ = explore(
-            tuple(visible), closure({self.start}), successors,
-            lambda cur: not self.accepting.isdisjoint(cur), 1,
         )
         return raw.minimized()
 

@@ -29,6 +29,16 @@ its value; at KB_STOPPED it names stage "kb" and the completion cap that
 fired.  A domain repair that adds no difference ends the run at
 LOOP_LIMIT at once, with ``stopped_by`` naming stage "repair" and cap
 "stalled" (no limit value), since every later loop would repeat it.
+
+With ``prune=True`` a verified run then keeps only the differences its
+multipliers use, as KBMAG's diff1 does beside the full set diff2: the
+labels on the multiplier product's useful paths, plus the empty word,
+closed under inversion alone, with moves recomputed (no prefix or suffix
+closure, which would put the dropped labels back).  The restriction
+replaces D only if its one multiplier product gives every M_g exactly as
+verified, and, on a run that was not confluent, its acceptor is W;
+otherwise the full machine stays.  W and the multipliers are the verified
+machines either way.
 """
 
 from __future__ import annotations
@@ -63,8 +73,7 @@ class StructureResult:
     multipliers: dict = field(default_factory=dict)
     identity: Optional[Fsa] = None
     witness: Optional[tuple] = None
-    raw_diff_count: Optional[int] = None
-    pruned_diff_count: Optional[int] = None
+    raw_diff_count: Optional[int] = None  # before pruning, if it shrank D
     stopped_by: Optional[dict] = None  # {"stage", "cap", "limit"}
     seconds: float = 0.0
 
@@ -86,8 +95,6 @@ class StructureResult:
             out["difference_states"] = self.diff.state_count()
         if self.raw_diff_count is not None:
             out["difference_states_raw"] = self.raw_diff_count
-        if self.pruned_diff_count is not None:
-            out["difference_states_pruned"] = self.pruned_diff_count
         if self.multipliers:
             out["multiplier_states"] = {
                 g: m.num_states for g, m in sorted(self.multipliers.items())
@@ -298,6 +305,12 @@ def _multiplier_target(diff: DiffMachine, g: str) -> int:
     if label not in diff.index:
         diff.add_equation((g,), label)
         diff.close()
+    if label not in diff.index:
+        # the trace of (g, label) ends at the empty difference and need not
+        # pass through label; moves are recomputed from labels, so adding
+        # the reduced label as a state of its own is sound
+        diff._add_label(label)
+        diff.close()
     return diff.index[label]
 
 
@@ -489,7 +502,6 @@ def compute_structure(
     res = StructureResult(
         VERIFIED, order, rs, confluent, loops,
         diff=diff, acceptor=acc, multipliers=mults, identity=identity,
-        raw_diff_count=diff.state_count(),
     )
     if prune:
         _prune_verified(res, used)
@@ -497,29 +509,45 @@ def compute_structure(
 
 
 def _prune_verified(res: StructureResult, used: set) -> None:
-    """Shrink the difference machine to the labels multipliers touch,
-    then rebuild and re-verify; keep the smaller set only if everything
-    still checks out."""
+    """Restrict the verified difference machine to the labels its
+    multipliers used, closed under inversion, and keep the restriction only
+    if it rebuilds the verified machines exactly.
+
+    The verified W, M_e and M_g stay as they are; only ``res.diff`` changes.
+    """
     rs, diff = res.rws, res.diff
-    small = DiffMachine(rs, sorted(used, key=lambda w: (len(w), w)))
-    try:
-        small.close()
-        if small.state_count() >= diff.state_count():
+    invert = rs.order.alphabet.invert
+    # a fixpoint, since in a non-confluent system the reduced inverse of a
+    # reduced inverse need not be the label; close() made the full label
+    # set closed under this map, so it stays inside it
+    keep = set(used) | {()}
+    todo = list(keep)
+    while todo:
+        inv = rs.rewrite(invert(todo.pop()))
+        if inv not in keep:
+            keep.add(inv)
+            todo.append(inv)
+    if len(keep) == diff.state_count():  # nothing to drop
+        return
+    small = diff.restricted([w for w in diff.labels if w in keep])
+    targets = {
+        g: small.index.get(rs.rewrite((g,))) for g in rs.order.alphabet.symbols
+    }
+    if None in targets.values():
+        return
+    # the small machine's moves are some of the full one's, so its product
+    # is no larger than the one the loop already built within the cap
+    mults, _ = build_multiplier(res.acceptor, small, targets)
+    for g, m in mults.items():
+        if m.equal_languages(res.multipliers[g]) is not None:
             return
-        acc = (
-            irreducible_word_acceptor(rs) if res.confluent
-            else build_acceptor(small)
-        )
-        mults, _ = build_all_multipliers(acc, small)
-    except ResourceLimit:
-        return
-    identity = _diagonal_multiplier(acc)
-    if check_domains(acc, mults):
-        return
-    if acc.equal_languages(res.acceptor) is not None:
-        return
+    # a confluent run's W reads only the rules, not the machine
+    if not res.confluent:
+        try:
+            acc = build_acceptor(small)
+        except ResourceLimit:  # a capped rebuild keeps the full machine
+            return
+        if acc.equal_languages(res.acceptor) is not None:
+            return
+    res.raw_diff_count = diff.state_count()
     res.diff = small
-    res.acceptor = acc
-    res.multipliers = mults
-    res.identity = identity
-    res.pruned_diff_count = small.state_count()

@@ -68,6 +68,27 @@ def test_autostructure_reports_a_stalled_repair(tmp_path, capsys):
     assert "stopped by: stalled in stage repair\n" in report
 
 
+def test_autostructure_prune_shrinks_only_the_difference_machine(tmp_path, capsys):
+    f = tmp_path / "bs22.pres"
+    assert main(["family", "BSpq", "2", "2"]) == 0
+    f.write_text(capsys.readouterr().out)
+    plain, pruned = tmp_path / "plain", tmp_path / "pruned"
+    assert main(["autostructure", str(f), "-o", str(plain)]) == 0
+    assert main(["autostructure", str(f), "-o", str(pruned), "--prune"]) == 0
+    assert parse_fsa((plain / "D.fsa").read_text()).num_states == 41
+    assert parse_fsa((pruned / "D.fsa").read_text()).num_states == 27
+    names = {p.name for p in plain.iterdir()}
+    assert names == {p.name for p in pruned.iterdir()}
+    machines = {"R.rws", "W.fsa"} | {n for n in names if n.startswith("M_")}
+    assert "M_e.fsa" in machines and len(machines) == 7
+    for name in machines:
+        assert (pruned / name).read_bytes() == (plain / name).read_bytes(), name
+    report = (pruned / "report.txt").read_text()
+    assert "difference machine states: 27\n" in report
+    assert "difference machine states before pruning: 41\n" in report
+    assert "before pruning" not in (plain / "report.txt").read_text()
+
+
 def test_autostructure_exit_three_on_bad_file(tmp_path, capsys):
     f = tmp_path / "broken.pres"
     f.write_text("version 1\ngenerators x\n")

@@ -10,6 +10,7 @@ from autostruct.formats import serialize_fsa
 from autostruct.fsa import (
     Fsa,
     empty_fsa,
+    explore,
     pad_pair,
     pair_symbols,
 )
@@ -407,11 +408,55 @@ def test_accepts_pair_and_brute():
     assert brute_pairs(ap, 4) == {(u, v) for u, v in want if len(v) <= 4}
 
 
+def project(m, keep):
+    """Oracle: the track-1 machine of coordinate keep (1 or 2) of a pair
+    machine's language, by subset construction over the pairs padded on
+    that coordinate as silent moves.  Shares no code with the pipeline's
+    fused domain check."""
+    assert m.track == 2 and keep in (1, 2)
+    silent = []
+    visible = {}  # kept generator -> the pairs that read it
+    for sym in m.symbols:
+        if sym[keep - 1] == PAD:
+            silent.append(sym)
+        else:
+            visible.setdefault(sym[keep - 1], []).append(sym)
+
+    def closure(states) -> frozenset:
+        seen = set(states)
+        todo = list(states)
+        while todo:
+            s = todo.pop()
+            for sym in silent:
+                t = m.transitions.get((s, sym))
+                if t is not None and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return frozenset(seen)
+
+    def successors(cur):
+        for g, syms in visible.items():
+            nxt = {
+                m.transitions[(s, sym)]
+                for s in cur
+                for sym in syms
+                if (s, sym) in m.transitions
+            }
+            if nxt:
+                yield g, closure(nxt)
+
+    raw, _ = explore(
+        tuple(visible), closure({m.start}), successors,
+        lambda cur: not m.accepting.isdisjoint(cur), 1,
+    )
+    return raw.minimized()
+
+
 def test_project():
     ap = append_machine(("a",))
-    left = ap.project(1)
+    left = project(ap, 1)
     assert left.equal_languages(all_words_machine()) is None
-    right = ap.project(2)
+    right = project(ap, 2)
     # all nonempty words ending in a
     ends_a = fsa_from_words(
         AB,

@@ -25,9 +25,10 @@ from autostruct.pipeline import (
     compute_structure,
     run_knuth_bendix,
 )
-from autostruct.orders import KINDS
+from autostruct.orders import KINDS, SHORTLEX, WREATH, WTLEX, Order
 from autostruct.rewrite import RewriteSystem
-from autostruct.words import PAD
+from autostruct.words import PAD, Alphabet
+from test_fsa import project
 from test_rewrite import _corpus_system, _random_presentation
 
 
@@ -182,17 +183,34 @@ def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
     assert "stopped by: difference labels cap 7 in stage repair" in _report_lines(res)
 
 
-def test_pruning_closure_cap_keeps_the_unpruned_result(monkeypatch):
+def used_labels(res) -> set:
+    """The difference labels on the useful paths of a finished run's
+    multiplier product, as its last loop found them."""
+    return build_multiplier(res.acceptor, res.diff, multiplier_targets(res.diff))[1]
+
+
+def test_pruning_keeps_the_unpruned_result_unless_every_multiplier_matches(
+    monkeypatch,
+):
     res = run_family("BSpq", 2, 2)
-    before = (res.diff, res.acceptor, res.multipliers)
+    used = used_labels(res)
+    diff, acc, mults = res.diff, res.acceptor, dict(res.multipliers)
+    real = pipeline.build_multiplier
+    calls = []
 
-    def close(self):
-        raise ResourceLimit("difference labels", 7)
+    def build(acc, diff, targets, *args):
+        calls.append(diff.state_count())
+        mults, used = real(acc, diff, targets, *args)
+        mults["x"] = mults["X"]
+        return mults, used
 
-    monkeypatch.setattr(DiffMachine, "close", close)
-    pipeline._prune_verified(res, set(res.diff.labels))
-    assert (res.diff, res.acceptor, res.multipliers) == before
-    assert res.pruned_diff_count is None
+    monkeypatch.setattr(pipeline, "build_multiplier", build)
+    pipeline._prune_verified(res, used)
+    assert calls == [27]  # the restriction was built and checked
+    assert res.diff is diff and res.acceptor is acc
+    assert res.multipliers == mults
+    assert res.raw_diff_count is None
+    assert "difference_states_raw" not in res.report()
 
 
 def test_empty_relator_holds_trivially():
@@ -299,7 +317,7 @@ def domains_by_projection(acc, mults) -> list:
     """Reference: each multiplier's first-track projection against W."""
     gaps = []
     for g in acc.symbols:
-        wit = acc.equal_languages(mults[g].project(1))
+        wit = acc.equal_languages(project(mults[g], 1))
         if wit is not None:
             gaps.append((g, wit))
     return gaps
@@ -446,9 +464,78 @@ def test_pruning_keeps_the_language_and_the_verdict():
     plain = run_family("BSpq", 2, 2, prune=False)
     pruned = run_family("BSpq", 2, 2, prune=True)
     assert plain.outcome == pruned.outcome == VERIFIED
-    assert plain.acceptor.equal_languages(pruned.acceptor) is None
-    assert pruned.diff.state_count() <= plain.diff.state_count()
-    assert pruned.raw_diff_count == plain.diff.state_count()
+    assert (plain.diff.state_count(), pruned.diff.state_count()) == (41, 27)
+    assert (plain.raw_diff_count, pruned.raw_diff_count) == (None, 41)
+    assert pruned.report()["difference_states_raw"] == 41
+    assert "difference_states_raw" not in plain.report()
+    assert pruned.diff.violations() == []
+    assert serialize_fsa(pruned.acceptor) == serialize_fsa(plain.acceptor)
+    assert serialize_fsa(pruned.identity) == serialize_fsa(plain.identity)
+    assert set(pruned.multipliers) == set(plain.multipliers)
+    for g, m in plain.multipliers.items():
+        assert serialize_fsa(pruned.multipliers[g]) == serialize_fsa(m), g
+
+
+def test_pruning_checks_against_the_verified_machines_only(monkeypatch):
+    res = run_family("BSpq", 3, 3)
+    used = used_labels(res)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("pruning re-ran a stage of the pipeline")
+
+    monkeypatch.setattr(DiffMachine, "close", forbidden)
+    for name in ("check_domains", "_diagonal_multiplier",
+                 "irreducible_word_acceptor", "build_acceptor"):
+        monkeypatch.setattr(pipeline, name, forbidden)
+    pipeline._prune_verified(res, used)
+    assert (res.raw_diff_count, res.diff.state_count()) == (59, 39)
+
+
+def test_pruning_a_non_confluent_run_keeps_its_acceptor(monkeypatch):
+    alpha = Alphabet(["a", "A", "b", "B"], {"a": "A", "A": "a", "b": "B", "B": "b"})
+    relations = [(("a", "a", "B", "B"), ("b",))]
+    res = compute_structure(Order(alpha, SHORTLEX), relations, prune=True)
+    assert res.outcome == VERIFIED
+    assert not res.confluent and res.loops == 0
+    assert (res.raw_diff_count, res.diff.state_count()) == (19, 15)
+    assert res.diff.violations() == []
+    assert build_acceptor(res.diff).equal_languages(res.acceptor) is None
+    # the same restriction is refused when its acceptor is not W
+    plain = compute_structure(Order(alpha, SHORTLEX), relations)
+    before = plain.diff
+    rejects_all = Fsa(alpha.symbols, 1, 0, frozenset(), {})
+    monkeypatch.setattr(pipeline, "build_acceptor", lambda diff: rejects_all)
+    pipeline._prune_verified(plain, used_labels(plain))
+    assert plain.diff is before and plain.raw_diff_count is None
+
+
+@pytest.mark.parametrize("kind", [WREATH, WTLEX])
+def test_multiplier_target_missing_from_the_trace_becomes_a_state(kind):
+    # some generator's normal form is A A, and tracing the equation
+    # (generator, A A) ends at the empty difference without passing
+    # through that label
+    alpha = Alphabet(
+        ["a", "A", "b", "B"],
+        {"a": "A", "A": "a", "b": "B", "B": "b"},
+        weights={"a": 1, "A": 1, "b": 3, "B": 3},
+        levels={"a": 1, "A": 1, "b": 2, "B": 2},
+    )
+    res = compute_structure(Order(alpha, kind), [(("a", "a"), ("B", "B", "b"))])
+    assert res.outcome == VERIFIED
+    forms = {res.rws.rewrite((g,)) for g in alpha.symbols}
+    assert ("A", "A") in forms
+    assert all(w in res.diff.index for w in forms)
+    assert res.diff.violations() == []
+
+
+def test_random_presentations_end_in_a_declared_outcome():
+    rng = random.Random(0)
+    for n in range(120):
+        order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
+        res = compute_structure(
+            order, relations, kb_max_rules=100, kb_max_len=16, max_loops=3,
+        )
+        assert res.outcome in (VERIFIED, KB_STOPPED, LOOP_LIMIT, AXIOM_FAILED), n
 
 
 def test_confluent_and_history_acceptors_agree():
