@@ -24,7 +24,8 @@ used for trimming, enumeration and emptiness; `search_back` is the same
 search over an implicit graph, which composition uses for its silent tail.
 `search_forward` is its forward twin, which stops at the first node where
 a test holds: the language comparison and the pipeline's domain check use
-it to find their least disagreeing word.
+it to find their least disagreeing word, and `composite_distinct_pair`
+to find two distinct words a composition relates without building it.
 A machine gathers its forward and backward adjacency once, when it is
 first minimized, so one set of moves minimized under several accepting
 states (the multipliers of one product) is trimmed from one copy.
@@ -346,6 +347,67 @@ class Fsa:
             successors, lambda state: not tail.keys().isdisjoint(state[1]), 2,
         )
         return raw.minimized()
+
+    def composite_distinct_pair(self, other: "Fsa") -> Optional[tuple]:
+        """A padded pair word (u, w) with u != w that the composite
+        ``self.compose(other)`` accepts, or None when it accepts no such
+        pair, found without building the composite.
+
+        One `search_forward` over nodes (state here, state there, whether
+        the outer words differ yet, outer pad kind) reads triples (x, y, z)
+        that share the middle letter y: this machine steps on (x, y) and
+        the other on (y, z).  As in `compose`, a side may finish only from
+        an accepting state; finishing reads (padding, padding), after which
+        the side is done and reads only that.  No move leaves both sides
+        done.  Also as in `compose`, the outer pair (x, z) keeps the padding
+        discipline, its kind carried in the node, and once both outer
+        letters are padding only such silent moves follow.  A node is found
+        when the flag is set and both sides accept or are done.  Each
+        state's moves are ordered once, in alphabet order with padding
+        last, so the search meets the least triple word first.  The witness
+        is that word with the middle track and the silent tail dropped.
+        """
+        if self.track != 2:
+            raise LogicError("composite_distinct_pair needs track-2 machines")
+        self._check_compatible(other)
+        done = -1  # a finished side: it counts as accepting
+        final_a = self.accepting | {done}
+        final_b = other.accepting | {done}
+        rank = {sym: k for k, sym in enumerate(self.symbols)}
+
+        def in_order(machine):
+            return sorted(machine.transitions.items(), key=lambda m: rank[m[0][1]])
+
+        # this machine's moves by state as (x, y, target), the other's by
+        # state and middle letter as (z, target), both in alphabet order;
+        # finishing, the only move of done, comes last
+        moves_a, moves_b = {}, {}
+        for (s, (x, y)), t in in_order(self):
+            moves_a.setdefault(s, []).append((x, y, t))
+        for (s, (y, z)), t in in_order(other):
+            moves_b.setdefault((s, y), []).append((z, t))
+        for s in final_a:
+            moves_a.setdefault(s, []).append((PAD, PAD, done))
+        for s in final_b:
+            moves_b.setdefault((s, PAD), []).append((PAD, done))
+
+        def successors(node):
+            sa, sb, differs, kind = node
+            for x, y, ta in moves_a.get(sa, ()):
+                for z, tb in moves_b.get((sb, y), ()):
+                    # the pad kind of (x, z), 3 when both are padding
+                    k = (z == PAD) + 2 * (x == PAD)
+                    if kind and k != kind and k != 3 or ta == tb == done:
+                        continue
+                    yield (x, y, z), (ta, tb, differs or x != z, k)
+
+        path = search_forward(
+            (self.start, other.start, False, 0), successors,
+            lambda n: n[2] and n[0] in final_a and n[1] in final_b,
+        )
+        if path is None:
+            return None
+        return tuple((x, z) for x, _y, z in path if (x, z) != (PAD, PAD))
 
     # -------------------------------------------------------- enumeration
 

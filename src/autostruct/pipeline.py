@@ -16,10 +16,11 @@ The stages:
    of M_g's first track; a gap word feeds new differences back in and
    restarts from stage 3;
 6. unless the rewriting system was confluent, check every defining
-   relation (and every generator against its inverse) by composing
-   multipliers and comparing with the identity multiplier; a mismatch
-   feeds its witness back in, and if that adds nothing the structure is
-   refuted.
+   relation (and every generator against its inverse): compose the
+   multipliers of each half of the word, and search the two halves for a
+   pair of distinct words the whole word relates, which exists exactly
+   when the composite is not the identity multiplier; a witness feeds
+   back in, and if that adds nothing the structure is refuted.
 
 The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
 AXIOM_FAILED, with the machines and counts gathered in the result.  When a
@@ -391,17 +392,45 @@ def _compose_chain(mults: dict, letters: Word) -> Fsa:
 def check_axioms(
     order: Order, relations, mults: dict, identity: Fsa
 ) -> Optional[tuple]:
-    """First relator (or generator-inverse word) whose composed
-    multiplier differs from the identity multiplier.  An empty relator
-    holds trivially."""
+    """First relator (or generator-inverse word) r whose composed
+    multiplier differs from the identity multiplier, with a padded pair
+    word (s, w), s != w, that the composite accepts.  An empty relator
+    holds trivially.
+
+    Each word r is split at k = len(r) // 2 into u = r[:k] and v = r[k:];
+    M_u and M_v are composed (an empty half is the identity multiplier, a
+    one-letter half M_g itself, and halves are shared between words), and
+    one reachability search, `Fsa.composite_distinct_pair`, asks for
+    (s, x) in M_u and (x, w) in M_v with s != w.  The x track of the two
+    halves may end at different times: a side finishes only from an
+    accepting state, reading (padding, padding), and stays finished.
+
+    This is exact because the check runs only after `check_domains` found
+    no gap, so every M_g is total on L(W).  W is prefix-closed, every
+    state accepting (see the acceptor module and
+    `irreducible_word_acceptor`), so any word the second acceptor copy of
+    the multiplier product reads lies in L(W): every M_g's second track
+    lies in L(W).  Then every composite C = M_u o M_v is total on L(W),
+    with domain exactly L(W), and C equals M_e, the diagonal of L(W),
+    exactly when C relates no two distinct words: if it relates each u
+    only to itself, totality gives it every (u, u).
+    """
     alpha = order.alphabet
     words = [x + alpha.invert(y) for x, y in relations]
     words += [(g, alpha.inverse[g]) for g in alpha.symbols]
+    halves = {(): identity}
+
+    def half(letters: Word) -> Fsa:
+        m = halves.get(letters)
+        if m is None:
+            m = halves[letters] = _compose_chain(mults, letters)
+        return m
+
     for r in words:
         if not r:
             continue
-        composed = _compose_chain(mults, r)
-        wit = composed.equal_languages(identity)
+        k = len(r) // 2
+        wit = half(r[:k]).composite_distinct_pair(half(r[k:]))
         if wit is not None:
             return r, wit
     return None

@@ -399,12 +399,25 @@ def _check_fault_injection():
     assert any(g == "x" for g, _ in gaps)
     assert all(isinstance(w, tuple) for _, w in gaps)
 
+    # faults the domain check cannot see: swapped multipliers, a
+    # non-functional M_x | M_y, and a non-injective M_x that takes every
+    # accepted word to the empty word
     swapped = dict(res.multipliers)
     swapped["x"], swapped["y"] = swapped["y"], swapped["x"]
-    bad = check_axioms(fam.order, fam.presentation.relations, swapped, res.identity)
-    assert bad is not None
-    relator, wit = bad
-    assert isinstance(wit, tuple)
+    merged = dict(res.multipliers)
+    merged["x"] = merged["x"].union(merged["y"])
+    collapsed = dict(res.multipliers)
+    acc = res.acceptor
+    collapsed["x"] = Fsa(
+        res.identity.symbols, acc.num_states, acc.start, acc.accepting,
+        {(s, (a, PAD)): t for (s, a), t in acc.transitions.items()}, track=2,
+    )
+    for mults in (swapped, merged, collapsed):
+        assert check_domains(res.acceptor, mults) == []
+        bad = check_axioms(fam.order, fam.presentation.relations, mults, res.identity)
+        assert bad is not None
+        relator, wit = bad
+        assert isinstance(wit, tuple)
 
     broken = res.diff.restricted(res.diff.labels)
     del broken.transitions[(0, ("x", "x"))]

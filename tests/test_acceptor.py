@@ -266,8 +266,9 @@ def corpus_loops(request) -> list:
     """One run of a corpus case (knots on their Wirtinger presentations)
     under the test caps, with the (reference, bitsets) results for the
     difference machine of each correction loop, taken as the loop reaches
-    its multipliers.  Where the run builds W from that machine itself, its
-    build is the one compared."""
+    its multipliers, and whether every state of that loop's W accepts.
+    Where the run builds W from that machine itself, its build is the one
+    compared."""
     family, p, q = CORPUS[request.param]
     fam = builtin_family(
         FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
@@ -283,7 +284,8 @@ def corpus_loops(request) -> list:
 
     def record(acc, diff):
         got = built.pop() if built else bitset_build(diff)[1]
-        loops.append((reference_result(diff), got))
+        every_state = acc.accepting == frozenset(range(acc.num_states))
+        loops.append((reference_result(diff), got, every_state))
         return real(acc, diff)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -297,8 +299,14 @@ def corpus_loops(request) -> list:
 
 
 def test_bitset_acceptor_matches_reference_on_corpus(corpus_loops):
-    for n, (want, got) in enumerate(corpus_loops):
+    for n, (want, got, _every_state) in enumerate(corpus_loops):
         assert got == want, n
+
+
+def test_every_corpus_acceptor_state_accepts(corpus_loops):
+    # W is prefix-closed: the axiom check's exactness rests on it
+    for n, (_want, _got, every_state) in enumerate(corpus_loops):
+        assert every_state, n
 
 
 def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):

@@ -560,3 +560,41 @@ def test_empty_fsa():
     assert e.is_empty()
     assert list(e.enumerate_words(4)) == []
     assert not even_a_machine().is_empty()
+
+
+def test_composite_distinct_pair_against_brute_force():
+    # random partial machines, which may break the padding discipline, and
+    # fixed ones whose sides finish at different times or end in (PAD, b)
+    # tails.  The brute force asks the composite for every valid pair word
+    # of two distinct words up to length 4; a pair found only beyond that
+    # must still be distinct and accepted.
+    rng = random.Random(2026)
+    max_len = 4
+    words = list(shortlex_words(AB, max_len))
+    valid = {pad_pair(u, v) for u in words for v in words if u != v}
+    fixed = [
+        diagonal_machine(), append_machine(("a",)), append_machine(("b", "b")),
+        strip_machine(("a",)), strip_machine(("a", "b")),
+    ]
+
+    def machine():
+        if rng.random() < 0.3:
+            return rng.choice(fixed)
+        return random_partial_machine(rng, PAIRS, track=2, max_states=3, density=0.5)
+
+    flagged = beyond = 0
+    for n in range(300):
+        first, second = machine(), machine()
+        composite = first.compose(second)
+        brute = any(composite.accepts(p) for p in valid)
+        got = first.composite_distinct_pair(second)
+        assert got is not None or not brute, n
+        if got is not None:
+            u = tuple(a for a, _ in got if a != PAD)
+            v = tuple(b for _, b in got if b != PAD)
+            assert u != v and pad_pair(u, v) == got, n
+            assert composite.accepts(got), n
+            flagged += 1
+            beyond += not brute
+    assert 100 < flagged < 250
+    assert beyond > 0

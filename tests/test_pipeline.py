@@ -11,7 +11,7 @@ from autostruct.cli import _report_lines
 from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import ResourceLimit
 from autostruct.formats import serialize_fsa
-from autostruct.fsa import Fsa, coreachable, explore, pair_symbols
+from autostruct.fsa import Fsa, coreachable, explore, pad_pair, pair_symbols
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct import pipeline
 from autostruct.pipeline import (
@@ -29,6 +29,7 @@ from autostruct.orders import KINDS, SHORTLEX, WREATH, WTLEX, Order
 from autostruct.rewrite import RewriteSystem
 from autostruct.words import PAD, Alphabet
 from test_fsa import project
+from test_acceptance import _structure
 from test_rewrite import _corpus_system, _random_presentation
 
 
@@ -411,6 +412,73 @@ def test_acceptor_subset_cap_fires(monkeypatch):
         build_acceptor(diff)
 
 
+def axioms_by_composition(order, relations, mults, identity):
+    """Reference: the axiom check as a whole composite per word.  The first
+    relator (or generator-inverse word) whose multiplier, composed letter
+    by letter, differs from the identity multiplier, with the least word
+    on which the two disagree and the composite itself."""
+    alpha = order.alphabet
+    words = [x + alpha.invert(y) for x, y in relations]
+    words += [(g, alpha.inverse[g]) for g in alpha.symbols]
+    for r in words:
+        if not r:
+            continue
+        composite = pipeline._compose_chain(mults, r)
+        wit = composite.equal_languages(identity)
+        if wit is not None:
+            return r, wit, composite
+    return None
+
+
+def assert_axioms_match_reference(order, relations, mults, identity):
+    """check_axioms names the same first failing word as the reference, or
+    none, and its witness is sound: a pair of distinct words (s, w), W
+    accepting s (M_e is W's diagonal), that the reference composite of the
+    flagged word accepts.  Returns check_axioms' answer."""
+    got = check_axioms(order, relations, mults, identity)
+    want = axioms_by_composition(order, relations, mults, identity)
+    assert (got and got[0]) == (want and want[0])
+    if got is not None:
+        _relator, wit = got
+        s = tuple(a for a, _ in wit if a != PAD)
+        w = tuple(b for _, b in wit if b != PAD)
+        assert s != w and pad_pair(s, w) == wit
+        assert identity.accepts_pair(s, s)
+        assert want[2].accepts(wit)
+    return got
+
+
+@pytest.mark.parametrize("name", ["KNOT41", "KNOT52"])
+def test_axiom_check_matches_composition_on_knots(name):
+    fam, res = _structure(name, wirtinger=True)
+    assert res.outcome == VERIFIED and not res.confluent
+    assert assert_axioms_match_reference(
+        fam.order, fam.presentation.relations, res.multipliers, res.identity
+    ) is None
+
+
+def test_axiom_check_matches_composition_on_faults_domains_miss():
+    # KNOT41 with each pair of multipliers swapped, and with each M_g
+    # replaced by M_g | M_h: every domain stays, so only the axiom check
+    # can tell
+    fam, res = _structure("KNOT41", wirtinger=True)
+    syms = fam.order.alphabet.symbols
+    faults = []
+    for i, g in enumerate(syms):
+        for h in syms[i + 1:]:
+            mults = dict(res.multipliers)
+            mults[g], mults[h] = mults[h], mults[g]
+            faults.append(mults)
+        mults = dict(res.multipliers)
+        mults[g] = mults[g].union(mults[syms[(i + 1) % len(syms)]])
+        assert check_domains(res.acceptor, mults) == []
+        faults.append(mults)
+    for mults in faults:
+        assert assert_axioms_match_reference(
+            fam.order, fam.presentation.relations, mults, res.identity
+        ) is not None
+
+
 def test_axiom_check_flags_swapped_multipliers():
     res = run_family("BSpq", 1, 1)
     fam = family("BSpq", 1, 1)
@@ -528,7 +596,24 @@ def test_multiplier_target_missing_from_the_trace_becomes_a_state(kind):
     assert res.diff.violations() == []
 
 
-def test_random_presentations_end_in_a_declared_outcome():
+def test_random_presentations_end_in_a_declared_outcome(monkeypatch):
+    # every W the runs build has every state accepting, which the axiom
+    # check's exactness rests on, and every axiom check the runs make
+    # agrees with the reference
+    real_multipliers = pipeline.build_all_multipliers
+    axiom_calls = []
+
+    def multipliers(acc, diff):
+        assert acc.accepting == frozenset(range(acc.num_states))
+        return real_multipliers(acc, diff)
+
+    def axioms(order, relations, mults, identity):
+        got = assert_axioms_match_reference(order, relations, mults, identity)
+        axiom_calls.append(got)
+        return got
+
+    monkeypatch.setattr(pipeline, "build_all_multipliers", multipliers)
+    monkeypatch.setattr(pipeline, "check_axioms", axioms)
     rng = random.Random(0)
     for n in range(120):
         order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
@@ -536,6 +621,7 @@ def test_random_presentations_end_in_a_declared_outcome():
             order, relations, kb_max_rules=100, kb_max_len=16, max_loops=3,
         )
         assert res.outcome in (VERIFIED, KB_STOPPED, LOOP_LIMIT, AXIOM_FAILED), n
+    assert axiom_calls
 
 
 def test_confluent_and_history_acceptors_agree():
