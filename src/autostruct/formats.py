@@ -275,7 +275,7 @@ def serialize_fsa(a: Fsa, labels: Optional[dict] = None) -> str:
     """Canonical text for a machine.
 
     States are renumbered breadth-first from the start state, written
-    1-based, with transitions sorted by source and then alphabet rank.
+    1-based, with each state's moves in turn, in alphabet order.
     labels, when given, maps original state numbers to words and is
     renumbered along with the states.
     """
@@ -307,12 +307,10 @@ def serialize_fsa(a: Fsa, labels: Optional[dict] = None) -> str:
     ]
     for s in sorted(carried):
         out.append(f"label {s + 1} {_side_text(carried[s])}")
-    rank = {sym: i for i, sym in enumerate(canon.symbols)}
-    for (s, sym), t in sorted(
-        canon.transitions.items(), key=lambda kv: (kv[0][0], rank[kv[0][1]])
-    ):
-        lab = _pair_text(sym) if kind == "pair" else sym
-        out.append(f"{s + 1} {lab} {t + 1}")
+    for s, row in enumerate(canon.moves):
+        for sym, t in row.items():
+            lab = _pair_text(sym) if kind == "pair" else sym
+            out.append(f"{s + 1} {lab} {t + 1}")
     return "\n".join(out) + "\n"
 
 
@@ -394,18 +392,18 @@ def parse_fsa(text: str) -> Fsa:
             _fail(no, "a pair label cannot pad both tracks")
         return (parts[0], parts[1])
 
-    trans = {}
+    rows = [{} for _ in range(num)]
     for no, toks in transitions:
         if len(toks) != 3:
             _fail(no, f"unrecognized line {' '.join(toks)!r}")
         src = state(no, _parse_int(no, toks[0], "state"))
         sym = parse_sym(no, toks[1])
         dst = state(no, _parse_int(no, toks[2], "state"))
-        if (src, sym) in trans:
+        if sym in rows[src]:
             _fail(no, f"duplicate transition from {src + 1} on {toks[1]}")
-        trans[(src, sym)] = dst
+        rows[src][sym] = dst
 
-    a = Fsa(symbols, num, start, accepting, trans, track)
+    a = Fsa.from_rows(symbols, start, accepting, rows, track)
     a.validate()
     word_labels = {}
     for s, (no, toks) in labels.items():
@@ -423,15 +421,13 @@ def diff_to_fsa(diff: DiffMachine) -> tuple:
     """View a difference machine as a pair automaton plus a label table.
 
     Every state accepts; acceptance semantics differ per use (reaching a
-    particular label), so the file records the shape and the labels.
+    particular label), so the file records the shape and the labels.  The
+    machine's moves are stored by state and then alphabet order (see
+    `DiffMachine.rebuild`), so each row is read in order.
     """
     n = diff.state_count()
-    a = Fsa(
-        symbols=diff.pairs,
-        num_states=n,
-        start=0,
-        accepting=frozenset(range(n)),
-        transitions=dict(diff.transitions),
-        track=2,
-    )
+    rows = [{} for _ in range(n)]
+    for (s, sym), t in diff.transitions.items():
+        rows[s][sym] = t
+    a = Fsa(diff.pairs, 0, frozenset(range(n)), rows, track=2)
     return a, {i: w for i, w in enumerate(diff.labels)}

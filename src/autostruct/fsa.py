@@ -1,12 +1,15 @@
 """Partial deterministic automata over one- and two-track alphabets.
 
-States are 0..num_states-1 and a missing transition rejects.  Track-1
-machines read plain words; track-2 machines read words of symbol pairs in
-which the shorter of two words has been padded at its tail end.  Valid pair
-words never pad both coordinates at once and never resume a track after it
-padded; that padding discipline lives in `_pad_kind`, which the language
-comparison and composition carry in their state.  Complement is for word
-machines only.
+States are 0..num_states-1 and a missing move rejects.  A machine holds its
+moves as one row per state, a dict from symbol to target with its symbols
+in alphabet order, so walking a state's row visits its moves in the order
+every search here needs; `explore` fills the rows as it expands states.
+Track-1 machines read plain words; track-2 machines read words of symbol
+pairs in which the shorter of two words has been padded at its tail end.
+Valid pair words never pad both coordinates at once and never resume a
+track after it padded; that padding discipline lives in `_pad_kind`, which
+the language comparison and composition carry in their state.  Complement
+is for word machines only.
 
 Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages
@@ -26,14 +29,15 @@ search over an implicit graph, which composition uses for its silent tail.
 a test holds: the language comparison and the pipeline's domain check use
 it to find their least disagreeing word, and `composite_distinct_pair`
 to find two distinct words a composition relates without building it.
-A machine gathers its forward and backward adjacency once, when it is
-first minimized, so one set of moves minimized under several accepting
-states (the multipliers of one product) is trimmed from one copy.
+A machine gathers its predecessor lists once, when it is first minimized,
+so one set of moves minimized under several accepting states (the
+multipliers of one product) is trimmed from one copy.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import LogicError, ResourceLimit
@@ -60,17 +64,33 @@ def _pad_kind(sym) -> int:
 
 
 class Fsa:
-    """Partial DFA.  Instances are treated as immutable once built."""
+    """Partial DFA.  Instances are treated as immutable once built.
 
-    def __init__(self, symbols, num_states, start, accepting, transitions, track=1):
+    moves holds one row per state: moves[s] maps each symbol defined at s
+    to its target, the symbols in alphabet order.  The list is kept as
+    given, not copied; `from_rows` builds a machine from rows in any
+    order."""
+
+    def __init__(self, symbols, start, accepting, moves, track=1):
         self.symbols = tuple(symbols)
-        self.num_states = int(num_states)
+        self.num_states = len(moves)
         self.start = int(start)
         self.accepting = frozenset(accepting)
-        self.transitions = dict(transitions)
+        self.moves = moves
         self.track = track
-        self._symset = frozenset(self.symbols)
-        self._adjacency = None  # see _graph
+        self._back = None  # predecessor lists, kept by `minimized`
+
+    @classmethod
+    def from_rows(cls, symbols, start, accepting, rows, track=1) -> "Fsa":
+        """A machine whose rows, read from a file or written by hand, are
+        put into alphabet order; a foreign symbol goes last for `validate`
+        to find."""
+        rank = {sym: k for k, sym in enumerate(symbols)}.get
+        moves = [
+            dict(sorted(row.items(), key=lambda m: rank(m[0], len(symbols))))
+            for row in rows
+        ]
+        return cls(symbols, start, accepting, moves, track)
 
     # ------------------------------------------------------------- basics
 
@@ -86,11 +106,17 @@ class Fsa:
         for s in self.accepting:
             if not 0 <= s < self.num_states:
                 raise LogicError("accepting state out of range")
-        for (s, sym), t in self.transitions.items():
-            if not 0 <= s < self.num_states or not 0 <= t < self.num_states:
-                raise LogicError("transition endpoint out of range")
-            if sym not in self._symset:
-                raise LogicError(f"transition on foreign symbol {sym!r}")
+        rank = {sym: k for k, sym in enumerate(self.symbols)}
+        for s, row in enumerate(self.moves):
+            last = -1
+            for sym, t in row.items():
+                if sym not in rank:
+                    raise LogicError(f"move from {s} on foreign symbol {sym!r}")
+                if rank[sym] <= last:
+                    raise LogicError(f"the moves of {s} are out of alphabet order")
+                last = rank[sym]
+                if not 0 <= t < self.num_states:
+                    raise LogicError(f"move from {s} on {sym!r} out of range")
         if self.track == 2:
             for sym in self.symbols:
                 if not (isinstance(sym, tuple) and len(sym) == 2):
@@ -99,12 +125,12 @@ class Fsa:
                     raise LogicError("the double-padding pair is not a symbol")
 
     def step(self, s: int, sym) -> Optional[int]:
-        return self.transitions.get((s, sym))
+        return self.moves[s].get(sym)
 
     def accepts(self, w) -> bool:
-        s = self.start
+        s, moves = self.start, self.moves
         for sym in w:
-            s = self.transitions.get((s, sym))
+            s = moves[s].get(sym)
             if s is None:
                 return False
         return s in self.accepting
@@ -118,35 +144,17 @@ class Fsa:
     def is_empty(self) -> bool:
         return self.start not in coreachable(self)
 
-    def successors(self, s: int) -> Iterator[tuple]:
+    def successors(self, s: int):
         """(symbol, target) for each move out of s, in alphabet order."""
-        for sym in self.symbols:
-            t = self.transitions.get((s, sym))
-            if t is not None:
-                yield sym, t
+        return self.moves[s].items()
 
     # -------------------------------------------------- canonical rebuilds
-
-    def _graph(self) -> tuple:
-        """(each state's defined symbols, as ascending indices into the
-        alphabet, each state's predecessors), built by the first
-        minimization and kept, since the machine does not change."""
-        if self._adjacency is None:
-            rank = {sym: k for k, sym in enumerate(self.symbols)}
-            defined, back = {}, {}
-            for (s, sym), t in self.transitions.items():
-                defined.setdefault(s, []).append(rank[sym])
-                back.setdefault(t, []).append(s)
-            for ranks in defined.values():
-                ranks.sort()
-            self._adjacency = defined, back
-        return self._adjacency
 
     def minimized(self, accepting=None) -> "Fsa":
         """Canonical minimal partial DFA with the same language, or with
         these moves under the given accepting states instead of its own.
         One machine minimized under several accepting sets gathers its
-        adjacency once (see `_graph`).
+        predecessor lists once and keeps them, since it does not change.
 
         The machine is trimmed first and never made total: only the states
         reachable from the start that can still reach acceptance are kept,
@@ -160,7 +168,8 @@ class Fsa:
         accepting = (
             self.accepting if accepting is None else frozenset(accepting)
         )
-        defined, _back = self._graph()
+        if self._back is None:
+            self._back = _predecessors(self.moves)
         alive = coreachable(self, accepting)
         if self.start not in alive:
             return empty_fsa(self.symbols, self.track)
@@ -169,12 +178,10 @@ class Fsa:
         ids = {self.start: 0}
         kept = [self.start]
         rows, targets = [], []
-        symbols, get_move = self.symbols, self.transitions.get
+        moves = self.moves
         for s in kept:
             row, tgts = [], []
-            for k in defined.get(s, ()):
-                sym = symbols[k]
-                t = get_move((s, sym))
+            for sym, t in moves[s].items():
                 if t in alive:
                     if t not in ids:
                         ids[t] = len(kept)
@@ -233,14 +240,16 @@ class Fsa:
         that has fallen off carried as None.  kinds pairs each symbol with
         its pad kind; a symbol of another kind than the node's (unless
         that is 0) would break the padding discipline and is skipped."""
-        get_a, get_b = self.transitions.get, other.transitions.get
+        moves_a, moves_b = self.moves, other.moves
 
         def successors(node):
             s, t, kind = node
+            row_a = {} if s is None else moves_a[s]
+            row_b = {} if t is None else moves_b[t]
             for sym, k in kinds:
                 if kind and k != kind:
                     continue
-                s2, t2 = get_a((s, sym)), get_b((t, sym))
+                s2, t2 = row_a.get(sym), row_b.get(sym)
                 if s2 is not None or t2 is not None:
                     yield sym, (s2, t2, k)
 
@@ -267,11 +276,11 @@ class Fsa:
         """Complement of a word machine's language among all words."""
         if self.track != 1:
             raise LogicError("complement needs a track-1 machine")
-        get = self.transitions.get
 
         def successors(s):
+            row = {} if s is None else self.moves[s]
             for sym in self.symbols:
-                yield sym, get((s, sym))
+                yield sym, row.get(sym)
 
         raw, _ = explore(
             self.symbols, self.start, successors,
@@ -295,33 +304,28 @@ class Fsa:
         if self.track != 2:
             raise LogicError("compose needs track-2 machines")
         self._check_compatible(other)
-        gens = tuple(g for g, b in self.symbols if b == PAD)
         done = -1  # a finished side: it counts as accepting
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
-        # this machine's moves by state, the other's by state and middle
-        # letter, and both backwards along the silent tail, where this
-        # machine reads (PAD, y) while the other reads (y, PAD)
-        moves_a, moves_b, into_a, into_b = {}, {}, {}, {}
-        for (s, (x, y)), t in self.transitions.items():
-            moves_a.setdefault(s, []).append((x, y, t))
-            if x == PAD:
-                into_a.setdefault((t, y), []).append(s)
-        for (s, (y, z)), t in other.transitions.items():
-            moves_b.setdefault((s, y), []).append((z, t))
-            if z == PAD:
-                into_b.setdefault((t, y), []).append(s)
-        # finishing is a move on (PAD, PAD), and the only move of done
-        for s in final_a:
-            moves_a.setdefault(s, []).append((PAD, PAD, done))
-        for s in final_b:
-            moves_b.setdefault((s, PAD), []).append((PAD, done))
+        moves_a, moves_b = self.moves, other._by_middle()
+        # both machines backwards along the silent tail, where this machine
+        # reads (PAD, y) while the other reads (y, PAD): target -> y -> sources
+        into_a, into_b = {}, {}
+        for s, row in enumerate(self.moves):
+            for (x, y), t in row.items():
+                if x == PAD:
+                    into_a.setdefault(t, {}).setdefault(y, []).append(s)
+        for s, row in enumerate(other.moves):
+            for (y, z), t in row.items():
+                if z == PAD:
+                    into_b.setdefault(t, {}).setdefault(y, []).append(s)
 
         def silent_predecessors(pair):
             ta, tb = pair
-            for y in gens:
-                for sa in into_a.get((ta, y), ()):
-                    for sb in into_b.get((tb, y), ()):
+            from_b = into_b.get(tb, {})
+            for y, sources in into_a.get(ta, {}).items():
+                for sb in from_b.get(y, ()):
+                    for sa in sources:
                         yield sa, sb
 
         tail = search_back(
@@ -332,9 +336,13 @@ class Fsa:
             kind, cur = state
             nxt = {}
             for sa, sb in cur:
-                for x, y, ta in moves_a.get(sa, ()):
-                    for z, tb in moves_b.get((sb, y), ()):
+                by_y = moves_b[sb]
+                for (x, y), ta in moves_a[sa].items() if sa != done else ():
+                    for z, tb in by_y.get(y, ()):
                         nxt.setdefault((x, z), set()).add((ta, tb))
+                if sa in final_a:  # finishing here reads (PAD, PAD)
+                    for z, tb in by_y.get(PAD, ()):
+                        nxt.setdefault((PAD, z), set()).add((done, tb))
             # (PAD, PAD) here is a silent tail move, which acceptance covers
             for sym in self.symbols:
                 if sym in nxt:
@@ -362,9 +370,9 @@ class Fsa:
         done.  Also as in `compose`, the outer pair (x, z) keeps the padding
         discipline, its kind carried in the node, and once both outer
         letters are padding only such silent moves follow.  A node is found
-        when the flag is set and both sides accept or are done.  Each
-        state's moves are ordered once, in alphabet order with padding
-        last, so the search meets the least triple word first.  The witness
+        when the flag is set and both sides accept or are done.  Rows are
+        in alphabet order with padding last, and finishing comes after
+        them, so the search meets the least triple word first.  The witness
         is that word with the middle track and the silent tail dropped.
         """
         if self.track != 2:
@@ -373,28 +381,15 @@ class Fsa:
         done = -1  # a finished side: it counts as accepting
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
-        rank = {sym: k for k, sym in enumerate(self.symbols)}
-
-        def in_order(machine):
-            return sorted(machine.transitions.items(), key=lambda m: rank[m[0][1]])
-
-        # this machine's moves by state as (x, y, target), the other's by
-        # state and middle letter as (z, target), both in alphabet order;
-        # finishing, the only move of done, comes last
-        moves_a, moves_b = {}, {}
-        for (s, (x, y)), t in in_order(self):
-            moves_a.setdefault(s, []).append((x, y, t))
-        for (s, (y, z)), t in in_order(other):
-            moves_b.setdefault((s, y), []).append((z, t))
-        for s in final_a:
-            moves_a.setdefault(s, []).append((PAD, PAD, done))
-        for s in final_b:
-            moves_b.setdefault((s, PAD), []).append((PAD, done))
+        moves_a, moves_b = self.moves, other._by_middle()
+        finish = (((PAD, PAD), done),)  # finishing, the only move of done
 
         def successors(node):
             sa, sb, differs, kind = node
-            for x, y, ta in moves_a.get(sa, ()):
-                for z, tb in moves_b.get((sb, y), ()):
+            by_y = moves_b[sb]
+            row = () if sa == done else moves_a[sa].items()
+            for (x, y), ta in chain(row, finish if sa in final_a else ()):
+                for z, tb in by_y.get(y, ()):
                     # the pad kind of (x, z), 3 when both are padding
                     k = (z == PAD) + 2 * (x == PAD)
                     if kind and k != kind and k != 3 or ta == tb == done:
@@ -424,9 +419,8 @@ class Fsa:
             if s in self.accepting:
                 yield prefix
             return
-        for sym in self.symbols:
-            t = self.transitions.get((s, sym))
-            if t is not None and dist.get(t, remaining + 1) <= remaining - 1:
+        for sym, t in self.moves[s].items():
+            if dist.get(t, remaining + 1) <= remaining - 1:
                 yield from self._enum_at(t, remaining - 1, prefix + (sym,), dist)
 
     def count_accepted(self, length: int) -> int:
@@ -435,12 +429,27 @@ class Fsa:
         for _ in range(length):
             nxt = {}
             for s, c in vec.items():
-                for sym in self.symbols:
-                    t = self.transitions.get((s, sym))
-                    if t is not None:
-                        nxt[t] = nxt.get(t, 0) + c
+                for t in self.moves[s].values():
+                    nxt[t] = nxt.get(t, 0) + c
             vec = nxt
         return sum(c for s, c in vec.items() if s in self.accepting)
+
+    def _by_middle(self) -> list:
+        """Each state's moves (y, z), as (z, target) lists in alphabet
+        order keyed by the middle letter y, for composition on the right.
+        Finishing reads (PAD, PAD) from an accepting state into -1, the
+        finished side; its row, holding only that move, is the extra last
+        one, so index -1 finds it."""
+        out = []
+        for s, row in enumerate(self.moves):
+            by_y = {}
+            for (y, z), t in row.items():
+                by_y.setdefault(y, []).append((z, t))
+            if s in self.accepting:
+                by_y.setdefault(PAD, []).append((PAD, -1))
+            out.append(by_y)
+        out.append({PAD: [(PAD, -1)]})
+        return out
 
     # -------------------------------------------------------- comparisons
 
@@ -461,7 +470,7 @@ class Fsa:
 
 
 def empty_fsa(symbols, track: int = 1) -> Fsa:
-    return Fsa(symbols, 1, 0, frozenset(), {}, track)
+    return Fsa(symbols, 0, frozenset(), [{}], track)
 
 
 def pad_pair(w1: Word, w2: Word) -> tuple:
@@ -477,18 +486,20 @@ def explore(symbols, start, successors, is_accept, track, max_states=None):
     """Build a machine breadth-first from start.
 
     successors(state) yields (symbol, next state) in alphabet order; states
-    are any hashable values and are numbered as they are discovered.
-    Returns (machine, the state behind each number).  Raises ResourceLimit
-    when a new state would pass max_states.
+    are any hashable values and are numbered as they are discovered, and
+    each state's row is filled as it is expanded.  Returns (machine, the
+    state behind each number).  Raises ResourceLimit when a new state would
+    pass max_states.
     """
     ids = {start: 0}
     states = [start]
-    transitions = {}
+    moves = []
     accepting = []
     # the list of states is its own queue: it grows as they are discovered
     for sid, state in enumerate(states):
         if is_accept(state):
             accepting.append(sid)
+        row = {}
         for sym, nxt in successors(state):
             tid = ids.get(nxt)
             if tid is None:
@@ -497,23 +508,29 @@ def explore(symbols, start, successors, is_accept, track, max_states=None):
                     raise ResourceLimit("states", max_states)
                 ids[nxt] = tid
                 states.append(nxt)
-            transitions[(sid, sym)] = tid
-    return Fsa(symbols, len(states), 0, accepting, transitions, track), states
+            row[sym] = tid
+        moves.append(row)
+    return Fsa(symbols, 0, accepting, moves, track), states
 
 
 def coreachable(fsa: Fsa, accepting=None) -> dict:
     """The states that can reach acceptance (the machine's own, or the
     given accepting states), each mapped to the length of its shortest
     path there."""
-    if fsa._adjacency is not None:  # kept by a minimization
-        _moves, back = fsa._adjacency
-    else:  # built for this search alone: walked machines keep no copy
-        back = {}
-        for (s, _sym), t in fsa.transitions.items():
-            back.setdefault(t, []).append(s)
+    # kept by a minimization, or built for this search alone: walked
+    # machines keep no copy
+    back = fsa._back if fsa._back is not None else _predecessors(fsa.moves)
     if accepting is None:
         accepting = fsa.accepting
-    return search_back(accepting, lambda t: back.get(t, ()))
+    return search_back(accepting, back.__getitem__)
+
+
+def _predecessors(moves) -> list:
+    back = [[] for _ in moves]
+    for s, row in enumerate(moves):
+        for t in row.values():
+            back[t].append(s)
+    return back
 
 
 def search_forward(start, successors, found) -> Optional[tuple]:

@@ -196,17 +196,10 @@ def _kb_cap(cap: str, limit: int) -> dict:
 
 
 def _diagonal_multiplier(acc: Fsa) -> Fsa:
-    symbols = pair_symbols(acc.symbols)
-    transitions = {
-        (s, (g, g)): t for (s, g), t in acc.transitions.items()
-    }
+    # the pairs (g, g) rank in the order of their letters
+    moves = [{(g, g): t for g, t in row.items()} for row in acc.moves]
     return Fsa(
-        symbols=symbols,
-        num_states=acc.num_states,
-        start=acc.start,
-        accepting=acc.accepting,
-        transitions=transitions,
-        track=2,
+        pair_symbols(acc.symbols), acc.start, acc.accepting, moves, track=2
     ).minimized()
 
 
@@ -222,22 +215,15 @@ def build_multiplier(
     difference is g's target, all from one copy of its moves.  A product
     state (v, w, d, mode) is packed into the integer
     ((v*|W| + w)*|D| + d)*3 + mode, where the mode is the pad kind read so
-    far (see `_pad_kind`).  A state walks only the letters the track-1 copy
-    defines at v, each with the difference moves that read it.  Also
-    returns the difference labels used on paths to any target, for
-    pruning."""
+    far (see `_pad_kind`).  A state walks W's row at v, each letter with
+    the difference moves that read it, and looks track 2's letter up in
+    W's row at w.  `explore` fills the product's rows as it goes, one per
+    state, which is what the state cap bounds.  Also returns the
+    difference labels used on paths to any target, for pruning."""
     symbols = pair_symbols(acc.symbols)
     width = diff.state_count()
     side = acc.num_states
-    # acceptor moves by state, each target scaled to its place in a packed
-    # product state: track 2's as a dict by letter, and track 1's as
-    # (letter, target) pairs in alphabet order
-    rows = [{} for _ in range(side)]
-    for (s, a), t in acc.transitions.items():
-        rows[s][a] = t * width * 3
-    firsts = [
-        [(a, row[a] * side) for a in acc.symbols if a in row] for row in rows
-    ]
+    rows = acc.moves
     # the difference machine's moves by state and mode, in alphabet order:
     # (symbol, track-2 letter, packed d and mode after).  A move of pad kind
     # k is legal in modes 0 and k.  Those reading a track-1 letter are keyed
@@ -261,6 +247,7 @@ def build_multiplier(
                     by_letter[mode].setdefault(a, []).append(move)
         reads.append(by_letter)
         silent.append(pads)
+    scale = width * 3  # of a (v, w) pair in a packed state
 
     def successors(state):
         rest, mode = divmod(state, 3)
@@ -269,17 +256,15 @@ def build_multiplier(
         row_w = rows[w]
         moves = reads[d][mode]
         if moves:
-            stay_w = w * width * 3
-            for a, at_v in firsts[v]:
+            for a, tv in rows[v].items():
                 for sym, b, tail in moves.get(a, ()):
-                    at_w = stay_w if b is None else row_w.get(b)
-                    if at_w is not None:
-                        yield sym, at_v + at_w + tail
-        stay_v = v * side * width * 3
+                    tw = w if b is None else row_w.get(b)
+                    if tw is not None:
+                        yield sym, (tv * side + tw) * scale + tail
         for sym, b, tail in silent[d][mode]:
-            at_w = row_w.get(b)
-            if at_w is not None:
-                yield sym, stay_v + at_w + tail
+            tw = row_w.get(b)
+            if tw is not None:
+                yield sym, (v * side + tw) * scale + tail
 
     def difference(state):
         return state // 3 % width
@@ -345,31 +330,29 @@ def check_domains(acc: Fsa, mults: dict) -> list:
 
 
 def _domain_gap(acc: Fsa, m: Fsa) -> Optional[tuple]:
-    silent = {}  # M state -> targets of its (PAD, b) moves
-    reads = {}  # (M state, first-track letter) -> targets
-    for (s, (a, _b)), t in m.transitions.items():
-        if a == PAD:
-            silent.setdefault(s, []).append(t)
-        else:
-            reads.setdefault((s, a), []).append(t)
+    rows = m.moves
 
     def closure(seeds) -> frozenset:
+        # along the silent moves (PAD, b)
         seen = set(seeds)
         todo = list(seen)
         while todo:
-            for t in silent.get(todo.pop(), ()):
-                if t not in seen:
+            for (a, _b), t in rows[todo.pop()].items():
+                if a == PAD and t not in seen:
                     seen.add(t)
                     todo.append(t)
         return frozenset(seen)
 
-    step = acc.transitions.get
-
     def successors(node):
         w, cur = node
+        reads = {}  # first-track letter -> the M states it leads to
+        for s in cur:
+            for (a, _b), t in rows[s].items():
+                if a != PAD:
+                    reads.setdefault(a, set()).add(t)
+        row_w = {} if w is None else acc.moves[w]
         for a in acc.symbols:
-            nw = step((w, a))
-            nxt = {t for s in cur for t in reads.get((s, a), ())}
+            nw, nxt = row_w.get(a), reads.get(a, ())
             if nw is not None or nxt:  # else both reject every longer word
                 yield a, (nw, closure(nxt))
 

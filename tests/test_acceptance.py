@@ -393,8 +393,7 @@ def _check_fault_injection():
 
     gutted = dict(res.multipliers)
     m = gutted["x"]
-    gutted["x"] = Fsa(m.symbols, m.num_states, m.start, frozenset(), m.transitions,
-                      track=2)
+    gutted["x"] = Fsa(m.symbols, m.start, frozenset(), m.moves, track=2)
     gaps = check_domains(res.acceptor, gutted)
     assert any(g == "x" for g, _ in gaps)
     assert all(isinstance(w, tuple) for _, w in gaps)
@@ -409,8 +408,8 @@ def _check_fault_injection():
     collapsed = dict(res.multipliers)
     acc = res.acceptor
     collapsed["x"] = Fsa(
-        res.identity.symbols, acc.num_states, acc.start, acc.accepting,
-        {(s, (a, PAD)): t for (s, a), t in acc.transitions.items()}, track=2,
+        res.identity.symbols, acc.start, acc.accepting,
+        [{(a, PAD): t for a, t in row.items()} for row in acc.moves], track=2,
     )
     for mults in (swapped, merged, collapsed):
         assert check_domains(res.acceptor, mults) == []

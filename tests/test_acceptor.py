@@ -6,8 +6,8 @@ import pytest
 from autostruct import Alphabet, Order, SHORTLEX, WREATH, WTLEX, acceptor, pipeline
 from autostruct.acceptor import _fresh_shadows, build_acceptor
 from autostruct.diff import EPS, DiffMachine
-from autostruct.errors import ResourceLimit
-from autostruct.formats import serialize_fsa
+from autostruct.errors import LogicError, ResourceLimit
+from autostruct.formats import diff_to_fsa, serialize_fsa
 from autostruct.fsa import Fsa, explore
 from autostruct.history import bounds_for, decide_precedes, history_step, in_bounds
 from autostruct.orders import KINDS
@@ -220,7 +220,7 @@ def reference_result(diff) -> tuple:
         raw, _ = reference_acceptor(diff)
     except ResourceLimit as hit:
         return ("cap", hit.cap, hit.limit)
-    return serialize_fsa(raw.minimized()), raw.num_states, len(raw.transitions)
+    return serialize_fsa(raw.minimized()), raw.num_states, sum(map(len, raw.moves))
 
 
 def bitset_build(diff) -> tuple:
@@ -240,7 +240,7 @@ def bitset_build(diff) -> tuple:
             w = build_acceptor(diff)
         except ResourceLimit as hit:
             return None, ("cap", hit.cap, hit.limit)
-    return w, (serialize_fsa(w), raws[0].num_states, len(raws[0].transitions))
+    return w, (serialize_fsa(w), raws[0].num_states, sum(map(len, raws[0].moves)))
 
 
 # A confluent run reads its acceptor off the rules, so the pipeline never
@@ -266,9 +266,10 @@ def corpus_loops(request) -> list:
     """One run of a corpus case (knots on their Wirtinger presentations)
     under the test caps, with the (reference, bitsets) results for the
     difference machine of each correction loop, taken as the loop reaches
-    its multipliers, and whether every state of that loop's W accepts.
-    Where the run builds W from that machine itself, its build is the one
-    compared."""
+    its multipliers, whether every state of that loop's W accepts, and
+    what `validate` says of that loop's W, M_e, D (as `diff_to_fsa` shows
+    it, before and after the product) and every M_g.  Where the run builds
+    W from that machine itself, its build is the one compared."""
     family, p, q = CORPUS[request.param]
     fam = builtin_family(
         FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
@@ -285,8 +286,14 @@ def corpus_loops(request) -> list:
     def record(acc, diff):
         got = built.pop() if built else bitset_build(diff)[1]
         every_state = acc.accepting == frozenset(range(acc.num_states))
-        loops.append((reference_result(diff), got, every_state))
-        return real(acc, diff)
+        checks = validated(
+            W=acc, M_e=pipeline._diagonal_multiplier(acc), D=diff_to_fsa(diff)[0]
+        )
+        loops.append((reference_result(diff), got, every_state, checks))
+        mults, used = real(acc, diff)  # KNOT74's product stops at its cap
+        mults_named = {f"M_{g}": m for g, m in mults.items()}
+        checks += validated(D=diff_to_fsa(diff)[0], **mults_named)
+        return mults, used
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
@@ -298,15 +305,35 @@ def corpus_loops(request) -> list:
     return loops
 
 
+def validated(**machines) -> list:
+    """(name, None or what `Fsa.validate` raised) for each machine."""
+    out = []
+    for name, m in machines.items():
+        try:
+            m.validate()
+        except LogicError as err:
+            out.append((name, str(err)))
+        else:
+            out.append((name, None))
+    return out
+
+
 def test_bitset_acceptor_matches_reference_on_corpus(corpus_loops):
-    for n, (want, got, _every_state) in enumerate(corpus_loops):
+    for n, (want, got, _every_state, _checks) in enumerate(corpus_loops):
         assert got == want, n
 
 
 def test_every_corpus_acceptor_state_accepts(corpus_loops):
     # W is prefix-closed: the axiom check's exactness rests on it
-    for n, (_want, _got, every_state) in enumerate(corpus_loops):
+    for n, (_want, _got, every_state, _checks) in enumerate(corpus_loops):
         assert every_state, n
+
+
+def test_every_corpus_machine_keeps_one_ordered_row_per_state(corpus_loops):
+    for n, (*_, checks) in enumerate(corpus_loops):
+        names = [name for name, _ in checks]
+        assert {"W", "M_e", "D"} <= set(names), n
+        assert [c for c in checks if c[1] is not None] == [], n
 
 
 def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):

@@ -1,5 +1,7 @@
 """File formats: parsing, serialization, and round-trip determinism."""
 
+import hashlib
+
 import pytest
 
 from autostruct.diff import DiffMachine
@@ -114,12 +116,11 @@ def test_rules_reject_misoriented_rule():
 
 def small_word_fsa():
     # accepts words over {x, y} with no yy factor
-    return Fsa(
+    return Fsa.from_rows(
         symbols=("x", "y"),
-        num_states=2,
         start=0,
         accepting={0, 1},
-        transitions={(0, "x"): 0, (0, "y"): 1, (1, "x"): 0},
+        rows=[{"x": 0, "y": 1}, {"x": 0}],
         track=1,
     )
 
@@ -136,12 +137,11 @@ def test_fsa_round_trip_word():
 def test_fsa_serialization_is_canonical():
     a = small_word_fsa()
     # the same machine with its states listed the other way around
-    swapped = Fsa(
+    swapped = Fsa.from_rows(
         symbols=("x", "y"),
-        num_states=2,
         start=1,
         accepting={0, 1},
-        transitions={(1, "x"): 1, (1, "y"): 0, (0, "x"): 1},
+        rows=[{"x": 1}, {"x": 1, "y": 0}],
         track=1,
     )
     assert serialize_fsa(a) == serialize_fsa(swapped)
@@ -202,3 +202,54 @@ def test_multiplier_survives_the_file_format():
     again = parse_fsa(serialize_fsa(m))
     assert again.equal_languages(m) is None
     assert again.accepts_pair(("y",), ("y", "x"))
+
+
+# sha256 of the text of every machine of two verified runs: serialize_fsa's
+# bytes must not move when only speed or the in-memory form is meant to
+# change
+SERIALIZED = {
+    ("KNOT41", 1, 1): {
+        "D": "cbf5edc281c059ed85450ccfa01f3310e340735f3704d88a3fa29529be2850b1",
+        "W": "951ee295967b2693ee4e72f4e90d17043a654c9608cba170e2afc9a3d2c58466",
+        "M_e": "7c72e42c5d3dc059444429d8e68fdfcd03e91cda9609e4a227df5f9f41e8c14b",
+        "M_T": "9b2fbb3d543941f98a8a1921a16b9d0ad8c1d3e7b8d284be99c4dce7de8a65d4",
+        "M_X": "edc8c7cf12f8019e6d7533d59c5c18d48cb058295f73faa3bdc62a89f67c56f6",
+        "M_Y": "247faa1cd6824b6bd5406b633fe21c037a6552eee899512ceb10f67db23b999f",
+        "M_Z": "2a554b39a4b49be17782cb15a6e97676f7e7b31e5e2cdb8131d12dc59f681d2f",
+        "M_t": "fc3f720bb6aa7aae9ea4b2e449e41ddd8c4464df13c855d18a55c64c11f1d334",
+        "M_x": "03dc1e61d611f22f159652f056a0d8fef9de47a35389a682d2d86428b749baf8",
+        "M_y": "e94324b34a7ea9cb31989965cd90237b22c6ee82c9c3c0826b47b01c98a937cd",
+        "M_z": "fc5d67f93e10f4647a73454f284f15521a2db11d734ad97ff5951f3027b5a6c0",
+    },
+    ("BSpq", 2, 2): {
+        "D": "4db5bc601185f03e385974f4dab2aa2ef6d3905a621305770ad32ba8e5f9b828",
+        "W": "5a0538e6d80ca4e6054a4577cda3f0d98bc25b27104c57df46da35839cc718dd",
+        "M_e": "912c49c37e3f31d2e36bcab9371dfcac02a16e8f4c6d11c081978e3e7bae0ac5",
+        "M_X": "4dd14ca1e092afe28d39ed5ae87e9c0346052a18a0c8243004e9efc4f95b09aa",
+        "M_Y": "54695c9522d851968dccb65066917282ab5b90caca6b96789051634ec2971473",
+        "M_x": "337722e11f5d022081aeade5f8f13de5c04ba4912ab21d17d5f70400abfe3422",
+        "M_y": "84b9904948b933b7293a78abcb8e3f3e45ef0eb8376cd5ab8f0144d931832d8e",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(SERIALIZED), ids=lambda c: "-".join(map(str, c))
+)
+def test_serialized_machines_keep_their_bytes(case):
+    name, p, q = case
+    fam = builtin_family(
+        FamilySpec(name, p, q), wirtinger=name.startswith("KNOT")
+    )
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert res.outcome == "verified"
+    # D as the bundle writes it, with its labels
+    texts = {
+        "D": serialize_fsa(*diff_to_fsa(res.diff)),
+        "W": serialize_fsa(res.acceptor),
+        "M_e": serialize_fsa(res.identity),
+    }
+    for g, m in res.multipliers.items():
+        texts[f"M_{g}"] = serialize_fsa(m)
+    got = {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()}
+    assert got == SERIALIZED[case]

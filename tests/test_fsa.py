@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from autostruct.errors import LogicError
+from autostruct.errors import LogicError, ResourceLimit
 from autostruct.formats import serialize_fsa
 from autostruct.fsa import (
     Fsa,
@@ -31,7 +31,7 @@ def brute_language(m, max_len):
 
 def fsa_from_words(symbols, words, track=1):
     """Trie of an explicit finite language, minimized."""
-    trans = {}
+    rows = [{}]
     accepting = set()
     states = {(): 0}
     for w in words:
@@ -40,34 +40,24 @@ def fsa_from_words(symbols, words, track=1):
             nxt = tuple(w[: i + 1])
             if nxt not in states:
                 states[nxt] = len(states)
-            trans[(states[pre], sym)] = states[nxt]
+                rows.append({})
+            rows[states[pre]][sym] = states[nxt]
         accepting.add(states[tuple(w)])
-    return Fsa(symbols, len(states), 0, accepting, trans, track).minimized()
+    return Fsa.from_rows(symbols, 0, accepting, rows, track).minimized()
 
 
 def even_a_machine():
     # words over {a,b} with an even number of a's
-    trans = {
-        (0, "a"): 1,
-        (1, "a"): 0,
-        (0, "b"): 0,
-        (1, "b"): 1,
-    }
-    return Fsa(AB, 2, 0, {0}, trans)
+    return Fsa.from_rows(AB, 0, {0}, [{"a": 1, "b": 0}, {"a": 0, "b": 1}])
 
 
 def no_bb_machine():
     # words without the factor bb
-    trans = {
-        (0, "a"): 0,
-        (0, "b"): 1,
-        (1, "a"): 0,
-    }
-    return Fsa(AB, 2, 0, {0, 1}, trans)
+    return Fsa.from_rows(AB, 0, {0, 1}, [{"a": 0, "b": 1}, {"a": 0}])
 
 
 def all_words_machine():
-    return Fsa(AB, 1, 0, {0}, {(0, "a"): 0, (0, "b"): 0})
+    return Fsa.from_rows(AB, 0, {0}, [{"a": 0, "b": 0}])
 
 
 def fingerprint(m):
@@ -76,7 +66,7 @@ def fingerprint(m):
         m.num_states,
         m.start,
         tuple(sorted(m.accepting)),
-        tuple(sorted(m.transitions.items())),
+        tuple(tuple(row.items()) for row in m.moves),
         m.track,
     )
 
@@ -108,38 +98,33 @@ def test_count_accepted_matches_enumeration():
 def test_minimize_canonical_and_minimal():
     # two different constructions of the even-a language
     a = even_a_machine().minimized()
-    bloated = Fsa(
+    bloated = Fsa.from_rows(
         AB,
-        5,
         2,
         {2, 3},
-        {
-            (2, "a"): 4,
-            (4, "a"): 3,
-            (3, "a"): 4,
-            (2, "b"): 3,
-            (3, "b"): 2,
-            (4, "b"): 4,
+        [
             # unreachable junk
-            (0, "a"): 1,
-            (1, "b"): 0,
-        },
+            {"a": 1},
+            {"b": 0},
+            {"b": 3, "a": 4},
+            {"a": 4, "b": 2},
+            {"b": 4, "a": 3},
+        ],
     )
     # bloated has two interchangeable accept states: same language
     assert brute_language(bloated, 6) == brute_language(a, 6)
     b = bloated.minimized()
     assert fingerprint(a) == fingerprint(b)
     assert a.num_states == 2
-    empty = Fsa(AB, 3, 0, set(), {(0, "a"): 1, (1, "b"): 2})
+    empty = Fsa.from_rows(AB, 0, set(), [{"a": 1}, {"b": 2}, {}])
     assert fingerprint(empty.minimized()) == fingerprint(empty_fsa(AB))
     # 0 and 1 both accept a*; only 0 has a move, on b, into the dead state
     # 2, so a minimizer that skipped the trim would keep them apart
-    dead_end = Fsa(
-        AB, 3, 0, {0, 1},
-        {(0, "a"): 1, (1, "a"): 1, (0, "b"): 2, (2, "a"): 2},
+    dead_end = Fsa.from_rows(
+        AB, 0, {0, 1}, [{"a": 1, "b": 2}, {"a": 1}, {"a": 2}],
     )
     assert fingerprint(dead_end.minimized()) == fingerprint(
-        Fsa(AB, 1, 0, {0}, {(0, "a"): 0})
+        Fsa.from_rows(AB, 0, {0}, [{"a": 0}])
     )
 
 
@@ -157,7 +142,7 @@ def residual(m, q, max_len=8):
             out.add(w)
         if len(w) < max_len:
             for sym in m.symbols:
-                t = m.transitions.get((s, sym))
+                t = m.step(s, sym)
                 if t is not None:
                     stack.append((t, w + (sym,)))
     return frozenset(out)
@@ -169,7 +154,7 @@ def reachable(m):
     while stack:
         s = stack.pop()
         for sym in m.symbols:
-            t = m.transitions.get((s, sym))
+            t = m.step(s, sym)
             if t is not None and t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -184,22 +169,20 @@ def test_minimize_against_brute_force_residuals():
     for _ in range(200):
         n = rng.randint(1, 7)
         density = rng.choice((0.3, 0.6, 0.9))
-        trans = {
-            (s, sym): rng.randrange(n)
+        rows = [
+            {sym: rng.randrange(n) for sym in ABC if rng.random() < density}
             for s in range(n)
-            for sym in ABC
-            if rng.random() < density
-        }
-        m = Fsa(ABC, n, rng.randrange(n), {
+        ]
+        m = Fsa.from_rows(ABC, rng.randrange(n), {
             s for s in range(n) if rng.random() < 0.35
-        }, trans)
+        }, rows)
         live = reachable(m)
         res = {s: residual(m, s) for s in range(n)}
         seen_unreachable += len(live) < n
         seen_dead_with_moves += any(
-            not res[s] and (s, sym) in trans for s in live for sym in ABC
+            not res[s] and sym in rows[s] for s in live for sym in ABC
         )
-        seen_missing += len(trans) < n * len(ABC)
+        seen_missing += sum(map(len, rows)) < n * len(ABC)
 
         mm = m.minimized()
         assert residual(mm, mm.start) == res[m.start]
@@ -213,10 +196,16 @@ def test_minimize_against_brute_force_residuals():
         # the same machine under other state numbers and move order
         perm = list(range(n))
         rng.shuffle(perm)
-        moves = [((perm[s], sym), perm[t]) for (s, sym), t in trans.items()]
+        moves = [
+            (perm[s], sym, perm[t])
+            for s, row in enumerate(rows) for sym, t in row.items()
+        ]
         rng.shuffle(moves)
-        renamed = Fsa(
-            ABC, n, perm[m.start], {perm[s] for s in m.accepting}, moves
+        renamed_rows = [{} for _ in range(n)]
+        for s, sym, t in moves:
+            renamed_rows[s][sym] = t
+        renamed = Fsa.from_rows(
+            ABC, perm[m.start], {perm[s] for s in m.accepting}, renamed_rows
         )
         assert fingerprint(renamed.minimized()) == fingerprint(mm)
         assert serialize_fsa(renamed.minimized()) == serialize_fsa(mm)
@@ -247,31 +236,29 @@ def test_equal_languages_and_witness():
 def random_partial_machine(rng, symbols, track=1, max_states=4, density=0.6):
     """A random partial DFA: each move is defined with the given chance."""
     n = rng.randint(1, max_states)
-    trans = {
-        (s, sym): rng.randrange(n)
+    rows = [
+        {sym: rng.randrange(n) for sym in symbols if rng.random() < density}
         for s in range(n)
-        for sym in symbols
-        if rng.random() < density
-    }
+    ]
     accepting = {s for s in range(n) if rng.random() < 0.5}
-    return Fsa(symbols, n, 0, accepting, trans, track)
+    return Fsa.from_rows(symbols, 0, accepting, rows, track)
 
 
 def perturbed(rng, m):
     """The machine with one edit: a move redirected, added or dropped, or
     one state's acceptance flipped, so the two often agree on short words."""
-    trans = dict(m.transitions)
+    rows = [dict(row) for row in m.moves]
     accepting = set(m.accepting)
     s = rng.randrange(m.num_states)
     if rng.random() < 0.25:
         accepting ^= {s}
     else:
-        key = (s, rng.choice(m.symbols))
-        if key in trans and rng.random() < 0.5:
-            del trans[key]
+        sym = rng.choice(m.symbols)
+        if sym in rows[s] and rng.random() < 0.5:
+            del rows[s][sym]
         else:
-            trans[key] = rng.randrange(m.num_states)
-    return Fsa(m.symbols, m.num_states, m.start, accepting, trans, m.track)
+            rows[s][sym] = rng.randrange(m.num_states)
+    return Fsa.from_rows(m.symbols, m.start, accepting, rows, m.track)
 
 
 def shortlex_words(symbols, max_len):
@@ -356,26 +343,23 @@ def test_pair_machine_ops_against_brute_force():
 
 
 def diagonal_machine():
-    trans = {(0, (g, g)): 0 for g in AB}
-    return Fsa(PAIRS, 1, 0, {0}, trans, 2)
+    return Fsa.from_rows(PAIRS, 0, {0}, [{(g, g): 0 for g in AB}], 2)
 
 
 def append_machine(suffix):
     """Pairs (w, w . suffix)."""
-    trans = {(0, (g, g)): 0 for g in AB}
+    rows = [{(g, g): 0 for g in AB}] + [{} for _ in suffix]
     for i, s in enumerate(suffix):
-        trans[(i, (PAD, s))] = i + 1
-    n = len(suffix)
-    return Fsa(PAIRS, n + 1, 0, {n}, trans, 2)
+        rows[i][(PAD, s)] = i + 1
+    return Fsa.from_rows(PAIRS, 0, {len(suffix)}, rows, 2)
 
 
 def strip_machine(suffix):
     """Pairs (w . suffix, w)."""
-    trans = {(0, (g, g)): 0 for g in AB}
+    rows = [{(g, g): 0 for g in AB}] + [{} for _ in suffix]
     for i, s in enumerate(suffix):
-        trans[(i, (s, PAD))] = i + 1
-    n = len(suffix)
-    return Fsa(PAIRS, n + 1, 0, {n}, trans, 2)
+        rows[i][(s, PAD)] = i + 1
+    return Fsa.from_rows(PAIRS, 0, {len(suffix)}, rows, 2)
 
 
 def brute_pairs(m, max_len):
@@ -428,7 +412,7 @@ def project(m, keep):
         while todo:
             s = todo.pop()
             for sym in silent:
-                t = m.transitions.get((s, sym))
+                t = m.step(s, sym)
                 if t is not None and t not in seen:
                     seen.add(t)
                     todo.append(t)
@@ -437,10 +421,10 @@ def project(m, keep):
     def successors(cur):
         for g, syms in visible.items():
             nxt = {
-                m.transitions[(s, sym)]
+                m.moves[s][sym]
                 for s in cur
                 for sym in syms
-                if (s, sym) in m.transitions
+                if sym in m.moves[s]
             }
             if nxt:
                 yield g, closure(nxt)
@@ -546,13 +530,83 @@ def test_compose_keeps_the_padding_discipline():
 
 def test_validate_catches_malformed():
     with pytest.raises(LogicError):
-        Fsa(AB, 2, 5, set(), {}).validate()
+        Fsa(AB, 5, set(), [{}, {}]).validate()
     with pytest.raises(LogicError):
-        Fsa(AB, 2, 0, {7}, {}).validate()
+        Fsa(AB, 0, {7}, [{}, {}]).validate()
     with pytest.raises(LogicError):
-        Fsa(AB, 2, 0, set(), {(0, "z"): 1}).validate()
+        Fsa(AB, 0, set(), [{"z": 1}, {}]).validate()
     ok = even_a_machine()
     ok.validate()
+
+
+def test_validate_checks_every_row():
+    # each row: symbols of the alphabet, in strictly ascending alphabet
+    # order, and targets in range
+    Fsa(AB, 0, {0}, [{"a": 1, "b": 0}, {}]).validate()
+    for bad in ([{"b": 0, "a": 1}, {}], [{"a": 2}, {}], [{}, {"b": -1}]):
+        with pytest.raises(LogicError):
+            Fsa(AB, 0, {0}, bad).validate()
+    # from_rows puts rows in alphabet order and leaves foreign symbols last
+    Fsa.from_rows(AB, 0, {0}, [{"b": 0, "a": 1}, {}]).validate()
+    with pytest.raises(LogicError):
+        Fsa.from_rows(AB, 0, {0}, [{"z": 0, "a": 0}]).validate()
+
+
+def test_explore_cap_fires_on_the_state_past_it():
+    # a ring of n states, each moving to the start and to the next one
+    def ring(n):
+        def successors(i):
+            yield "a", 0
+            yield "b", (i + 1) % n
+        return successors
+
+    for n in (1, 2, 5):
+        m, states = explore(AB, 0, ring(n), lambda i: i == 0, 1, max_states=n)
+        assert m.num_states == n and states == list(range(n))
+        with pytest.raises(ResourceLimit) as hit:
+            explore(AB, 0, ring(n + 1), lambda i: True, 1, max_states=n)
+        assert (hit.value.cap, hit.value.limit) == ("states", n)
+        # an endless chain: every state below the cap is numbered and
+        # expanded before state n + 1 is refused
+        expanded = []
+
+        def chain(i):
+            expanded.append(i)
+            yield "a", i
+            yield "b", i + 1
+
+        with pytest.raises(ResourceLimit) as hit:
+            explore(AB, 0, chain, lambda i: True, 1, max_states=n)
+        assert (hit.value.cap, hit.value.limit) == ("states", n)
+        assert expanded == list(range(n))
+
+
+def test_query_walks_match_an_exhaustive_walk():
+    # count_accepted and enumerate_words walk rows; the oracle runs every
+    # word of each length through step, in length order and then alphabet
+    # order
+    rng = random.Random(4242)
+
+    def walk(m, w):
+        s = m.start
+        for sym in w:
+            s = m.step(s, sym)
+            if s is None:
+                return False
+        return s in m.accepting
+
+    for n in range(60):
+        if n % 2:
+            m, max_len = random_partial_machine(rng, PAIRS, 2, 4, 0.5), 4
+        else:
+            m, max_len = random_partial_machine(rng, ABC, 1, 5, 0.6), 6
+        want = [
+            w for k in range(max_len + 1)
+            for w in itertools.product(m.symbols, repeat=k) if walk(m, w)
+        ]
+        assert list(m.enumerate_words(max_len)) == want, n
+        for k in range(max_len + 1):
+            assert m.count_accepted(k) == sum(len(w) == k for w in want), n
 
 
 def test_empty_fsa():

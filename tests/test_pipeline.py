@@ -332,38 +332,41 @@ def random_domain_case(rng, kind) -> tuple:
     gens = ("a", "b")
     pairs = pair_symbols(gens)
     n = rng.randint(1, 5)
-    acc = Fsa(
-        gens, n, 0, {s for s in range(n) if rng.random() < 0.5},
-        {(s, a): rng.randrange(n) for s in range(n) for a in gens
-         if rng.random() < 0.8},
+    acc = Fsa.from_rows(
+        gens, 0, {s for s in range(n) if rng.random() < 0.5},
+        [{a: rng.randrange(n) for a in gens if rng.random() < 0.8}
+         for s in range(n)],
     )
     mults = {}
     for g in gens:
         if kind == 0:
             m = rng.randint(1, 6)
-            trans = {(s, sym): rng.randrange(m) for s in range(m)
-                     for sym in pairs if rng.random() < 0.3}
+            rows = [{sym: rng.randrange(m) for sym in pairs
+                     if rng.random() < 0.3} for s in range(m)]
             final = {s for s in range(m) if rng.random() < 0.4}
         else:
             m = n
-            trans = {(s, (a, a)): t for (s, a), t in acc.transitions.items()}
+            rows = [{(a, a): t for a, t in row.items()} for row in acc.moves]
             final = set(acc.accepting)
             for _ in range(rng.randint(0, 3)):
-                if trans:
-                    del trans[rng.choice(sorted(trans))]
-                trans[(rng.randrange(n), rng.choice(pairs))] = rng.randrange(n)
+                moves = sorted((s, sym) for s, row in enumerate(rows) for sym in row)
+                if moves:
+                    s, sym = rng.choice(moves)
+                    del rows[s][sym]
+                rows[rng.randrange(n)][rng.choice(pairs)] = rng.randrange(n)
             if kind >= 2:
                 # a chain of silent moves into a fresh accepting state
                 for _ in range(rng.randint(1, 3)):
-                    trans[(rng.randrange(m), (PAD, rng.choice(gens)))] = m
+                    rows.append({})
+                    rows[rng.randrange(m)][(PAD, rng.choice(gens))] = m
                     if rng.random() < 0.5:
-                        trans[(m, (PAD, rng.choice(gens)))] = rng.randrange(m + 1)
+                        rows[m][(PAD, rng.choice(gens))] = rng.randrange(m + 1)
                     final.discard(rng.randrange(m))
                     final.add(m)
                     m += 1
             if kind == 3:
                 final = set()
-        mults[g] = Fsa(pairs, m, 0, final, trans, track=2)
+        mults[g] = Fsa.from_rows(pairs, 0, final, rows, track=2)
     return acc, mults
 
 
@@ -393,7 +396,7 @@ def test_fused_domain_check_matches_the_projection_on_runs(case):
     mults, _ = pipeline.build_all_multipliers(acc, diff)
     m = mults[fam.order.alphabet.symbols[0]]
     mults[fam.order.alphabet.symbols[-1]] = Fsa(
-        m.symbols, m.num_states, m.start, frozenset(), m.transitions, track=2
+        m.symbols, m.start, frozenset(), m.moves, track=2
     )
     gaps = check_domains(acc, mults)
     assert gaps
@@ -495,10 +498,9 @@ def test_domain_check_flags_a_gutted_multiplier():
     m = res.multipliers["x"]
     starved = Fsa(
         m.symbols,
-        m.num_states,
         m.start,
         frozenset(),  # accepts nothing at all
-        m.transitions,
+        m.moves,
         track=2,
     )
     mults = dict(res.multipliers)
@@ -571,7 +573,7 @@ def test_pruning_a_non_confluent_run_keeps_its_acceptor(monkeypatch):
     # the same restriction is refused when its acceptor is not W
     plain = compute_structure(Order(alpha, SHORTLEX), relations)
     before = plain.diff
-    rejects_all = Fsa(alpha.symbols, 1, 0, frozenset(), {})
+    rejects_all = Fsa(alpha.symbols, 0, frozenset(), [{}])
     monkeypatch.setattr(pipeline, "build_acceptor", lambda diff: rejects_all)
     pipeline._prune_verified(plain, used_labels(plain))
     assert plain.diff is before and plain.raw_diff_count is None
