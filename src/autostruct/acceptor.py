@@ -84,26 +84,22 @@ def _fresh_shadows(diff: DiffMachine, bounds: HistoryBounds, g: str) -> frozense
     """Shadows opened by g itself: companions h (a generator or nothing)
     whose difference with g is a known state, bounded."""
     order = diff.order
+    row = diff.fsa.moves[EPS]
     out = set()
-    for h in diff.alpha.symbols:
-        if h == g:
-            continue
-        t = diff.step(EPS, g, h)
-        if t is not None:
-            hist = history(order, (g,), (h,))
+    for h in diff.alpha.symbols + (PAD,):
+        t = row.get((g, h))
+        if t is not None and h != g:
+            hist = history(order, (g,), () if h == PAD else (h,))
             if in_bounds(order, bounds, hist, diff.labels[t]):
                 out.add((t, hist))
-    t = diff.step(EPS, g, PAD)
-    if t is not None:
-        hist = history(order, (g,), ())
-        if in_bounds(order, bounds, hist, diff.labels[t]):
-            out.add((t, hist))
     return frozenset(out)
 
 
 def build_acceptor(diff: DiffMachine) -> Fsa:
     order = diff.order
     gens = diff.alpha.symbols
+    rows = diff.fsa.moves
+    pad_first = (PAD,) + gens  # the companion's letters, padding first
     bounds = bounds_for(order, diff.labels)
     # indices of the generators that do not reduce on their own
     live = [i for i, g in enumerate(gens) if diff.reduce((g,)) == (g,)]
@@ -141,11 +137,12 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
 
     def compute_kill(d: int, hist, g: str) -> bool:
         # (a) the companion already equals the extended word
-        t = diff.step(d, g, PAD)
+        row = rows[d]
+        t = row.get((g, PAD))
         if t == EPS and decide_precedes(order, hist, (g,), ()):
             return True
         for h in gens:
-            t = diff.step(d, g, h)
+            t = row.get((g, h))
             if t is None:
                 continue
             if t == EPS:
@@ -162,21 +159,16 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     def compute_successors(sid: int, g: str) -> int:
         d, hist = shadow_list[sid]
         out = 0
-        # a move onto the trivial difference is not a shadow: the kill
-        # rules already weighed it and found the companion larger, and
-        # an equal companion stays larger
-        t = diff.step(d, g, PAD)
-        if t is not None and t != EPS:
-            nh = history_step(order, hist, g, PAD)
-            if in_bounds(order, bounds, nh, diff.labels[t]):
-                out |= 1 << intern(t, nh)
-        if not hist.longer:  # a companion that stopped cannot resume
-            for h in gens:
-                t = diff.step(d, g, h)
-                if t is not None and t != EPS:
-                    nh = history_step(order, hist, g, h)
-                    if in_bounds(order, bounds, nh, diff.labels[t]):
-                        out |= 1 << intern(t, nh)
+        # a move onto the trivial difference is not a shadow (the kill rules
+        # weighed it, and an equal companion stays larger); a companion
+        # that stopped cannot resume
+        row = rows[d]
+        for h in (PAD,) if hist.longer else pad_first:
+            t = row.get((g, h))
+            if t is not None and t != EPS:
+                nh = history_step(order, hist, g, h)
+                if in_bounds(order, bounds, nh, diff.labels[t]):
+                    out |= 1 << intern(t, nh)
         return out
 
     fresh_masks = [0] * len(gens)

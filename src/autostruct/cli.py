@@ -160,10 +160,18 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_accept(args) -> int:
+def _word_machine(args, maxlen: int = 0):
+    """The word machine a query command reads, its length bound checked."""
     a = parse_fsa(_read(args.fsa))
     if a.track != 1:
-        raise InputError("accept expects a word machine")
+        raise InputError(f"{args.command} expects a word machine")
+    if maxlen < 0:
+        raise InputError("--maxlen must not be negative")
+    return a
+
+
+def _cmd_accept(args) -> int:
+    a = _word_machine(args)
     w = parse_word(args.word, a.symbols)
     ok = a.accepts(w)
     print("accepted" if ok else "rejected")
@@ -171,22 +179,14 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    a = parse_fsa(_read(args.fsa))
-    if a.track != 1:
-        raise InputError("enumerate expects a word machine")
-    if args.maxlen < 0:
-        raise InputError("--maxlen must not be negative")
+    a = _word_machine(args, args.maxlen)
     for w in a.enumerate_words(args.maxlen):
         print(format_word(w))
     return 0
 
 
 def _cmd_growth(args) -> int:
-    a = parse_fsa(_read(args.fsa))
-    if a.track != 1:
-        raise InputError("growth expects a word machine")
-    if args.maxlen < 0:
-        raise InputError("--maxlen must not be negative")
+    a = _word_machine(args, args.maxlen)
     for n in range(args.maxlen + 1):
         print(n, a.count_accepted(n))
     return 0

@@ -7,7 +7,10 @@ move is defined by recomputation: there is a move from d to d' on the pair
 state d' (with a padded coordinate contributing nothing).  This makes the
 start state's diagonal loops, the prefix/suffix moves required by substring
 closure, and label consistency hold by construction; closing the label set
-under inversion, prefix and suffix is then a plain set fixpoint.
+under inversion, prefix and suffix is then a plain set fixpoint.  The
+moves form an `Fsa` over the padded pair alphabet, like the acceptor and
+the multipliers: one row per state, start state the empty word, every
+state accepting.  Every walk of the machine reads its rows.
 
 Labels are reduced by the rewriting system.  When the system is confluent
 the labels are the least representatives under the order; otherwise they
@@ -30,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InputError, LogicError, ResourceLimit
-from .fsa import pad_pair, pair_symbols
+from .fsa import Fsa, pad_pair, pair_symbols
 from .rewrite import RewriteSystem
 from .words import PAD, Word
 
@@ -38,18 +41,21 @@ EPS = 0  # index of the start state; its label is the empty word
 
 
 class DiffMachine:
+    """labels[s] is the reduced word of state s and index maps it back;
+    fsa holds the moves, one row per state as of the last `rebuild`, and
+    inverse_state[s] is the state labelled by the inverse of labels[s].
+    Labels that `add_equation` adds run ahead of fsa until `close`."""
+
     def __init__(self, rws: RewriteSystem, labels: Optional[Iterable[Word]] = None):
         self.rws = rws
         self.order = rws.order
         self.alpha = rws.order.alphabet
         self.labels = [()]
         self.index = {(): EPS}
-        self.pairs = pair_symbols(self.alpha.symbols)
-        self.transitions = {}
-        self.inverse_state = {}
-        if labels:
-            for w in labels:
-                self._add_label(w)
+        self.fsa = Fsa(pair_symbols(self.alpha.symbols), EPS, [EPS], [{}], track=2)
+        self.inverse_state = [EPS]
+        for w in labels or ():
+            self._add_label(w)
 
     @classmethod
     def from_rules(cls, rws: RewriteSystem) -> "DiffMachine":
@@ -80,7 +86,7 @@ class DiffMachine:
         Both the from-scratch reductions of the prefix differences and the
         incrementally chained ones are added; they agree for a confluent
         system, and the chain keeps the trace walkable for an incomplete
-        one.  Call close() afterwards to rewire transitions.
+        one.  Call close() afterwards to recompute the moves.
         """
         rw, inv = self.rws.rewrite, self.alpha.invert
         for i in range(max(len(x), len(y)) + 1):
@@ -117,20 +123,20 @@ class DiffMachine:
         self.rebuild()
 
     def rebuild(self) -> None:
-        """Recompute every move and the inversion map from the labels."""
-        rw, inv = self.rws.rewrite, self.alpha.invert
-        self.transitions = {}
-        for s, label in enumerate(self.labels):
-            for a, b in self.pairs:
-                t = self.index.get(self._moved(label, a, b))
-                if t is not None:
-                    self.transitions[(s, (a, b))] = t
-        self.inverse_state = {}
-        for s, label in enumerate(self.labels):
-            t = self.index.get(rw(inv(label)))
+        """Recompute every move and the inversion map from the labels:
+        one row per label, in alphabet order, as a new `fsa`."""
+        rw, inv, index = self.rws.rewrite, self.alpha.invert, self.index
+        symbols = self.fsa.symbols
+        rows, inverse = [], []
+        for label in self.labels:
+            moved = [index.get(self._moved(label, a, b)) for a, b in symbols]
+            rows.append({sym: t for sym, t in zip(symbols, moved) if t is not None})
+            t = index.get(rw(inv(label)))
             if t is None:
                 raise LogicError("labels are not closed under inversion")
-            self.inverse_state[s] = t
+            inverse.append(t)
+        self.fsa = Fsa(symbols, EPS, range(len(rows)), rows, track=2)
+        self.inverse_state = inverse
 
     def restricted(self, keep_labels: Iterable[Word]) -> "DiffMachine":
         """Copy with only the given labels (the empty word always kept)."""
@@ -163,27 +169,26 @@ class DiffMachine:
                 seen[w] = i
         if self.labels[EPS] != ():
             out.append("start state is not labelled by the empty word")
+        moves = self.fsa.moves
         for g in self.alpha.symbols:
-            if self.transitions.get((EPS, (g, g))) != EPS:
+            if moves[EPS].get((g, g)) != EPS:
                 out.append(f"missing diagonal loop on {g!r}")
         rw = self.rws.rewrite
-        for (s, (a, b)), t in sorted(self.transitions.items()):
-            if self._moved(self.labels[s], a, b) != rw(self.labels[t]):
-                out.append(
-                    f"transition {s} --({a},{b})--> {t} does not track the labels"
-                )
+        for s, row in enumerate(moves):
+            for (a, b), t in row.items():
+                if self._moved(self.labels[s], a, b) != rw(self.labels[t]):
+                    out.append(
+                        f"transition {s} --({a},{b})--> {t} does not track the labels"
+                    )
         return out
 
     # ------------------------------------------------------------ walking
 
-    def step(self, s: int, a: str, b: str) -> Optional[int]:
-        return self.transitions.get((s, (a, b)))
-
     def trace_pair(self, w1: Word, w2: Word) -> Optional[int]:
         """Target state of the padded pair, or None when it falls off."""
-        s = EPS
-        for a, b in pad_pair(w1, w2):
-            s = self.transitions.get((s, (a, b)))
+        s, moves = EPS, self.fsa.moves
+        for sym in pad_pair(w1, w2):
+            s = moves[s].get(sym)
             if s is None:
                 return None
         return s
@@ -205,6 +210,7 @@ class DiffMachine:
         """(p, i, u) for the first factor w[p:i], scanning p then i upwards,
         with a witnessed earlier spelling u, the least one; None if none."""
         key = lru_cache(maxsize=None)(self.order.key)
+        rows = self.fsa.moves
         moves = (PAD,) + self.alpha.symbols
         for p in range(len(w)):
             # (state, track-2 padded) -> earliest candidate spelling
@@ -213,8 +219,9 @@ class DiffMachine:
                 g = w[i]
                 nxt = {}
                 for (d, padded), cand in frontier.items():
+                    row = rows[d]
                     for b in (PAD,) if padded else moves:
-                        t = self.transitions.get((d, (g, b)))
+                        t = row.get((g, b))
                         if t is None:
                             continue
                         at = (t, b == PAD)
@@ -253,6 +260,7 @@ class DiffMachine:
         """
         key = self.order.key
         gens = self.alpha.symbols
+        rows = self.fsa.moves
         heap = [(key(z), d, z) for d, z in seeds.items()]
         heapq.heapify(heap)
         settled = set()
@@ -263,8 +271,9 @@ class DiffMachine:
             if d in settled:
                 continue
             settled.add(d)
+            row = rows[d]
             for h in gens:
-                t = self.transitions.get((d, (PAD, h)))
+                t = row.get((PAD, h))
                 if t is not None and t not in settled:
                     longer = z + (h,)
                     heapq.heappush(heap, (key(longer), t, longer))

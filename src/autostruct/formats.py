@@ -319,7 +319,7 @@ def parse_fsa(text: str) -> Fsa:
     with any label lines, keyed by internal state number."""
     head = {}
     labels = {}
-    transitions = []
+    move_lines = []
     saw_version = False
     last_no = 0
     for no, toks in _lines(text):
@@ -338,9 +338,11 @@ def parse_fsa(text: str) -> Fsa:
             if len(toks) < 3:
                 _fail(no, "label takes a state and a word")
             s = _parse_int(no, toks[1], "state")
+            if s in labels:
+                _fail(no, f"duplicate label for state {s}")
             labels[s] = (no, toks[2:])
         else:
-            transitions.append((no, toks))
+            move_lines.append((no, toks))
     if not saw_version:
         _fail(last_no or 1, "file must start with: fsa version 1")
 
@@ -393,7 +395,7 @@ def parse_fsa(text: str) -> Fsa:
         return (parts[0], parts[1])
 
     rows = [{} for _ in range(num)]
-    for no, toks in transitions:
+    for no, toks in move_lines:
         if len(toks) != 3:
             _fail(no, f"unrecognized line {' '.join(toks)!r}")
         src = state(no, _parse_int(no, toks[0], "state"))
@@ -407,27 +409,20 @@ def parse_fsa(text: str) -> Fsa:
     a.validate()
     word_labels = {}
     for s, (no, toks) in labels.items():
-        fake_alpha_check = [t for t in (toks if toks != ["e"] else []) if t not in base_set]
-        if fake_alpha_check:
-            _fail(no, f"unknown symbol {fake_alpha_check[0]!r} in label")
-        word_labels[state(no, s, "label state")] = (
-            () if toks == ["e"] else tuple(toks)
-        )
+        word = () if toks == ["e"] else tuple(toks)
+        unknown = [t for t in word if t not in base_set]
+        if unknown:
+            _fail(no, f"unknown symbol {unknown[0]!r} in label")
+        word_labels[state(no, s, "label state")] = word
     a.state_labels = word_labels
     return a
 
 
 def diff_to_fsa(diff: DiffMachine) -> tuple:
-    """View a difference machine as a pair automaton plus a label table.
+    """A difference machine as a pair automaton plus a label table.
 
-    Every state accepts; acceptance semantics differ per use (reaching a
-    particular label), so the file records the shape and the labels.  The
-    machine's moves are stored by state and then alphabet order (see
-    `DiffMachine.rebuild`), so each row is read in order.
+    The automaton is the machine's own `fsa`, not a copy: every state
+    accepts, since acceptance differs per use (reaching a particular
+    label), so the file records the shape and the labels.
     """
-    n = diff.state_count()
-    rows = [{} for _ in range(n)]
-    for (s, sym), t in diff.transitions.items():
-        rows[s][sym] = t
-    a = Fsa(diff.pairs, 0, frozenset(range(n)), rows, track=2)
-    return a, {i: w for i, w in enumerate(diff.labels)}
+    return diff.fsa, dict(enumerate(diff.labels))

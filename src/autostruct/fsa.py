@@ -9,7 +9,9 @@ pairs in which the shorter of two words has been padded at its tail end.
 Valid pair words never pad both coordinates at once and never resume a
 track after it padded; that padding discipline lives in `_pad_kind`, which
 the language comparison and composition carry in their state.  Complement
-is for word machines only.
+is for word machines only.  The word acceptor, the multipliers and the
+difference machine (`DiffMachine.fsa`, a track-2 machine in which every
+state accepts) are all machines of this one kind.
 
 Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages

@@ -50,7 +50,7 @@ from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine
-from .errors import ResourceLimit
+from .errors import InputError, ResourceLimit
 from .fsa import Fsa, _pad_kind, coreachable, explore, pair_symbols, search_forward
 from .orders import Order
 from .rewrite import CONFLUENT, RUNNING, KbCompletion, RewriteSystem
@@ -215,28 +215,26 @@ def build_multiplier(
     difference is g's target, all from one copy of its moves.  A product
     state (v, w, d, mode) is packed into the integer
     ((v*|W| + w)*|D| + d)*3 + mode, where the mode is the pad kind read so
-    far (see `_pad_kind`).  A state walks W's row at v, each letter with
-    the difference moves that read it, and looks track 2's letter up in
-    W's row at w.  `explore` fills the product's rows as it goes, one per
-    state, which is what the state cap bounds.  Also returns the
+    far (see `_pad_kind`).  Each row of D's `fsa` is regrouped once by mode
+    and track-1 letter; a product state walks W's row at v, each letter
+    with the moves of D's row at d that read it, and looks track 2's letter
+    up in W's row at w.  `explore` fills the product's rows as it goes, one
+    per state, which is what the state cap bounds.  Also returns the
     difference labels used on paths to any target, for pruning."""
     symbols = pair_symbols(acc.symbols)
-    width = diff.state_count()
+    width = diff.fsa.num_states
     side = acc.num_states
     rows = acc.moves
-    # the difference machine's moves by state and mode, in alphabet order:
+    # the difference machine's rows regrouped by mode, in alphabet order:
     # (symbol, track-2 letter, packed d and mode after).  A move of pad kind
     # k is legal in modes 0 and k.  Those reading a track-1 letter are keyed
     # by it; the (PAD, b) moves, which come last, stand apart.  A padded
     # track 2 keeps its state, so its letter is None.
     reads, silent = [], []
-    for d in range(width):
+    for row in diff.fsa.moves:
         by_letter = [{}, {}, {}]
         pads = [[], [], []]
-        for sym in symbols:
-            nd = diff.transitions.get((d, sym))
-            if nd is None:
-                continue
+        for sym, nd in row.items():
             a, b = sym
             k = _pad_kind(sym)
             move = (sym, None if b == PAD else b, nd * 3 + k)
@@ -427,6 +425,8 @@ def compute_structure(
     max_loops: int = 10,
     prune: bool = False,
 ) -> StructureResult:
+    if max_loops < 0:
+        raise InputError("the correction loops cap must not be negative")
     began = time.monotonic()
     relations = [(tuple(x), tuple(y)) for x, y in relations]
     rs = RewriteSystem.from_relations(order, relations)

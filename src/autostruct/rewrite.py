@@ -386,6 +386,8 @@ def kb_complete(
     max_pairs: int = 200000,
 ) -> str:
     """One-shot completion; returns the final status."""
+    if max_pairs < 1:
+        raise InputError("completion caps must be positive")
     kb = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
     status = kb.run(max_pairs)
     if status == RUNNING:

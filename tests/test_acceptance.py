@@ -169,7 +169,7 @@ def _one_step_diff_reduction(diff, order, w):
             t = s
             short = True
             for kk in range(k, n):
-                t = diff.transitions.get((t, (v[kk], PAD)))
+                t = diff.fsa.step(t, (v[kk], PAD))
                 if t is None:
                     short = False
                     break
@@ -177,7 +177,7 @@ def _one_step_diff_reduction(diff, order, w):
                 return True
             a = v[k]
             for b in alpha.symbols:
-                t2 = diff.transitions.get((s, (a, b)))
+                t2 = diff.fsa.step(s, (a, b))
                 if t2 is None:
                     continue
                 nr = rel
@@ -419,7 +419,7 @@ def _check_fault_injection():
         assert isinstance(wit, tuple)
 
     broken = res.diff.restricted(res.diff.labels)
-    del broken.transitions[(0, ("x", "x"))]
+    del broken.fsa.moves[0][("x", "x")]
     assert any("diagonal" in v for v in broken.violations())
 
     mislabelled = res.diff.restricted(res.diff.labels)

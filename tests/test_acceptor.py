@@ -8,7 +8,7 @@ from autostruct.acceptor import _fresh_shadows, build_acceptor
 from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import LogicError, ResourceLimit
 from autostruct.formats import diff_to_fsa, serialize_fsa
-from autostruct.fsa import Fsa, explore
+from autostruct.fsa import Fsa, explore, pair_symbols
 from autostruct.history import bounds_for, decide_precedes, history_step, in_bounds
 from autostruct.orders import KINDS
 from autostruct.pipeline import LOOP_LIMIT, compute_structure, run_knuth_bendix
@@ -148,11 +148,11 @@ def reference_acceptor(diff) -> tuple:
 
     def compute_kill(sid, g):
         d, hist = shadow_list[sid]
-        t = diff.step(d, g, PAD)
+        t = diff.fsa.step(d, (g, PAD))
         if t == EPS and decide_precedes(order, hist, (g,), ()):
             return True
         for h in gens:
-            t = diff.step(d, g, h)
+            t = diff.fsa.step(d, (g, h))
             if t is None:
                 continue
             if t == EPS:
@@ -167,14 +167,14 @@ def reference_acceptor(diff) -> tuple:
     def compute_successors(sid, g):
         d, hist = shadow_list[sid]
         out = []
-        t = diff.step(d, g, PAD)
+        t = diff.fsa.step(d, (g, PAD))
         if t is not None and t != EPS:
             nh = history_step(order, hist, g, PAD)
             if in_bounds(order, bounds, nh, diff.labels[t]):
                 out.append(intern(t, nh))
         if not hist.longer:
             for h in gens:
-                t = diff.step(d, g, h)
+                t = diff.fsa.step(d, (g, h))
                 if t is not None and t != EPS:
                     nh = history_step(order, hist, g, h)
                     if in_bounds(order, bounds, nh, diff.labels[t]):
@@ -266,10 +266,12 @@ def corpus_loops(request) -> list:
     """One run of a corpus case (knots on their Wirtinger presentations)
     under the test caps, with the (reference, bitsets) results for the
     difference machine of each correction loop, taken as the loop reaches
-    its multipliers, whether every state of that loop's W accepts, and
-    what `validate` says of that loop's W, M_e, D (as `diff_to_fsa` shows
-    it, before and after the product) and every M_g.  Where the run builds
-    W from that machine itself, its build is the one compared."""
+    its multipliers, whether every state of that loop's W accepts, where
+    D's moves differ from the recomputed ones (`recomputed_moves`, before
+    and after the product), and what `validate` says of that loop's W,
+    M_e, D (as `diff_to_fsa` shows it, before and after the product) and
+    every M_g.  Where the run builds W from that machine itself, its build
+    is the one compared."""
     family, p, q = CORPUS[request.param]
     fam = builtin_family(
         FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
@@ -286,12 +288,14 @@ def corpus_loops(request) -> list:
     def record(acc, diff):
         got = built.pop() if built else bitset_build(diff)[1]
         every_state = acc.accepting == frozenset(range(acc.num_states))
+        drift = recomputed_moves(diff)
         checks = validated(
             W=acc, M_e=pipeline._diagonal_multiplier(acc), D=diff_to_fsa(diff)[0]
         )
-        loops.append((reference_result(diff), got, every_state, checks))
+        loops.append((reference_result(diff), got, every_state, drift, checks))
         mults, used = real(acc, diff)  # KNOT74's product stops at its cap
         mults_named = {f"M_{g}": m for g, m in mults.items()}
+        drift += recomputed_moves(diff)
         checks += validated(D=diff_to_fsa(diff)[0], **mults_named)
         return mults, used
 
@@ -303,6 +307,27 @@ def corpus_loops(request) -> list:
         compute_structure(fam.order, fam.presentation.relations)
     assert loops
     return loops
+
+
+def recomputed_moves(diff) -> list:
+    """Where D's moves are not the ones its labels define: ("states", rows,
+    labels) when the row count is not the label count, else (state, pair,
+    move, recomputed move) for each pair symbol whose move from the state
+    is not the state labelled by the reduced a^-1 label b (a padded side
+    counting as empty), or is missing although that state exists."""
+    if diff.fsa.num_states != diff.state_count():
+        return [("states", diff.fsa.num_states, diff.state_count())]
+    rewrite, inv = diff.rws.rewrite, diff.alpha.invert
+    out = []
+    for s, label in enumerate(diff.labels):
+        for a, b in pair_symbols(diff.alpha.symbols):
+            left = inv((a,)) if a != PAD else ()
+            right = (b,) if b != PAD else ()
+            want = diff.index.get(rewrite(left + label + right))
+            got = diff.fsa.step(s, (a, b))
+            if got != want:
+                out.append((s, (a, b), got, want))
+    return out
 
 
 def validated(**machines) -> list:
@@ -319,14 +344,21 @@ def validated(**machines) -> list:
 
 
 def test_bitset_acceptor_matches_reference_on_corpus(corpus_loops):
-    for n, (want, got, _every_state, _checks) in enumerate(corpus_loops):
+    for n, (want, got, *_) in enumerate(corpus_loops):
         assert got == want, n
 
 
 def test_every_corpus_acceptor_state_accepts(corpus_loops):
     # W is prefix-closed: the axiom check's exactness rests on it
-    for n, (_want, _got, every_state, _checks) in enumerate(corpus_loops):
+    for n, (_want, _got, every_state, *_) in enumerate(corpus_loops):
         assert every_state, n
+
+
+def test_every_corpus_difference_machine_has_exactly_the_recomputed_moves(
+    corpus_loops,
+):
+    for n, (*_, drift, _checks) in enumerate(corpus_loops):
+        assert drift == [], n
 
 
 def test_every_corpus_machine_keeps_one_ordered_row_per_state(corpus_loops):

@@ -107,6 +107,35 @@ def test_bad_usage_is_exit_three(capsys):
     assert main(["no-such-command"]) == 3
 
 
+@pytest.mark.parametrize("command, cap, message", [
+    (
+        "autostructure", ["--max-loops", "-1"],
+        "the correction loops cap must not be negative",
+    ),
+    ("kbcomplete", ["--max-pairs", "-3"], "completion caps must be positive"),
+    ("kbcomplete", ["--max-pairs", "0"], "completion caps must be positive"),
+], ids=["max-loops-negative", "max-pairs-negative", "max-pairs-zero"])
+def test_a_cap_below_its_least_is_an_input_error(
+    grid_file, tmp_path, capsys, command, cap, message
+):
+    out = tmp_path / "out"
+    assert main([command, str(grid_file), "-o", str(out)] + cap) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_zero_correction_loops_still_runs(grid_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "autostructure", str(grid_file), "-o", str(out), "--max-loops", "0",
+    ])
+    assert code == 0
+    assert "correction loops: 0" in (out / "report.txt").read_text()
+    assert capsys.readouterr().out.startswith("verified")
+
+
 def test_kbcomplete_prints_a_rules_file(grid_file, capsys):
     assert main(["kbcomplete", str(grid_file)]) == 0
     captured = capsys.readouterr()

@@ -58,14 +58,16 @@ def check_machine_axioms(d, strict=True):
     assert len(set(d.labels)) == len(d.labels)
     for label in d.labels:
         assert d.rws.is_irreducible(label)
+    moves = d.fsa.moves
     # every move's target label is the reduction of inverse(a).source.b
-    for (s, (a, b)), t in d.transitions.items():
-        left = alpha.invert((a,)) if a != PAD else ()
-        right = (b,) if b != PAD else ()
-        assert d.rws.rewrite(left + d.labels[s] + right) == d.labels[t]
+    for s, row in enumerate(moves):
+        for (a, b), t in row.items():
+            left = alpha.invert((a,)) if a != PAD else ()
+            right = (b,) if b != PAD else ()
+            assert d.rws.rewrite(left + d.labels[s] + right) == d.labels[t]
     # diagonal loops at the start state
     for g in alpha.symbols:
-        assert d.step(EPS, g, g) == EPS
+        assert d.fsa.step(EPS, (g, g)) == EPS
     # labels are closed under inversion, prefix and suffix, and the
     # one-letter moves witnessing the factor labels exist
     for s, label in enumerate(d.labels):
@@ -75,14 +77,15 @@ def check_machine_axioms(d, strict=True):
             continue
         pre = d.index[label[:-1]]
         suf = d.index[label[1:]]
-        assert d.step(pre, PAD, label[-1]) == s
-        assert d.step(suf, alpha.inverse[label[0]], PAD) == s
+        assert d.fsa.step(pre, (PAD, label[-1])) == s
+        assert d.fsa.step(suf, (alpha.inverse[label[0]], PAD)) == s
     if strict:
         # moves reverse under inversion when reduction is canonical
-        for (s, (a, b)), t in d.transitions.items():
-            ra = alpha.inverse[a] if a != PAD else PAD
-            rb = alpha.inverse[b] if b != PAD else PAD
-            assert d.step(t, ra, rb) == s
+        for s, row in enumerate(moves):
+            for (a, b), t in row.items():
+                ra = alpha.inverse[a] if a != PAD else PAD
+                rb = alpha.inverse[b] if b != PAD else PAD
+                assert d.fsa.step(t, (ra, rb)) == s
 
 
 def test_free_group_machine():
@@ -200,7 +203,7 @@ def test_violations_flag_a_relabelled_state():
 
 def test_violations_flag_a_missing_diagonal():
     d = DiffMachine.from_rules(z2_system())
-    del d.transitions[(EPS, ("b", "b"))]
+    del d.fsa.moves[EPS][("b", "b")]
     assert d.violations() == ["missing diagonal loop on 'b'"]
 
 
@@ -245,7 +248,7 @@ def test_find_reduction_matches_brute_force(family, pq, extra):
         FamilySpec(family, *pq), wirtinger=family.startswith("KNOT")
     )
     d = compute_structure(fam.order, fam.presentation.relations).diff
-    assert any(a == PAD for _, (a, _b) in d.transitions)
+    assert any(a == PAD for row in d.fsa.moves for a, _b in row)
     exact = d.order.kind == SHORTLEX
     key = d.order.key
     rng = random.Random(11)

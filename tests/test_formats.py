@@ -164,6 +164,10 @@ def test_fsa_hand_written_parses():
     (lambda t: t.replace("1 x 2", "1 q 2"), "unknown symbol"),
     (lambda t: t.replace("1 x 2", "1 x 9"), "out of range"),
     (lambda t: t.replace("1 x 2", "1 x 2\n1 x 1"), "duplicate"),
+    (
+        lambda t: t.replace("1 x 2", "label 1 x\nlabel 1 e\n1 x 2"),
+        "line 9: duplicate label for state 1",
+    ),
     (lambda t: t.replace("pad _", "pad +"), "padding"),
     (lambda t: t.replace("states 2\n", ""), "missing states"),
 ])

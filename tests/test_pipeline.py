@@ -284,7 +284,7 @@ def one_target_multiplier(acc, diff, target) -> tuple:
                 continue
             nv = v if a == PAD else acc.step(v, a)
             nw = w if b == PAD else acc.step(w, b)
-            nd = diff.transitions.get((d, sym))
+            nd = diff.fsa.step(d, sym)
             if None not in (nv, nw, nd):
                 yield sym, (nv, nw, nd, kind)
 
