@@ -11,17 +11,23 @@ surviving state accepts.
 The result accepts every word with no machine-witnessed reduction, and
 never both a word and its machine reduction.
 
+Every subset holds the root shadow: the trivial difference with the
+history of the equal pair (`history.root_history`), a companion that has
+not yet left the word.  Its successors are the shadows a generator
+opens, so every other shadow is a step of one already in the subset, and
+its kill mask is the generators that reduce on their own.
+
 The subset construction runs on Python ints.  Each shadow is interned to
 a bit, so a subset state is one int and the union of its members'
 successors is one `|` per member.  Whether a shadow kills the word under
 a generator does not depend on the subset it sits in, so each shadow
 carries one kill mask over the generators, worked out the first time a
 subset holding it is expanded; a subset ORs its members' masks once and
-skips every generator whose bit is set.  A shadow's successor mask under a generator is filled
-the first time a subset holding it survives that generator, so exactly
-the shadows some surviving subset reaches are interned, and the raw
-machine, numbered breadth-first in generator order, does not depend on
-how subsets are stored.
+skips every generator whose bit is set.  A shadow's successor mask under
+a generator is filled the first time a subset holding it survives that
+generator, so exactly the shadows some surviving subset reaches are
+interned, and the raw machine, numbered breadth-first in generator
+order, does not depend on how subsets are stored.
 """
 
 from __future__ import annotations
@@ -31,14 +37,7 @@ from typing import Optional
 from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
 from .fsa import Fsa, explore
-from .history import (
-    HistoryBounds,
-    bounds_for,
-    decide_precedes,
-    history,
-    history_step,
-    in_bounds,
-)
+from .history import bounds_for, decide_precedes, history_step, in_bounds, root_history
 from .rewrite import RewriteSystem
 from .words import PAD, Word
 
@@ -80,32 +79,15 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
     return raw.minimized()
 
 
-def _fresh_shadows(diff: DiffMachine, bounds: HistoryBounds, g: str) -> frozenset:
-    """Shadows opened by g itself: companions h (a generator or nothing)
-    whose difference with g is a known state, bounded."""
-    order = diff.order
-    row = diff.fsa.moves[EPS]
-    out = set()
-    for h in diff.alpha.symbols + (PAD,):
-        t = row.get((g, h))
-        if t is not None and h != g:
-            hist = history(order, (g,), () if h == PAD else (h,))
-            if in_bounds(order, bounds, hist, diff.labels[t]):
-                out.add((t, hist))
-    return frozenset(out)
-
-
 def build_acceptor(diff: DiffMachine) -> Fsa:
     order = diff.order
     gens = diff.alpha.symbols
     rows = diff.fsa.moves
     pad_first = (PAD,) + gens  # the companion's letters, padding first
-    bounds = bounds_for(order, diff.labels)
-    # indices of the generators that do not reduce on their own
-    live = [i for i, g in enumerate(gens) if diff.reduce((g,)) == (g,)]
+    bound = bounds_for(order, diff.labels)
 
-    # per shadow id: its key, its kill mask over the live generators, and
-    # per generator its successor mask (each None until first needed)
+    # per shadow id: its key, its kill mask over the generators, and per
+    # generator its successor mask (each None until first needed)
     shadow_ids: dict = {}
     shadow_list: list = []
     kill_masks: list = []
@@ -116,7 +98,7 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
         sid = shadow_ids.get(key)
         if sid is None:
             sid = len(shadow_list)
-            if sid >= MAX_SHADOWS:
+            if sid > MAX_SHADOWS:  # the root, id 0, is not counted
                 raise ResourceLimit("shadows", MAX_SHADOWS)
             shadow_ids[key] = sid
             shadow_list.append(key)
@@ -125,32 +107,31 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
                 col.append(None)
         return sid
 
+    root = intern(EPS, root_history(order))  # a member of every subset
+    kill_masks[root] = root_kill = sum(
+        1 << i for i, g in enumerate(gens) if diff.reduce((g,)) != (g,)
+    )
+
     def kill_mask(sid: int) -> int:
-        # the live generators under which the shadow kills the word;
-        # compute_kill interns nothing
+        # the generators the root leaves alive under which the shadow kills
+        # the word; compute_kill interns nothing
         d, hist = shadow_list[sid]
         mask = 0
-        for i in live:
-            if compute_kill(d, hist, gens[i]):
+        for i, g in enumerate(gens):
+            if not root_kill >> i & 1 and compute_kill(d, hist, g):
                 mask |= 1 << i
         return mask
 
     def compute_kill(d: int, hist, g: str) -> bool:
         # (a) the companion already equals the extended word
         row = rows[d]
-        t = row.get((g, PAD))
-        if t == EPS and decide_precedes(order, hist, (g,), ()):
+        if row.get((g, PAD)) == EPS and decide_precedes(order, hist, (g,), ()):
             return True
+        # (b) companion, a generator, and the closing word, which is empty
+        # when the generator lands on the trivial difference
         for h in gens:
             t = row.get((g, h))
-            if t is None:
-                continue
-            if t == EPS:
-                # (b) companion plus one generator
-                if decide_precedes(order, hist, (g,), (h,)):
-                    return True
-            else:
-                # (c) companion, a generator, and the closing word
+            if t is not None:
                 dd = diff.labels[diff.inverse_state[t]]
                 if decide_precedes(order, hist, (g,), (h,) + dd):
                     return True
@@ -167,14 +148,9 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
             t = row.get((g, h))
             if t is not None and t != EPS:
                 nh = history_step(order, hist, g, h)
-                if in_bounds(order, bounds, nh, diff.labels[t]):
+                if in_bounds(order, bound, nh, diff.labels[t]):
                     out |= 1 << intern(t, nh)
         return out
-
-    fresh_masks = [0] * len(gens)
-    for i in live:
-        for d, hist in _fresh_shadows(diff, bounds, gens[i]):
-            fresh_masks[i] |= 1 << intern(d, hist)
 
     def successors(subset: int):
         # decode the members once, lowest id first, and OR their kills
@@ -189,19 +165,20 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
                 kill = kill_masks[sid] = kill_mask(sid)
             killed |= kill
             sid = bits.find("1", sid + 1)
-        for i in live:
+        for i, g in enumerate(gens):
             if killed >> i & 1:
                 continue
             col = succ_cols[i]
-            out = fresh_masks[i]
+            out = 1 << root
             for sid in members:
                 t = col[sid]
                 if t is None:
-                    t = col[sid] = compute_successors(sid, gens[i])
+                    t = col[sid] = compute_successors(sid, g)
                 out |= t
-            yield gens[i], out
+            yield g, out
 
     raw, _ = explore(
-        gens, 0, successors, lambda subset: True, 1, max_states=MAX_STATES,
+        gens, 1 << root, successors, lambda subset: True, 1,
+        max_states=MAX_STATES,
     )
     return raw.minimized()

@@ -45,6 +45,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from e
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _file_token(sym: str) -> str:
     """Symbol as a safe file-name fragment; odd characters get escaped."""
     if all(c.isalnum() for c in sym):
@@ -102,20 +109,16 @@ def _cmd_autostructure(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise InputError(f"cannot create {outdir}: {e.strerror or e}") from e
-
-    def emit(name, text):
-        (outdir / name).write_text(text, encoding="utf-8")
-
-    emit("R.rws", serialize_rules(res.rws))
+    _write(outdir / "R.rws", serialize_rules(res.rws))
     if res.diff is not None:
-        emit("D.fsa", serialize_fsa(*diff_to_fsa(res.diff)))
+        _write(outdir / "D.fsa", serialize_fsa(*diff_to_fsa(res.diff)))
     if res.acceptor is not None:
-        emit("W.fsa", serialize_fsa(res.acceptor))
+        _write(outdir / "W.fsa", serialize_fsa(res.acceptor))
     if res.identity is not None:
-        emit("M_e.fsa", serialize_fsa(res.identity))
+        _write(outdir / "M_e.fsa", serialize_fsa(res.identity))
     for g, m in sorted(res.multipliers.items()):
-        emit(f"M_{_file_token(g)}.fsa", serialize_fsa(m))
-    emit("report.txt", "\n".join(_report_lines(res)) + "\n")
+        _write(outdir / f"M_{_file_token(g)}.fsa", serialize_fsa(m))
+    _write(outdir / "report.txt", "\n".join(_report_lines(res)) + "\n")
 
     summary = f"{res.outcome} in {res.seconds:.2f}s"
     if res.acceptor is not None:
@@ -138,7 +141,7 @@ def _cmd_kbcomplete(args) -> int:
     )
     text = serialize_rules(rs)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     print(

@@ -40,6 +40,13 @@ from .words import PAD, Word
 EPS = 0  # index of the start state; its label is the empty word
 
 
+def prefix_differences(rws: RewriteSystem, x: Word, y: Word) -> list:
+    """The reduced words inv(x[:i]).y[:i], for i from 0 to the longer
+    length: the differences along the padded pair (x, y)."""
+    rw, inv = rws.rewrite, rws.order.alphabet.invert
+    return [rw(inv(x[:i]) + y[:i]) for i in range(max(len(x), len(y)) + 1)]
+
+
 class DiffMachine:
     """labels[s] is the reduced word of state s and index maps it back;
     fsa holds the moves, one row per state as of the last `rebuild`, and
@@ -88,9 +95,8 @@ class DiffMachine:
         system, and the chain keeps the trace walkable for an incomplete
         one.  Call close() afterwards to recompute the moves.
         """
-        rw, inv = self.rws.rewrite, self.alpha.invert
-        for i in range(max(len(x), len(y)) + 1):
-            self._add_label(rw(inv(x[:i]) + y[:i]))
+        for label in prefix_differences(self.rws, x, y):
+            self._add_label(label)
         d: Word = ()
         for a, b in pad_pair(x, y):
             d = self._moved(d, a, b)

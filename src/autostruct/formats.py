@@ -17,7 +17,7 @@ from .fsa import Fsa, pair_symbols
 from .orders import KINDS, Order, WREATH, WTLEX, WTSHORTLEX
 from .presentations import Presentation
 from .rewrite import RewriteSystem
-from .words import PAD, Alphabet, Word
+from .words import _RESERVED, PAD, Alphabet, Word
 
 
 def _lines(text: str):
@@ -356,6 +356,9 @@ def parse_fsa(text: str) -> Fsa:
     no, base = head["alphabet"]
     if not base or len(set(base)) != len(base):
         _fail(no, "alphabet must list distinct symbols")
+    for s in base:
+        if s in _RESERVED:
+            _fail(no, f"symbol name {s!r} is reserved")
     if "pad" in head:
         no, toks = head["pad"]
         if toks != [PAD]:

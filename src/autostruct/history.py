@@ -4,18 +4,24 @@ The acceptor construction walks pairs (w1, w2) of words letter by letter,
 where w1 is the candidate being tested (track 1) and w2 a potential earlier
 spelling of the same group element (track 2).  A history is a bounded summary
 of the pair that still answers, for appended endings e1 and e2, whether
-w2.e2 strictly precedes w1.e1 in the reduction order.  Histories can be
-computed from scratch, stepped one letter pair at a time, and filtered
-against bounds derived from a difference machine's label set.
+w2.e2 strictly precedes w1.e1 in the reduction order.  There is one way to
+make a history: `root_history` is the history of the equal (empty) pair,
+and `history_step` extends a history by one letter pair, so a pair's
+history is its letter pairs stepped from the root.  `bounds_for` reads one
+bound off a difference machine's label set, and `in_bounds` filters
+histories against it.
 
 Conventions:
 
-* pairs are always stripped of their common prefix, and track 1 is never
-  shorter than track 2; once track 2 has fallen behind (the ``longer`` flag),
-  it stays behind and only (letter, padding) steps are legal
+* the pair's common prefix is never read: the acceptor starts a shadow at
+  the pair's first divergent letter pair, stepped from the root.  Track 1
+  is never shorter than track 2; once track 2 has fallen behind (the
+  ``longer`` flag), it stays behind and only (letter, padding) steps are
+  legal
 * for the weighted orders the summary is (longer, lexsign, wtdiff), with
-  lexsign read as "+1 when track 2 is lex-earlier at the first divergence"
-  and wtdiff capped at 1 once track 1 is strictly longer
+  lexsign read as "+1 when track 2 is lex-earlier at the first divergence",
+  set by the step that diverges and 0 before it, and wtdiff capped at 1
+  once track 1 is strictly longer
 * for the wreath-product order the summary keeps, per level, either a final
   verdict (level settled for one side), equality, or the lex sign of the
   matched parts of the level projections plus the single-sided overhang.
@@ -26,10 +32,10 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .errors import LogicError
-from .orders import LT, EQ, Order, SHORTLEX, WTLEX, WTSHORTLEX, lex_cmp, shortlex_cmp, strip_common_prefix
+from .orders import LT, EQ, Order, SHORTLEX, WTLEX, WTSHORTLEX, lex_cmp, shortlex_cmp
 from .words import PAD, Word
 
 
@@ -73,38 +79,67 @@ def _wt_like(order: Order) -> bool:
     return order.kind in (SHORTLEX, WTLEX, WTSHORTLEX)
 
 
-# ------------------------------------------------------------ construction
+# ----------------------------------------------------------------- stepping
 
 
-def history(order: Order, w1: Word, w2: Word) -> History:
-    """Summary of the pair (w1, w2) computed from scratch."""
-    w1, w2 = strip_common_prefix(w1, w2)
-    if w1 == w2:
-        raise LogicError("history of an equal pair")
-    if len(w1) < len(w2):
-        raise LogicError("track 1 must not be shorter than track 2")
+def root_history(order: Order) -> History:
+    """History of the equal pair: every other history is stepped from it."""
     if _wt_like(order):
-        return _wt_history(order, w1, w2)
-    return _wreath_history(order, w1, w2)
+        return WtHistory(False, 0, 0)
+    return WreathHistory(False, 0, 0, ())
 
 
-def _divergence_sign(order: Order, w1: Word, w2: Word) -> int:
-    # +1 iff track 2 is lex-earlier; a proper prefix counts as earlier
-    c = lex_cmp(order.alphabet, w2, w1)
-    return 1 if c == LT else -1
+def history_step(order: Order, h: History, a: str, b: str) -> History:
+    """History of the pair extended by one letter pair (a, b).
+
+    a is a generator; b is a generator or the padding symbol.  A history
+    whose track 1 is already longer only accepts padded steps.  The first
+    step from the root must diverge (a != b): a common prefix is never
+    stepped, and the wreath levels would read it as part of the pair.
+    """
+    if a == PAD:
+        raise LogicError("track 1 never pads")
+    if h.longer and b != PAD:
+        raise LogicError("track 2 cannot resume after falling behind")
+    if _wt_like(order):
+        return _wt_step(order, h, a, b)
+    return _wreath_step(order, h, a, b)
 
 
-def _wt_history(order: Order, w1: Word, w2: Word) -> WtHistory:
-    longer = len(w1) > len(w2)
-    wtd = order.word_weight(w1) - order.word_weight(w2)
-    if longer:
-        wtd = min(wtd, 1)
-    if order.kind == WTLEX:
-        lexsign = _divergence_sign(order, w1, w2)
-    else:
-        # length ties are what the lex component is for; otherwise unset
-        lexsign = 0 if longer else _divergence_sign(order, w1, w2)
-    return WtHistory(longer, lexsign, wtd)
+def _wt_step(order: Order, h: WtHistory, a: str, b: str) -> WtHistory:
+    lexsign = h.lexsign
+    if not lexsign and a != b:
+        # the first divergent pair sets the sign; a padded track 2 is a
+        # proper prefix of track 1, so lex-earlier
+        rank = order.alphabet.rank
+        lexsign = 1 if b == PAD or rank(b) < rank(a) else -1
+    if b == PAD:
+        wtd = min(h.wtdiff + order.weight(a), 1)
+        # length ties are what the lex component is for; once longer, only
+        # wtlex still reads it
+        return WtHistory(True, lexsign if order.kind == WTLEX else 0, wtd)
+    wtd = h.wtdiff + order.weight(a) - order.weight(b)
+    return WtHistory(False, lexsign, wtd)
+
+
+def _wreath_step(order: Order, h: WreathHistory, a: str, b: str) -> WreathHistory:
+    alpha = order.alphabet
+    la = alpha.level(a)
+    lb = None if b == PAD else alpha.level(b)
+    top1 = max(h.top1, la)
+    top2 = h.top2 if lb is None else max(h.top2, lb)
+    longer = h.longer or b == PAD
+    comps = []
+    for j in range(1, max(top1, top2) + 1):
+        old = h.levels[j - 1] if j <= len(h.levels) else 0
+        # a letter lands in a level projection only while nothing above that
+        # level has been seen on its own track
+        app1 = a if (h.top1 <= j and la == j) else None
+        app2 = b if (lb is not None and h.top2 <= j and lb == j) else None
+        comps.append(
+            _step_level(alpha, old, app1, app2, j, longer, top1, top2)
+        )
+    return WreathHistory(longer, top1, top2, tuple(comps))
 
 
 def _normalize_level(
@@ -129,68 +164,6 @@ def _normalize_level(
         if top1 > j:
             return -1
     return LevelRec(sign, over1, over2)
-
-
-def _wreath_history(order: Order, w1: Word, w2: Word) -> WreathHistory:
-    a = order.alphabet
-    top1, top2 = a.max_level(w1), a.max_level(w2)
-    longer = len(w1) > len(w2)
-    comps = []
-    for j in range(1, max(top1, top2) + 1):
-        p1, p2 = _pi(order, w1, j), _pi(order, w2, j)
-        m = min(len(p1), len(p2))
-        sign = lex_cmp(a, p2[:m], p1[:m])
-        comps.append(
-            _normalize_level(sign, p1[m:], p2[m:], j, longer, top1, top2)
-        )
-    return WreathHistory(longer, top1, top2, tuple(comps))
-
-
-# ----------------------------------------------------------------- stepping
-
-
-def history_step(order: Order, h: History, a: str, b: str) -> History:
-    """History of the pair extended by one letter pair (a, b).
-
-    a is a generator; b is a generator or the padding symbol.  A history
-    whose track 1 is already longer only accepts padded steps.
-    """
-    if a == PAD:
-        raise LogicError("track 1 never pads")
-    if h.longer and b != PAD:
-        raise LogicError("track 2 cannot resume after falling behind")
-    if _wt_like(order):
-        return _wt_step(order, h, a, b)
-    return _wreath_step(order, h, a, b)
-
-
-def _wt_step(order: Order, h: WtHistory, a: str, b: str) -> WtHistory:
-    if b == PAD:
-        wtd = min(h.wtdiff + order.weight(a), 1)
-        lexsign = 0 if order.kind != WTLEX else h.lexsign
-        return WtHistory(True, lexsign, wtd)
-    wtd = h.wtdiff + order.weight(a) - order.weight(b)
-    return WtHistory(False, h.lexsign, wtd)
-
-
-def _wreath_step(order: Order, h: WreathHistory, a: str, b: str) -> WreathHistory:
-    alpha = order.alphabet
-    la = alpha.level(a)
-    lb = None if b == PAD else alpha.level(b)
-    top1 = max(h.top1, la)
-    top2 = h.top2 if lb is None else max(h.top2, lb)
-    longer = h.longer or b == PAD
-    comps = []
-    for j in range(1, max(top1, top2) + 1):
-        old = h.levels[j - 1] if j <= len(h.levels) else 0
-        # a letter lands in a level projection only while nothing above that
-        # level has been seen on its own track
-        app1 = a if (h.top1 <= j and la == j) else None
-        app2 = b if (lb is not None and h.top2 <= j and lb == j) else None
-        comps.append(
-            _step_level(alpha, old, app1, app2, j, longer, top1, top2)
-        )
-    return WreathHistory(longer, top1, top2, tuple(comps))
 
 
 def _step_level(alpha, old, app1, app2, j, longer, top1, top2):
@@ -313,31 +286,28 @@ def _wreath_decide(order: Order, h: WreathHistory, e1: Word, e2: Word) -> bool:
 # ------------------------------------------------------------------- bounds
 
 
-@dataclass(frozen=True)
-class HistoryBounds:
-    """Admissible-history bounds computed from a difference label set."""
+def bounds_for(order: Order, labels) -> int:
+    """The bound a history must keep at every difference label.
 
-    max_weight: Optional[int] = None  # weighted orders
-    max_overhang: Optional[int] = None  # wreath-product order
-
-
-def bounds_for(order: Order, labels) -> HistoryBounds:
+    For the weighted orders it is the greatest label weight, which caps
+    the weight gap; for the wreath-product order it is the most letters
+    any label has on one level, which caps every level's overhang.
+    """
     if _wt_like(order):
-        return HistoryBounds(max_weight=max(order.word_weight(d) for d in labels))
+        return max(order.word_weight(d) for d in labels)
     a = order.alphabet
     cap = 0
     for d in labels:
         for j in range(1, (a.max_level(d) if d else 0) + 1):
             cap = max(cap, sum(1 for s in d if a.level(s) == j))
-    return HistoryBounds(max_overhang=cap)
+    return cap
 
 
-def in_bounds(order: Order, bounds: HistoryBounds, h: History, label: Word) -> bool:
+def in_bounds(order: Order, bound: int, h: History, label: Word) -> bool:
     """Is this history inside the sufficient set at the given state label?"""
     if _wt_like(order):
-        return -order.word_weight(label) <= h.wtdiff <= bounds.max_weight
-    cap = bounds.max_overhang
+        return -order.word_weight(label) <= h.wtdiff <= bound
     for c in h.levels:
-        if isinstance(c, LevelRec) and (len(c.over1) > cap or len(c.over2) > cap):
+        if isinstance(c, LevelRec) and (len(c.over1) > bound or len(c.over2) > bound):
             return False
     return True

@@ -60,14 +60,6 @@ def shortlex_cmp(alpha: Alphabet, u: Word, v: Word) -> int:
     return lex_cmp(alpha, u, v)
 
 
-def strip_common_prefix(u: Word, v: Word) -> tuple:
-    i = 0
-    n = min(len(u), len(v))
-    while i < n and u[i] == v[i]:
-        i += 1
-    return u[i:], v[i:]
-
-
 def _key_function(kind: str, alpha: Alphabet):
     """The sort key of the order kind, closed over its integer tables."""
     rank = {s: i for i, s in enumerate(alpha.symbols)}.__getitem__

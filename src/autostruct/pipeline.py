@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
-from .diff import EPS, DiffMachine
+from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
 from .fsa import Fsa, _pad_kind, coreachable, explore, pair_symbols, search_forward
 from .orders import Order
@@ -129,12 +129,10 @@ class _RuleLabels:
         key = (lhs, rhs)
         labels = self.cache.get(key)
         if labels is None:
-            inv, rewrite = self.rs.order.alphabet.invert, self.rs.rewrite
-            labels = set()
-            for i in range(max(len(lhs), len(rhs)) + 1):
-                labels.add(rewrite(inv(lhs[:i]) + rhs[:i]))
-                labels.add(rewrite(inv(rhs[:i]) + lhs[:i]))
-            labels = self.cache[key] = frozenset(labels)
+            labels = self.cache[key] = frozenset(
+                prefix_differences(self.rs, lhs, rhs)
+                + prefix_differences(self.rs, rhs, lhs)
+            )
         return labels
 
     def update(self) -> frozenset:

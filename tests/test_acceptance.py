@@ -26,8 +26,9 @@ from autostruct import (
     is_confluent,
     serialize_fsa,
 )
-from autostruct.history import decide_precedes, history, history_step
+from autostruct.history import decide_precedes, history_step, root_history
 from autostruct.presentations import FamilySpec, builtin_family
+from test_core_history import reference_history
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +326,7 @@ def _check_histories(order, rng, stages):
             w1, w2 = (g,), ()
         else:
             w1, w2 = (g,), (rng.choice([s for s in syms if s != g]),)
-        h = history(order, w1, w2)
+        h = history_step(order, root_history(order), g, w2[0] if w2 else PAD)
         for _ in range(rng.randrange(0, 13)):
             a = rng.choice(syms)
             if h.longer or rng.random() < 0.2:
@@ -335,7 +336,7 @@ def _check_histories(order, rng, stages):
                 b = rng.choice(syms)
                 w1, w2 = w1 + (a,), w2 + (b,)
             h = history_step(order, h, a, b)
-            assert h == history(order, w1, w2), (w1, w2)
+            assert h == reference_history(order, w1, w2), (w1, w2)
             for _q in range(2):
                 e1 = (rng.choice(syms),)
                 e2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 4)))

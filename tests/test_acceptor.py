@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from autostruct import Alphabet, Order, SHORTLEX, WREATH, WTLEX, acceptor, pipeline
-from autostruct.acceptor import _fresh_shadows, build_acceptor
+from autostruct.acceptor import build_acceptor
 from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import LogicError, ResourceLimit
 from autostruct.formats import diff_to_fsa, serialize_fsa
@@ -15,6 +15,7 @@ from autostruct.pipeline import LOOP_LIMIT, compute_structure, run_knuth_bendix
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
 from autostruct.words import PAD
+from test_core_history import reference_history
 from test_rewrite import _random_presentation
 
 
@@ -116,6 +117,21 @@ def test_acceptor_language_prefix_closed():
 # ------------------------------ bitset subsets against frozenset subsets
 
 
+def fresh_shadows(diff, bound, g) -> frozenset:
+    """Shadows opened by g itself: companions h (a generator or nothing)
+    whose difference with g is a known state, bounded, with histories
+    built from scratch."""
+    order = diff.order
+    out = set()
+    for h in diff.alpha.symbols + (PAD,):
+        t = diff.fsa.step(EPS, (g, h))
+        if t is not None and h != g:
+            hist = reference_history(order, (g,), () if h == PAD else (h,))
+            if in_bounds(order, bound, hist, diff.labels[t]):
+                out.add((t, hist))
+    return frozenset(out)
+
+
 def reference_acceptor(diff) -> tuple:
     """The subset construction as it was before subsets became bitsets:
     each subset a frozenset of interned shadow ids, kill flags and
@@ -124,10 +140,10 @@ def reference_acceptor(diff) -> tuple:
     shadows interned).  Reads the caps of the acceptor module."""
     order = diff.order
     gens = diff.alpha.symbols
-    bounds = bounds_for(order, diff.labels)
+    bound = bounds_for(order, diff.labels)
     reduces = {g: diff.reduce((g,)) != (g,) for g in gens}
     fresh = {
-        g: (frozenset() if reduces[g] else _fresh_shadows(diff, bounds, g))
+        g: (frozenset() if reduces[g] else fresh_shadows(diff, bound, g))
         for g in gens
     }
     gen_index = {g: i for i, g in enumerate(gens)}
@@ -170,14 +186,14 @@ def reference_acceptor(diff) -> tuple:
         t = diff.fsa.step(d, (g, PAD))
         if t is not None and t != EPS:
             nh = history_step(order, hist, g, PAD)
-            if in_bounds(order, bounds, nh, diff.labels[t]):
+            if in_bounds(order, bound, nh, diff.labels[t]):
                 out.append(intern(t, nh))
         if not hist.longer:
             for h in gens:
                 t = diff.fsa.step(d, (g, h))
                 if t is not None and t != EPS:
                     nh = history_step(order, hist, g, h)
-                    if in_bounds(order, bounds, nh, diff.labels[t]):
+                    if in_bounds(order, bound, nh, diff.labels[t]):
                         out.append(intern(t, nh))
         return tuple(out)
 

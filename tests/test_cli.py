@@ -126,6 +126,20 @@ def test_a_cap_below_its_least_is_an_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, out_flag", [
+    ("autostructure", "out"), ("kbcomplete", "out/W.fsa"),
+])
+def test_an_unwritable_output_is_an_input_error(
+    grid_file, tmp_path, capsys, command, out_flag
+):
+    blocked = tmp_path / "out" / "W.fsa"
+    blocked.mkdir(parents=True)
+    assert main([command, str(grid_file), "-o", str(tmp_path / out_flag)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {blocked}: ")
+
+
 def test_zero_correction_loops_still_runs(grid_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([

@@ -1,10 +1,11 @@
 """Histories must agree with direct order comparisons.
 
-The evolutions generated here mirror how the acceptor walks pairs: start from
-two distinct letters (or a letter against nothing), then extend with letter
-pairs, padding track 2 once it has fallen behind.  At every stage the stepped
-history must match the from-scratch one, and its verdicts must match
-comparing the fully spelled words.
+The evolutions generated here mirror how the acceptor walks pairs: step
+from the root with two distinct letters (or a letter against nothing), then
+extend with letter pairs, padding track 2 once it has fallen behind.  At
+every stage the stepped history must match `reference_history`, which
+builds the summary of the spelled pair from scratch, and its verdicts must
+match comparing the fully spelled words.
 """
 
 import random
@@ -15,13 +16,60 @@ from autostruct import Alphabet, Order, LT
 from autostruct.history import (
     WreathHistory,
     WtHistory,
+    _normalize_level,
+    _pi,
+    _wt_like,
     bounds_for,
     decide_precedes,
-    history,
     history_step,
     in_bounds,
+    root_history,
 )
+from autostruct.orders import WTLEX, lex_cmp
 from autostruct.words import PAD
+
+
+def strip_common_prefix(u, v):
+    i = 0
+    n = min(len(u), len(v))
+    while i < n and u[i] == v[i]:
+        i += 1
+    return u[i:], v[i:]
+
+
+def reference_history(order, w1, w2):
+    """Summary of the pair (w1, w2) computed from scratch, with no steps."""
+    w1, w2 = strip_common_prefix(w1, w2)
+    assert w1 != w2 and len(w1) >= len(w2)
+    longer = len(w1) > len(w2)
+    a = order.alphabet
+    if _wt_like(order):
+        wtd = order.word_weight(w1) - order.word_weight(w2)
+        if longer:
+            wtd = min(wtd, 1)
+        # +1 iff track 2 is lex-earlier; a proper prefix counts as earlier.
+        # Length ties are what the lex component is for, so once longer
+        # only wtlex keeps it
+        sign = 1 if lex_cmp(a, w2, w1) == LT else -1
+        return WtHistory(longer, sign if order.kind == WTLEX or not longer else 0, wtd)
+    top1, top2 = a.max_level(w1), a.max_level(w2)
+    comps = []
+    for j in range(1, max(top1, top2) + 1):
+        p1, p2 = _pi(order, w1, j), _pi(order, w2, j)
+        m = min(len(p1), len(p2))
+        sign = lex_cmp(a, p2[:m], p1[:m])
+        comps.append(
+            _normalize_level(sign, p1[m:], p2[m:], j, longer, top1, top2)
+        )
+    return WreathHistory(longer, top1, top2, tuple(comps))
+
+
+def stepped(order, w1, w2):
+    """History of (w1, w2) stepped from the root, track 2 padded."""
+    h = root_history(order)
+    for i, a in enumerate(w1):
+        h = history_step(order, h, a, w2[i] if i < len(w2) else PAD)
+    return h
 
 
 def wt_alpha():
@@ -63,11 +111,11 @@ def _evolve(order, rng, steps):
     g = rng.choice(syms)
     if rng.random() < 0.25:
         w1, w2 = (g,), ()
-        h = history(order, w1, w2)
+        h = history_step(order, root_history(order), g, PAD)
     else:
         hh = rng.choice([s for s in syms if s != g])
         w1, w2 = (g,), (hh,)
-        h = history(order, w1, w2)
+        h = history_step(order, root_history(order), g, hh)
     yield w1, w2, h
     for _ in range(steps):
         a = rng.choice(syms)
@@ -83,10 +131,18 @@ def _evolve(order, rng, steps):
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}-{len(o.alphabet)}")
 def test_step_matches_recompute(order):
+    # every first step the acceptor takes from the root
+    syms = order.alphabet.symbols
+    for g in syms:
+        for h in syms + (PAD,):
+            if h != g:
+                w2 = () if h == PAD else (h,)
+                first = history_step(order, root_history(order), g, h)
+                assert first == reference_history(order, (g,), w2), (g, h)
     rng = random.Random(911)
     for _ in range(600):
         for w1, w2, h in _evolve(order, rng, rng.randrange(0, 10)):
-            assert h == history(order, w1, w2), (w1, w2)
+            assert h == reference_history(order, w1, w2), (w1, w2)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}-{len(o.alphabet)}")
@@ -116,15 +172,15 @@ def test_decide_conservative_when_longer():
     # a one-letter track-2 extension against a one-letter lead is still
     # affirmable by weight; a longer extension is not, even when true
     order = ORDERS[0]
-    h = history(order, ("a", "a"), ("b",))
+    h = stepped(order, ("a", "a"), ("b",))
     assert h.longer
     assert decide_precedes(order, h, ("a",), ("b",))
-    h3 = history(order, ("a", "a", "a"), ("b",))
+    h3 = stepped(order, ("a", "a", "a"), ("b",))
     assert not decide_precedes(order, h3, ("a",), ("b", "b"))
     assert order.compare(("b", "b", "b"), ("a", "a", "a", "a")) == LT
     # same for a level record settled only by the length flag
     worder = Order(z2_alpha(), "wreathshortlex")
-    wh = history(worder, ("x",), ())
+    wh = stepped(worder, ("x",), ())
     assert not decide_precedes(worder, wh, ("x",), ("x",))
     assert worder.compare(("x",), ("x", "x")) == LT
 
@@ -132,30 +188,30 @@ def test_decide_conservative_when_longer():
 def test_wt_history_values_fixed():
     order = Order(wt_alpha(), "wtlex")
     # b (weight 2) against a (weight 1): track 2 lex-earlier, lighter
-    h = history(order, ("b",), ("a",))
+    h = stepped(order, ("b",), ("a",))
     assert h == WtHistory(longer=False, lexsign=1, wtdiff=1)
     # pad step caps the weight surplus at 1
     h2 = history_step(order, h, "b", PAD)
     assert h2.longer and h2.wtdiff == 1
     # equal-weight divergence keeps the lex verdict
-    h3 = history(order, ("a", "b"), ("b", "a"))
+    h3 = stepped(order, ("a", "b"), ("b", "a"))
     assert h3.wtdiff == 0 and h3.lexsign == -1  # ba comes after ab at equal weight? no:
     # track 2 is "ba", track 1 is "ab"; "ab" is lex-earlier, so sign is -1
 
 
 def test_wtshortlex_lex_zeroed_when_longer():
     order = Order(wt_alpha(), "wtshortlex")
-    h = history(order, ("a", "a"), ("b",))
+    h = stepped(order, ("a", "a"), ("b",))
     assert h.longer and h.lexsign == 0
 
 
 def test_wreath_history_worked_example():
     order = Order(z2_alpha(), "wreathshortlex")
-    h = history(order, ("x", "y"), ("y", "x"))
+    h = stepped(order, ("x", "y"), ("y", "x"))
     assert h == WreathHistory(longer=False, top1=2, top2=2, levels=(1, 0))
     # appending (x, x) changes nothing: both tracks are already above level 1
     h2 = history_step(order, h, "x", "x")
-    assert h2 == history(order, ("x", "y", "x"), ("y", "x", "x"))
+    assert h2 == reference_history(order, ("x", "y", "x"), ("y", "x", "x"))
     assert h2.levels == (1, 0)
     # and the verdict stands: yx then anything stays ahead of xy
     assert decide_precedes(order, h, (), ())
@@ -165,13 +221,13 @@ def test_wreath_history_worked_example():
 def test_wreath_overflow_and_bounds():
     order = Order(z2_alpha(), "wreathshortlex")
     # track 1 piles up level-1 letters against a frozen track 2 projection
-    h = history(order, ("x", "x", "x", "y"), ("y", "x", "x"))
+    h = stepped(order, ("x", "x", "x", "y"), ("y", "x", "x"))
     # at level 1 track 1's projection xxx overhangs track 2's empty one,
     # but track 2 is already at level 2, so the level is settled
     assert h.levels[0] == 1
-    hb = history(order, ("x", "x", "x"), ("X", "X", "X"))
+    hb = stepped(order, ("x", "x", "x"), ("X", "X", "X"))
     bounds = bounds_for(order, [(), ("x",), ("Y", "x")])
-    assert bounds.max_overhang == 1
+    assert bounds == 1
     assert in_bounds(order, bounds, hb, ())
 
 
@@ -179,7 +235,7 @@ def test_wreath_overflow_collapse():
     order = Order(z2_alpha(), "wreathshortlex")
     # yyy against xxy: at level 2 the projections are yyy and y, leaving an
     # unsettled two-letter overhang on track 1, past a cap of 1
-    h = history(order, ("y", "y", "y"), ("x", "x", "y"))
+    h = stepped(order, ("y", "y", "y"), ("x", "x", "y"))
     assert len(h.levels[1].over1) == 2
     bounds = bounds_for(order, [(), ("x",)])
     assert not in_bounds(order, bounds, h, ())
@@ -192,14 +248,14 @@ def test_wt_bounds_filter():
     order = Order(wt_alpha(), "wtlex")
     labels = [(), ("a",), ("b", "a")]
     bounds = bounds_for(order, labels)
-    assert bounds.max_weight == 3
-    h = history(order, ("b", "b"), ("a",))
+    assert bounds == 3
+    h = stepped(order, ("b", "b"), ("a",))
     assert h.wtdiff == 1  # capped: longer
     assert in_bounds(order, bounds, h, ("a",))
-    deep = history(order, ("b", "b"), ("a", "a"))
+    deep = stepped(order, ("b", "b"), ("a", "a"))
     assert deep.wtdiff == 2
     assert in_bounds(order, bounds, deep, ())
-    light = history(order, ("a", "a"), ("b", "b"))
+    light = stepped(order, ("a", "a"), ("b", "b"))
     assert light.wtdiff == -2
     assert not in_bounds(order, bounds, light, ("a",))  # -wt(a) = -1 > -2
     assert in_bounds(order, bounds, light, ("b", "a"))

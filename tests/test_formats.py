@@ -169,6 +169,15 @@ def test_fsa_hand_written_parses():
         "line 9: duplicate label for state 1",
     ),
     (lambda t: t.replace("pad _", "pad +"), "padding"),
+    (
+        lambda t: t.replace("alphabet x", "alphabet x e"),
+        "line 3: symbol name 'e' is reserved",
+    ),
+    (
+        lambda t: t.replace("type word", "type pair")
+        .replace("alphabet x", "alphabet x _").replace("1 x 2", "1 x,_ 2"),
+        "line 3: symbol name '_' is reserved",
+    ),
     (lambda t: t.replace("states 2\n", ""), "missing states"),
 ])
 def test_fsa_errors(mutate, hint):
