@@ -26,7 +26,8 @@ breadth-first from a start state and a successor function; every product
 and subset construction here and in the acceptor and multiplier builders
 goes through it.  `coreachable` is one backward search from acceptance,
 used for trimming, enumeration and emptiness; `search_back` is the same
-search over an implicit graph, which composition uses for its silent tail.
+search over an implicit graph, which composition uses for its silent tail
+and to keep only the middle pairs that can still accept.
 `search_forward` is its forward twin, which stops at the first node where
 a test holds: the language comparison and the pipeline's domain check use
 it to find their least disagreeing word, and `composite_distinct_pair`
@@ -300,8 +301,20 @@ class Fsa:
         has finished.  A side may finish only from an accepting state, and
         then it stays frozen.  Each subset state also carries the pad kind
         read so far, so only words obeying the padding discipline are
-        accepted.  The middle word may outlive both outer words; one
-        backward search folds those silent tail moves into acceptance.
+        accepted.  The middle word may outlive both outer words; those
+        silent tail moves read (padding, padding) on the outer tracks, and
+        one backward search folds them into acceptance.
+
+        Before the subset construction one walk finds the middle pairs
+        (state here, state there) reachable from the start pair over every
+        triple move, silent and finishing ones included, and a second
+        backward search keeps the live ones: those that reach an accepting
+        pair.  A subset takes in live pairs only.  This is exact: a dead
+        pair accepts nothing on any continuation, so dropping it from every
+        subset leaves the language unchanged.  Liveness ignores the pad
+        kind, so it keeps a pair too many rather than one too few.  The
+        result is minimized, which is canonical, so the trim changes the
+        raw machine's size but not the bytes of the result.
         """
         if self.track != 2:
             raise LogicError("compose needs track-2 machines")
@@ -310,51 +323,57 @@ class Fsa:
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
         moves_a, moves_b = self.moves, other._by_middle()
-        # both machines backwards along the silent tail, where this machine
-        # reads (PAD, y) while the other reads (y, PAD): target -> y -> sources
-        into_a, into_b = {}, {}
-        for s, row in enumerate(self.moves):
-            for (x, y), t in row.items():
-                if x == PAD:
-                    into_a.setdefault(t, {}).setdefault(y, []).append(s)
-        for s, row in enumerate(other.moves):
-            for (y, z), t in row.items():
-                if z == PAD:
-                    into_b.setdefault(t, {}).setdefault(y, []).append(s)
-
-        def silent_predecessors(pair):
-            ta, tb = pair
-            from_b = into_b.get(tb, {})
-            for y, sources in into_a.get(ta, {}).items():
-                for sb in from_b.get(y, ()):
-                    for sa in sources:
-                        yield sa, sb
-
+        finish = (((PAD, PAD), done),)  # finishing, the only move of done
+        # every middle pair reachable from the start over the triple moves,
+        # silent and finishing ones included, with its predecessors, and
+        # apart from them its predecessors on silent moves alone
+        start = (self.start, other.start)
+        into, silent_into = {start: []}, {}
+        found = [start]  # the list of pairs is its own queue
+        for pair in found:
+            sa, sb = pair
+            by_y = moves_b[sb]
+            row = () if sa == done else moves_a[sa].items()
+            for (x, y), ta in chain(row, finish if sa in final_a else ()):
+                for z, tb in by_y.get(y, ()):
+                    sources = into.get((ta, tb))
+                    if sources is None:
+                        into[ta, tb] = [pair]
+                        found.append((ta, tb))
+                    else:
+                        sources.append(pair)
+                    if x == PAD and z == PAD:
+                        silent_into.setdefault((ta, tb), []).append(pair)
+        # a pair accepts when silent moves take it to two accepting sides,
+        # and is live when some moves take it to an accepting pair
         tail = search_back(
-            [(sa, sb) for sa in final_a for sb in final_b], silent_predecessors
+            [p for p in found if p[0] in final_a and p[1] in final_b],
+            lambda p: silent_into.get(p, ()),
         )
+        live = search_back(tail, into.__getitem__)
+
+        rank = {sym: k for k, sym in enumerate(self.symbols)}.__getitem__
 
         def successors(state):
             kind, cur = state
             nxt = {}
             for sa, sb in cur:
                 by_y = moves_b[sb]
-                for (x, y), ta in moves_a[sa].items() if sa != done else ():
+                row = () if sa == done else moves_a[sa].items()
+                for (x, y), ta in chain(row, finish if sa in final_a else ()):
                     for z, tb in by_y.get(y, ()):
-                        nxt.setdefault((x, z), set()).add((ta, tb))
-                if sa in final_a:  # finishing here reads (PAD, PAD)
-                    for z, tb in by_y.get(PAD, ()):
-                        nxt.setdefault((PAD, z), set()).add((done, tb))
+                        if (ta, tb) in live:
+                            nxt.setdefault((x, z), set()).add((ta, tb))
             # (PAD, PAD) here is a silent tail move, which acceptance covers
-            for sym in self.symbols:
-                if sym in nxt:
-                    k = _pad_kind(sym)
-                    if k == kind or not kind:
-                        yield sym, (k, frozenset(nxt[sym]))
+            nxt.pop((PAD, PAD), None)
+            for sym in sorted(nxt, key=rank):
+                k = _pad_kind(sym)
+                if k == kind or not kind:
+                    yield sym, (k, frozenset(nxt[sym]))
 
         raw, _ = explore(
-            self.symbols, (0, frozenset({(self.start, other.start)})),
-            successors, lambda state: not tail.keys().isdisjoint(state[1]), 2,
+            self.symbols, (0, frozenset({start})), successors,
+            lambda state: not tail.keys().isdisjoint(state[1]), 2,
         )
         return raw.minimized()
 

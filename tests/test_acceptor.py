@@ -119,13 +119,13 @@ def test_acceptor_language_prefix_closed():
 
 def fresh_shadows(diff, bound, g) -> frozenset:
     """Shadows opened by g itself: companions h (a generator or nothing)
-    whose difference with g is a known state, bounded, with histories
-    built from scratch."""
+    whose difference with g is a known state other than the trivial one,
+    bounded, with histories built from scratch."""
     order = diff.order
     out = set()
     for h in diff.alpha.symbols + (PAD,):
         t = diff.fsa.step(EPS, (g, h))
-        if t is not None and h != g:
+        if t is not None and t != EPS and h != g:
             hist = reference_history(order, (g,), () if h == PAD else (h,))
             if in_bounds(order, bound, hist, diff.labels[t]):
                 out.add((t, hist))
@@ -401,6 +401,30 @@ def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):
         assert bitset_build(diff)[1] == want, n
         built += want[0] != "cap"
     assert built >= 16  # most cases compare whole machines
+
+
+@pytest.mark.parametrize(
+    "seed, cases", [(9, (47, 71, 79, 89)), (10, (73, 79, 91, 97))]
+)
+def test_no_fresh_companion_lands_on_the_trivial_difference(
+    monkeypatch, seed, cases
+):
+    # presentations where a generator has a companion equal to it in the
+    # group: the reference once opened a shadow on the trivial difference
+    # there, which build_acceptor does not, and the raw machines differed
+    monkeypatch.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
+    monkeypatch.setattr(acceptor, "MAX_STATES", TEST_STATES)
+    rng = random.Random(seed)
+    for n in range(max(cases) + 1):
+        order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
+        if n not in cases:
+            continue
+        rs = RewriteSystem.from_relations(order, relations)
+        run_knuth_bendix(rs, max_rules=60, max_len=12)
+        diff = DiffMachine.from_rules(rs)
+        want = reference_result(diff)
+        assert want[0] != "cap", n
+        assert bitset_build(diff)[1] == want, n
 
 
 def test_shadow_cap_is_exact(monkeypatch):

@@ -5,15 +5,19 @@ import random
 
 import pytest
 
+from autostruct import pipeline
 from autostruct.errors import LogicError, ResourceLimit
 from autostruct.formats import serialize_fsa
 from autostruct.fsa import (
     Fsa,
+    _pad_kind,
     empty_fsa,
     explore,
     pad_pair,
     pair_symbols,
+    search_back,
 )
+from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.words import PAD
 
 AB = ("a", "b")
@@ -526,6 +530,146 @@ def test_compose_keeps_the_padding_discipline():
     # an input that resumes a padded track cannot make the composite do so
     resumed = fsa_from_words(PAIRS, [((PAD, "a"), ("a", "a"))], track=2)
     assert resumed.compose(diagonal_machine()).is_empty()
+
+
+def compose_untrimmed(first, second):
+    """Reference: `Fsa.compose` as it was before it dropped dead middle
+    pairs, every subset taking in each pair its moves reach."""
+    done = -1
+    final_a = first.accepting | {done}
+    final_b = second.accepting | {done}
+    moves_a, moves_b = first.moves, second._by_middle()
+    into_a, into_b = {}, {}
+    for s, row in enumerate(first.moves):
+        for (x, y), t in row.items():
+            if x == PAD:
+                into_a.setdefault(t, {}).setdefault(y, []).append(s)
+    for s, row in enumerate(second.moves):
+        for (y, z), t in row.items():
+            if z == PAD:
+                into_b.setdefault(t, {}).setdefault(y, []).append(s)
+
+    def silent_predecessors(pair):
+        ta, tb = pair
+        from_b = into_b.get(tb, {})
+        for y, sources in into_a.get(ta, {}).items():
+            for sb in from_b.get(y, ()):
+                for sa in sources:
+                    yield sa, sb
+
+    tail = search_back(
+        [(sa, sb) for sa in final_a for sb in final_b], silent_predecessors
+    )
+
+    def successors(state):
+        kind, cur = state
+        nxt = {}
+        for sa, sb in cur:
+            by_y = moves_b[sb]
+            for (x, y), ta in moves_a[sa].items() if sa != done else ():
+                for z, tb in by_y.get(y, ()):
+                    nxt.setdefault((x, z), set()).add((ta, tb))
+            if sa in final_a:
+                for z, tb in by_y.get(PAD, ()):
+                    nxt.setdefault((PAD, z), set()).add((done, tb))
+        for sym in first.symbols:
+            if sym in nxt:
+                k = _pad_kind(sym)
+                if k == kind or not kind:
+                    yield sym, (k, frozenset(nxt[sym]))
+
+    raw, _ = explore(
+        first.symbols, (0, frozenset({(first.start, second.start)})),
+        successors, lambda state: not tail.keys().isdisjoint(state[1]), 2,
+    )
+    return raw.minimized()
+
+
+def composed_both_ways(first, second):
+    """(bytes of compose, raw states it minimized, bytes of the reference,
+    raw states the reference minimized)."""
+    raws = []
+    real = Fsa.minimized
+
+    def spy(self, *args):
+        raws.append(self.num_states)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fsa, "minimized", spy)
+        got = serialize_fsa(first.compose(second))
+        want = serialize_fsa(compose_untrimmed(first, second))
+    assert len(raws) == 2  # each minimizes one raw machine, once
+    return got, raws[0], want, raws[1]
+
+
+def test_trimmed_compose_matches_the_untrimmed_one_on_random_machines():
+    rng = random.Random(1616)
+    trimmed = nonempty = 0
+    for n in range(300):
+        first = random_partial_machine(rng, PAIRS, track=2, max_states=4, density=0.5)
+        second = random_partial_machine(rng, PAIRS, track=2, max_states=4, density=0.5)
+        got, raw, want, raw_ref = composed_both_ways(first, second)
+        assert got == want, n
+        assert raw <= raw_ref, n
+        trimmed += raw < raw_ref
+        nonempty += got != serialize_fsa(empty_fsa(PAIRS, 2))
+    assert trimmed > 100 and nonempty > 100
+
+
+def test_trimmed_compose_matches_the_untrimmed_one_on_knot_halves():
+    # the halves the axiom check composes for KNOT41's final multipliers
+    fam = builtin_family(FamilySpec("KNOT41", 1, 1), wirtinger=True)
+    res = pipeline.compute_structure(fam.order, fam.presentation.relations)
+    assert res.outcome == pipeline.VERIFIED and not res.confluent
+    alpha = fam.order.alphabet
+    words = [x + alpha.invert(y) for x, y in fam.presentation.relations]
+    halves = {half for r in words for half in (r[: len(r) // 2], r[len(r) // 2:])}
+    steps = 0
+    for half in sorted(halves):
+        out = res.multipliers[half[0]] if half else None
+        for a in half[1:]:
+            got, raw, want, raw_ref = composed_both_ways(out, res.multipliers[a])
+            assert got == want, half
+            assert raw < raw_ref, half
+            out = out.compose(res.multipliers[a])
+            steps += 1
+    assert steps > 0
+
+
+def test_compose_with_a_dead_start_pair_is_empty():
+    # the start pair moves, but only to a pair that can never accept
+    first = relation_machine([(("a",), ("a",))])
+    stuck = Fsa.from_rows(PAIRS, 0, set(), [{("a", "b"): 1}, {}], 2)
+    for a, b in ((first, stuck), (stuck, first)):
+        got, _raw, want, _raw_ref = composed_both_ways(a, b)
+        assert got == want == serialize_fsa(empty_fsa(PAIRS, 2))
+
+
+def test_compose_accepts_through_the_silent_tail_alone():
+    # after (a, a) neither side accepts: only the middle word's last b,
+    # read as a silent (padding, padding) move, reaches acceptance
+    first = relation_machine([(("a",), ("a", "b"))])
+    second = relation_machine([(("a", "b"), ("a",))])
+    got, _raw, want, _raw_ref = composed_both_ways(first, second)
+    assert got == want
+    c = first.compose(second)
+    assert brute_pairs(c, 3) == {(("a",), ("a",))}
+
+
+def test_compose_accepts_only_after_one_side_finished():
+    # the first side finishes before the output ends, and then the second
+    # side finishes before the input ends
+    one = relation_machine([(("a",), ("a",))])
+    grow = relation_machine([(("a",), ("a", "b", "b"))])
+    shrink = relation_machine([(("a", "b", "b"), ("a",))])
+    for first, second, pair in (
+        (one, grow, (("a",), ("a", "b", "b"))),
+        (shrink, one, (("a", "b", "b"), ("a",))),
+    ):
+        got, _raw, want, _raw_ref = composed_both_ways(first, second)
+        assert got == want
+        assert brute_pairs(first.compose(second), 3) == {pair}
 
 
 def test_validate_catches_malformed():
