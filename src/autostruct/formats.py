@@ -53,7 +53,7 @@ class _OrderBlock:
         self.lexorder = None
         self.weights = {}
         self.levels = {}
-        self._line_of = {}
+        self._line_of = {}  # (weight or level, symbol) -> first line
 
     def feed(self, no: int, toks: list) -> bool:
         """Consume one line if it belongs to the block."""
@@ -88,13 +88,14 @@ class _OrderBlock:
             w = _parse_int(no, toks[2], "weight")
             if self.weights.setdefault(toks[1], w) != w:
                 _fail(no, f"conflicting weight for {toks[1]!r}")
+            self._line_of.setdefault((key, toks[1]), no)
         elif key == "level":
             if len(toks) != 3:
                 _fail(no, "level takes a symbol and an integer")
             lv = _parse_int(no, toks[2], "level")
             if self.levels.setdefault(toks[1], lv) != lv:
                 _fail(no, f"conflicting level for {toks[1]!r}")
-            self._line_of.setdefault(toks[1], no)
+            self._line_of.setdefault((key, toks[1]), no)
         else:
             return False
         return True
@@ -115,6 +116,9 @@ class _OrderBlock:
             if sorted(self.lexorder) != sorted(symbols):
                 _fail(no, "lexorder must list every symbol exactly once")
             symbols = self.lexorder
+        for (key, s), line in self._line_of.items():
+            if s not in symbols:
+                _fail(line, f"{key} line names unknown symbol {s!r}")
         kind = self.kind or "shortlex"
 
         weights = None
@@ -136,7 +140,7 @@ class _OrderBlock:
                     old = levels.setdefault(u, lv)
                     if old != lv:
                         _fail(
-                            self._line_of.get(s, no),
+                            self._line_of["level", s],
                             f"level of {u!r} conflicts with its inverse",
                         )
             missing = [s for s in symbols if s not in levels]

@@ -23,19 +23,24 @@ Conventions:
   set by the step that diverges and 0 before it, and wtdiff capped at 1
   once track 1 is strictly longer
 * for the wreath-product order the summary keeps, per level, either a final
-  verdict (level settled for one side), equality, or the lex sign of the
-  matched parts of the level projections plus the single-sided overhang.
-  Overhangs are not capped here: `in_bounds` is the one filter, and the
-  acceptor steps, decides on and keeps only histories that pass it
+  verdict (level settled for one side) or an overhang queue: the lex sign
+  of the matched parts of the level projections and the letters of one
+  track's projection still unmatched.  A letter on one track is matched
+  against the head of the other track's queue, or else joins its own, and a
+  step's two letters may go in either order; an equal level, kept as 0,
+  reads as the empty queue.  Overhangs are not capped here: `in_bounds` is
+  the one filter, and the acceptor steps, decides on and keeps only
+  histories that pass it
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import LogicError
-from .orders import LT, EQ, Order, SHORTLEX, WTLEX, WTSHORTLEX, lex_cmp, shortlex_cmp
+from .orders import LT, EQ, Order, SHORTLEX, WTLEX, WTSHORTLEX, lex_cmp
 from .words import PAD, Word
 
 
@@ -56,6 +61,9 @@ class LevelRec:
 
 
 LevelComp = Union[int, LevelRec]  # int is -1, 0 or +1
+
+# an equal level (0) reads as this record: no sign, nothing overhanging
+EQUAL_LEVEL = LevelRec(EQ, (), ())
 
 
 @dataclass(frozen=True)
@@ -171,48 +179,22 @@ def _step_level(alpha, old, app1, app2, j, longer, top1, top2):
         # settled levels stay settled: the losing side's projection is
         # frozen by construction while the winner can only grow
         return old
-    if old == 0:
-        if app1 is None and app2 is None:
-            return 0
-        if app1 is not None and app2 is not None:
-            if app1 == app2:
-                return 0
-            sign = lex_cmp(alpha, (app2,), (app1,))
-            over1: Word = ()
-            over2: Word = ()
-        elif app1 is not None:
-            sign, over1, over2 = EQ, (app1,), ()
-        else:
-            sign, over1, over2 = EQ, (), (app2,)
-        return _normalize_level(sign, over1, over2, j, longer, top1, top2)
-
-    sign, over1, over2 = old.sign, old.over1, old.over2
-    if app1 is not None and app2 is None:
-        if not over2:
-            over1 = over1 + (app1,)
-        else:
+    rec = EQUAL_LEVEL if old == 0 else old
+    sign, over1, over2 = rec.sign, rec.over1, rec.over2
+    if app1 is not None:
+        if over2:
             if sign == EQ:
-                sign = lex_cmp(alpha, (over2[0],), (app1,))
+                sign = lex_cmp(alpha, over2[:1], (app1,))
             over2 = over2[1:]
-    elif app2 is not None and app1 is None:
-        if not over1:
-            over2 = over2 + (app2,)
         else:
-            if sign == EQ:
-                sign = lex_cmp(alpha, (app2,), (over1[0],))
-            over1 = over1[1:]
-    elif app1 is not None and app2 is not None:
+            over1 += (app1,)
+    if app2 is not None:
         if over1:
             if sign == EQ:
-                sign = lex_cmp(alpha, (app2,), (over1[0],))
-            over1 = over1[1:] + (app1,)
-        elif over2:
-            if sign == EQ:
-                sign = lex_cmp(alpha, (over2[0],), (app1,))
-            over2 = over2[1:] + (app2,)
+                sign = lex_cmp(alpha, (app2,), over1[:1])
+            over1 = over1[1:]
         else:
-            if sign == EQ:
-                sign = lex_cmp(alpha, (app2,), (app1,))
+            over2 += (app2,)
     return _normalize_level(sign, over1, over2, j, longer, top1, top2)
 
 
@@ -266,12 +248,9 @@ def _wreath_decide(order: Order, h: WreathHistory, e1: Word, e2: Word) -> bool:
             # grow past it, so this stands
             return False
         if c == 0:
-            s = shortlex_cmp(a, ext2, ext1)
-            if s != EQ:
-                return s == LT
-            continue
-        # unsettled level: matched parts carry c.sign, then the overhangs
-        # and the extensions fight it out by shortlex
+            c = EQUAL_LEVEL
+        # unsettled (or equal) level: matched parts carry c.sign, then the
+        # overhangs and the extensions fight it out by shortlex
         delta = (len(c.over2) + len(ext2)) - (len(c.over1) + len(ext1))
         if delta != 0:
             return delta < 0
@@ -295,12 +274,8 @@ def bounds_for(order: Order, labels) -> int:
     """
     if _wt_like(order):
         return max(order.word_weight(d) for d in labels)
-    a = order.alphabet
-    cap = 0
-    for d in labels:
-        for j in range(1, (a.max_level(d) if d else 0) + 1):
-            cap = max(cap, sum(1 for s in d if a.level(s) == j))
-    return cap
+    counts = (Counter(map(order.alphabet.level, d)) for d in labels)
+    return max((n for c in counts for n in c.values()), default=0)
 
 
 def in_bounds(order: Order, bound: int, h: History, label: Word) -> bool:

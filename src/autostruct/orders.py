@@ -54,12 +54,6 @@ def lex_cmp(alpha: Alphabet, u: Word, v: Word) -> int:
     return (len(u) > len(v)) - (len(u) < len(v))
 
 
-def shortlex_cmp(alpha: Alphabet, u: Word, v: Word) -> int:
-    if len(u) != len(v):
-        return LT if len(u) < len(v) else GT
-    return lex_cmp(alpha, u, v)
-
-
 def _key_function(kind: str, alpha: Alphabet):
     """The sort key of the order kind, closed over its integer tables."""
     rank = {s: i for i, s in enumerate(alpha.symbols)}.__getitem__

@@ -98,6 +98,16 @@ def test_autostructure_exit_three_on_bad_file(tmp_path, capsys):
     assert "line" in err
 
 
+def test_weight_for_no_symbol_is_exit_three(tmp_path, capsys):
+    f = tmp_path / "typo.pres"
+    f.write_text(
+        "version 1\ngenerators x\ninverse x X\norder wtlex\nweight q 5\n"
+        "relation x x = e\n"
+    )
+    assert main(["autostructure", str(f), "-o", str(tmp_path / "o")]) == 3
+    assert "line 5: weight line names unknown symbol 'q'" in capsys.readouterr().err
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert main(["reduce", str(tmp_path / "nope.rws"), "x"]) == 3
 

@@ -96,13 +96,33 @@ def three_level_alpha():
     )
 
 
+def gap_level_alpha():
+    # declared levels 1, 3 and 6: the wreath steps walk the empty levels
+    # between them
+    return Alphabet(
+        ["a", "A", "b", "B", "c", "C"],
+        {"a": "A", "A": "a", "b": "B", "B": "b", "c": "C", "C": "c"},
+        levels={"a": 1, "A": 1, "b": 3, "B": 3, "c": 6, "C": 6},
+    )
+
+
 ORDERS = [
     Order(wt_alpha(), "shortlex"),
     Order(wt_alpha(), "wtlex"),
     Order(wt_alpha(), "wtshortlex"),
     Order(z2_alpha(), "wreathshortlex"),
     Order(three_level_alpha(), "wreathshortlex"),
+    Order(gap_level_alpha(), "wreathshortlex"),
 ]
+
+
+def order_id(order):
+    """Kind and alphabet size, plus the declared levels when they skip one."""
+    tiers = sorted(set((order.alphabet.levels or {}).values()))
+    name = f"{order.kind}-{len(order.alphabet)}"
+    if tiers != list(range(1, len(tiers) + 1)):
+        name += "-levels-" + "-".join(map(str, tiers))
+    return name
 
 
 def _evolve(order, rng, steps):
@@ -129,7 +149,7 @@ def _evolve(order, rng, steps):
         yield w1, w2, h
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}-{len(o.alphabet)}")
+@pytest.mark.parametrize("order", ORDERS, ids=order_id)
 def test_step_matches_recompute(order):
     # every first step the acceptor takes from the root
     syms = order.alphabet.symbols
@@ -145,7 +165,7 @@ def test_step_matches_recompute(order):
             assert h == reference_history(order, w1, w2), (w1, w2)
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}-{len(o.alphabet)}")
+@pytest.mark.parametrize("order", ORDERS, ids=order_id)
 def test_decide_matches_compare(order):
     rng = random.Random(1723)
     syms = order.alphabet.symbols

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autostruct import Alphabet, Order, InputError, LT, EQ, GT
-from autostruct.orders import shortlex_cmp
 
 
 # ---------------------------------------------------------------- references
@@ -285,9 +284,3 @@ def test_wreath_axioms_hypothesis(u, v, w):
         assert o.compare(("y",) + u, ("y",) + v) == LT
         assert o.compare(u + ("X",), v + ("X",)) == LT
 
-
-def test_shortlex_cmp_helper():
-    a = ab_alpha()
-    assert shortlex_cmp(a, (), ("a",)) == LT
-    assert shortlex_cmp(a, ("b",), ("a", "a")) == LT
-    assert shortlex_cmp(a, ("a", "b"), ("a", "a")) == GT

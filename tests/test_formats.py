@@ -91,6 +91,20 @@ def test_weighted_order_parses_with_default_weights():
     assert order.alphabet.weights == {"x": 1, "X": 1, "y": 3, "Y": 1}
 
 
+@pytest.mark.parametrize("block,what", [
+    ("order wtlex\nweight y 3\nweight q 5\n", "weight"),
+    ("order wreathshortlex\nlevel x 1\nlevel y 2\nlevel q 2\n", "level"),
+], ids=["weight", "level"])
+def test_order_lines_must_name_a_symbol(block, what):
+    # a weight or level for no symbol would otherwise be dropped, leaving
+    # a different order than the file spells
+    text = "version 1\ngenerators x y\ninverse x X\ninverse y Y\n" + block
+    last = text.count("\n")
+    with pytest.raises(InputError) as err:
+        parse_presentation(text)
+    assert str(err.value) == f"line {last}: {what} line names unknown symbol 'q'"
+
+
 def test_rules_round_trip_and_free_rule_merge():
     pres, order = parse_presentation(GRID)
     rs = RewriteSystem.from_relations(order, pres.relations)
