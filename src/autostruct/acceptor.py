@@ -28,6 +28,17 @@ a generator is filled the first time a subset holding it survives that
 generator, so exactly the shadows some surviving subset reaches are
 interned, and the raw machine, numbered breadth-first in generator
 order, does not depend on how subsets are stored.
+
+Shadows come in dominance classes (`history.dominance`): at one
+difference state, the weight histories (longer, +1, wtdiff) and
+(longer, -1, wtdiff) are twins, and a subset holding the +1 twin accepts
+the same words with or without the -1 twin.  So each class is interned
+to a pair of bits: the class's own history sits at bit ``2c`` and its
+dominated twin at bit ``2c + 1``, one above.  The mask ``even`` holds the
+low bit of every class interned so far, and one mask operation per
+successor subset, ``out &= ~((out & even) << 1)``, drops every dominated
+twin whose dominator is in the same subset.  The language is unchanged;
+the raw machine is smaller, and dropped twins are never expanded.
 """
 
 from __future__ import annotations
@@ -37,7 +48,9 @@ from typing import Optional
 from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
 from .fsa import Fsa, explore
-from .history import bounds_for, decide_precedes, history_step, in_bounds, root_history
+from .history import (
+    bounds_for, decide_precedes, dominance, history_step, in_bounds, root_history,
+)
 from .rewrite import RewriteSystem
 from .words import PAD, Word
 
@@ -86,25 +99,34 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     pad_first = (PAD,) + gens  # the companion's letters, padding first
     bound = bounds_for(order, diff.labels)
 
-    # per shadow id: its key, its kill mask over the generators, and per
-    # generator its successor mask (each None until first needed)
+    # per shadow bit: its key (None for a twin bit not yet used), its kill
+    # mask over the generators, and per generator its successor mask (each
+    # None until first needed); bits 2c and 2c + 1 belong to class c
     shadow_ids: dict = {}
+    class_ids: dict = {}
     shadow_list: list = []
     kill_masks: list = []
     succ_cols: list = [[] for _ in gens]
+    even = 0  # the low bit of every class
 
     def intern(d: int, hist) -> int:
+        nonlocal even
         key = (d, hist)
         sid = shadow_ids.get(key)
         if sid is None:
-            sid = len(shadow_list)
-            if sid > MAX_SHADOWS:  # the root, id 0, is not counted
+            if len(shadow_ids) > MAX_SHADOWS:  # the root is not counted
                 raise ResourceLimit("shadows", MAX_SHADOWS)
+            cls, dominated = dominance(hist)
+            c = class_ids.setdefault((d, cls), len(class_ids))
+            if 2 * c == len(shadow_list):
+                even |= 1 << 2 * c
+                shadow_list.extend((None, None))
+                kill_masks.extend((None, None))
+                for col in succ_cols:
+                    col.extend((None, None))
+            sid = 2 * c + dominated
             shadow_ids[key] = sid
-            shadow_list.append(key)
-            kill_masks.append(None)
-            for col in succ_cols:
-                col.append(None)
+            shadow_list[sid] = key
         return sid
 
     root = intern(EPS, root_history(order))  # a member of every subset
@@ -175,6 +197,8 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
                 if t is None:
                     t = col[sid] = compute_successors(sid, g)
                 out |= t
+            # drop each dominated twin whose dominator is here
+            out &= ~((out & even) << 1)
             yield g, out
 
     raw, _ = explore(

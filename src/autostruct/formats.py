@@ -53,7 +53,7 @@ class _OrderBlock:
         self.lexorder = None
         self.weights = {}
         self.levels = {}
-        self._line_of = {}  # (weight or level, symbol) -> first line
+        self._line_of = {}  # (inverse, weight or level, symbol) -> first line
 
     def feed(self, no: int, toks: list) -> bool:
         """Consume one line if it belongs to the block."""
@@ -72,6 +72,8 @@ class _OrderBlock:
                 _fail(no, f"conflicting inverse for {g!r}")
             self.inverse[g] = h
             self.inverse[h] = g
+            for s in (g, h):
+                self._line_of.setdefault((key, s), no)
         elif key == "order":
             if len(toks) != 2 or toks[1] not in KINDS:
                 _fail(no, "order must name one of " + ", ".join(KINDS))

@@ -130,6 +130,40 @@ def _wt_step(order: Order, h: WtHistory, a: str, b: str) -> WtHistory:
     return WtHistory(False, lexsign, wtd)
 
 
+def dominance(h: History) -> tuple:
+    """(class, dominated): the history naming h's dominance class, and
+    whether h is the class's dominated twin.
+
+    Twins are the weight histories (longer, +1, wtdiff) and
+    (longer, -1, wtdiff); the class is named by the +1 twin, which
+    dominates: at the same difference state, a shadow set holding both
+    accepts exactly the words it accepts without the -1 twin.
+
+    * Stepping.  `_wt_step` sets the sign only while it is 0, so a set
+      sign never changes, and the new wtdiff and longer flag read only
+      the old ones and the letter pair.  Twins stepped by the same pair
+      are twins again, or one history once track 2 pads under shortlex
+      or wtshortlex (the sign is dropped there).  Both read the same
+      `longer`, so they step on the same letter pairs.
+    * Deciding.  `decide_precedes` reads the sign only at the final tie,
+      through ``lexsign == 1``, so wherever the -1 twin answers True the
+      +1 twin does too: the +1 twin kills the word under every generator
+      the -1 twin kills it under.
+    * Bounds.  `in_bounds` reads only wtdiff, so twins pass or fail it
+      together.
+
+    By induction on the word read: a subset with the dominated twin added
+    has the same kills, and its successors are those of the subset without
+    it, plus twins dominated by members of those.  So it accepts the same
+    words.  Histories with sign 0 (the root, and longer ones under
+    shortlex and wtshortlex) have no twin.  A `WreathHistory` is its own
+    class and is never dominated.
+    """
+    if isinstance(h, WtHistory) and h.lexsign == -1:
+        return WtHistory(h.longer, 1, h.wtdiff), True
+    return h, False
+
+
 def _wreath_step(order: Order, h: WreathHistory, a: str, b: str) -> WreathHistory:
     alpha = order.alphabet
     la = alpha.level(a)

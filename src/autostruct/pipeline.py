@@ -474,7 +474,11 @@ def compute_structure(
             stage = "repair"
             before = diff.state_count()
             for g, v in gaps:
-                w = diff.reduce(rs.rewrite(v + (g,)))
+                w = rs.rewrite(v + (g,))
+                if not confluent:
+                    # a confluent normal form is already the least word of
+                    # its class, so reduce would return it unchanged
+                    w = diff.reduce(w)
                 diff.add_equation(v + (g,), w)
                 diff.add_equation(v, w)
             if bad is not None:

@@ -9,7 +9,9 @@ from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import LogicError, ResourceLimit
 from autostruct.formats import diff_to_fsa, serialize_fsa
 from autostruct.fsa import Fsa, explore, pair_symbols
-from autostruct.history import bounds_for, decide_precedes, history_step, in_bounds
+from autostruct.history import (
+    WtHistory, bounds_for, decide_precedes, history_step, in_bounds,
+)
 from autostruct.orders import KINDS
 from autostruct.pipeline import LOOP_LIMIT, compute_structure, run_knuth_bendix
 from autostruct.presentations import FamilySpec, builtin_family
@@ -132,12 +134,26 @@ def fresh_shadows(diff, bound, g) -> frozenset:
     return frozenset(out)
 
 
-def reference_acceptor(diff) -> tuple:
+def without_dominated(shadows: frozenset) -> frozenset:
+    """The shadows (d, hist) less each weight history with lex sign -1
+    whose twin, the same but with sign +1, is there too."""
+    return frozenset(
+        (d, h) for d, h in shadows
+        if not (
+            isinstance(h, WtHistory) and h.lexsign == -1
+            and (d, WtHistory(h.longer, 1, h.wtdiff)) in shadows
+        )
+    )
+
+
+def reference_acceptor(diff, filtered: bool = True) -> tuple:
     """The subset construction as it was before subsets became bitsets:
     each subset a frozenset of interned shadow ids, kill flags and
     successor tuples filled lazily per (shadow, generator), and the
-    members walked twice per generator.  Returns (raw machine, number of
-    shadows interned).  Reads the caps of the acceptor module."""
+    members walked twice per generator.  When filtered, each successor
+    subset drops its dominated twins (`without_dominated`), as
+    build_acceptor does.  Returns (raw machine, number of shadows
+    interned).  Reads the caps of the acceptor module."""
     order = diff.order
     gens = diff.alpha.symbols
     bound = bounds_for(order, diff.labels)
@@ -215,6 +231,9 @@ def reference_acceptor(diff) -> tuple:
             if row[gi] is None:
                 row[gi] = compute_successors(sid, g)
             out.update(row[gi])
+        if filtered:
+            keys = without_dominated(frozenset(shadow_list[sid] for sid in out))
+            out = {shadow_ids[key] for key in keys}
         return frozenset(out)
 
     def successors(shadows):
@@ -230,10 +249,10 @@ def reference_acceptor(diff) -> tuple:
     return raw, len(shadow_list)
 
 
-def reference_result(diff) -> tuple:
+def reference_result(diff, filtered: bool = True) -> tuple:
     """(W's bytes, raw states, raw moves), or the cap the reference hit."""
     try:
-        raw, _ = reference_acceptor(diff)
+        raw, _ = reference_acceptor(diff, filtered)
     except ResourceLimit as hit:
         return ("cap", hit.cap, hit.limit)
     return serialize_fsa(raw.minimized()), raw.num_states, sum(map(len, raw.moves))
@@ -264,7 +283,7 @@ def bitset_build(diff) -> tuple:
 # (Hpq(2,1), BSpq(1,2) after a few loops) the construction runs away.
 # These caps stop it within a fraction of a second, and both constructions
 # must then stop at the same cap.  KNOT74, the largest acceptor the
-# pipeline builds, interns 306 shadows and has 9 124 raw states.
+# pipeline builds, has 5 525 raw states (9 124 with its dominated twins).
 TEST_SHADOWS, TEST_STATES = 400, 12_000
 
 CORPUS = {
@@ -280,14 +299,14 @@ CORPUS = {
 @pytest.fixture(scope="module", params=sorted(CORPUS))
 def corpus_loops(request) -> list:
     """One run of a corpus case (knots on their Wirtinger presentations)
-    under the test caps, with the (reference, bitsets) results for the
-    difference machine of each correction loop, taken as the loop reaches
-    its multipliers, whether every state of that loop's W accepts, where
-    D's moves differ from the recomputed ones (`recomputed_moves`, before
-    and after the product), and what `validate` says of that loop's W,
-    M_e, D (as `diff_to_fsa` shows it, before and after the product) and
-    every M_g.  Where the run builds W from that machine itself, its build
-    is the one compared."""
+    under the test caps, with the (reference, bitsets, unfiltered
+    reference) results for the difference machine of each correction
+    loop, taken as the loop reaches its multipliers, whether every state
+    of that loop's W accepts, where D's moves differ from the recomputed
+    ones (`recomputed_moves`, before and after the product), and what
+    `validate` says of that loop's W, M_e, D (as `diff_to_fsa` shows it,
+    before and after the product) and every M_g.  Where the run builds W
+    from that machine itself, its build is the one compared."""
     family, p, q = CORPUS[request.param]
     fam = builtin_family(
         FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
@@ -308,7 +327,10 @@ def corpus_loops(request) -> list:
         checks = validated(
             W=acc, M_e=pipeline._diagonal_multiplier(acc), D=diff_to_fsa(diff)[0]
         )
-        loops.append((reference_result(diff), got, every_state, drift, checks))
+        loops.append((
+            reference_result(diff), got, reference_result(diff, filtered=False),
+            every_state, drift, checks,
+        ))
         mults, used = real(acc, diff)  # KNOT74's product stops at its cap
         mults_named = {f"M_{g}": m for g, m in mults.items()}
         drift += recomputed_moves(diff)
@@ -366,7 +388,7 @@ def test_bitset_acceptor_matches_reference_on_corpus(corpus_loops):
 
 def test_every_corpus_acceptor_state_accepts(corpus_loops):
     # W is prefix-closed: the axiom check's exactness rests on it
-    for n, (_want, _got, every_state, *_) in enumerate(corpus_loops):
+    for n, (_want, _got, _unfiltered, every_state, *_) in enumerate(corpus_loops):
         assert every_state, n
 
 
@@ -384,12 +406,25 @@ def test_every_corpus_machine_keeps_one_ordered_row_per_state(corpus_loops):
         assert [c for c in checks if c[1] is not None] == [], n
 
 
-def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):
-    monkeypatch.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
-    monkeypatch.setattr(acceptor, "MAX_STATES", TEST_STATES)
-    rng = random.Random(9)
-    built = 0
-    for n in range(32):
+def same_w_with_fewer_states(got, unfiltered) -> bool:
+    """Do the dropped twins leave W's bytes as they were and only remove
+    raw states?  Where the unfiltered reference stopped at a cap there is
+    nothing to compare; the filtered build may stop only if it did."""
+    if unfiltered[0] == "cap":
+        return True
+    return got[0] == unfiltered[0] and got[1] <= unfiltered[1]
+
+
+def test_dominance_filter_keeps_w_on_corpus(corpus_loops):
+    for n, (_want, got, unfiltered, *_) in enumerate(corpus_loops):
+        assert same_w_with_fewer_states(got, unfiltered), n
+
+
+def random_machines(seed: int, count: int):
+    """(case, difference machine) for the seeded random presentations
+    whose machine closes, each completed under KB caps 60/12."""
+    rng = random.Random(seed)
+    for n in range(count):
         order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
         rs = RewriteSystem.from_relations(order, relations)
         run_knuth_bendix(rs, max_rules=60, max_len=12)
@@ -397,10 +432,31 @@ def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):
             diff = DiffMachine.from_rules(rs)
         except ResourceLimit:
             continue
+        yield n, diff
+
+
+def test_bitset_acceptor_matches_reference_on_random_presentations(monkeypatch):
+    monkeypatch.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
+    monkeypatch.setattr(acceptor, "MAX_STATES", TEST_STATES)
+    built = 0
+    for n, diff in random_machines(9, 32):
         want = reference_result(diff)
         assert bitset_build(diff)[1] == want, n
         built += want[0] != "cap"
     assert built >= 16  # most cases compare whole machines
+
+
+def test_dominance_filter_keeps_w_on_random_presentations(monkeypatch):
+    monkeypatch.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)
+    monkeypatch.setattr(acceptor, "MAX_STATES", TEST_STATES)
+    compared = fewer = 0
+    for n, diff in random_machines(9, 32):
+        got = bitset_build(diff)[1]
+        unfiltered = reference_result(diff, filtered=False)
+        assert same_w_with_fewer_states(got, unfiltered), n
+        compared += unfiltered[0] != "cap"
+        fewer += unfiltered[0] != "cap" and got[1] < unfiltered[1]
+    assert compared >= 16 and fewer >= 1
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,15 @@ def test_weight_for_no_symbol_is_exit_three(tmp_path, capsys):
     assert "line 5: weight line names unknown symbol 'q'" in capsys.readouterr().err
 
 
+def test_inverse_of_no_generator_is_exit_three(tmp_path, capsys):
+    f = tmp_path / "typo.pres"
+    f.write_text(
+        "version 1\ngenerators x\ninverse x X\ninverse q Q\nrelation x x = e\n"
+    )
+    assert main(["autostructure", str(f), "-o", str(tmp_path / "o")]) == 3
+    assert "line 4: inverse line names unknown symbol 'q'" in capsys.readouterr().err
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert main(["reduce", str(tmp_path / "nope.rws"), "x"]) == 3
 

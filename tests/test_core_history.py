@@ -21,6 +21,7 @@ from autostruct.history import (
     _wt_like,
     bounds_for,
     decide_precedes,
+    dominance,
     history_step,
     in_bounds,
     root_history,
@@ -280,3 +281,39 @@ def test_wt_bounds_filter():
     assert not in_bounds(order, bounds, light, ("a",))  # -wt(a) = -1 > -2
     assert in_bounds(order, bounds, light, ("b", "a"))
 
+
+
+@pytest.mark.parametrize(
+    "order", [o for o in ORDERS if _wt_like(o)], ids=order_id
+)
+def test_dominating_twin_kills_wherever_its_twin_does(order):
+    # the acceptor drops a shadow whose dominating twin shares its subset
+    # (history.dominance); that is sound only if the dominator decides True
+    # wherever the dropped twin does and the two keep stepping as twins
+    rng = random.Random(5081)
+    syms = order.alphabet.symbols
+    split = 0  # endings where the sign decides, so the pair differs
+    for _ in range(500):
+        longer = rng.random() < 0.3
+        wtdiff = rng.randrange(-3, 2 if longer else 4)  # capped once longer
+        twins = [WtHistory(longer, s, wtdiff) for s in (1, -1)]
+        top, low = sorted(twins, key=lambda h: dominance(h)[1])
+        assert dominance(top) == (top, False)
+        assert dominance(low) == (top, True)
+        for _q in range(8):
+            e1 = tuple(rng.choice(syms) for _ in range(rng.randrange(1, 4)))
+            e2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 4)))
+            kills_low = decide_precedes(order, low, e1, e2)
+            kills_top = decide_precedes(order, top, e1, e2)
+            assert kills_top or not kills_low, (top, low, e1, e2)
+            split += kills_top != kills_low
+        a = rng.choice(syms)
+        for b in (PAD,) if longer else syms + (PAD,):
+            st, sl = history_step(order, top, a, b), history_step(order, low, a, b)
+            assert in_bounds(order, 2, st, ()) == in_bounds(order, 2, sl, ())
+            if st == sl:
+                # track 2 padding drops the sign where it no longer counts
+                assert b == PAD and order.kind != WTLEX, (top, a, b)
+            else:
+                assert dominance(sl) == (st, True), (top, a, b)
+    assert split > 0

@@ -94,10 +94,12 @@ def test_weighted_order_parses_with_default_weights():
 @pytest.mark.parametrize("block,what", [
     ("order wtlex\nweight y 3\nweight q 5\n", "weight"),
     ("order wreathshortlex\nlevel x 1\nlevel y 2\nlevel q 2\n", "level"),
-], ids=["weight", "level"])
+    ("inverse q Q\n", "inverse"),
+], ids=["weight", "level", "inverse"])
 def test_order_lines_must_name_a_symbol(block, what):
     # a weight or level for no symbol would otherwise be dropped, leaving
-    # a different order than the file spells
+    # a different order than the file spells; an inverse pair of
+    # undeclared symbols is reported at its line
     text = "version 1\ngenerators x y\ninverse x X\ninverse y Y\n" + block
     last = text.count("\n")
     with pytest.raises(InputError) as err:

@@ -1,7 +1,10 @@
 """End-to-end structure computation and its failure handling."""
 
 import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
 from autostruct.cli import _report_lines
 from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import ResourceLimit
-from autostruct.formats import serialize_fsa
+from autostruct.formats import diff_to_fsa, serialize_fsa, serialize_rules
 from autostruct.fsa import Fsa, coreachable, explore, pad_pair, pair_symbols
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct import pipeline
@@ -106,6 +109,68 @@ def test_growing_domain_repair_runs_to_the_loop_cap():
     assert res.stopped_by == {
         "stage": "domains", "cap": "correction loops", "limit": 10,
     }
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+
+
+def repair_reduce_calls(name, p, q) -> tuple:
+    """(result, words DiffMachine.reduce was asked for by the repair
+    stage) for one corpus case, knots on their Wirtinger presentations.
+    The repair runs from a check that found a gap or a failed axiom to
+    the next DiffMachine.close."""
+    fam = builtin_family(FamilySpec(name, p, q), wirtinger=name.startswith("KNOT"))
+    calls, repairing = [], [False]
+    real_reduce, real_close = DiffMachine.reduce, DiffMachine.close
+
+    def reduce(self, w):
+        if repairing[0]:
+            calls.append(w)
+        return real_reduce(self, w)
+
+    def close(self):
+        repairing[0] = False
+        return real_close(self)
+
+    def found(check, failed):
+        def spy(*args):
+            out = check(*args)
+            repairing[0] = failed(out)
+            return out
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiffMachine, "reduce", reduce)
+        mp.setattr(DiffMachine, "close", close)
+        mp.setattr(pipeline, "check_domains", found(check_domains, bool))
+        mp.setattr(
+            pipeline, "check_axioms",
+            found(check_axioms, lambda bad: bad is not None),
+        )
+        res = compute_structure(fam.order, fam.presentation.relations)
+    return res, calls
+
+
+@pytest.mark.parametrize("name, p, q, confluent", [
+    ("BSpq", 1, 2, True), ("KNOT52", 1, 1, False),
+])
+def test_confluent_repairs_skip_the_machine_reduction(name, p, q, confluent):
+    # a confluent normal form is the least word of its class, so only a
+    # non-confluent run asks the machine for a smaller one
+    res, calls = repair_reduce_calls(name, p, q)
+    case = "BSpq-1-2" if name == "BSpq" else name
+    pins = json.loads(PINNED.read_text(encoding="utf-8"))["cases"][case]
+    assert res.confluent == confluent == pins["confluent"]
+    assert res.loops == pins["loops"] > 0
+    assert (calls == []) == confluent
+    texts = {"R": serialize_rules(res.rws), "D": serialize_fsa(*diff_to_fsa(res.diff))}
+    if res.acceptor is not None:
+        texts["W"] = serialize_fsa(res.acceptor)
+        texts["M_e"] = serialize_fsa(res.identity)
+    for g, m in res.multipliers.items():
+        texts[f"M_{g}"] = serialize_fsa(m)
+    got = {k: hashlib.sha256(t.encode()).hexdigest()[:16] for k, t in texts.items()}
+    assert (res.outcome, got) == (pins["outcome"], pins["digests"])
 
 
 def test_completion_budget_reports_kb_stopped():
