@@ -17,9 +17,9 @@ Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages
 serialize identically and callers never minimize a result again.
 Minimization trims first and then refines only along the defined moves.
-No machine ever gets a sink state: the products, the complement and the
-language comparison walk each machine's own moves and carry None for a
-side that has fallen off; no move leaves None, so it acts as the sink.
+No machine ever gets a sink state: the products (the complement is one)
+and the language comparison walk each machine's own moves and carry None
+for a side that has fallen off; no move leaves None, so it acts as the sink.
 
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
@@ -147,10 +147,6 @@ class Fsa:
     def is_empty(self) -> bool:
         return self.start not in coreachable(self)
 
-    def successors(self, s: int):
-        """(symbol, target) for each move out of s, in alphabet order."""
-        return self.moves[s].items()
-
     # -------------------------------------------------- canonical rebuilds
 
     def minimized(self, accepting=None) -> "Fsa":
@@ -228,7 +224,7 @@ class Fsa:
         """(reachable part renumbered breadth-first in alphabet order,
         the original state behind each new number)."""
         return explore(
-            self.symbols, self.start, self.successors,
+            self.symbols, self.start, lambda s: self.moves[s].items(),
             self.accepting.__contains__, self.track,
         )
 
@@ -276,20 +272,12 @@ class Fsa:
         return self._product(other, lambda a, b: a or b)
 
     def complement(self) -> "Fsa":
-        """Complement of a word machine's language among all words."""
+        """Complement of a word machine's language among all words: the
+        product with the one-state machine that reads every word."""
         if self.track != 1:
             raise LogicError("complement needs a track-1 machine")
-
-        def successors(s):
-            row = {} if s is None else self.moves[s]
-            for sym in self.symbols:
-                yield sym, row.get(sym)
-
-        raw, _ = explore(
-            self.symbols, self.start, successors,
-            lambda s: s not in self.accepting, 1,
-        )
-        return raw.minimized()
+        every = Fsa(self.symbols, 0, (), [dict.fromkeys(self.symbols, 0)])
+        return self._product(every, lambda a, _: not a)
 
     def compose(self, other: "Fsa") -> "Fsa":
         """Relational composition of two pair languages.

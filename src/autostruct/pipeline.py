@@ -26,7 +26,8 @@ The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
 AXIOM_FAILED, with the machines and counts gathered in the result.  When a
 cap (a size budget or the number of correction loops) ends the run at
 LOOP_LIMIT, ``stopped_by`` names the stage that was running, the cap and
-its value; at KB_STOPPED it names stage "kb" and the completion cap that
+its value (a size cap leaves no acceptor, multipliers or witness from an
+earlier loop in the result); at KB_STOPPED it names stage "kb" and the completion cap that
 fired.  A domain repair that adds no difference ends the run at
 LOOP_LIMIT at once, with ``stopped_by`` naming stage "repair" and cap
 "stalled" (no limit value), since every later loop would repeat it.
@@ -107,54 +108,22 @@ class StructureResult:
         return out
 
 
-class _RuleLabels:
-    """The union of the difference labels of the active rules, kept as a
-    count per label over the rules that bring it.
+def _rule_labels(rs: RewriteSystem, cache: dict) -> frozenset:
+    """The union of the difference labels of the active rules.
 
     A rule's labels are the reduced words inv(lhs[:i]).rhs[:i] and
     inv(rhs[:i]).lhs[:i].  They are worked out under the system as it
-    stands when the rule, with its current right side, is first counted,
-    and are kept for that (lhs, rhs) pair, since rules persist across
-    passes.  Each update recounts only the rules added, retired or given a
-    new right side since the last: one pass over the rule list finds them
-    by comparing each rule's right side with the one counted."""
-
-    def __init__(self, rs: RewriteSystem):
-        self.rs = rs
-        self.cache: dict = {}  # (lhs, rhs) -> frozenset of labels
-        self.count: dict = {}  # label -> number of counted rules with it
-        self.counted: list = []  # per rule: the right side counted, or None
-
-    def _labels(self, lhs: Word, rhs: Word) -> frozenset:
-        key = (lhs, rhs)
-        labels = self.cache.get(key)
+    stands when the rule's (lhs, rhs) is first seen, and cached by that
+    pair, since rules persist across passes."""
+    out = set()
+    for lhs, rhs in rs.active():
+        labels = cache.get((lhs, rhs))
         if labels is None:
-            labels = self.cache[key] = frozenset(
-                prefix_differences(self.rs, lhs, rhs)
-                + prefix_differences(self.rs, rhs, lhs)
+            labels = cache[lhs, rhs] = frozenset(
+                prefix_differences(rs, lhs, rhs) + prefix_differences(rs, rhs, lhs)
             )
-        return labels
-
-    def update(self) -> frozenset:
-        rules, counted, count = self.rs.rules, self.counted, self.count
-        counted.extend([None] * (len(rules) - len(counted)))
-        for i, (lhs, rhs, on) in enumerate(rules):
-            now = rhs if on else None
-            was = counted[i]
-            if now is was:
-                continue
-            if was is not None:
-                for label in self._labels(lhs, was):
-                    left = count[label] - 1
-                    if left:
-                        count[label] = left
-                    else:
-                        del count[label]
-            if now is not None:
-                for label in self._labels(lhs, now):
-                    count[label] = count.get(label, 0) + 1
-            counted[i] = now
-        return frozenset(count)
+        out |= labels
+    return frozenset(out)
 
 
 def run_knuth_bendix(
@@ -171,14 +140,13 @@ def run_knuth_bendix(
     max_rules active), "rule length" (pairs past max_len were discarded
     and nothing else is left) or "passes" (max_passes ran out)."""
     comp = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
-    labels = _RuleLabels(rs)
-    prev = None
+    cache, prev = {}, None
     for _ in range(max_passes):
         comp.run(pass_pairs)
         status = comp.status()
         if status == CONFLUENT:
             return True, None
-        snap = labels.update()
+        snap = _rule_labels(rs, cache)
         if snap == prev:
             return False, None
         prev = snap
@@ -428,98 +396,88 @@ def compute_structure(
     began = time.monotonic()
     relations = [(tuple(x), tuple(y)) for x, y in relations]
     rs = RewriteSystem.from_relations(order, relations)
-
-    def done(result):
-        result.seconds = time.monotonic() - began
-        return result
-
     confluent, stopped_by = run_knuth_bendix(rs, kb_max_rules, kb_max_len)
-    if stopped_by is not None:
-        return done(StructureResult(
-            KB_STOPPED, order, rs, False, 0, stopped_by=stopped_by,
-        ))
-
-    diff, loops = None, 0
-    stage = "diff-close"  # what runs now, for stopped_by
-    try:
-        diff = DiffMachine.from_rules(rs)
-        # a confluent system names its language directly (no factor may be
-        # a left-hand side), and that does not move as the machine grows
-        exact_acc = irreducible_word_acceptor(rs) if confluent else None
-        while True:
-            stage = "acceptor"
-            acc = exact_acc if exact_acc is not None else build_acceptor(diff)
-            stage = "multipliers"
-            mults, used = build_all_multipliers(acc, diff)
-            identity = _diagonal_multiplier(acc)
-            stage = "domains"
-            gaps = check_domains(acc, mults)
-            bad = None
-            if not gaps and not confluent:
-                stage = "axioms"
-                bad = check_axioms(order, relations, mults, identity)
-            if not gaps and bad is None:
-                break
-            loops += 1
-            if loops > max_loops:
-                return done(StructureResult(
-                    LOOP_LIMIT, order, rs, confluent, loops,
-                    diff=diff, acceptor=acc, multipliers=mults,
-                    identity=identity, witness=gaps[0] if gaps else bad,
-                    stopped_by={
+    outcome, loops = KB_STOPPED, 0
+    diff = acc = identity = witness = None
+    mults = {}
+    if stopped_by is None:
+        # a run that ends neither verified nor refuted ends at a limit
+        outcome = LOOP_LIMIT
+        stage = "diff-close"  # what runs now, for stopped_by
+        try:
+            diff = DiffMachine.from_rules(rs)
+            # a confluent system names its language directly (no factor may
+            # be a left-hand side), and that does not move as the machine
+            # grows
+            exact_acc = irreducible_word_acceptor(rs) if confluent else None
+            while True:
+                stage = "acceptor"
+                acc = exact_acc if exact_acc is not None else build_acceptor(diff)
+                stage = "multipliers"
+                mults, used = build_all_multipliers(acc, diff)
+                identity = _diagonal_multiplier(acc)
+                stage = "domains"
+                gaps = check_domains(acc, mults)
+                bad = None
+                if not gaps and not confluent:
+                    stage = "axioms"
+                    bad = check_axioms(order, relations, mults, identity)
+                witness = gaps[0] if gaps else bad
+                if witness is None:
+                    outcome = VERIFIED
+                    break
+                loops += 1
+                if loops > max_loops:
+                    stopped_by = {
                         "stage": stage, "cap": "correction loops",
                         "limit": max_loops,
-                    },
-                ))
-            stage = "repair"
-            before = diff.state_count()
-            for g, v in gaps:
-                w = rs.rewrite(v + (g,))
-                if not confluent:
-                    # a confluent normal form is already the least word of
-                    # its class, so reduce would return it unchanged
-                    w = diff.reduce(w)
-                diff.add_equation(v + (g,), w)
-                diff.add_equation(v, w)
-            if bad is not None:
-                # the witness is a padded pair word; the repair walks the
-                # relator starting from its first track
-                relator, wit = bad
-                u = rs.rewrite(tuple(g for g, _ in wit if g != PAD))
-                for a in relator:
-                    nxt = diff.reduce(rs.rewrite(u + (a,)))
-                    diff.add_equation(u + (a,), nxt)
-                    diff.add_equation(u, nxt)
-                    u = nxt
-            diff.close()
-            if diff.state_count() == before:
+                    }
+                    break
+                stage = "repair"
+                before = diff.state_count()
+                for g, v in gaps:
+                    w = rs.rewrite(v + (g,))
+                    if not confluent:
+                        # a confluent normal form is already the least word
+                        # of its class, so reduce would return it unchanged
+                        w = diff.reduce(w)
+                    diff.add_equation(v + (g,), w)
+                    diff.add_equation(v, w)
                 if bad is not None:
-                    return done(StructureResult(
-                        AXIOM_FAILED, order, rs, confluent, loops,
-                        diff=diff, acceptor=acc, multipliers=mults,
-                        identity=identity, witness=bad,
-                    ))
-                # the labels alone fix the machine, so every later loop
-                # would find the same gaps and repeat this one
-                return done(StructureResult(
-                    LOOP_LIMIT, order, rs, confluent, loops,
-                    diff=diff, acceptor=acc, multipliers=mults,
-                    identity=identity, witness=gaps[0],
-                    stopped_by={"stage": "repair", "cap": "stalled", "limit": None},
-                ))
-    except ResourceLimit as cap:
-        return done(StructureResult(
-            LOOP_LIMIT, order, rs, confluent, loops, diff=diff,
-            stopped_by={"stage": stage, "cap": cap.cap, "limit": cap.limit},
-        ))
+                    # the witness is a padded pair word; the repair walks
+                    # the relator starting from its first track
+                    relator, wit = bad
+                    u = rs.rewrite(tuple(g for g, _ in wit if g != PAD))
+                    for a in relator:
+                        nxt = diff.reduce(rs.rewrite(u + (a,)))
+                        diff.add_equation(u + (a,), nxt)
+                        diff.add_equation(u, nxt)
+                        u = nxt
+                diff.close()
+                if diff.state_count() == before:
+                    if bad is not None:
+                        outcome = AXIOM_FAILED
+                    else:
+                        # the labels alone fix the machine, so every later
+                        # loop would find the same gaps and repeat this one
+                        stopped_by = {
+                            "stage": "repair", "cap": "stalled", "limit": None,
+                        }
+                    break
+        except ResourceLimit as cap:
+            # a capped loop leaves no machines of its own to report
+            acc, mults, identity, witness = None, {}, None, None
+            stopped_by = {"stage": stage, "cap": cap.cap, "limit": cap.limit}
 
     res = StructureResult(
-        VERIFIED, order, rs, confluent, loops,
-        diff=diff, acceptor=acc, multipliers=mults, identity=identity,
+        outcome, order, rs, confluent, loops, diff=diff, acceptor=acc,
+        multipliers=mults, identity=identity, witness=witness,
+        stopped_by=stopped_by,
     )
-    if prune:
+    if prune and outcome == VERIFIED:
         _prune_verified(res, used)
-    return done(res)
+    res.seconds = time.monotonic() - began
+    return res
 
 
 def _prune_verified(res: StructureResult, used: set) -> None:

@@ -64,6 +64,9 @@ def test_conjugation_family_verifies_after_one_gap_loop():
     assert res.loops == 1
     assert res.acceptor.num_states == 6
     assert res.diff.state_count() == 41
+    # the repaired loop's gap is not carried into the verified result
+    assert res.witness is None
+    assert res.stopped_by is None
 
 
 def test_inversion_family_verifies():
@@ -247,6 +250,11 @@ def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
     assert res.stopped_by == want
     assert res.report()["stopped_by"] == want
     assert "stopped by: difference labels cap 7 in stage repair" in _report_lines(res)
+    # the loop before the cap built machines; none of them leak out
+    assert res.acceptor is None
+    assert res.identity is None
+    assert res.multipliers == {}
+    assert res.witness is None
 
 
 def used_labels(res) -> set:
@@ -722,7 +730,7 @@ def test_report_dict_is_json_friendly():
     json.dumps(out)
 
 
-# ----------------------------- label counts against the rebuilt union
+# ----------------------------- rule labels against the rebuilt union
 
 
 def _rule_difference_labels(rs, cache) -> frozenset:
@@ -747,17 +755,17 @@ def label_snapshots(rs, **caps) -> list:
     after every pass against the reference; returns, per pass, the labels
     and how many of the last pass's labels left."""
     cache, passes = {}, []
-    real = pipeline._RuleLabels.update
+    real = pipeline._rule_labels
 
-    def spy(self):
-        before = frozenset(self.count)
-        got = real(self)
+    def spy(*args):
+        before = passes[-1][0] if passes else frozenset()
+        got = real(*args)
         assert got == _rule_difference_labels(rs, cache), len(passes)
         passes.append((got, len(before - got)))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline._RuleLabels, "update", spy)
+        mp.setattr(pipeline, "_rule_labels", spy)
         run_knuth_bendix(rs, **caps)
     return passes
 
