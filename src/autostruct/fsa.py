@@ -3,7 +3,7 @@
 States are 0..num_states-1 and a missing move rejects.  A machine holds its
 moves as one row per state, a dict from symbol to target with its symbols
 in alphabet order, so walking a state's row visits its moves in the order
-every search here needs; `explore` fills the rows as it expands states.
+every search here needs; `explore` builds the rows once its search ends.
 Track-1 machines read plain words; track-2 machines read words of symbol
 pairs in which the shorter of two words has been padded at its tail end.
 Valid pair words never pad both coordinates at once and never resume a
@@ -24,10 +24,13 @@ for a side that has fallen off; no move leaves None, so it acts as the sink.
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
 and subset construction here and in the acceptor and multiplier builders
-goes through it.  `coreachable` is one backward search from acceptance,
-used for trimming, enumeration and emptiness; `search_back` is the same
-search over an implicit graph, which composition uses for its silent tail
-and to keep only the middle pairs that can still accept.
+goes through it.  It searches on the states themselves, with their moves
+in flat lists, and numbers them and builds their rows only when no state
+is left to expand, so a search its state cap stops has built neither.
+`coreachable` is one backward search from acceptance, used for trimming,
+enumeration and emptiness; `search_back` is the same search over an
+implicit graph, which composition uses for its silent tail and to keep
+only the middle pairs that can still accept.
 `search_forward` is its forward twin, which stops at the first node where
 a test holds: the language comparison and the pipeline's domain check use
 it to find their least disagreeing word, and `composite_distinct_pair`
@@ -40,7 +43,7 @@ multipliers of one product) is trimmed from one copy.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
+from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import LogicError, ResourceLimit
@@ -495,31 +498,39 @@ def explore(symbols, start, successors, is_accept, track, max_states=None):
     """Build a machine breadth-first from start.
 
     successors(state) yields (symbol, next state) in alphabet order; states
-    are any hashable values and are numbered as they are discovered, and
-    each state's row is filled as it is expanded.  Returns (machine, the
-    state behind each number).  Raises ResourceLimit when a new state would
-    pass max_states.
+    are any hashable values.  The search keeps each state once, as the
+    object it was first found as, and each expanded state's moves as flat
+    lists of symbols and target states.  Only once the queue drains are the
+    states numbered, in discovery order, and the rows built, so a search
+    the cap stops has built neither.  Returns (machine, the state behind
+    each number).  Raises ResourceLimit when a new state would pass
+    max_states.
     """
-    ids = {start: 0}
+    found = {start: start}  # each state, to the object first found as it
     states = [start]
-    moves = []
-    accepting = []
+    accept = bytearray()  # per expanded state, 1 where it accepts
+    syms, targets, widths = [], [], []  # every move; the moves per state
+    new = object()  # what get gives for a state not found; None may be one
     # the list of states is its own queue: it grows as they are discovered
-    for sid, state in enumerate(states):
-        if is_accept(state):
-            accepting.append(sid)
-        row = {}
+    for state in states:
+        accept.append(1 if is_accept(state) else 0)
+        before = len(syms)
         for sym, nxt in successors(state):
-            tid = ids.get(nxt)
-            if tid is None:
-                tid = len(states)
-                if max_states is not None and tid >= max_states:
+            t = found.get(nxt, new)
+            if t is new:
+                if max_states is not None and len(states) >= max_states:
                     raise ResourceLimit("states", max_states)
-                ids[nxt] = tid
+                found[nxt] = t = nxt
                 states.append(nxt)
-            row[sym] = tid
-        moves.append(row)
-    return Fsa(symbols, 0, accepting, moves, track), states
+            syms.append(sym)
+            targets.append(t)
+        widths.append(len(syms) - before)
+    found.update(zip(states, count()))  # each state, now to its number
+    # zip takes a symbol before a target, so it ends each row at its width
+    # without taking the next row's first target
+    sym_at, target_at = iter(syms), map(found.__getitem__, targets)
+    moves = [dict(zip(islice(sym_at, width), target_at)) for width in widths]
+    return Fsa(symbols, 0, compress(count(), accept), moves, track), states
 
 
 def coreachable(fsa: Fsa, accepting=None) -> dict:

@@ -184,9 +184,10 @@ def build_multiplier(
     far (see `_pad_kind`).  Each row of D's `fsa` is regrouped once by mode
     and track-1 letter; a product state walks W's row at v, each letter
     with the moves of D's row at d that read it, and looks track 2's letter
-    up in W's row at w.  `explore` fills the product's rows as it goes, one
-    per state, which is what the state cap bounds.  Also returns the
-    difference labels used on paths to any target, for pruning."""
+    up in W's row at w.  `explore` counts the product's states against the
+    state cap as it finds them and builds its rows only once the product is
+    complete, so a capped product builds none.  Also returns the difference
+    labels used on paths to any target, for pruning."""
     symbols = pair_symbols(acc.symbols)
     width = diff.fsa.num_states
     side = acc.num_states

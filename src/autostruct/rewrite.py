@@ -18,6 +18,13 @@ left side matches it takes the lowest rule index among all left sides
 that start there, whatever their lengths, and then backs up by the
 longest left side so no earlier match is missed.
 
+The completion queue is a heap keyed by the length of the superposed word,
+then by push order.  A superposition waits in it as the two rules' sides,
+as they were when it was pushed, and the offset of the second left side
+in the first; its two reductions are spelled only when it is popped, since
+a run pops few of the superpositions it pushes.  A retired rule waits as
+its own two sides.
+
 Completion keeps one invariant: every active right side is irreducible,
 except those it has not normalized yet (the rules it was built with and
 rules added by anyone else between passes, after which every right side
@@ -187,16 +194,32 @@ def critical_pairs(lhs1: Word, rhs1: Word, lhs2: Word, rhs2: Word, same_rule: bo
     second) and strict containments of the second inside the first.  The
     full self-overlap of a rule with itself is no superposition at all.
     """
+    for at in _offsets(lhs1, lhs2, same_rule):
+        p, q = _reductions(lhs1, rhs1, lhs2, rhs2, at)
+        yield lhs1 + lhs2[len(lhs1) - at :], p, q
+
+
+def _offsets(lhs1: Word, lhs2: Word, same_rule: bool) -> Iterator[int]:
+    """Where the second left side starts in each superposition with the
+    first, in the order `critical_pairs` yields them: proper overlaps by
+    growing length, then containments from the left."""
     n1, n2 = len(lhs1), len(lhs2)
     for k in range(1, min(n1, n2)):
         if lhs1[n1 - k :] == lhs2[:k]:
-            sup = lhs1 + lhs2[k:]
-            yield sup, rhs1 + lhs2[k:], lhs1[: n1 - k] + rhs2
+            yield n1 - k
     for s in range(0, n1 - n2 + 1):
         if same_rule and s == 0 and n1 == n2:
             continue
         if lhs1[s : s + n2] == lhs2:
-            yield lhs1, rhs1, lhs1[:s] + rhs2 + lhs1[s + n2 :]
+            yield s
+
+
+def _reductions(lhs1: Word, rhs1: Word, lhs2: Word, rhs2: Word, at: int) -> tuple:
+    """The two reductions of the superposition with lhs2 at offset at of
+    lhs1; one spelling serves overlaps and containments, since the slices
+    past a word's end are empty."""
+    n1 = len(lhs1)
+    return rhs1 + lhs2[n1 - at :], lhs1[:at] + rhs2 + lhs1[at + len(lhs2) :]
 
 
 def is_confluent(rs: RewriteSystem) -> bool:
@@ -223,7 +246,10 @@ class KbCompletion:
     Runs in bounded passes; between passes the caller may inspect the rule
     set or add rules.  Equations whose normalized sides exceed the length
     cap are discarded but remembered: a drained queue then means the
-    system is incomplete, not confluent.
+    system is incomplete, not confluent.  Queue entries are
+    (length, sequence, lhs1, rhs1, lhs2, rhs2, offset) for a superposition
+    and (length, sequence, lhs, rhs) for a retired rule; `_pop` spells
+    either as the equation it stands for.
     """
 
     def __init__(
@@ -255,12 +281,26 @@ class KbCompletion:
                 self._push_pairs(l1, r1, l2, r2, i == j)
 
     def _push_pairs(self, l1, r1, l2, r2, same):
-        for sup, p, q in critical_pairs(l1, r1, l2, r2, same):
-            self._push(len(sup), p, q)
+        """Queue each superposition of the two rules, keyed by its length,
+        as the four sides and the offset it is spelled from."""
+        n1, n2 = len(l1), len(l2)
+        for at in _offsets(l1, l2, same):
+            self._push(max(n1, at + n2), l1, r1, l2, r2, at)
 
-    def _push(self, prio, p, q):
+    def _push(self, prio, *entry):
+        """Queue an equation under prio: a retired rule as its two sides,
+        a superposition as its four sides and offset."""
         self._seq += 1
-        heapq.heappush(self._queue, (prio, self._seq, p, q))
+        heapq.heappush(self._queue, (prio, self._seq, *entry))
+
+    def _pop(self) -> tuple:
+        """The next queued equation (p, q), spelled now.  An entry keeps
+        the sides it was pushed with, which never change, so it spells the
+        words it stood for when pushed."""
+        entry = heapq.heappop(self._queue)
+        if len(entry) == 4:
+            return entry[2], entry[3]
+        return _reductions(*entry[2:])
 
     # ------------------------------------------------------------ indexes
 
@@ -322,7 +362,7 @@ class KbCompletion:
         while self._queue and done < max_pairs:
             if rs.active_count() > self.max_rules:
                 break
-            _prio, _seq, p, q = heapq.heappop(self._queue)
+            p, q = self._pop()
             done += 1
             p2, q2 = rs.rewrite(p), rs.rewrite(q)
             if p2 == q2:

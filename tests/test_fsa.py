@@ -725,6 +725,79 @@ def test_explore_cap_fires_on_the_state_past_it():
         assert expanded == list(range(n))
 
 
+def _explore_by_rows(symbols, start, successors, is_accept, track, max_states=None):
+    """`explore` as it was: states numbered as they are found and each
+    row filled as its state is expanded."""
+    ids = {start: 0}
+    states = [start]
+    moves = []
+    accepting = []
+    for sid, state in enumerate(states):
+        if is_accept(state):
+            accepting.append(sid)
+        row = {}
+        for sym, nxt in successors(state):
+            tid = ids.get(nxt)
+            if tid is None:
+                tid = len(states)
+                if max_states is not None and tid >= max_states:
+                    raise ResourceLimit("states", max_states)
+                ids[nxt] = tid
+                states.append(nxt)
+            row[sym] = tid
+        moves.append(row)
+    return Fsa(symbols, 0, accepting, moves, track), states
+
+
+def test_explore_matches_the_row_filling_reference():
+    # seeded random graphs over int nodes, seen as ints, tuples and
+    # frozensets; a fresh equal object is yielded on every move
+    rng = random.Random(20)
+    shapes = (
+        lambda i: i,
+        lambda i: (i % 3, i // 3, "t"),
+        lambda i: frozenset(j for j in range(12) if i >> j & 1),
+    )
+    symbols = tuple("abcde")
+    for n in range(60):
+        size = rng.randint(1, 40)
+        graph = [
+            [(sym, rng.randrange(size)) for sym in symbols if rng.random() < 0.4]
+            for _ in range(size)
+        ]
+        final = {i for i in range(size) if rng.random() < 0.3}
+        shape = shapes[n % 3]
+        node = {shape(i): i for i in range(size)}
+
+        def run(build, max_states=None):
+            expanded = []
+
+            def successors(state):
+                expanded.append(state)
+                for sym, t in graph[node[state]]:
+                    yield sym, shape(t)
+
+            try:
+                m, states = build(
+                    symbols, shape(0), successors,
+                    lambda s: node[s] in final, 1, max_states,
+                )
+            except ResourceLimit as hit:
+                return ("cap", hit.cap, hit.limit, expanded)
+            rows = [list(row.items()) for row in m.moves]  # in row order
+            return (rows, m.accepting, m.num_states, states, expanded)
+
+        got, want = run(explore), run(_explore_by_rows)
+        assert got == want
+        m_states = len(want[3])
+        # the cap lets exactly max_states states through, and fires on the next
+        assert run(explore, m_states) == want
+        if m_states > 1:
+            capped = run(explore, m_states - 1)
+            assert capped == run(_explore_by_rows, m_states - 1)
+            assert capped[:3] == ("cap", "states", m_states - 1)
+
+
 def test_query_walks_match_an_exhaustive_walk():
     # count_accepted and enumerate_words walk rows; the oracle runs every
     # word of each length through step, in length order and then alphabet

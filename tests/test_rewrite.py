@@ -1,6 +1,5 @@
 """Rewriting and completion behavior on known group presentations."""
 
-import heapq
 import itertools
 import random
 
@@ -72,6 +71,53 @@ def test_critical_pair_generation():
     # a rule does not superpose with itself at full overlap
     self_pairs = list(critical_pairs(("a", "b"), ("c",), ("a", "b"), ("c",), True))
     assert self_pairs == []
+
+
+def _spelled_pairs(lhs1, rhs1, lhs2, rhs2, same_rule):
+    """Superpositions spelled by hand, overlaps then containments."""
+    n1, n2 = len(lhs1), len(lhs2)
+    for k in range(1, min(n1, n2)):
+        if lhs1[n1 - k :] == lhs2[:k]:
+            yield lhs1 + lhs2[k:], rhs1 + lhs2[k:], lhs1[: n1 - k] + rhs2
+    for s in range(0, n1 - n2 + 1):
+        if same_rule and s == 0 and n1 == n2:
+            continue
+        if lhs1[s : s + n2] == lhs2:
+            yield lhs1, rhs1, lhs1[:s] + rhs2 + lhs1[s + n2 :]
+
+
+def test_queued_superpositions_spell_the_critical_pairs_in_order():
+    # left sides over two letters overlap often; a factor of the first, or
+    # the first itself, makes containments and self-overlaps
+    rng = random.Random(20)
+    word = lambda lo, hi: tuple(rng.choice("ab") for _ in range(rng.randint(lo, hi)))
+    comp = KbCompletion(RewriteSystem(sl(free_alpha())))
+    comp._queue.clear()
+    want, contained, self_overlaps = [], 0, 0
+    for n in range(300):
+        l1, r1, r2 = word(1, 7), word(0, 4), word(0, 4)
+        same = n % 3 == 0
+        if same:
+            l2, r2 = l1, r1
+        elif n % 3 == 1:
+            i = rng.randrange(len(l1))
+            l2 = l1[i : rng.randint(i + 1, len(l1))]
+        else:
+            l2 = word(1, 7)
+        pairs = list(critical_pairs(l1, r1, l2, r2, same))
+        assert pairs == list(_spelled_pairs(l1, r1, l2, r2, same))
+        contained += sum(sup == l1 for sup, _p, _q in pairs)
+        self_overlaps += len(pairs) if same else 0
+        want += pairs
+        comp._push_pairs(l1, r1, l2, r2, same)
+    # shorter superpositions first, pushes in order within a length
+    want.sort(key=lambda pair: len(pair[0]))
+    assert contained > 50 and self_overlaps > 50
+    got = []
+    while comp._queue:
+        prio = comp._queue[0][0]
+        got.append((prio, *comp._pop()))
+    assert got == [(len(sup), p, q) for sup, p, q in want]
 
 
 def test_z2_shortlex_completion():
@@ -263,7 +309,7 @@ def _full_scan_run(comp, max_pairs):
     while comp._queue and done < max_pairs:
         if rs.active_count() > comp.max_rules:
             break
-        _prio, _seq, p, q = heapq.heappop(comp._queue)
+        p, q = comp._pop()
         done += 1
         p2, q2 = rs.rewrite(p), rs.rewrite(q)
         if p2 == q2:
