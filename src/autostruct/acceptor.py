@@ -30,15 +30,20 @@ interned, and the raw machine, numbered breadth-first in generator
 order, does not depend on how subsets are stored.
 
 Shadows come in dominance classes (`history.dominance`): at one
-difference state, the weight histories (longer, +1, wtdiff) and
-(longer, -1, wtdiff) are twins, and a subset holding the +1 twin accepts
-the same words with or without the -1 twin.  So each class is interned
-to a pair of bits: the class's own history sits at bit ``2c`` and its
-dominated twin at bit ``2c + 1``, one above.  The mask ``even`` holds the
-low bit of every class interned so far, and one mask operation per
-successor subset, ``out &= ~((out & even) << 1)``, drops every dominated
-twin whose dominator is in the same subset.  The language is unchanged;
-the raw machine is smaller, and dropped twins are never expanded.
+difference state, a subset holding a class's own history accepts the same
+words with or without the histories it dominates, the -1 twin of a
+weight history and, under shortlex, the one longer history.  So each
+class is interned to adjacent bits, as many as `history.dominance_slots`
+gives the order (three under shortlex, two under the other weighted
+orders, one under the wreath order): the class's own history sits at the
+lowest and the histories it dominates above it.  The mask ``base`` holds
+the low bit of every class interned so far, and one mask operation per
+successor subset, ``out &= ~((out & base) * spread)``, drops every
+dominated history whose dominator is in the same subset: ``spread`` is
+the class's bits but its lowest (``0b110`` under shortlex), the product
+puts it over each class present, and no carry crosses into the next
+class.  The language is unchanged; the raw machine is smaller, and
+dropped histories are never expanded.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
 from .fsa import Fsa, explore
 from .history import (
-    bounds_for, decide_precedes, dominance, history_step, in_bounds, root_history,
+    bounds_for, decide_precedes, dominance, dominance_slots, history_step,
+    in_bounds, root_history,
 )
 from .rewrite import RewriteSystem
 from .words import PAD, Word
@@ -99,32 +105,35 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     pad_first = (PAD,) + gens  # the companion's letters, padding first
     bound = bounds_for(order, diff.labels)
 
-    # per shadow bit: its key (None for a twin bit not yet used), its kill
-    # mask over the generators, and per generator its successor mask (each
-    # None until first needed); bits 2c and 2c + 1 belong to class c
+    # per shadow bit: its key (None for a bit not yet used), its kill mask
+    # over the generators, and per generator its successor mask (each None
+    # until first needed); class c has the bits from slots * c on
     shadow_ids: dict = {}
     class_ids: dict = {}
     shadow_list: list = []
     kill_masks: list = []
     succ_cols: list = [[] for _ in gens]
-    even = 0  # the low bit of every class
+    slots = dominance_slots(order)
+    base = 0  # the low bit of every class
+    spread = (1 << slots) - 2  # over a class's low bit, its other bits
+    unused = (None,) * slots
 
     def intern(d: int, hist) -> int:
-        nonlocal even
+        nonlocal base
         key = (d, hist)
         sid = shadow_ids.get(key)
         if sid is None:
             if len(shadow_ids) > MAX_SHADOWS:  # the root is not counted
                 raise ResourceLimit("shadows", MAX_SHADOWS)
-            cls, dominated = dominance(hist)
+            cls, slot = dominance(order, hist)
             c = class_ids.setdefault((d, cls), len(class_ids))
-            if 2 * c == len(shadow_list):
-                even |= 1 << 2 * c
-                shadow_list.extend((None, None))
-                kill_masks.extend((None, None))
+            if slots * c == len(shadow_list):
+                base |= 1 << slots * c
+                shadow_list.extend(unused)
+                kill_masks.extend(unused)
                 for col in succ_cols:
-                    col.extend((None, None))
-            sid = 2 * c + dominated
+                    col.extend(unused)
+            sid = slots * c + slot
             shadow_ids[key] = sid
             shadow_list[sid] = key
         return sid
@@ -197,8 +206,8 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
                 if t is None:
                     t = col[sid] = compute_successors(sid, g)
                 out |= t
-            # drop each dominated twin whose dominator is here
-            out &= ~((out & even) << 1)
+            # drop each dominated history whose dominator is here
+            out &= ~((out & base) * spread)
             yield g, out
 
     raw, _ = explore(

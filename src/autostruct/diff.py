@@ -61,6 +61,8 @@ class DiffMachine:
         self.index = {(): EPS}
         self.fsa = Fsa(pair_symbols(self.alpha.symbols), EPS, [EPS], [{}], track=2)
         self.inverse_state = [EPS]
+        # per label: its reduced inverse and moved words, as of rws.changes
+        self._kept, self._kept_at = {}, rws.changes
         for w in labels or ():
             self._add_label(w)
 
@@ -130,17 +132,33 @@ class DiffMachine:
 
     def rebuild(self) -> None:
         """Recompute every move and the inversion map from the labels:
-        one row per label, in alphabet order, as a new `fsa`."""
-        rw, inv, index = self.rws.rewrite, self.alpha.invert, self.index
+        one row per label, in alphabet order, as a new `fsa`.
+
+        Each label's reduced inverse and moved words are kept, so a later
+        rebuild rewrites only the labels it has not seen and maps the kept
+        words through the current index.  Labels are never removed, so a
+        word that hits a label keeps hitting it, and a word that missed
+        may hit a label added since.  The kept rows are dropped whenever
+        the rewriting system has changed since they were filled."""
+        rws, index = self.rws, self.index
+        if self._kept_at != rws.changes:
+            self._kept, self._kept_at = {}, rws.changes
+        kept, rw, inv = self._kept, rws.rewrite, self.alpha.invert
         symbols = self.fsa.symbols
+        shared = {}  # equal words in the rows filled here share one tuple
         rows, inverse = [], []
         for label in self.labels:
-            moved = [index.get(self._moved(label, a, b)) for a, b in symbols]
-            rows.append({sym: t for sym, t in zip(symbols, moved) if t is not None})
-            t = index.get(rw(inv(label)))
+            words = kept.get(label)
+            if words is None:
+                words = [rw(inv(label))]
+                words += [self._moved(label, a, b) for a, b in symbols]
+                words = kept[label] = tuple(shared.setdefault(w, w) for w in words)
+            moved = map(index.get, words)
+            t = next(moved)
             if t is None:
                 raise LogicError("labels are not closed under inversion")
             inverse.append(t)
+            rows.append({sym: t for sym, t in zip(symbols, moved) if t is not None})
         self.fsa = Fsa(symbols, EPS, range(len(rows)), rows, track=2)
         self.inverse_state = inverse
 

@@ -76,6 +76,9 @@ class WreathHistory:
 
 History = Union[WtHistory, WreathHistory]
 
+# under shortlex, every history whose track 1 is longer
+SHORTLEX_LONGER = WtHistory(True, 0, 1)
+
 
 def _pi(order: Order, w: Word, j: int) -> Word:
     """Level-j symbols of the longest prefix of w that stays at level <= j."""
@@ -130,14 +133,16 @@ def _wt_step(order: Order, h: WtHistory, a: str, b: str) -> WtHistory:
     return WtHistory(False, lexsign, wtd)
 
 
-def dominance(h: History) -> tuple:
-    """(class, dominated): the history naming h's dominance class, and
-    whether h is the class's dominated twin.
+def dominance(order: Order, h: History) -> tuple:
+    """(class, slot): the history naming h's dominance class, and h's slot
+    in it, 0 for the class's own history and 1 or 2 for one it dominates.
 
-    Twins are the weight histories (longer, +1, wtdiff) and
-    (longer, -1, wtdiff); the class is named by the +1 twin, which
-    dominates: at the same difference state, a shadow set holding both
-    accepts exactly the words it accepts without the -1 twin.
+    At the same difference state, a shadow set holding a dominator accepts
+    exactly the words it accepts without the histories it dominates.  Two
+    relations are proved here.
+
+    Twins (slot 1).  The weight histories (longer, +1, wtdiff) and
+    (longer, -1, wtdiff) are twins, and the +1 twin dominates:
 
     * Stepping.  `_wt_step` sets the sign only while it is 0, so a set
       sign never changes, and the new wtdiff and longer flag read only
@@ -152,16 +157,49 @@ def dominance(h: History) -> tuple:
     * Bounds.  `in_bounds` reads only wtdiff, so twins pass or fail it
       together.
 
-    By induction on the word read: a subset with the dominated twin added
-    has the same kills, and its successors are those of the subset without
-    it, plus twins dominated by members of those.  So it accepts the same
-    words.  Histories with sign 0 (the root, and longer ones under
-    shortlex and wtshortlex) have no twin.  A `WreathHistory` is its own
-    class and is never dominated.
+    The longer history (slot 2), shortlex only.  Under shortlex a history
+    that is not longer has wtdiff 0, and the one longer history is
+    (True, 0, 1); (False, +1, 0) dominates it:
+
+    * Deciding.  `decide_precedes` gives both the same answer on every
+      pair of endings: True exactly when e2 is no longer than e1.  For
+      the first the length gap decides, and a tie goes to the +1 sign;
+      the second is one letter ahead, so with a nonempty e2 the gap
+      1 + len(e1) - len(e2) must be positive, and with an empty one it
+      is.  So in `build_acceptor`'s `compute_kill`, rule (a) holds for
+      both, and rule (b) holds for both exactly when the closing word is
+      empty: the two kill under the same generators.
+    * Stepping.  The longer history's only step is (g, PAD), giving
+      (True, 0, 1) at the state (g, PAD) leads to; the first history's
+      (g, PAD) step gives that same history at that same state.
+    * Bounds.  So `in_bounds` is read on one and the same successor.
+
+    Under wtshortlex a longer history keeps a clamped weight gap and may
+    kill where the first does not, and under wtlex no longer history has
+    sign 0, so the weighted orders keep only the twins.
+
+    By induction on the word read: a subset with a dominated history
+    added has the same kills, and its successors are those of the subset
+    without it, plus histories dominated by members of those.  So it
+    accepts the same words.  Other histories with sign 0 (the root, and
+    longer ones under wtshortlex) are alone in their class, and so is
+    every `WreathHistory`.
     """
-    if isinstance(h, WtHistory) and h.lexsign == -1:
-        return WtHistory(h.longer, 1, h.wtdiff), True
-    return h, False
+    if not isinstance(h, WtHistory):
+        return h, 0
+    if h.lexsign == -1:
+        return WtHistory(h.longer, 1, h.wtdiff), 1
+    if h == SHORTLEX_LONGER and order.kind == SHORTLEX:
+        return WtHistory(False, 1, 0), 2
+    return h, 0
+
+
+def dominance_slots(order: Order) -> int:
+    """How many slots a dominance class has under this order: one more
+    than the slots `dominance` hands out to the histories it dominates."""
+    if order.kind == SHORTLEX:
+        return 3
+    return 2 if _wt_like(order) else 1
 
 
 def _wreath_step(order: Order, h: WreathHistory, a: str, b: str) -> WreathHistory:

@@ -42,7 +42,11 @@ in a reduction order, cannot hold L.  So each new rule visits only:
 * for pairing, the rules whose left side properly overlaps L: those that
   start with a proper suffix of L, found by bisecting the sorted left-side
   strings, and those that end with a proper prefix of L, found the same
-  way in the sorted reversed strings.  Containments cannot arise.
+  way in the sorted reversed strings.  Each bisect range is one overlap,
+  of the suffix's or prefix's length, so the superpositions are queued
+  from the overlaps the ranges found, in the order `_offsets` would yield
+  them, with no word compared again.  Containments cannot arise, and a
+  key equal to the suffix or prefix, which would be one, is skipped.
 
 Candidates are taken in ascending rule index, with retirements and
 right-side rewrites interleaved as a scan over every rule would do them;
@@ -75,6 +79,7 @@ class RewriteSystem:
         self._trie = {}
         self._active = 0
         self._max_lhs = 0
+        self.changes = 0  # bumped by every change to the rules
         for g in order.alphabet.symbols:
             self._append((g, order.alphabet.inverse[g]), ())
 
@@ -96,6 +101,7 @@ class RewriteSystem:
         node.setdefault(None, []).append(idx)
         self._active += 1
         self._max_lhs = max(self._max_lhs, len(lhs))
+        self.changes += 1
         return idx
 
     def add_rule(self, lhs: Word, rhs: Word) -> int:
@@ -123,6 +129,7 @@ class RewriteSystem:
             return
         rule[2] = False
         self._active -= 1
+        self.changes += 1
         path = [self._trie]
         for s in rule[0]:
             path.append(path[-1][s])
@@ -135,6 +142,12 @@ class RewriteSystem:
             if path[depth]:
                 break
             del path[depth - 1][rule[0][depth - 1]]
+
+    def set_rhs(self, idx: int, rhs: Word) -> None:
+        """Replace a rule's right side; the caller vouches that it spells
+        the same element and stays earlier than the left side."""
+        self.rules[idx][1] = rhs
+        self.changes += 1
 
     def active(self) -> Iterator[tuple]:
         for lhs, rhs, on in self.rules:
@@ -388,34 +401,46 @@ class KbCompletion:
                     continue
                 reduced = rs.rewrite(old_rhs)
                 if reduced != old_rhs:
-                    rule[1] = reduced
+                    rs.set_rhs(i, reduced)
                     head = texts[i][: len(old_lhs) + 1]  # through _ARROW
                     texts[i] = head + self._spell(reduced) + _END
             self._unnormalized = set()
             # pair with the rules whose left side starts with a proper
-            # suffix of the new one, or ends with a proper prefix of it
-            after = _overlapping(self._heads, word)
-            before = _overlapping(self._tails, word[::-1])
+            # suffix of the new one (side 0), or ends with a proper prefix
+            # of it (side 1), pushing each overlap of k letters the index
+            # found, sorted as `_offsets` yields them: rule by rule, side 0
+            # first, k growing
+            n = len(lhs)
+            found = _overlapping(self._heads, word, 0)
+            found += _overlapping(self._tails, word[::-1], 1)
             self._index(new_idx)
-            for i in sorted(after | before):
+            for i, side, k in sorted(found):
                 l2, r2, on = rules[i]
                 if not on:
                     continue
-                if i in after:
-                    self._push_pairs(lhs, rhs, l2, r2, False)
-                if i in before:
-                    self._push_pairs(l2, r2, lhs, rhs, False)
+                n2 = len(l2)
+                if side:
+                    self._push(n + n2 - k, l2, r2, lhs, rhs, n2 - k)
+                else:
+                    self._push(n + n2 - k, lhs, rhs, l2, r2, n - k)
             self._push_pairs(lhs, rhs, lhs, rhs, True)
         return self.status()
 
 
-def _overlapping(index: tuple, word: str) -> set:
-    """Rule indices whose key in index starts with a proper suffix of word."""
+def _overlapping(index: tuple, word: str, side: int) -> list:
+    """(rule index, side, k) for each key in index whose first k letters
+    are word's last k, with k shorter than both.
+
+    A key equal to a suffix of word would be a containment, and sorts
+    first in its bisect range, so each range starts past it."""
     keys, ids = index
-    out = set()
-    for j in range(1, len(word)):
-        lo = bisect_left(keys, word[j:])
-        out.update(ids[lo : bisect_left(keys, word[j:] + _TOP, lo)])
+    n = len(word)
+    out = []
+    for j in range(1, n):
+        suffix = word[j:]
+        lo = bisect_right(keys, suffix)
+        hi = bisect_left(keys, suffix + _TOP, lo)
+        out += [(i, side, n - j) for i in ids[lo:hi]]
     return out
 
 

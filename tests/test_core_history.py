@@ -8,6 +8,7 @@ builds the summary of the spelled pair from scratch, and its verdicts must
 match comparing the fully spelled words.
 """
 
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from autostruct.history import (
     in_bounds,
     root_history,
 )
-from autostruct.orders import WTLEX, lex_cmp
+from autostruct.orders import SHORTLEX, WTLEX, lex_cmp
 from autostruct.words import PAD
 
 
@@ -297,9 +298,9 @@ def test_dominating_twin_kills_wherever_its_twin_does(order):
         longer = rng.random() < 0.3
         wtdiff = rng.randrange(-3, 2 if longer else 4)  # capped once longer
         twins = [WtHistory(longer, s, wtdiff) for s in (1, -1)]
-        top, low = sorted(twins, key=lambda h: dominance(h)[1])
-        assert dominance(top) == (top, False)
-        assert dominance(low) == (top, True)
+        top, low = sorted(twins, key=lambda h: dominance(order, h)[1])
+        assert dominance(order, top) == (top, False)
+        assert dominance(order, low) == (top, True)
         for _q in range(8):
             e1 = tuple(rng.choice(syms) for _ in range(rng.randrange(1, 4)))
             e2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 4)))
@@ -315,5 +316,33 @@ def test_dominating_twin_kills_wherever_its_twin_does(order):
                 # track 2 padding drops the sign where it no longer counts
                 assert b == PAD and order.kind != WTLEX, (top, a, b)
             else:
-                assert dominance(sl) == (st, True), (top, a, b)
+                assert dominance(order, sl) == (st, True), (top, a, b)
     assert split > 0
+
+
+@pytest.mark.parametrize(
+    "order", [o for o in ORDERS if _wt_like(o)], ids=order_id
+)
+def test_shortlex_longer_history_decides_and_steps_as_its_dominator(order):
+    # under shortlex the acceptor also drops (True, 0, 1) where
+    # (False, +1, 0) shares its subset and difference state: the two must
+    # decide alike on every ending, and the longer one's only step must be
+    # one the other takes too
+    syms = order.alphabet.symbols
+    longer, top = WtHistory(True, 0, 1), WtHistory(False, 1, 0)
+    if order.kind != SHORTLEX:
+        assert dominance(order, longer) == (longer, 0)
+        return
+    assert dominance(order, longer) == (top, 2)
+    assert dominance(order, top) == (top, 0)
+    endings = [
+        tuple(w) for n in range(3) for w in itertools.product(syms, repeat=n)
+    ]
+    for e1 in endings:
+        for e2 in endings:
+            want = len(e2) <= len(e1)
+            assert decide_precedes(order, top, e1, e2) == want, (e1, e2)
+            assert decide_precedes(order, longer, e1, e2) == want, (e1, e2)
+    for a in syms:
+        assert history_step(order, longer, a, PAD) == longer
+        assert history_step(order, top, a, PAD) == longer

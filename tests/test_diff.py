@@ -273,3 +273,77 @@ def test_find_reduction_matches_brute_force(family, pq, extra):
         tails += len(u) > len(factor)
     if not exact:
         assert tails > 0  # the silent-tail search was exercised
+
+
+# -------------------------------------- moved words kept across rebuilds
+
+
+def rebuilt_afresh(d):
+    """A machine over d's rules and labels, in d's order, rebuilt with
+    nothing kept."""
+    fresh = DiffMachine(d.rws, d.labels)
+    fresh.rebuild()
+    return fresh
+
+
+@pytest.mark.parametrize("family,p,q", [("BSpq", 1, 2), ("KNOT52", 1, 1)])
+def test_kept_rows_give_the_machine_a_fresh_rebuild_gives(
+    monkeypatch, family, p, q
+):
+    # every rebuild of a run, the one closing each repair loop among them,
+    # must give the moves and inverses a machine rebuilt from nothing gives
+    fam = builtin_family(
+        FamilySpec(family, p, q), wirtinger=family.startswith("KNOT")
+    )
+    real_rebuild, real_moved = DiffMachine.rebuild, DiffMachine._moved
+    rebuilds, rewrites, rewritten = [], 0, 0
+
+    def moved(self, *args):
+        nonlocal rewrites
+        rewrites += 1
+        return real_moved(self, *args)
+
+    def rebuild(self):
+        nonlocal rewritten
+        before = rewrites
+        real_rebuild(self)
+        rewritten += rewrites - before
+        with monkeypatch.context() as mp:
+            mp.setattr(DiffMachine, "rebuild", real_rebuild)
+            mp.setattr(DiffMachine, "_moved", real_moved)
+            fresh = rebuilt_afresh(self)
+            bad = self.violations()
+        rebuilds.append((
+            self.fsa.moves == fresh.fsa.moves,
+            self.inverse_state == fresh.inverse_state,
+            bad,
+        ))
+
+    monkeypatch.setattr(DiffMachine, "rebuild", rebuild)
+    monkeypatch.setattr(DiffMachine, "_moved", moved)
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert res.loops >= 1 and len(rebuilds) >= 2
+    assert rebuilds == [(True, True, [])] * len(rebuilds)
+    # the rules stay as they are over the loops, so each label's row of
+    # moved words is rewritten once, however many rebuilds read it
+    assert rewritten == res.diff.state_count() * len(res.diff.fsa.symbols)
+
+
+def test_a_rule_changed_after_a_rebuild_is_seen_by_the_next():
+    rs = RewriteSystem(free_order())
+    d = DiffMachine(rs, [("a",), ("A",)])
+    d.rebuild()
+    a, big_a = d.index[("a",)], d.index[("A",)]
+    assert d.fsa.step(a, ("A", "a")) is None  # a a a is no label
+    for change, target in [
+        (lambda: rs.add_rule(("a", "a", "a"), ("A",)), big_a),
+        (lambda: rs.deactivate(len(rs.rules) - 1), None),
+        (lambda: rs.add_rule(("a", "a", "a"), ("A",)), big_a),
+        (lambda: rs.set_rhs(len(rs.rules) - 1, ("a", "a")), None),
+    ]:
+        change()
+        d.rebuild()
+        assert d.fsa.step(a, ("A", "a")) == target
+        fresh = rebuilt_afresh(d)
+        assert d.fsa.moves == fresh.fsa.moves
+        assert d.inverse_state == fresh.inverse_state

@@ -17,6 +17,8 @@ from autostruct.rewrite import (
     STOPPED,
     KbCompletion,
     RewriteSystem,
+    _offsets,
+    _overlapping,
     critical_pairs,
     is_confluent,
     kb_complete,
@@ -118,6 +120,41 @@ def test_queued_superpositions_spell_the_critical_pairs_in_order():
         prio = comp._queue[0][0]
         got.append((prio, *comp._pop()))
     assert got == [(len(sup), p, q) for sup, p, q in want]
+
+
+def _index_of(words):
+    """A completion index over words: the sorted keys and their ids."""
+    pairs = sorted((w, i) for i, w in enumerate(words))
+    return [w for w, _ in pairs], [i for _, i in pairs]
+
+
+def test_index_reports_the_overlaps_offsets_yields():
+    # completion pushes a new left side's pairs from the overlaps its index
+    # bisects find; they must be the proper overlaps `_offsets` yields, in
+    # its order.  Neither left side of a pair is a factor of the other, as
+    # in a reduced system, so no containment arises.  Periodic words give
+    # several overlaps per pair
+    rng = random.Random(21)
+    periodic = ["aaaab", "baaaa", "ababa", "babab", "abababb", "bbababa",
+                "aabaabaa", "baabaab", "abbabba"]
+    word = lambda: "".join(rng.choice("ab") for _ in range(rng.randint(2, 8)))
+    overlaps = several = 0
+    for _ in range(150):
+        new = rng.choice(periodic + [word()])
+        words = periodic + [word() for _ in range(20)]
+        words = [w for w in words if new not in w and w not in new]
+        words += words[:2]  # equal left sides, as a retired rule leaves
+        found = _overlapping(_index_of(words), new, 0)
+        found += _overlapping(_index_of([w[::-1] for w in words]), new[::-1], 1)
+        found.sort()
+        for i, w in enumerate(words):
+            after = [len(new) - k for j, side, k in found if (j, side) == (i, 0)]
+            before = [len(w) - k for j, side, k in found if (j, side) == (i, 1)]
+            assert after == list(_offsets(new, w, False)), (new, w)
+            assert before == list(_offsets(w, new, False)), (new, w)
+            overlaps += len(after) + len(before)
+            several += len(after) > 1 or len(before) > 1
+    assert overlaps > 5000 and several > 500
 
 
 def test_z2_shortlex_completion():
