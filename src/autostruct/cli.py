@@ -25,9 +25,9 @@ from .formats import (
     serialize_presentation,
     serialize_rules,
 )
-from .pipeline import VERIFIED, compute_structure
+from .pipeline import MAX_LOOPS, VERIFIED, compute_structure
 from .presentations import FAMILY_NAMES, FamilySpec, builtin_family
-from .rewrite import CONFLUENT, RewriteSystem, kb_complete
+from .rewrite import CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, RewriteSystem, kb_complete
 from .words import format_word, parse_word
 
 
@@ -252,8 +252,8 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def kb_flags(p):
-        p.add_argument("--kb-max-rules", type=int, default=1000, metavar="N")
-        p.add_argument("--kb-max-len", type=int, default=40, metavar="N")
+        p.add_argument("--kb-max-rules", type=int, default=MAX_RULES, metavar="N")
+        p.add_argument("--kb-max-len", type=int, default=MAX_LEN, metavar="N")
 
     p = sub.add_parser(
         "autostructure", help="compute and verify an automatic structure"
@@ -261,7 +261,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file", help="presentation file")
     p.add_argument("-o", "--out", required=True, help="output directory")
     kb_flags(p)
-    p.add_argument("--max-loops", type=int, default=10, metavar="N")
+    p.add_argument("--max-loops", type=int, default=MAX_LOOPS, metavar="N")
     p.add_argument(
         "--prune", action="store_true",
         help="once verified, keep only the word differences the"
@@ -273,7 +273,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("-o", "--out", help="rules file to write (default stdout)")
     kb_flags(p)
-    p.add_argument("--max-pairs", type=int, default=200_000, metavar="N")
+    p.add_argument("--max-pairs", type=int, default=MAX_PAIRS, metavar="N")
     p.set_defaults(run=_cmd_kbcomplete)
 
     p = sub.add_parser("reduce", help="reduce a word by a rules file")

@@ -403,26 +403,41 @@ def parse_fsa(text: str) -> Fsa:
             _fail(no, "a pair label cannot pad both tracks")
         return (parts[0], parts[1])
 
-    rows = [{} for _ in range(num)]
+    moves = []
     for no, toks in move_lines:
         if len(toks) != 3:
             _fail(no, f"unrecognized line {' '.join(toks)!r}")
         src = state(no, _parse_int(no, toks[0], "state"))
         sym = parse_sym(no, toks[1])
         dst = state(no, _parse_int(no, toks[2], "state"))
+        moves.append((no, toks[1], src, sym, dst))
+    label_states = {
+        state(no, s, "label state"): (no, toks) for s, (no, toks) in labels.items()
+    }
+    # every state is named by some line, as in every file this module
+    # writes, so the rows allocated below are bounded by the file's length
+    named = {start, *accepting, *label_states}
+    for _no, _tok, src, _sym, dst in moves:
+        named.update((src, dst))
+    if len(named) < num:
+        unnamed = next(i for i in range(num) if i not in named)
+        _fail(head["states"][0], f"state {unnamed + 1} is named by no line")
+
+    rows = [{} for _ in range(num)]
+    for no, tok, src, sym, dst in moves:
         if sym in rows[src]:
-            _fail(no, f"duplicate transition from {src + 1} on {toks[1]}")
+            _fail(no, f"duplicate transition from {src + 1} on {tok}")
         rows[src][sym] = dst
 
     a = Fsa.from_rows(symbols, start, accepting, rows, track)
     a.validate()
     word_labels = {}
-    for s, (no, toks) in labels.items():
+    for s, (no, toks) in label_states.items():
         word = () if toks == ["e"] else tuple(toks)
         unknown = [t for t in word if t not in base_set]
         if unknown:
             _fail(no, f"unknown symbol {unknown[0]!r} in label")
-        word_labels[state(no, s, "label state")] = word
+        word_labels[s] = word
     a.state_labels = word_labels
     return a
 

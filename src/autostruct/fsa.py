@@ -43,7 +43,7 @@ multipliers of one product) is trimmed from one copy.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, compress, count, islice
+from itertools import compress, count, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import LogicError, ResourceLimit
@@ -290,9 +290,10 @@ class Fsa:
         letter y, padding included: this machine steps on (x, y) and the
         other on (y, z), except that a side whose pair is (padding, padding)
         has finished.  A side may finish only from an accepting state, and
-        then it stays frozen.  Each subset state also carries the pad kind
-        read so far, so only words obeying the padding discipline are
-        accepted.  The middle word may outlive both outer words; those
+        then it stays frozen; each side reads that finishing move from its
+        rows like any other (`_finishing_rows`).  Each subset state also
+        carries the pad kind read so far, so only words obeying the padding
+        discipline are accepted.  The middle word may outlive both outer words; those
         silent tail moves read (padding, padding) on the outer tracks, and
         one backward search folds them into acceptance.
 
@@ -313,8 +314,7 @@ class Fsa:
         done = -1  # a finished side: it counts as accepting
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
-        moves_a, moves_b = self.moves, other._by_middle()
-        finish = (((PAD, PAD), done),)  # finishing, the only move of done
+        rows_a, moves_b = self._finishing_rows(), other._by_middle()
         # every middle pair reachable from the start over the triple moves,
         # silent and finishing ones included, with its predecessors, and
         # apart from them its predecessors on silent moves alone
@@ -324,8 +324,7 @@ class Fsa:
         for pair in found:
             sa, sb = pair
             by_y = moves_b[sb]
-            row = () if sa == done else moves_a[sa].items()
-            for (x, y), ta in chain(row, finish if sa in final_a else ()):
+            for (x, y), ta in rows_a[sa]:
                 for z, tb in by_y.get(y, ()):
                     sources = into.get((ta, tb))
                     if sources is None:
@@ -350,8 +349,7 @@ class Fsa:
             nxt = {}
             for sa, sb in cur:
                 by_y = moves_b[sb]
-                row = () if sa == done else moves_a[sa].items()
-                for (x, y), ta in chain(row, finish if sa in final_a else ()):
+                for (x, y), ta in rows_a[sa]:
                     for z, tb in by_y.get(y, ()):
                         if (ta, tb) in live:
                             nxt.setdefault((x, z), set()).add((ta, tb))
@@ -393,14 +391,12 @@ class Fsa:
         done = -1  # a finished side: it counts as accepting
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
-        moves_a, moves_b = self.moves, other._by_middle()
-        finish = (((PAD, PAD), done),)  # finishing, the only move of done
+        rows_a, moves_b = self._finishing_rows(), other._by_middle()
 
         def successors(node):
             sa, sb, differs, kind = node
             by_y = moves_b[sb]
-            row = () if sa == done else moves_a[sa].items()
-            for (x, y), ta in chain(row, finish if sa in final_a else ()):
+            for (x, y), ta in rows_a[sa]:
                 for z, tb in by_y.get(y, ()):
                     # the pad kind of (x, z), 3 when both are padding
                     k = (z == PAD) + 2 * (x == PAD)
@@ -446,21 +442,27 @@ class Fsa:
             vec = nxt
         return sum(c for s, c in vec.items() if s in self.accepting)
 
+    def _finishing_rows(self) -> list:
+        """Each state's moves as (symbol, target) lists in alphabet order,
+        for composition, with finishing last: (PAD, PAD) from an accepting
+        state into -1, the finished side, whose row holds only that move
+        and is the extra last one, so index -1 finds it."""
+        out = [list(row.items()) for row in self.moves]
+        out.append([])
+        for s in (*self.accepting, -1):
+            out[s].append(((PAD, PAD), -1))
+        return out
+
     def _by_middle(self) -> list:
-        """Each state's moves (y, z), as (z, target) lists in alphabet
-        order keyed by the middle letter y, for composition on the right.
-        Finishing reads (PAD, PAD) from an accepting state into -1, the
-        finished side; its row, holding only that move, is the extra last
-        one, so index -1 finds it."""
+        """The rows of `_finishing_rows`, each regrouped as (z, target)
+        lists in alphabet order keyed by the middle letter y of its moves
+        (y, z), for composition on the right."""
         out = []
-        for s, row in enumerate(self.moves):
+        for row in self._finishing_rows():
             by_y = {}
-            for (y, z), t in row.items():
+            for (y, z), t in row:
                 by_y.setdefault(y, []).append((z, t))
-            if s in self.accepting:
-                by_y.setdefault(PAD, []).append((PAD, -1))
             out.append(by_y)
-        out.append({PAD: [(PAD, -1)]})
         return out
 
     # -------------------------------------------------------- comparisons

@@ -54,13 +54,17 @@ from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
 from .fsa import Fsa, _pad_kind, coreachable, explore, pair_symbols, search_forward
 from .orders import Order
-from .rewrite import CONFLUENT, RUNNING, KbCompletion, RewriteSystem
+from .rewrite import CONFLUENT, MAX_LEN, MAX_RULES, RUNNING, KbCompletion, RewriteSystem
 from .words import PAD, Word
 
 VERIFIED = "verified"
 KB_STOPPED = "kb-stopped"
 LOOP_LIMIT = "loop-limit"
 AXIOM_FAILED = "axiom-failed"
+
+PASS_PAIRS, MAX_PASSES = 500, 400  # completion's passes: size, number
+MAX_PRODUCT_STATES = 100_000  # the multiplier product's states
+MAX_LOOPS = 10  # correction loops
 
 
 @dataclass
@@ -127,22 +131,18 @@ def _rule_labels(rs: RewriteSystem, cache: dict) -> frozenset:
 
 
 def run_knuth_bendix(
-    rs: RewriteSystem,
-    max_rules: int = 1000,
-    max_len: int = 40,
-    pass_pairs: int = 500,
-    max_passes: int = 400,
+    rs: RewriteSystem, max_rules: int = MAX_RULES, max_len: int = MAX_LEN
 ) -> tuple:
     """Drive completion in passes until confluence or the difference
     labels derived from the rules stop moving.  Returns (confluent,
     stopped_by): stopped_by is None when the run may go on, and when the
     caps won out first it names the one that fired: "rules" (more than
     max_rules active), "rule length" (pairs past max_len were discarded
-    and nothing else is left) or "passes" (max_passes ran out)."""
+    and nothing else is left) or "passes" (MAX_PASSES ran out)."""
     comp = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
     cache, prev = {}, None
-    for _ in range(max_passes):
-        comp.run(pass_pairs)
+    for _ in range(MAX_PASSES):
+        comp.run(PASS_PAIRS)
         status = comp.status()
         if status == CONFLUENT:
             return True, None
@@ -154,7 +154,7 @@ def run_knuth_bendix(
             if rs.active_count() > max_rules:
                 return False, _kb_cap("rules", max_rules)
             return False, _kb_cap("rule length", max_len)
-    return False, _kb_cap("passes", max_passes)
+    return False, _kb_cap("passes", MAX_PASSES)
 
 
 def _kb_cap(cap: str, limit: int) -> dict:
@@ -170,7 +170,7 @@ def _diagonal_multiplier(acc: Fsa) -> Fsa:
 
 
 def build_multiplier(
-    acc: Fsa, diff: DiffMachine, targets: dict, max_states: int = 100_000
+    acc: Fsa, diff: DiffMachine, targets: dict, max_states: int = MAX_PRODUCT_STATES
 ) -> tuple:
     """Every generator's multiplier from one product of two acceptor copies
     with the difference machine.
@@ -387,9 +387,9 @@ def check_axioms(
 def compute_structure(
     order: Order,
     relations,
-    kb_max_rules: int = 1000,
-    kb_max_len: int = 40,
-    max_loops: int = 10,
+    kb_max_rules: int = MAX_RULES,
+    kb_max_len: int = MAX_LEN,
+    max_loops: int = MAX_LOOPS,
     prune: bool = False,
 ) -> StructureResult:
     if max_loops < 0:
@@ -437,23 +437,14 @@ def compute_structure(
                 stage = "repair"
                 before = diff.state_count()
                 for g, v in gaps:
-                    w = rs.rewrite(v + (g,))
-                    if not confluent:
-                        # a confluent normal form is already the least word
-                        # of its class, so reduce would return it unchanged
-                        w = diff.reduce(w)
-                    diff.add_equation(v + (g,), w)
-                    diff.add_equation(v, w)
+                    _repair_step(rs, diff, confluent, v, g)
                 if bad is not None:
                     # the witness is a padded pair word; the repair walks
                     # the relator starting from its first track
                     relator, wit = bad
                     u = rs.rewrite(tuple(g for g, _ in wit if g != PAD))
                     for a in relator:
-                        nxt = diff.reduce(rs.rewrite(u + (a,)))
-                        diff.add_equation(u + (a,), nxt)
-                        diff.add_equation(u, nxt)
-                        u = nxt
+                        u = _repair_step(rs, diff, confluent, u, a)
                 diff.close()
                 if diff.state_count() == before:
                     if bad is not None:
@@ -479,6 +470,22 @@ def compute_structure(
         _prune_verified(res, used)
     res.seconds = time.monotonic() - began
     return res
+
+
+def _repair_step(
+    rs: RewriteSystem, diff: DiffMachine, confluent: bool, u: Word, a: str
+) -> Word:
+    """Trace the step from u to u.a into the difference machine: w, the
+    least word found for u.a, is traced against u.a and against u.
+    Returns w."""
+    w = rs.rewrite(u + (a,))
+    if not confluent:
+        # a confluent normal form is already the least word of its class,
+        # so reduce would return it unchanged
+        w = diff.reduce(w)
+    diff.add_equation(u + (a,), w)
+    diff.add_equation(u, w)
+    return w
 
 
 def _prune_verified(res: StructureResult, used: set) -> None:

@@ -37,16 +37,18 @@ in a reduction order, cannot hold L.  So each new rule visits only:
 
 * for interreduction, the rules with L as a factor of either side, plus
   the ones not yet normalized.  Each rule is spelled as one string, one
-  character per generator, and the strings are joined so that ``str.find``
-  locates the hits;
+  character per generator, and a substring test on each string finds them;
 * for pairing, the rules whose left side properly overlaps L: those that
   start with a proper suffix of L, found by bisecting the sorted left-side
   strings, and those that end with a proper prefix of L, found the same
   way in the sorted reversed strings.  Each bisect range is one overlap,
   of the suffix's or prefix's length, so the superpositions are queued
   from the overlaps the ranges found, in the order `_offsets` would yield
-  them, with no word compared again.  Containments cannot arise, and a
-  key equal to the suffix or prefix, which would be one, is skipped.
+  them, with no word compared again.  The reversed strings are searched
+  before L joins the index and the others after, so L's proper
+  self-overlaps come once, from its own left side.  Containments cannot
+  arise, and a key equal to the suffix or prefix, which would be one, is
+  skipped.
 
 Candidates are taken in ascending rule index, with retirements and
 right-side rewrites interleaved as a scan over every rule would do them;
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, LogicError
@@ -68,6 +69,8 @@ from .words import Word
 CONFLUENT = "confluent"
 STOPPED = "stopped"
 RUNNING = "running"
+
+MAX_RULES, MAX_LEN, MAX_PAIRS = 1000, 40, 200_000  # completion's caps
 
 
 class RewriteSystem:
@@ -249,7 +252,7 @@ def is_confluent(rs: RewriteSystem) -> bool:
 # ------------------------------------------------------------- completion
 
 
-_END, _ARROW = "\x00", "\x01"  # close a rule's text; part its two sides
+_ARROW = "\x01"  # parts the two sides in a rule's text
 _TOP = chr(0x10FFFF)  # sorts after every symbol's character
 
 
@@ -262,14 +265,17 @@ class KbCompletion:
     system is incomplete, not confluent.  Queue entries are
     (length, sequence, lhs1, rhs1, lhs2, rhs2, offset) for a superposition
     and (length, sequence, lhs, rhs) for a retired rule; `_pop` spells
-    either as the equation it stands for.
+    either as the equation it stands for.  The queue starts with every
+    superposition of the rules the system holds; each rule the completion
+    adds is then paired through the left-side indexes alone, itself
+    included (see the module docstring).
     """
 
     def __init__(
         self,
         rs: RewriteSystem,
-        max_rules: int = 1000,
-        max_len: int = 40,
+        max_rules: int = MAX_RULES,
+        max_len: int = MAX_LEN,
     ):
         if max_rules < 1 or max_len < 1:
             raise InputError("completion caps must be positive")
@@ -281,7 +287,7 @@ class KbCompletion:
         self._seq = 0
         chars = {g: chr(2 + k) for k, g in enumerate(rs.order.alphabet.symbols)}
         self._char = chars.__getitem__
-        self._texts = []  # per rule: lhs, _ARROW, rhs, _END; "" once retired
+        self._texts = []  # per rule: lhs, _ARROW, rhs; "" once retired
         self._heads = ([], [])  # sorted left sides, and their rule indices
         self._tails = ([], [])  # sorted reversed left sides, and theirs
         self._unnormalized = set()
@@ -338,24 +344,11 @@ class KbCompletion:
             self._texts.append("")
             return
         word = self._spell(lhs)
-        self._texts.append(word + _ARROW + self._spell(rhs) + _END)
+        self._texts.append(word + _ARROW + self._spell(rhs))
         for (keys, ids), key in ((self._heads, word), (self._tails, word[::-1])):
             at = bisect_right(keys, key)
             keys.insert(at, key)
             ids.insert(at, i)
-
-    def _holding(self, word: str) -> set:
-        """Indices of the rules with word as a factor of either side."""
-        texts = self._texts
-        joined = "".join(texts)
-        starts = list(accumulate(map(len, texts), initial=0))
-        out = set()
-        at = joined.find(word)
-        while at >= 0:
-            i = bisect_right(starts, at) - 1
-            out.add(i)
-            at = joined.find(word, starts[i + 1])
-        return out
 
     # ---------------------------------------------------------------- loop
 
@@ -366,7 +359,7 @@ class KbCompletion:
             return RUNNING
         return STOPPED if self.discarded else CONFLUENT
 
-    def run(self, max_pairs: int = 1000) -> str:
+    def run(self, max_pairs: int) -> str:
         """Process up to max_pairs queued superpositions; return status."""
         done = 0
         rs = self.rs
@@ -389,7 +382,8 @@ class KbCompletion:
             word = self._spell(lhs)
             # interreduce: retire rules whose left side the new rule hits,
             # and renormalize the right sides it occurs in
-            for i in sorted(self._holding(word) | self._unnormalized):
+            holding = {i for i, text in enumerate(texts) if word in text}
+            for i in sorted(holding | self._unnormalized):
                 rule = rules[i]
                 if not rule[2]:
                     continue
@@ -403,17 +397,18 @@ class KbCompletion:
                 if reduced != old_rhs:
                     rs.set_rhs(i, reduced)
                     head = texts[i][: len(old_lhs) + 1]  # through _ARROW
-                    texts[i] = head + self._spell(reduced) + _END
+                    texts[i] = head + self._spell(reduced)
             self._unnormalized = set()
             # pair with the rules whose left side starts with a proper
             # suffix of the new one (side 0), or ends with a proper prefix
             # of it (side 1), pushing each overlap of k letters the index
             # found, sorted as `_offsets` yields them: rule by rule, side 0
-            # first, k growing
+            # first, k growing.  Side 0 is searched once the new rule is
+            # indexed, so its self-overlaps come last, from there alone
             n = len(lhs)
-            found = _overlapping(self._heads, word, 0)
-            found += _overlapping(self._tails, word[::-1], 1)
+            found = _overlapping(self._tails, word[::-1], 1)
             self._index(new_idx)
+            found += _overlapping(self._heads, word, 0)
             for i, side, k in sorted(found):
                 l2, r2, on = rules[i]
                 if not on:
@@ -423,7 +418,6 @@ class KbCompletion:
                     self._push(n + n2 - k, l2, r2, lhs, rhs, n2 - k)
                 else:
                     self._push(n + n2 - k, lhs, rhs, l2, r2, n - k)
-            self._push_pairs(lhs, rhs, lhs, rhs, True)
         return self.status()
 
 
@@ -446,9 +440,9 @@ def _overlapping(index: tuple, word: str, side: int) -> list:
 
 def kb_complete(
     rs: RewriteSystem,
-    max_rules: int = 1000,
-    max_len: int = 40,
-    max_pairs: int = 200000,
+    max_rules: int = MAX_RULES,
+    max_len: int = MAX_LEN,
+    max_pairs: int = MAX_PAIRS,
 ) -> str:
     """One-shot completion; returns the final status."""
     if max_pairs < 1:

@@ -157,9 +157,6 @@ class Alphabet:
         """Group inverse of a word: reverse it and invert each symbol."""
         return tuple(self.inverse[s] for s in reversed(w))
 
-    def word_weight(self, w: Word) -> int:
-        return sum(self.weights[s] for s in w)
-
     def level(self, s: str) -> int:
         if self.levels is None:
             raise LogicError("alphabet has no levels")

@@ -574,7 +574,7 @@ def test_randomized_and_exhaustive_invariants():
     assert n > 3000
     for kind in ("wtlex", "wtshortlex"):
         res = _grid_structure(kind)
-        n = _check_weight_bound(res, res.order.alphabet.word_weight, 7)
+        n = _check_weight_bound(res, res.order.word_weight, 7)
         assert n > 3000
     knot = _structure("KNOT41", wirtinger=True)[1]
     assert _check_weight_bound(knot, len, 4, cap=300) > 10000

@@ -195,6 +195,12 @@ def test_fsa_hand_written_parses():
         "line 3: symbol name '_' is reserved",
     ),
     (lambda t: t.replace("states 2\n", ""), "missing states"),
+    # a state no line names is refused before a row is built for each
+    (lambda t: t.replace("states 2", "states 3"), "line 5: state 3 is named by no line"),
+    (
+        lambda t: t.replace("states 2", "states 100000000"),
+        "line 5: state 3 is named by no line",
+    ),
 ])
 def test_fsa_errors(mutate, hint):
     good = (
@@ -204,6 +210,15 @@ def test_fsa_errors(mutate, hint):
     with pytest.raises(InputError) as err:
         parse_fsa(mutate(good))
     assert hint in str(err.value)
+
+
+def test_fsa_label_names_a_state():
+    text = (
+        "fsa version 1\ntype word\nalphabet x\npad _\n"
+        "states 3\nstart 1\naccept 2\nlabel 3 x\n1 x 2\n"
+    )
+    a = parse_fsa(text)
+    assert a.num_states == 3 and a.state_labels == {2: ("x",)}
 
 
 def test_pair_fsa_round_trip_with_labels():

@@ -176,12 +176,12 @@ def test_confluent_repairs_skip_the_machine_reduction(name, p, q, confluent):
     assert (res.outcome, got) == (pins["outcome"], pins["digests"])
 
 
-def test_completion_budget_reports_kb_stopped():
+def test_completion_budget_reports_kb_stopped(monkeypatch):
     fam = family("BSpq", 2, 2)
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
-    confluent, stopped_by = run_knuth_bendix(
-        rs, max_rules=5, max_len=40, pass_pairs=1, max_passes=1
-    )
+    monkeypatch.setattr(pipeline, "PASS_PAIRS", 1)
+    monkeypatch.setattr(pipeline, "MAX_PASSES", 1)
+    confluent, stopped_by = run_knuth_bendix(rs, max_rules=5, max_len=40)
     assert not confluent
     assert stopped_by == {"stage": "kb", "cap": "passes", "limit": 1}
 
@@ -782,14 +782,15 @@ def test_label_counts_match_the_union_on_corpus(family, p, q):
         assert sum(lost for _labels, lost in passes) > 0
 
 
-def test_label_counts_follow_retired_rules():
+def test_label_counts_follow_retired_rules(monkeypatch):
     # short passes over small presentations retire and rewrite rules
     # between snapshots
+    monkeypatch.setattr(pipeline, "PASS_PAIRS", 4)
     rng = random.Random(19)
     lost = 0
     for n in range(16):
         order, relations = _random_presentation(rng, KINDS[n % len(KINDS)])
         rs = RewriteSystem.from_relations(order, relations)
-        passes = label_snapshots(rs, max_rules=60, max_len=12, pass_pairs=4)
+        passes = label_snapshots(rs, max_rules=60, max_len=12)
         lost += sum(k for _labels, k in passes)
     assert lost > 0

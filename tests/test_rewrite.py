@@ -1,5 +1,6 @@
 """Rewriting and completion behavior on known group presentations."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from autostruct import Alphabet, Order
 from autostruct.errors import LogicError
-from autostruct.formats import parse_rules
+from autostruct.formats import parse_rules, serialize_rules
 from autostruct.orders import GT, KINDS
 from autostruct.pipeline import run_knuth_bendix
 from autostruct.presentations import FamilySpec, builtin_family
@@ -412,6 +413,19 @@ def _corpus_system(family, p, q):
 ])
 def test_indexed_completion_matches_full_scan_on_corpus(family, p, q):
     _assert_same_passes(lambda: _corpus_system(family, p, q), 12, 500)
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("KNOT52", "cc8e4c8d4a6843a2fa862a73a7dfe1fda2bbca8653c2693cb4e2f557b92e8754"),
+    ("KNOT74", "0ca5edf90f6b340c29a5cda75a461f8aa8da2065ca4db017fca047a8413089a2"),
+])
+def test_completion_end_state_on_knots(family, digest):
+    # under the default caps both stop one rule past the rules cap; the
+    # digest pins every rule they end with, so change it only with a reason
+    rs = _corpus_system(family, 1, 1)
+    assert kb_complete(rs) == STOPPED
+    assert rs.active_count() == 1001
+    assert hashlib.sha256(serialize_rules(rs).encode()).hexdigest() == digest
 
 
 def _random_presentation(rng, kind):
