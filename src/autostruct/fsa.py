@@ -16,7 +16,9 @@ state accepts) are all machines of this one kind.
 Every construction returns machines in a canonical form: minimal, trimmed,
 and numbered breadth-first in alphabet order, so identical languages
 serialize identically and callers never minimize a result again.
-Minimization trims first and then refines only along the defined moves.
+Minimization trims by a filter, keeping the states that can still accept,
+and then refines only along the defined moves; the final `explore` from
+the start's block drops whatever the start cannot reach.
 No machine ever gets a sink state: the products (the complement is one)
 and the language comparison walk each machine's own moves and carry None
 for a side that has fallen off; no move leaves None, so it acts as the sink.
@@ -159,13 +161,15 @@ class Fsa:
         predecessor lists once and keeps them, since it does not change.
 
         The machine is trimmed first and never made total: only the states
-        reachable from the start that can still reach acceptance are kept,
-        with the moves between them.  Moore refinement then reads only those
-        defined moves, so a round costs O(kept moves) rather than
-        O(states * symbols).  A missing move counts as its own value, which
-        is exact only because every kept state is live: without the trim, a
-        move into a dead state would be told apart from a missing move.
-        The quotient is numbered by `explore`, one member per block.
+        that can still reach acceptance are kept, in index order, with the
+        moves between them.  Moore refinement then reads only those defined
+        moves, so a round costs O(kept moves) rather than O(states *
+        symbols).  A missing move counts as its own value, which is exact
+        only because every kept state is live: without the trim, a move into
+        a dead state would be told apart from a missing move.  The quotient
+        is numbered by `explore` from the start's block, one member per
+        block, so a live state the start cannot reach (only a parsed or
+        hand-written machine has one) adds blocks the quotient never visits.
         """
         accepting = (
             self.accepting if accepting is None else frozenset(accepting)
@@ -175,19 +179,16 @@ class Fsa:
         alive = coreachable(self, accepting)
         if self.start not in alive:
             return empty_fsa(self.symbols, self.track)
-        # trim: number the live states reachable from the start as they are
-        # found, each with its row of symbols and targets in alphabet order
-        ids = {self.start: 0}
-        kept = [self.start]
+        # trim: the live states in index order, each with its row of
+        # symbols and targets in alphabet order
+        kept = sorted(alive)
+        ids = {s: i for i, s in enumerate(kept)}
         rows, targets = [], []
         moves = self.moves
         for s in kept:
             row, tgts = [], []
             for sym, t in moves[s].items():
                 if t in alive:
-                    if t not in ids:
-                        ids[t] = len(kept)
-                        kept.append(t)
                     row.append(sym)
                     tgts.append(ids[t])
             rows.append(tuple(row))
@@ -219,7 +220,8 @@ class Fsa:
             return zip(rows[i], map(block.__getitem__, targets[i]))
 
         canon, _ = explore(
-            self.symbols, block[0], successors, final.__contains__, self.track
+            self.symbols, block[ids[self.start]], successors,
+            final.__contains__, self.track,
         )
         return canon
 

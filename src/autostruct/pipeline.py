@@ -152,13 +152,14 @@ def run_knuth_bendix(
         prev = snap
         if status != RUNNING:
             if rs.active_count() > max_rules:
-                return False, _kb_cap("rules", max_rules)
-            return False, _kb_cap("rule length", max_len)
-    return False, _kb_cap("passes", MAX_PASSES)
+                return False, _stop("kb", "rules", max_rules)
+            return False, _stop("kb", "rule length", max_len)
+    return False, _stop("kb", "passes", MAX_PASSES)
 
 
-def _kb_cap(cap: str, limit: int) -> dict:
-    return {"stage": "kb", "cap": cap, "limit": limit}
+def _stop(stage: str, cap: str, limit: Optional[int]) -> dict:
+    # a stopped_by record; a stall has no limit value
+    return {"stage": stage, "cap": cap, "limit": limit}
 
 
 def _diagonal_multiplier(acc: Fsa) -> Fsa:
@@ -254,12 +255,11 @@ def build_multiplier(
 def _multiplier_target(diff: DiffMachine, g: str) -> int:
     label = diff.rws.rewrite((g,))
     if label not in diff.index:
-        diff.add_equation((g,), label)
-        diff.close()
-    if label not in diff.index:
         # the trace of (g, label) ends at the empty difference and need not
-        # pass through label; moves are recomputed from labels, so adding
-        # the reduced label as a state of its own is sound
+        # pass through label, so the reduced label is added as a state of
+        # its own before the one close; moves are recomputed from labels,
+        # so that is sound
+        diff.add_equation((g,), label)
         diff._add_label(label)
         diff.close()
     return diff.index[label]
@@ -429,10 +429,7 @@ def compute_structure(
                     break
                 loops += 1
                 if loops > max_loops:
-                    stopped_by = {
-                        "stage": stage, "cap": "correction loops",
-                        "limit": max_loops,
-                    }
+                    stopped_by = _stop(stage, "correction loops", max_loops)
                     break
                 stage = "repair"
                 before = diff.state_count()
@@ -452,14 +449,12 @@ def compute_structure(
                     else:
                         # the labels alone fix the machine, so every later
                         # loop would find the same gaps and repeat this one
-                        stopped_by = {
-                            "stage": "repair", "cap": "stalled", "limit": None,
-                        }
+                        stopped_by = _stop("repair", "stalled", None)
                     break
         except ResourceLimit as cap:
             # a capped loop leaves no machines of its own to report
             acc, mults, identity, witness = None, {}, None, None
-            stopped_by = {"stage": stage, "cap": cap.cap, "limit": cap.limit}
+            stopped_by = _stop(stage, cap.cap, cap.limit)
 
     res = StructureResult(
         outcome, order, rs, confluent, loops, diff=diff, acceptor=acc,

@@ -216,6 +216,62 @@ def test_minimize_against_brute_force_residuals():
     assert seen_unreachable and seen_dead_with_moves and seen_missing
 
 
+def live_states(m, accepting):
+    live = set(accepting)
+    grew = True
+    while grew:
+        grew = False
+        for s, row in enumerate(m.moves):
+            if s not in live and not live.isdisjoint(row.values()):
+                live.add(s)
+                grew = True
+    return live
+
+
+def renumbered(m, perm):
+    """m with state s renamed perm[s], its start included."""
+    rows = [None] * m.num_states
+    for s, row in enumerate(m.moves):
+        rows[perm[s]] = {sym: perm[t] for sym, t in row.items()}
+    return Fsa.from_rows(
+        m.symbols, perm[m.start], {perm[s] for s in m.accepting}, rows, m.track
+    )
+
+
+def test_minimize_is_canonical_under_renumbering():
+    # the trim keeps the live states in index order, whether the start
+    # reaches them or not, so the quotient must be read from the start's
+    # block: a live state the start cannot reach, numbered below it, would
+    # otherwise stand in for it
+    rng = random.Random(1998)
+    seen_unreachable_live_below_start = seen_dead = 0
+    for case in range(300):
+        symbols, track = (ABC, 1) if case % 2 else (PAIRS, 2)
+        n = rng.randint(2, 10)
+        density = rng.choice((0.2, 0.4, 0.7))
+        rows = [
+            {sym: rng.randrange(n) for sym in symbols if rng.random() < density}
+            for _ in range(n)
+        ]
+        accepting = {s for s in range(n) if rng.random() < 0.3}
+        m = Fsa.from_rows(symbols, rng.randrange(n), accepting, rows, track)
+        # its own accepting states, and another set under the same moves
+        for acc in (None, {s for s in range(n) if rng.random() < 0.3}):
+            live = live_states(m, m.accepting if acc is None else acc)
+            seen_unreachable_live_below_start += any(
+                s < m.start for s in live - reachable(m)
+            )
+            seen_dead += len(live) < n
+            want = serialize_fsa(m.minimized(acc))
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                other = renumbered(m, perm)
+                other_acc = None if acc is None else {perm[s] for s in acc}
+                assert serialize_fsa(other.minimized(other_acc)) == want, case
+    assert seen_unreachable_live_below_start > 100 and seen_dead > 200
+
+
 def test_boolean_ops_against_sets():
     m1, m2 = even_a_machine(), no_bb_machine()
     l1, l2 = brute_language(m1, 6), brute_language(m2, 6)
