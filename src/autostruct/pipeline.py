@@ -258,7 +258,9 @@ def _multiplier_target(diff: DiffMachine, g: str) -> int:
         # the trace of (g, label) ends at the empty difference and need not
         # pass through label, so the reduced label is added as a state of
         # its own before the one close; moves are recomputed from labels,
-        # so that is sound
+        # so that is sound.  close() caps its growth from the label count
+        # it starts with, so a closure here that outgrows that cap stops at
+        # "difference labels"
         diff.add_equation((g,), label)
         diff._add_label(label)
         diff.close()
