@@ -94,7 +94,7 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
             if t is not None:
                 yield a, t
 
-    raw, _ = explore(gens, (), successors, lambda p: True, 1)
+    raw, _ = explore(gens, (), successors, lambda p: True)
     return raw.minimized()
 
 
@@ -211,7 +211,6 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
             yield g, out
 
     raw, _ = explore(
-        gens, 1 << root, successors, lambda subset: True, 1,
-        max_states=MAX_STATES,
+        gens, 1 << root, successors, lambda subset: True, max_states=MAX_STATES
     )
     return raw.minimized()

@@ -203,10 +203,8 @@ def _cmd_fsaop(args) -> int:
     if not two_sided and args.b is not None:
         raise InputError(f"fsaop {args.op} takes one machine")
     b = parse_fsa(_read(args.b)) if args.b else None
-    if b is not None and (a.track != b.track or a.symbols != b.symbols):
-        raise InputError(
-            f"fsaop {args.op} needs two machines of the same track and alphabet"
-        )
+    if b is not None and a.symbols != b.symbols:
+        raise InputError(f"fsaop {args.op} needs two machines over one alphabet")
     if args.op == "compose" and a.track != 2:
         raise InputError("fsaop compose works on pair machines only")
 

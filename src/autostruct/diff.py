@@ -59,7 +59,7 @@ class DiffMachine:
         self.alpha = rws.order.alphabet
         self.labels = [()]
         self.index = {(): EPS}
-        self.fsa = Fsa(pair_symbols(self.alpha.symbols), EPS, [EPS], [{}], track=2)
+        self.fsa = Fsa(pair_symbols(self.alpha.symbols), EPS, [EPS], [{}])
         self.inverse_state = [EPS]
         # per label: its reduced inverse and moved words, as of rws.changes
         self._kept, self._kept_at = {}, rws.changes
@@ -159,7 +159,7 @@ class DiffMachine:
                 raise LogicError("labels are not closed under inversion")
             inverse.append(t)
             rows.append({sym: t for sym, t in zip(symbols, moved) if t is not None})
-        self.fsa = Fsa(symbols, EPS, range(len(rows)), rows, track=2)
+        self.fsa = Fsa(symbols, EPS, range(len(rows)), rows)
         self.inverse_state = inverse
 
     def restricted(self, keep_labels: Iterable[Word]) -> "DiffMachine":

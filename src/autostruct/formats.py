@@ -429,7 +429,7 @@ def parse_fsa(text: str) -> Fsa:
             _fail(no, f"duplicate transition from {src + 1} on {tok}")
         rows[src][sym] = dst
 
-    a = Fsa.from_rows(symbols, start, accepting, rows, track)
+    a = Fsa.from_rows(symbols, start, accepting, rows)
     a.validate()
     word_labels = {}
     for s, (no, toks) in label_states.items():

@@ -4,8 +4,9 @@ States are 0..num_states-1 and a missing move rejects.  A machine holds its
 moves as one row per state, a dict from symbol to target with its symbols
 in alphabet order, so walking a state's row visits its moves in the order
 every search here needs; `explore` builds the rows once its search ends.
-Track-1 machines read plain words; track-2 machines read words of symbol
-pairs in which the shorter of two words has been padded at its tail end.
+A machine's track follows from its alphabet: track-1 machines read plain
+words; track-2 machines, over symbol pairs, read words of pairs in which
+the shorter of two words has been padded at its tail end.
 Valid pair words never pad both coordinates at once and never resume a
 track after it padded; that padding discipline lives in `_pad_kind`, which
 the language comparison and composition carry in their state.  Complement
@@ -39,7 +40,8 @@ it to find their least disagreeing word, and `composite_distinct_pair`
 to find two distinct words a composition relates without building it.
 A machine gathers its predecessor lists once, when it is first minimized,
 so one set of moves minimized under several accepting states (the
-multipliers of one product) is trimmed from one copy.
+multipliers of one product) is trimmed from one copy; it builds its
+composition table once, when composition or the domain check first reads it.
 """
 
 from __future__ import annotations
@@ -79,17 +81,18 @@ class Fsa:
     given, not copied; `from_rows` builds a machine from rows in any
     order."""
 
-    def __init__(self, symbols, start, accepting, moves, track=1):
+    def __init__(self, symbols, start, accepting, moves):
         self.symbols = tuple(symbols)
         self.num_states = len(moves)
         self.start = int(start)
         self.accepting = frozenset(accepting)
         self.moves = moves
-        self.track = track
+        self.track = 2 if self.symbols and isinstance(self.symbols[0], tuple) else 1
         self._back = None  # predecessor lists, kept by `minimized`
+        self._table = None  # kept by `_composition`
 
     @classmethod
-    def from_rows(cls, symbols, start, accepting, rows, track=1) -> "Fsa":
+    def from_rows(cls, symbols, start, accepting, rows) -> "Fsa":
         """A machine whose rows, read from a file or written by hand, are
         put into alphabet order; a foreign symbol goes last for `validate`
         to find."""
@@ -98,7 +101,7 @@ class Fsa:
             dict(sorted(row.items(), key=lambda m: rank(m[0], len(symbols))))
             for row in rows
         ]
-        return cls(symbols, start, accepting, moves, track)
+        return cls(symbols, start, accepting, moves)
 
     # ------------------------------------------------------------- basics
 
@@ -107,8 +110,6 @@ class Fsa:
             raise LogicError("a machine needs at least one state")
         if not 0 <= self.start < self.num_states:
             raise LogicError("start state out of range")
-        if self.track not in (1, 2):
-            raise LogicError("track must be 1 or 2")
         if len(set(self.symbols)) != len(self.symbols):
             raise LogicError("duplicate symbols")
         for s in self.accepting:
@@ -125,12 +126,13 @@ class Fsa:
                 last = rank[sym]
                 if not 0 <= t < self.num_states:
                     raise LogicError(f"move from {s} on {sym!r} out of range")
-        if self.track == 2:
-            for sym in self.symbols:
-                if not (isinstance(sym, tuple) and len(sym) == 2):
-                    raise LogicError("track-2 symbols must be pairs")
-                if sym == (PAD, PAD):
-                    raise LogicError("the double-padding pair is not a symbol")
+        for sym in self.symbols:
+            if isinstance(sym, tuple) != (self.track == 2):
+                raise LogicError("the alphabet mixes pairs and generator names")
+            if self.track == 2 and len(sym) != 2:
+                raise LogicError("track-2 symbols must be pairs")
+            if sym == (PAD, PAD):
+                raise LogicError("the double-padding pair is not a symbol")
 
     def step(self, s: int, sym) -> Optional[int]:
         return self.moves[s].get(sym)
@@ -178,7 +180,7 @@ class Fsa:
             self._back = _predecessors(self.moves)
         alive = coreachable(self, accepting)
         if self.start not in alive:
-            return empty_fsa(self.symbols, self.track)
+            return empty_fsa(self.symbols)
         # trim: the live states in index order, each with its row of
         # symbols and targets in alphabet order
         kept = sorted(alive)
@@ -221,7 +223,7 @@ class Fsa:
 
         canon, _ = explore(
             self.symbols, block[ids[self.start]], successors,
-            final.__contains__, self.track,
+            final.__contains__,
         )
         return canon
 
@@ -230,13 +232,13 @@ class Fsa:
         the original state behind each new number)."""
         return explore(
             self.symbols, self.start, lambda s: self.moves[s].items(),
-            self.accepting.__contains__, self.track,
+            self.accepting.__contains__,
         )
 
     # ------------------------------------------------------ rational ops
 
     def _check_compatible(self, other: "Fsa") -> None:
-        if self.symbols != other.symbols or self.track != other.track:
+        if self.symbols != other.symbols:
             raise LogicError("machines over different alphabets")
 
     def _pairs(self, other: "Fsa", kinds):
@@ -266,7 +268,6 @@ class Fsa:
             self.symbols, (self.start, other.start, 0),
             self._pairs(other, [(sym, 0) for sym in self.symbols]),
             lambda n: accept(n[0] in self.accepting, n[1] in other.accepting),
-            self.track,
         )
         return raw.minimized()
 
@@ -292,8 +293,8 @@ class Fsa:
         letter y, padding included: this machine steps on (x, y) and the
         other on (y, z), except that a side whose pair is (padding, padding)
         has finished.  A side may finish only from an accepting state, and
-        then it stays frozen; each side reads that finishing move from its
-        rows like any other (`_finishing_rows`).  Each subset state also
+        then it stays frozen; each side reads that finishing move like any
+        other, from its kept table (`_composition`).  Each subset state also
         carries the pad kind read so far, so only words obeying the padding
         discipline are accepted.  The middle word may outlive both outer words; those
         silent tail moves read (padding, padding) on the outer tracks, and
@@ -316,7 +317,7 @@ class Fsa:
         done = -1  # a finished side: it counts as accepting
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
-        rows_a, moves_b = self._finishing_rows(), other._by_middle()
+        rows_a, moves_b = self._composition()[0], other._composition()[1]
         # every middle pair reachable from the start over the triple moves,
         # silent and finishing ones included, with its predecessors, and
         # apart from them its predecessors on silent moves alone
@@ -364,7 +365,7 @@ class Fsa:
 
         raw, _ = explore(
             self.symbols, (0, frozenset({start})), successors,
-            lambda state: not tail.keys().isdisjoint(state[1]), 2,
+            lambda state: not tail.keys().isdisjoint(state[1]),
         )
         return raw.minimized()
 
@@ -393,7 +394,7 @@ class Fsa:
         done = -1  # a finished side: it counts as accepting
         final_a = self.accepting | {done}
         final_b = other.accepting | {done}
-        rows_a, moves_b = self._finishing_rows(), other._by_middle()
+        rows_a, moves_b = self._composition()[0], other._composition()[1]
 
         def successors(node):
             sa, sb, differs, kind = node
@@ -444,28 +445,23 @@ class Fsa:
             vec = nxt
         return sum(c for s, c in vec.items() if s in self.accepting)
 
-    def _finishing_rows(self) -> list:
-        """Each state's moves as (symbol, target) lists in alphabet order,
-        for composition, with finishing last: (PAD, PAD) from an accepting
-        state into -1, the finished side, whose row holds only that move
-        and is the extra last one, so index -1 finds it."""
-        out = [list(row.items()) for row in self.moves]
-        out.append([])
-        for s in (*self.accepting, -1):
-            out[s].append(((PAD, PAD), -1))
-        return out
-
-    def _by_middle(self) -> list:
-        """The rows of `_finishing_rows`, each regrouped as (z, target)
-        lists in alphabet order keyed by the middle letter y of its moves
-        (y, z), for composition on the right."""
-        out = []
-        for row in self._finishing_rows():
-            by_y = {}
-            for (y, z), t in row:
-                by_y.setdefault(y, []).append((z, t))
-            out.append(by_y)
-        return out
+    def _composition(self) -> tuple:
+        """The composition table, built on first use and kept: (rows,
+        by_first).  rows lists each state's (symbol, target) moves in
+        alphabet order, finishing last: (PAD, PAD) from an accepting state
+        into -1, the finished side, whose row, the extra last one, holds
+        only that move.  by_first groups each row's moves (y, z) as (z,
+        target) lists keyed by y, which on the right is the middle letter."""
+        if self._table is None:
+            rows = [list(row.items()) for row in self.moves] + [[]]
+            for s in (*self.accepting, -1):
+                rows[s].append(((PAD, PAD), -1))
+            by_first = [{} for _ in rows]
+            for group, row in zip(by_first, rows):
+                for (y, z), t in row:
+                    group.setdefault(y, []).append((z, t))
+            self._table = rows, by_first
+        return self._table
 
     # -------------------------------------------------------- comparisons
 
@@ -485,8 +481,8 @@ class Fsa:
         )
 
 
-def empty_fsa(symbols, track: int = 1) -> Fsa:
-    return Fsa(symbols, 0, frozenset(), [{}], track)
+def empty_fsa(symbols) -> Fsa:
+    return Fsa(symbols, 0, frozenset(), [{}])
 
 
 def pad_pair(w1: Word, w2: Word) -> tuple:
@@ -498,7 +494,7 @@ def pad_pair(w1: Word, w2: Word) -> tuple:
     )
 
 
-def explore(symbols, start, successors, is_accept, track, max_states=None):
+def explore(symbols, start, successors, is_accept, max_states=None):
     """Build a machine breadth-first from start.
 
     successors(state) yields (symbol, next state) in alphabet order; states
@@ -534,7 +530,7 @@ def explore(symbols, start, successors, is_accept, track, max_states=None):
     # without taking the next row's first target
     sym_at, target_at = iter(syms), map(found.__getitem__, targets)
     moves = [dict(zip(islice(sym_at, width), target_at)) for width in widths]
-    return Fsa(symbols, 0, compress(count(), accept), moves, track), states
+    return Fsa(symbols, 0, compress(count(), accept), moves), states
 
 
 def coreachable(fsa: Fsa, accepting=None) -> dict:

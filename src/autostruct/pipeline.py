@@ -70,7 +70,6 @@ MAX_LOOPS = 10  # correction loops
 @dataclass
 class StructureResult:
     outcome: str
-    order: Order
     rws: RewriteSystem
     confluent: bool
     loops: int
@@ -82,6 +81,10 @@ class StructureResult:
     raw_diff_count: Optional[int] = None  # before pruning, if it shrank D
     stopped_by: Optional[dict] = None  # {"stage", "cap", "limit"}
     seconds: float = 0.0
+
+    @property
+    def order(self) -> Order:
+        return self.rws.order
 
     @property
     def verified(self) -> bool:
@@ -142,8 +145,7 @@ def run_knuth_bendix(
     comp = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
     cache, prev = {}, None
     for _ in range(MAX_PASSES):
-        comp.run(PASS_PAIRS)
-        status = comp.status()
+        status = comp.run(PASS_PAIRS)
         if status == CONFLUENT:
             return True, None
         snap = _rule_labels(rs, cache)
@@ -165,9 +167,7 @@ def _stop(stage: str, cap: str, limit: Optional[int]) -> dict:
 def _diagonal_multiplier(acc: Fsa) -> Fsa:
     # the pairs (g, g) rank in the order of their letters
     moves = [{(g, g): t for g, t in row.items()} for row in acc.moves]
-    return Fsa(
-        pair_symbols(acc.symbols), acc.start, acc.accepting, moves, track=2
-    ).minimized()
+    return Fsa(pair_symbols(acc.symbols), acc.start, acc.accepting, moves).minimized()
 
 
 def build_multiplier(
@@ -239,7 +239,7 @@ def build_multiplier(
     start = (acc.start * side + acc.start) * width * 3 + EPS * 3
     raw, states = explore(
         symbols, start, successors, lambda state: difference(state) in hits,
-        2, max_states=max_states,
+        max_states=max_states,
     )
     by_target = {}
     for i in raw.accepting:
@@ -297,15 +297,15 @@ def check_domains(acc: Fsa, mults: dict) -> list:
 
 
 def _domain_gap(acc: Fsa, m: Fsa) -> Optional[tuple]:
-    rows = m.moves
+    by_first = m._composition()[1]  # M's moves by first-track letter
 
     def closure(seeds) -> frozenset:
-        # along the silent moves (PAD, b)
+        # along the silent moves (PAD, b); (PAD, PAD) finishes, into -1
         seen = set(seeds)
         todo = list(seen)
         while todo:
-            for (a, _b), t in rows[todo.pop()].items():
-                if a == PAD and t not in seen:
+            for b, t in by_first[todo.pop()].get(PAD, ()):
+                if b != PAD and t not in seen:
                     seen.add(t)
                     todo.append(t)
         return frozenset(seen)
@@ -314,9 +314,11 @@ def _domain_gap(acc: Fsa, m: Fsa) -> Optional[tuple]:
         w, cur = node
         reads = {}  # first-track letter -> the M states it leads to
         for s in cur:
-            for (a, _b), t in rows[s].items():
+            for a, moves in by_first[s].items():
                 if a != PAD:
-                    reads.setdefault(a, set()).add(t)
+                    into = reads.setdefault(a, set())
+                    for _b, t in moves:
+                        into.add(t)
         row_w = {} if w is None else acc.moves[w]
         for a in acc.symbols:
             nw, nxt = row_w.get(a), reads.get(a, ())
@@ -459,7 +461,7 @@ def compute_structure(
             stopped_by = _stop(stage, cap.cap, cap.limit)
 
     res = StructureResult(
-        outcome, order, rs, confluent, loops, diff=diff, acceptor=acc,
+        outcome, rs, confluent, loops, diff=diff, acceptor=acc,
         multipliers=mults, identity=identity, witness=witness,
         stopped_by=stopped_by,
     )

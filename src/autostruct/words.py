@@ -22,28 +22,27 @@ EMPTY: Word = ()
 _RESERVED = {PAD, "e", "#"}
 
 
-def parse_word(text: str, alphabet: Optional[Container[str]] = None) -> Word:
-    """Read a word from text.
+def parse_word(text: str, alphabet: Container[str]) -> Word:
+    """Read a word over the given symbols (an `Alphabet`, or a machine's
+    `symbols`) from text.
 
     Whitespace-separated symbol names, or a run of single-character symbols
     when the text has no whitespace.  "e" (or nothing) is the empty word.
-    With symbols given (an `Alphabet`, or a machine's `symbols`), a text
-    that is one of them is read as that one symbol, and every symbol is
-    checked against them.
+    A text that is one of the symbols is read as that one symbol, and every
+    symbol is checked against them.
     """
     text = text.strip()
     if text in ("", "e"):
         return EMPTY
     if any(ch.isspace() for ch in text):
         w = tuple(text.split())
-    elif alphabet is not None and text in alphabet:
+    elif text in alphabet:
         w = (text,)  # a single multi-character symbol, not a run
     else:
         w = tuple(text)
-    if alphabet is not None:
-        for s in w:
-            if s not in alphabet:
-                raise InputError(f"unknown symbol {s!r} in word {text!r}")
+    for s in w:
+        if s not in alphabet:
+            raise InputError(f"unknown symbol {s!r} in word {text!r}")
     return w
 
 

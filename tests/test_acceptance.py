@@ -394,7 +394,7 @@ def _check_fault_injection():
 
     gutted = dict(res.multipliers)
     m = gutted["x"]
-    gutted["x"] = Fsa(m.symbols, m.start, frozenset(), m.moves, track=2)
+    gutted["x"] = Fsa(m.symbols, m.start, frozenset(), m.moves)
     gaps = check_domains(res.acceptor, gutted)
     assert any(g == "x" for g, _ in gaps)
     assert all(isinstance(w, tuple) for _, w in gaps)
@@ -410,7 +410,7 @@ def _check_fault_injection():
     acc = res.acceptor
     collapsed["x"] = Fsa(
         res.identity.symbols, acc.start, acc.accepting,
-        [{(a, PAD): t for a, t in row.items()} for row in acc.moves], track=2,
+        [{(a, PAD): t for a, t in row.items()} for row in acc.moves],
     )
     for mults in (swapped, merged, collapsed):
         assert check_domains(res.acceptor, mults) == []

@@ -288,7 +288,7 @@ def reference_acceptor(diff, filtered: bool = True) -> tuple:
                 yield g, tset
 
     raw, _ = explore(
-        gens, frozenset(), successors, lambda shadows: True, 1,
+        gens, frozenset(), successors, lambda shadows: True,
         max_states=acceptor.MAX_STATES,
     )
     return raw, len(shadow_list)

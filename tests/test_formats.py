@@ -137,7 +137,6 @@ def small_word_fsa():
         start=0,
         accepting={0, 1},
         rows=[{"x": 0, "y": 1}, {"x": 0}],
-        track=1,
     )
 
 
@@ -158,7 +157,6 @@ def test_fsa_serialization_is_canonical():
         start=1,
         accepting={0, 1},
         rows=[{"x": 1}, {"x": 1, "y": 0}],
-        track=1,
     )
     assert serialize_fsa(a) == serialize_fsa(swapped)
 

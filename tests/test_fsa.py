@@ -33,7 +33,7 @@ def brute_language(m, max_len):
     return out
 
 
-def fsa_from_words(symbols, words, track=1):
+def fsa_from_words(symbols, words):
     """Trie of an explicit finite language, minimized."""
     rows = [{}]
     accepting = set()
@@ -47,7 +47,7 @@ def fsa_from_words(symbols, words, track=1):
                 rows.append({})
             rows[states[pre]][sym] = states[nxt]
         accepting.add(states[tuple(w)])
-    return Fsa.from_rows(symbols, 0, accepting, rows, track).minimized()
+    return Fsa.from_rows(symbols, 0, accepting, rows).minimized()
 
 
 def even_a_machine():
@@ -179,8 +179,7 @@ def renumbered(m, rng):
     for s, sym, t in moves:
         rows[s][sym] = t
     other = Fsa.from_rows(
-        m.symbols, perm[m.start], {perm[s] for s in m.accepting}, rows,
-        m.track,
+        m.symbols, perm[m.start], {perm[s] for s in m.accepting}, rows
     )
     return other, perm
 
@@ -234,7 +233,7 @@ def test_minimize_against_brute_force_residuals():
         assert serialize_fsa(
             renamed.minimized({perm[s] for s in acc})
         ) == serialize_fsa(m.minimized(acc))
-        pairs = random_partial_machine(more, PAIRS, track=2, max_states=7)
+        pairs = random_partial_machine(more, PAIRS, max_states=7)
         assert serialize_fsa(renumbered(pairs, more)[0].minimized()) == (
             serialize_fsa(pairs.minimized())
         )
@@ -263,7 +262,7 @@ def test_equal_languages_and_witness():
     assert w == ("a",)
 
 
-def random_partial_machine(rng, symbols, track=1, max_states=4, density=0.6):
+def random_partial_machine(rng, symbols, max_states=4, density=0.6):
     """A random partial DFA: each move is defined with the given chance."""
     n = rng.randint(1, max_states)
     rows = [
@@ -271,7 +270,7 @@ def random_partial_machine(rng, symbols, track=1, max_states=4, density=0.6):
         for s in range(n)
     ]
     accepting = {s for s in range(n) if rng.random() < 0.5}
-    return Fsa.from_rows(symbols, 0, accepting, rows, track)
+    return Fsa.from_rows(symbols, 0, accepting, rows)
 
 
 def perturbed(rng, m):
@@ -288,7 +287,7 @@ def perturbed(rng, m):
             del rows[s][sym]
         else:
             rows[s][sym] = rng.randrange(m.num_states)
-    return Fsa.from_rows(m.symbols, m.start, accepting, rows, m.track)
+    return Fsa.from_rows(m.symbols, m.start, accepting, rows)
 
 
 def shortlex_words(symbols, max_len):
@@ -346,7 +345,7 @@ def test_pair_machine_ops_against_brute_force():
     )
     disagreed = 0
     for _ in range(60):
-        m1 = random_partial_machine(rng, PAIRS, track=2, max_states=3, density=0.4)
+        m1 = random_partial_machine(rng, PAIRS, max_states=3, density=0.4)
         m2 = perturbed(rng, m1)
         want = next(
             (p for p in valid if m1.accepts(p) != m2.accepts(p)), None
@@ -373,7 +372,7 @@ def test_pair_machine_ops_against_brute_force():
 
 
 def diagonal_machine():
-    return Fsa.from_rows(PAIRS, 0, {0}, [{(g, g): 0 for g in AB}], 2)
+    return Fsa.from_rows(PAIRS, 0, {0}, [{(g, g): 0 for g in AB}])
 
 
 def append_machine(suffix):
@@ -381,7 +380,7 @@ def append_machine(suffix):
     rows = [{(g, g): 0 for g in AB}] + [{} for _ in suffix]
     for i, s in enumerate(suffix):
         rows[i][(PAD, s)] = i + 1
-    return Fsa.from_rows(PAIRS, 0, {len(suffix)}, rows, 2)
+    return Fsa.from_rows(PAIRS, 0, {len(suffix)}, rows)
 
 
 def strip_machine(suffix):
@@ -389,7 +388,7 @@ def strip_machine(suffix):
     rows = [{(g, g): 0 for g in AB}] + [{} for _ in suffix]
     for i, s in enumerate(suffix):
         rows[i][(s, PAD)] = i + 1
-    return Fsa.from_rows(PAIRS, 0, {len(suffix)}, rows, 2)
+    return Fsa.from_rows(PAIRS, 0, {len(suffix)}, rows)
 
 
 def brute_pairs(m, max_len):
@@ -461,7 +460,7 @@ def project(m, keep):
 
     raw, _ = explore(
         tuple(visible), closure({m.start}), successors,
-        lambda cur: not m.accepting.isdisjoint(cur), 1,
+        lambda cur: not m.accepting.isdisjoint(cur),
     )
     return raw.minimized()
 
@@ -519,7 +518,7 @@ def test_compose_asymmetric_lengths():
 
 
 def relation_machine(pairs):
-    return fsa_from_words(PAIRS, [pad_pair(u, v) for u, v in pairs], track=2)
+    return fsa_from_words(PAIRS, [pad_pair(u, v) for u, v in pairs])
 
 
 def test_compose_matches_brute_force_join():
@@ -554,7 +553,7 @@ def test_compose_matches_brute_force_join():
 
 def test_compose_keeps_the_padding_discipline():
     # an input that resumes a padded track cannot make the composite do so
-    resumed = fsa_from_words(PAIRS, [((PAD, "a"), ("a", "a"))], track=2)
+    resumed = fsa_from_words(PAIRS, [((PAD, "a"), ("a", "a"))])
     assert resumed.compose(diagonal_machine()).is_empty()
 
 
@@ -564,7 +563,19 @@ def compose_untrimmed(first, second):
     done = -1
     final_a = first.accepting | {done}
     final_b = second.accepting | {done}
-    moves_a, moves_b = first.moves, second._by_middle()
+    moves_a = first.moves
+    # the second machine's moves grouped by middle letter, with finishing:
+    # (PAD, PAD) from an accepting state into done, whose own row, the
+    # extra last one, holds only that move
+    moves_b = []
+    for row in second.moves:
+        by_y = {}
+        for (y, z), t in row.items():
+            by_y.setdefault(y, []).append((z, t))
+        moves_b.append(by_y)
+    moves_b.append({})
+    for s in (*second.accepting, done):
+        moves_b[s].setdefault(PAD, []).append((PAD, done))
     into_a, into_b = {}, {}
     for s, row in enumerate(first.moves):
         for (x, y), t in row.items():
@@ -606,7 +617,7 @@ def compose_untrimmed(first, second):
 
     raw, _ = explore(
         first.symbols, (0, frozenset({(first.start, second.start)})),
-        successors, lambda state: not tail.keys().isdisjoint(state[1]), 2,
+        successors, lambda state: not tail.keys().isdisjoint(state[1]),
     )
     return raw.minimized()
 
@@ -633,13 +644,13 @@ def test_trimmed_compose_matches_the_untrimmed_one_on_random_machines():
     rng = random.Random(1616)
     trimmed = nonempty = 0
     for n in range(300):
-        first = random_partial_machine(rng, PAIRS, track=2, max_states=4, density=0.5)
-        second = random_partial_machine(rng, PAIRS, track=2, max_states=4, density=0.5)
+        first = random_partial_machine(rng, PAIRS, max_states=4, density=0.5)
+        second = random_partial_machine(rng, PAIRS, max_states=4, density=0.5)
         got, raw, want, raw_ref = composed_both_ways(first, second)
         assert got == want, n
         assert raw <= raw_ref, n
         trimmed += raw < raw_ref
-        nonempty += got != serialize_fsa(empty_fsa(PAIRS, 2))
+        nonempty += got != serialize_fsa(empty_fsa(PAIRS))
     assert trimmed > 100 and nonempty > 100
 
 
@@ -666,10 +677,10 @@ def test_trimmed_compose_matches_the_untrimmed_one_on_knot_halves():
 def test_compose_with_a_dead_start_pair_is_empty():
     # the start pair moves, but only to a pair that can never accept
     first = relation_machine([(("a",), ("a",))])
-    stuck = Fsa.from_rows(PAIRS, 0, set(), [{("a", "b"): 1}, {}], 2)
+    stuck = Fsa.from_rows(PAIRS, 0, set(), [{("a", "b"): 1}, {}])
     for a, b in ((first, stuck), (stuck, first)):
         got, _raw, want, _raw_ref = composed_both_ways(a, b)
-        assert got == want == serialize_fsa(empty_fsa(PAIRS, 2))
+        assert got == want == serialize_fsa(empty_fsa(PAIRS))
 
 
 def test_compose_accepts_through_the_silent_tail_alone():
@@ -705,6 +716,10 @@ def test_validate_catches_malformed():
         Fsa(AB, 0, {7}, [{}, {}]).validate()
     with pytest.raises(LogicError):
         Fsa(AB, 0, set(), [{"z": 1}, {}]).validate()
+    # an alphabet of pairs and generator names, in either order
+    for mixed in (PAIRS + AB, AB + PAIRS):
+        with pytest.raises(LogicError, match="mixes pairs and generator names"):
+            Fsa(mixed, 0, set(), [{}]).validate()
     ok = even_a_machine()
     ok.validate()
 
@@ -722,6 +737,11 @@ def test_validate_checks_every_row():
         Fsa.from_rows(AB, 0, {0}, [{"z": 0, "a": 0}]).validate()
 
 
+def test_track_follows_from_the_alphabet():
+    assert Fsa(PAIRS, 0, {0}, [{("a", PAD): 0}]).track == 2
+    assert Fsa(AB, 0, {0}, [{"a": 0}]).track == 1
+
+
 def test_explore_cap_fires_on_the_state_past_it():
     # a ring of n states, each moving to the start and to the next one
     def ring(n):
@@ -731,10 +751,10 @@ def test_explore_cap_fires_on_the_state_past_it():
         return successors
 
     for n in (1, 2, 5):
-        m, states = explore(AB, 0, ring(n), lambda i: i == 0, 1, max_states=n)
+        m, states = explore(AB, 0, ring(n), lambda i: i == 0, max_states=n)
         assert m.num_states == n and states == list(range(n))
         with pytest.raises(ResourceLimit) as hit:
-            explore(AB, 0, ring(n + 1), lambda i: True, 1, max_states=n)
+            explore(AB, 0, ring(n + 1), lambda i: True, max_states=n)
         assert (hit.value.cap, hit.value.limit) == ("states", n)
         # an endless chain: every state below the cap is numbered and
         # expanded before state n + 1 is refused
@@ -746,12 +766,12 @@ def test_explore_cap_fires_on_the_state_past_it():
             yield "b", i + 1
 
         with pytest.raises(ResourceLimit) as hit:
-            explore(AB, 0, chain, lambda i: True, 1, max_states=n)
+            explore(AB, 0, chain, lambda i: True, max_states=n)
         assert (hit.value.cap, hit.value.limit) == ("states", n)
         assert expanded == list(range(n))
 
 
-def _explore_by_rows(symbols, start, successors, is_accept, track, max_states=None):
+def _explore_by_rows(symbols, start, successors, is_accept, max_states=None):
     """`explore` as it was: states numbered as they are found and each
     row filled as its state is expanded."""
     ids = {start: 0}
@@ -772,7 +792,7 @@ def _explore_by_rows(symbols, start, successors, is_accept, track, max_states=No
                 states.append(nxt)
             row[sym] = tid
         moves.append(row)
-    return Fsa(symbols, 0, accepting, moves, track), states
+    return Fsa(symbols, 0, accepting, moves), states
 
 
 def test_explore_matches_the_row_filling_reference():
@@ -806,7 +826,7 @@ def test_explore_matches_the_row_filling_reference():
             try:
                 m, states = build(
                     symbols, shape(0), successors,
-                    lambda s: node[s] in final, 1, max_states,
+                    lambda s: node[s] in final, max_states,
                 )
             except ResourceLimit as hit:
                 return ("cap", hit.cap, hit.limit, expanded)
@@ -840,9 +860,9 @@ def test_query_walks_match_an_exhaustive_walk():
 
     for n in range(60):
         if n % 2:
-            m, max_len = random_partial_machine(rng, PAIRS, 2, 4, 0.5), 4
+            m, max_len = random_partial_machine(rng, PAIRS, 4, 0.5), 4
         else:
-            m, max_len = random_partial_machine(rng, ABC, 1, 5, 0.6), 6
+            m, max_len = random_partial_machine(rng, ABC, 5, 0.6), 6
         want = [
             w for k in range(max_len + 1)
             for w in itertools.product(m.symbols, repeat=k) if walk(m, w)
@@ -877,7 +897,7 @@ def test_composite_distinct_pair_against_brute_force():
     def machine():
         if rng.random() < 0.3:
             return rng.choice(fixed)
-        return random_partial_machine(rng, PAIRS, track=2, max_states=3, density=0.5)
+        return random_partial_machine(rng, PAIRS, max_states=3, density=0.5)
 
     flagged = beyond = 0
     for n in range(300):
@@ -895,3 +915,27 @@ def test_composite_distinct_pair_against_brute_force():
             beyond += not brute
     assert 100 < flagged < 250
     assert beyond > 0
+
+
+def test_a_kept_composition_table_serves_both_sides():
+    # a machine keeps one composition table, read by its rows on the left
+    # and by middle letter on the right: a multiplier composed first on the
+    # left and then on the right gives the bytes and witness fresh copies do
+    fam = builtin_family(FamilySpec("KNOT41", 1, 1), wirtinger=True)
+    res = pipeline.compute_structure(fam.order, fam.presentation.relations)
+    mults = res.multipliers
+
+    def fresh(m):
+        return Fsa(m.symbols, m.start, m.accepting, m.moves)
+
+    witnesses = 0
+    for g, h in itertools.combinations_with_replacement(sorted(mults), 2):
+        kept, other = fresh(mults[g]), fresh(mults[h])
+        for first, second in ((kept, other), (other, kept)):
+            assert serialize_fsa(first.compose(second)) == serialize_fsa(
+                fresh(first).compose(fresh(second))
+            ), (g, h)
+            wit = first.composite_distinct_pair(second)
+            assert wit == fresh(first).composite_distinct_pair(fresh(second))
+            witnesses += wit is not None
+    assert witnesses > 0

@@ -363,7 +363,7 @@ def one_target_multiplier(acc, diff, target) -> tuple:
 
     raw, states = explore(
         symbols, (acc.start, acc.start, EPS, 0), successors,
-        lambda state: state[2] == target, 2,
+        lambda state: state[2] == target,
     )
     used = {diff.labels[states[i][2]] for i in coreachable(raw)}
     return raw.minimized(), used
@@ -439,7 +439,7 @@ def random_domain_case(rng, kind) -> tuple:
                     m += 1
             if kind == 3:
                 final = set()
-        mults[g] = Fsa.from_rows(pairs, 0, final, rows, track=2)
+        mults[g] = Fsa.from_rows(pairs, 0, final, rows)
     return acc, mults
 
 
@@ -469,7 +469,7 @@ def test_fused_domain_check_matches_the_projection_on_runs(case):
     mults, _ = pipeline.build_all_multipliers(acc, diff)
     m = mults[fam.order.alphabet.symbols[0]]
     mults[fam.order.alphabet.symbols[-1]] = Fsa(
-        m.symbols, m.start, frozenset(), m.moves, track=2
+        m.symbols, m.start, frozenset(), m.moves
     )
     gaps = check_domains(acc, mults)
     assert gaps
@@ -574,7 +574,6 @@ def test_domain_check_flags_a_gutted_multiplier():
         m.start,
         frozenset(),  # accepts nothing at all
         m.moves,
-        track=2,
     )
     mults = dict(res.multipliers)
     mults["x"] = starved
