@@ -109,6 +109,12 @@ def _cmd_autostructure(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise InputError(f"cannot create {outdir}: {e.strerror or e}") from e
+    # an earlier run's machines must not pass for this run's
+    for old in [outdir / "D.fsa", outdir / "W.fsa", *outdir.glob("M_*.fsa")]:
+        try:
+            old.unlink(missing_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot write {old}: {e.strerror or e}") from e
     _write(outdir / "R.rws", serialize_rules(res.rws))
     if res.diff is not None:
         _write(outdir / "D.fsa", serialize_fsa(*diff_to_fsa(res.diff)))
@@ -257,13 +263,16 @@ def _build_parser() -> _Parser:
         "autostructure", help="compute and verify an automatic structure"
     )
     p.add_argument("file", help="presentation file")
-    p.add_argument("-o", "--out", required=True, help="output directory")
+    p.add_argument(
+        "-o", "--out", required=True,
+        help="output directory; its D.fsa, W.fsa and M_*.fsa are removed first",
+    )
     kb_flags(p)
     p.add_argument("--max-loops", type=int, default=MAX_LOOPS, metavar="N")
     p.add_argument(
         "--prune", action="store_true",
         help="once verified, keep only the word differences the"
-        " multipliers used (in D.fsa and the report)",
+        " multipliers walk through (in D.fsa and the report)",
     )
     p.set_defaults(run=_cmd_autostructure)
 

@@ -39,6 +39,15 @@ def _parse_int(no: int, token: str, what: str) -> int:
         _fail(no, f"{what} must be an integer, got {token!r}")
 
 
+def _after_version(text: str, version: list) -> tuple:
+    """The meaningful lines after the version line, which must come first,
+    and the number of the last one."""
+    lines = list(_lines(text))
+    if not lines or lines[0][1] != version:
+        _fail(lines[0][0] if lines else 1, "file must start with: " + " ".join(version))
+    return lines[1:], lines[-1][0]
+
+
 # ------------------------------------------------------------ order block
 
 
@@ -188,15 +197,8 @@ def _read_entries(text: str, version: list, keyword: str, sep: str) -> tuple:
     order and the (line number, lhs tokens, rhs tokens) entries."""
     block = _OrderBlock()
     entries = []  # raw token lists until the alphabet exists
-    saw_version = False
-    last_no = 0
-    for no, toks in _lines(text):
-        last_no = no
-        if not saw_version:
-            if toks != version:
-                _fail(no, "file must start with: " + " ".join(version))
-            saw_version = True
-            continue
+    lines, last_no = _after_version(text, version)
+    for no, toks in lines:
         if toks[0] == keyword:
             body = toks[1:]
             if body.count(sep) != 1:
@@ -207,8 +209,6 @@ def _read_entries(text: str, version: list, keyword: str, sep: str) -> tuple:
             entries.append((no, body[:i], body[i + 1:]))
         elif not block.feed(no, toks):
             _fail(no, f"unrecognized directive {toks[0]!r}")
-    if not saw_version:
-        _fail(last_no or 1, "file must start with: " + " ".join(version))
     return block.build(last_no), entries
 
 
@@ -326,15 +326,8 @@ def parse_fsa(text: str) -> Fsa:
     head = {}
     labels = {}
     move_lines = []
-    saw_version = False
-    last_no = 0
-    for no, toks in _lines(text):
-        last_no = no
-        if not saw_version:
-            if toks != ["fsa", "version", "1"]:
-                _fail(no, "file must start with: fsa version 1")
-            saw_version = True
-            continue
+    lines, last_no = _after_version(text, ["fsa", "version", "1"])
+    for no, toks in lines:
         key = toks[0]
         if key in ("type", "alphabet", "pad", "states", "start", "accept"):
             if key in head:
@@ -349,8 +342,6 @@ def parse_fsa(text: str) -> Fsa:
             labels[s] = (no, toks[2:])
         else:
             move_lines.append((no, toks))
-    if not saw_version:
-        _fail(last_no or 1, "file must start with: fsa version 1")
 
     for key in ("type", "alphabet", "states", "start", "accept"):
         if key not in head:

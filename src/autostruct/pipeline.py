@@ -33,14 +33,11 @@ LOOP_LIMIT at once, with ``stopped_by`` naming stage "repair" and cap
 "stalled" (no limit value), since every later loop would repeat it.
 
 With ``prune=True`` a verified run then keeps only the differences its
-multipliers use, as KBMAG's diff1 does beside the full set diff2: the
-labels on the multiplier product's useful paths, plus the empty word,
+multipliers walk through, as KBMAG's diff1 does beside the full set diff2,
 closed under inversion alone, with moves recomputed (no prefix or suffix
-closure, which would put the dropped labels back).  The restriction
-replaces D only if its one multiplier product gives every M_g exactly as
-verified, and, on a run that was not confluent, its acceptor is W;
-otherwise the full machine stays.  W and the multipliers are the verified
-machines either way.
+closure, which would put the dropped labels back).  On a run that was not
+confluent the restriction replaces D only if its acceptor is W.  W and the
+multipliers are the verified machines either way.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from typing import Optional
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
-from .fsa import Fsa, _pad_kind, coreachable, explore, pair_symbols, search_forward
+from .fsa import Fsa, _pad_kind, explore, pair_symbols, search_forward
 from .orders import Order
 from .rewrite import CONFLUENT, MAX_LEN, MAX_RULES, RUNNING, KbCompletion, RewriteSystem
 from .words import PAD, Word
@@ -172,7 +169,7 @@ def _diagonal_multiplier(acc: Fsa) -> Fsa:
 
 def build_multiplier(
     acc: Fsa, diff: DiffMachine, targets: dict, max_states: int = MAX_PRODUCT_STATES
-) -> tuple:
+) -> dict:
     """Every generator's multiplier from one product of two acceptor copies
     with the difference machine.
 
@@ -187,8 +184,7 @@ def build_multiplier(
     with the moves of D's row at d that read it, and looks track 2's letter
     up in W's row at w.  `explore` counts the product's states against the
     state cap as it finds them and builds its rows only once the product is
-    complete, so a capped product builds none.  Also returns the difference
-    labels used on paths to any target, for pruning."""
+    complete, so a capped product builds none.  Returns {g: M_g}."""
     symbols = pair_symbols(acc.symbols)
     width = diff.fsa.num_states
     side = acc.num_states
@@ -244,12 +240,7 @@ def build_multiplier(
     by_target = {}
     for i in raw.accepting:
         by_target.setdefault(difference(states[i]), []).append(i)
-    mults = {
-        g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()
-    }
-    # difference labels on useful paths: every product state is reachable
-    used = {diff.labels[difference(states[i])] for i in coreachable(raw)}
-    return mults, used
+    return {g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()}
 
 
 def _multiplier_target(diff: DiffMachine, g: str) -> int:
@@ -268,9 +259,10 @@ def _multiplier_target(diff: DiffMachine, g: str) -> int:
 
 
 def build_all_multipliers(acc: Fsa, diff: DiffMachine) -> tuple:
-    # every target first: resolving one may grow the machine the product reads
+    """({g: M_g}, M_e).  Every target is resolved first, since resolving
+    one may grow the machine the product reads."""
     targets = {g: _multiplier_target(diff, g) for g in diff.alpha.symbols}
-    return build_multiplier(acc, diff, targets)
+    return build_multiplier(acc, diff, targets), _diagonal_multiplier(acc)
 
 
 def check_domains(acc: Fsa, mults: dict) -> list:
@@ -419,8 +411,7 @@ def compute_structure(
                 stage = "acceptor"
                 acc = exact_acc if exact_acc is not None else build_acceptor(diff)
                 stage = "multipliers"
-                mults, used = build_all_multipliers(acc, diff)
-                identity = _diagonal_multiplier(acc)
+                mults, identity = build_all_multipliers(acc, diff)
                 stage = "domains"
                 gaps = check_domains(acc, mults)
                 bad = None
@@ -466,7 +457,7 @@ def compute_structure(
         stopped_by=stopped_by,
     )
     if prune and outcome == VERIFIED:
-        _prune_verified(res, used)
+        _prune_verified(res)
     res.seconds = time.monotonic() - began
     return res
 
@@ -487,39 +478,43 @@ def _repair_step(
     return w
 
 
-def _prune_verified(res: StructureResult, used: set) -> None:
-    """Restrict the verified difference machine to the labels its
-    multipliers used, closed under inversion, and keep the restriction only
-    if it rebuilds the verified machines exactly.
+def _walked_differences(diff: DiffMachine, mults: dict) -> set:
+    """The D states met walking each M_g in step with D from (start, EPS).
+    Every M_g is trimmed, so these are the differences of every prefix of
+    every pair it accepts: those on the multiplier product's paths to a
+    target."""
+    rows = diff.fsa.moves
+    walked = set()
+    for m in mults.values():
 
-    The verified W, M_e and M_g stay as they are; only ``res.diff`` changes.
-    """
-    rs, diff = res.rws, res.diff
-    invert = rs.order.alphabet.invert
+        def successors(node):
+            s, d = node
+            for sym, t in m.moves[s].items():
+                yield sym, (t, rows[d][sym])
+
+        nodes = explore(m.symbols, (m.start, EPS), successors, lambda n: False)[1]
+        walked.update(d for _, d in nodes)
+    return walked
+
+
+def _prune_verified(res: StructureResult) -> None:
+    """Restrict the verified D to the states its multipliers walk through,
+    closed under inversion.  The restriction's moves are recomputed from
+    the same rewrites, so its multiplier product is the full product's
+    induced subgraph on those states, which holds every path to a target:
+    it would rebuild the verified multipliers, so they are not rebuilt.
+    W, M_e and M_g stay as verified; only ``res.diff`` changes, and on a
+    run that was not confluent only if the restriction's acceptor is W."""
+    diff = res.diff
+    keep = _walked_differences(diff, res.multipliers)
     # a fixpoint, since in a non-confluent system the reduced inverse of a
     # reduced inverse need not be the label; close() made the full label
     # set closed under this map, so it stays inside it
-    keep = set(used) | {()}
-    todo = list(keep)
-    while todo:
-        inv = rs.rewrite(invert(todo.pop()))
-        if inv not in keep:
-            keep.add(inv)
-            todo.append(inv)
+    while not keep >= (inverses := {diff.inverse_state[d] for d in keep}):
+        keep |= inverses
     if len(keep) == diff.state_count():  # nothing to drop
         return
-    small = diff.restricted([w for w in diff.labels if w in keep])
-    targets = {
-        g: small.index.get(rs.rewrite((g,))) for g in rs.order.alphabet.symbols
-    }
-    if None in targets.values():
-        return
-    # the small machine's moves are some of the full one's, so its product
-    # is no larger than the one the loop already built within the cap
-    mults, _ = build_multiplier(res.acceptor, small, targets)
-    for g, m in mults.items():
-        if m.equal_languages(res.multipliers[g]) is not None:
-            return
+    small = diff.restricted([diff.labels[d] for d in sorted(keep)])
     # a confluent run's W reads only the rules, not the machine
     if not res.confluent:
         try:

@@ -379,11 +379,11 @@ def corpus_loops(request) -> list:
             reference_result(diff), got, reference_result(diff, filtered=False),
             every_state, dominance_breaks(diff), drift, checks,
         ))
-        mults, used = real(acc, diff)  # KNOT74's product stops at its cap
+        mults, identity = real(acc, diff)  # KNOT74's product stops at its cap
         mults_named = {f"M_{g}": m for g, m in mults.items()}
         drift += recomputed_moves(diff)
         checks += validated(D=diff_to_fsa(diff)[0], **mults_named)
-        return mults, used
+        return mults, identity
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptor, "MAX_SHADOWS", TEST_SHADOWS)

@@ -89,6 +89,19 @@ def test_autostructure_prune_shrinks_only_the_difference_machine(tmp_path, capsy
     assert "before pruning" not in (plain / "report.txt").read_text()
 
 
+def test_autostructure_removes_an_earlier_runs_machines(tmp_path, capsys):
+    f = tmp_path / "bs11.pres"
+    assert main(["family", "BSpq", "1", "1"]) == 0
+    f.write_text(capsys.readouterr().out)
+    out = tmp_path / "out"
+    assert main(["autostructure", str(f), "-o", str(out)]) == 0
+    assert (out / "W.fsa").exists()
+    code = main(["autostructure", str(f), "-o", str(out), "--kb-max-rules", "2"])
+    assert code == 2
+    assert "outcome: kb-stopped" in (out / "report.txt").read_text()
+    assert {p.name for p in out.iterdir()} == {"R.rws", "report.txt"}
+
+
 def test_autostructure_exit_three_on_bad_file(tmp_path, capsys):
     f = tmp_path / "broken.pres"
     f.write_text("version 1\ngenerators x\n")

@@ -257,36 +257,6 @@ def test_repair_closure_cap_maps_to_loop_limit(monkeypatch):
     assert res.witness is None
 
 
-def used_labels(res) -> set:
-    """The difference labels on the useful paths of a finished run's
-    multiplier product, as its last loop found them."""
-    return build_multiplier(res.acceptor, res.diff, multiplier_targets(res.diff))[1]
-
-
-def test_pruning_keeps_the_unpruned_result_unless_every_multiplier_matches(
-    monkeypatch,
-):
-    res = run_family("BSpq", 2, 2)
-    used = used_labels(res)
-    diff, acc, mults = res.diff, res.acceptor, dict(res.multipliers)
-    real = pipeline.build_multiplier
-    calls = []
-
-    def build(acc, diff, targets, *args):
-        calls.append(diff.state_count())
-        mults, used = real(acc, diff, targets, *args)
-        mults["x"] = mults["X"]
-        return mults, used
-
-    monkeypatch.setattr(pipeline, "build_multiplier", build)
-    pipeline._prune_verified(res, used)
-    assert calls == [27]  # the restriction was built and checked
-    assert res.diff is diff and res.acceptor is acc
-    assert res.multipliers == mults
-    assert res.raw_diff_count is None
-    assert "difference_states_raw" not in res.report()
-
-
 def test_empty_relator_holds_trivially():
     fam = builtin_family(FamilySpec("KNOT41", 1, 1), wirtinger=True)
     relations = list(fam.presentation.relations) + [((), ())]
@@ -317,12 +287,12 @@ def test_multiplier_product_cap_is_exact(monkeypatch):
     acc, diff = res.acceptor, res.diff
     targets = multiplier_targets(diff)
     seen = raw_sizes(monkeypatch)
-    want, _ = build_multiplier(acc, diff, targets)
+    want = build_multiplier(acc, diff, targets)
     # the one product goes straight to minimization, once per generator
     raw = seen[0]
     assert seen == [raw] * len(targets)
     assert raw > max(m.num_states for m in want.values())
-    got, _ = build_multiplier(acc, diff, targets, max_states=raw)
+    got = build_multiplier(acc, diff, targets, max_states=raw)
     assert {g: serialize_fsa(m) for g, m in got.items()} == {
         g: serialize_fsa(m) for g, m in want.items()
     }
@@ -377,14 +347,17 @@ def test_shared_product_matches_one_product_per_target(case):
     assert res.outcome == VERIFIED
     acc, diff = res.acceptor, res.diff
     targets = multiplier_targets(diff)
-    mults, used = build_multiplier(acc, diff, targets)
+    mults = build_multiplier(acc, diff, targets)
     want_used = set()
     for g, target in targets.items():
         ref, ref_used = one_target_multiplier(acc, diff, target)
         assert serialize_fsa(mults[g]) == serialize_fsa(ref), g
         assert serialize_fsa(mults[g]) == serialize_fsa(res.multipliers[g]), g
         want_used |= ref_used
-    assert used == want_used
+    # the differences pruning starts from: the verified multipliers walk
+    # through the labels on the useful paths of each target's own product
+    walked = pipeline._walked_differences(diff, res.multipliers)
+    assert {diff.labels[d] for d in walked} == want_used
 
 
 def domains_by_projection(acc, mults) -> list:
@@ -620,16 +593,15 @@ def test_pruning_keeps_the_language_and_the_verdict():
 
 def test_pruning_checks_against_the_verified_machines_only(monkeypatch):
     res = run_family("BSpq", 3, 3)
-    used = used_labels(res)
 
     def forbidden(*args, **kw):
         raise AssertionError("pruning re-ran a stage of the pipeline")
 
     monkeypatch.setattr(DiffMachine, "close", forbidden)
-    for name in ("check_domains", "_diagonal_multiplier",
+    for name in ("build_multiplier", "check_domains", "_diagonal_multiplier",
                  "irreducible_word_acceptor", "build_acceptor"):
         monkeypatch.setattr(pipeline, name, forbidden)
-    pipeline._prune_verified(res, used)
+    pipeline._prune_verified(res)
     assert (res.raw_diff_count, res.diff.state_count()) == (59, 39)
 
 
@@ -642,13 +614,36 @@ def test_pruning_a_non_confluent_run_keeps_its_acceptor(monkeypatch):
     assert (res.raw_diff_count, res.diff.state_count()) == (19, 15)
     assert res.diff.violations() == []
     assert build_acceptor(res.diff).equal_languages(res.acceptor) is None
+    assert_pruned_machine_rebuilds_the_multipliers(res)
     # the same restriction is refused when its acceptor is not W
     plain = compute_structure(Order(alpha, SHORTLEX), relations)
     before = plain.diff
     rejects_all = Fsa(alpha.symbols, 0, frozenset(), [{}])
     monkeypatch.setattr(pipeline, "build_acceptor", lambda diff: rejects_all)
-    pipeline._prune_verified(plain, used_labels(plain))
+    pipeline._prune_verified(plain)
     assert plain.diff is before and plain.raw_diff_count is None
+
+
+def assert_pruned_machine_rebuilds_the_multipliers(res):
+    """Reference: a pruned run's restricted D, through the multiplier
+    product, gives every M_g exactly as verified."""
+    assert res.outcome == VERIFIED
+    assert res.raw_diff_count > res.diff.state_count()
+    diff = res.diff
+    targets = {g: diff.index[res.rws.rewrite((g,))] for g in diff.alpha.symbols}
+    for g, m in build_multiplier(res.acceptor, diff, targets).items():
+        assert serialize_fsa(m) == serialize_fsa(res.multipliers[g]), g
+
+
+PRUNED_CASES = [
+    ("BSpq", 2, 2), ("BSpq", 3, 3), ("Hpq", 1, 1), ("Hpq", 2, 1),
+    ("HpNegq", 1, 1), ("HpNegq", 2, 1),
+]
+
+
+@pytest.mark.parametrize("case", PRUNED_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_pruned_machine_rebuilds_the_verified_multipliers(case):
+    assert_pruned_machine_rebuilds_the_multipliers(run_family(*case, prune=True))
 
 
 @pytest.mark.parametrize("kind", [WREATH, WTLEX])
