@@ -59,39 +59,37 @@ def _file_token(sym: str) -> str:
     return "".join(c if c.isalnum() else f"%{ord(c):02X}" for c in sym)
 
 
+def _stop_line(stop: dict) -> list:
+    # a stall has no limit value to name
+    cap = stop["cap"] if stop["limit"] is None else f"{stop['cap']} cap {stop['limit']}"
+    return [f"stopped by: {cap} in stage {stop['stage']}"]
+
+
+# each field of a run's report, as its lines in report.txt; the multipliers
+# are listed under one heading, M_e first
+_REPORT_FORMAT = {
+    "outcome": lambda v: [f"outcome: {v}"],
+    "order": lambda v: [f"order: {v}"],
+    "alphabet": lambda v: ["alphabet: " + " ".join(v)],
+    "rules": lambda v: [f"rules: {v}"],
+    "confluent": lambda v: [f"confluent: {'yes' if v else 'no'}"],
+    "loops": lambda v: [f"correction loops: {v}"],
+    "difference_states": lambda v: [f"difference machine states: {v}"],
+    "difference_states_raw": lambda v: [
+        f"difference machine states before pruning: {v}"
+    ],
+    "acceptor_states": lambda v: [f"word acceptor states: {v}"],
+    "identity_states": lambda v: ["multiplier states:", f"  M_e: {v}"],
+    "multiplier_states": lambda v: [f"  M_{g}: {n}" for g, n in v.items()],
+    "witness": lambda v: [f"witness: {v!r}"],
+    "stopped_by": _stop_line,
+    "seconds": lambda v: [f"seconds: {v:.3f}"],
+}
+
+
 def _report_lines(res) -> list:
-    out = [
-        f"outcome: {res.outcome}",
-        f"order: {res.order.kind}",
-        "alphabet: " + " ".join(res.order.alphabet.symbols),
-        f"rules: {res.rws.active_count()}",
-        f"confluent: {'yes' if res.confluent else 'no'}",
-        f"correction loops: {res.loops}",
-    ]
-    if res.diff is not None:
-        out.append(f"difference machine states: {res.diff.state_count()}")
-    if res.raw_diff_count is not None:
-        out.append(
-            f"difference machine states before pruning: {res.raw_diff_count}"
-        )
-    if res.acceptor is not None:
-        out.append(f"word acceptor states: {res.acceptor.num_states}")
-    if res.multipliers:
-        out.append("multiplier states:")
-        if res.identity is not None:
-            out.append(f"  M_e: {res.identity.num_states}")
-        for g in sorted(res.multipliers):
-            out.append(f"  M_{g}: {res.multipliers[g].num_states}")
-    if res.witness is not None:
-        out.append(f"witness: {res.witness!r}")
-    if res.stopped_by is not None:
-        s = res.stopped_by
-        if s["limit"] is None:
-            out.append(f"stopped by: {s['cap']} in stage {s['stage']}")
-        else:
-            out.append(f"stopped by: {s['cap']} cap {s['limit']} in stage {s['stage']}")
-    out.append(f"seconds: {res.seconds:.3f}")
-    return out
+    """report.txt: the lines of each field of ``res.report()``, in order."""
+    return [line for k, v in res.report().items() for line in _REPORT_FORMAT[k](v)]
 
 
 def _cmd_autostructure(args) -> int:

@@ -35,13 +35,14 @@ enumeration and emptiness; `search_back` is the same search over an
 implicit graph, which composition uses for its silent tail and to keep
 only the middle pairs that can still accept.
 `search_forward` is its forward twin, which stops at the first node where
-a test holds: the language comparison and the pipeline's domain check use
-it to find their least disagreeing word, and `composite_distinct_pair`
-to find two distinct words a composition relates without building it.
-A machine gathers its predecessor lists once, when it is first minimized,
-so one set of moves minimized under several accepting states (the
-multipliers of one product) is trimmed from one copy; it builds its
-composition table once, when composition or the domain check first reads it.
+a test holds: the language comparison and `domain_gap` (the pipeline's
+domain check) use it to find their least disagreeing word, and
+`composite_distinct_pair` to find two distinct words a composition relates
+without building it.  A machine gathers its predecessor lists once, when
+it is first minimized, so one set of moves minimized under several
+accepting states (the multipliers of one product) is trimmed from one
+copy; it builds its composition table once, when composition or
+`domain_gap` first reads it, and no other module reads that table.
 """
 
 from __future__ import annotations
@@ -414,6 +415,52 @@ class Fsa:
         if path is None:
             return None
         return tuple((x, z) for x, _y, z in path if (x, z) != (PAD, PAD))
+
+    def domain_gap(self, words: "Fsa") -> Optional[tuple]:
+        """The shortest, then alphabet-first, word that the word machine
+        and this machine's first track do not both accept or both reject,
+        or None.  One `search_forward` runs over nodes (state of words, or
+        None once it has fallen off; the set of states here the word can
+        reach as a first track, closed under the silent moves (padding,
+        b)): the subset construction of the first-track projection run in
+        step with the word machine.  Whether the two disagree is a function
+        of the node, so the first disagreeing node gives the least word,
+        the witness comparing with the minimized projection would return."""
+        by_first = self._composition()[1]  # the moves by first-track letter
+
+        def closure(seeds) -> frozenset:
+            # along the silent moves (PAD, b); (PAD, PAD) finishes, into -1
+            seen = set(seeds)
+            todo = list(seen)
+            while todo:
+                for b, t in by_first[todo.pop()].get(PAD, ()):
+                    if b != PAD and t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            return frozenset(seen)
+
+        def successors(node):
+            w, cur = node
+            reads = {}  # first-track letter -> the states here it leads to
+            for s in cur:
+                for a, moves in by_first[s].items():
+                    if a != PAD:
+                        into = reads.setdefault(a, set())
+                        for _b, t in moves:
+                            into.add(t)
+            row_w = {} if w is None else words.moves[w]
+            for a in words.symbols:
+                nw, nxt = row_w.get(a), reads.get(a, ())
+                if nw is not None or nxt:  # else both reject every longer word
+                    yield a, (nw, closure(nxt))
+
+        def disagree(node):
+            w, cur = node
+            return (w in words.accepting) != (not self.accepting.isdisjoint(cur))
+
+        return search_forward(
+            (words.start, closure((self.start,))), successors, disagree
+        )
 
     # -------------------------------------------------------- enumeration
 

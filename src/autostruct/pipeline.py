@@ -49,9 +49,11 @@ from typing import Optional
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
-from .fsa import Fsa, _pad_kind, explore, pair_symbols, search_forward
+from .fsa import Fsa, _pad_kind, explore, pair_symbols
 from .orders import Order
-from .rewrite import CONFLUENT, MAX_LEN, MAX_RULES, RUNNING, KbCompletion, RewriteSystem
+from .rewrite import (
+    CONFLUENT, MAX_LEN, MAX_RULES, RUNNING, KbCompletion, RewriteSystem, is_confluent,
+)
 from .words import PAD, Word
 
 VERIFIED = "verified"
@@ -88,28 +90,27 @@ class StructureResult:
         return self.outcome == VERIFIED
 
     def report(self) -> dict:
-        out = {
+        """The record of the finished run, in the order `report.txt` shows
+        it; a field the run has no value for is left out."""
+        fields = {
             "outcome": self.outcome,
+            "order": self.order.kind,
+            "alphabet": list(self.order.alphabet.symbols),
+            "rules": self.rws.active_count(),
             "confluent": self.confluent,
             "loops": self.loops,
-            "rules": self.rws.active_count(),
+            "difference_states": self.diff and self.diff.state_count(),
+            "difference_states_raw": self.raw_diff_count,
+            "acceptor_states": self.acceptor and self.acceptor.num_states,
+            "identity_states": self.identity and self.identity.num_states,
+            "multiplier_states": {
+                g: m.num_states for g, m in sorted(self.multipliers.items())
+            } or None,
+            "witness": self.witness,
+            "stopped_by": self.stopped_by,
             "seconds": round(self.seconds, 3),
         }
-        if self.acceptor is not None:
-            out["acceptor_states"] = self.acceptor.num_states
-        if self.diff is not None:
-            out["difference_states"] = self.diff.state_count()
-        if self.raw_diff_count is not None:
-            out["difference_states_raw"] = self.raw_diff_count
-        if self.multipliers:
-            out["multiplier_states"] = {
-                g: m.num_states for g, m in sorted(self.multipliers.items())
-            }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.stopped_by is not None:
-            out["stopped_by"] = self.stopped_by
-        return out
+        return {k: v for k, v in fields.items() if v is not None}
 
 
 def _rule_labels(rs: RewriteSystem, cache: dict) -> frozenset:
@@ -135,7 +136,10 @@ def run_knuth_bendix(
 ) -> tuple:
     """Drive completion in passes until confluence or the difference
     labels derived from the rules stop moving.  Returns (confluent,
-    stopped_by): stopped_by is None when the run may go on, and when the
+    stopped_by).  Where the labels stop, confluent says whether the active
+    rules are confluent and still imply every relation completion has met
+    (`KbCompletion.settled`), though superpositions may be left in its
+    queue.  stopped_by is None when the run may go on, and when the
     caps won out first it names the one that fired: "rules" (more than
     max_rules active), "rule length" (pairs past max_len were discarded
     and nothing else is left) or "passes" (MAX_PASSES ran out)."""
@@ -147,7 +151,9 @@ def run_knuth_bendix(
             return True, None
         snap = _rule_labels(rs, cache)
         if snap == prev:
-            return False, None
+            # is_confluent first: it fails on most runs that stop here, which
+            # spares them the scan of the queue
+            return is_confluent(rs) and comp.settled(), None
         prev = snap
         if status != RUNNING:
             if rs.active_count() > max_rules:
@@ -268,60 +274,14 @@ def build_all_multipliers(acc: Fsa, diff: DiffMachine) -> tuple:
 def check_domains(acc: Fsa, mults: dict) -> list:
     """Words the acceptor takes but some multiplier cannot move, or that a
     multiplier moves but the acceptor rejects: for each generator g, the
-    shortest, then alphabet-first, word whose acceptance by W differs from
-    its acceptance as a first track of M_g.
-
-    One `search_forward` per generator runs over nodes (W state, or None
-    once W has fallen off; the set of M_g states the word can reach as a
-    first track, closed under the silent moves (PAD, b)).  This is the
-    subset construction of M_g's first-track projection run in step with
-    W, so whether the two disagree is a function of the node, and the
-    first disagreeing node the search meets gives the least disagreeing
-    word: the same witness that comparing W with the minimized projection
-    would return.
-    """
+    least word whose acceptance by W differs from its acceptance as a first
+    track of M_g (`Fsa.domain_gap`)."""
     gaps = []
     for g in acc.symbols:
-        wit = _domain_gap(acc, mults[g])
+        wit = mults[g].domain_gap(acc)
         if wit is not None:
             gaps.append((g, wit))
     return gaps
-
-
-def _domain_gap(acc: Fsa, m: Fsa) -> Optional[tuple]:
-    by_first = m._composition()[1]  # M's moves by first-track letter
-
-    def closure(seeds) -> frozenset:
-        # along the silent moves (PAD, b); (PAD, PAD) finishes, into -1
-        seen = set(seeds)
-        todo = list(seen)
-        while todo:
-            for b, t in by_first[todo.pop()].get(PAD, ()):
-                if b != PAD and t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
-
-    def successors(node):
-        w, cur = node
-        reads = {}  # first-track letter -> the M states it leads to
-        for s in cur:
-            for a, moves in by_first[s].items():
-                if a != PAD:
-                    into = reads.setdefault(a, set())
-                    for _b, t in moves:
-                        into.add(t)
-        row_w = {} if w is None else acc.moves[w]
-        for a in acc.symbols:
-            nw, nxt = row_w.get(a), reads.get(a, ())
-            if nw is not None or nxt:  # else both reject every longer word
-                yield a, (nw, closure(nxt))
-
-    def disagree(node):
-        w, cur = node
-        return (w in acc.accepting) != (not m.accepting.isdisjoint(cur))
-
-    return search_forward((acc.start, closure((m.start,))), successors, disagree)
 
 
 def _compose_chain(mults: dict, letters: Word) -> Fsa:

@@ -352,6 +352,18 @@ class KbCompletion:
 
     # ---------------------------------------------------------------- loop
 
+    def settled(self) -> bool:
+        """Whether the active rules still imply every equation completion
+        has met: none was discarded for length, and each retired rule still
+        waiting in the queue rewrites to one word on both sides.  A retired
+        rule is one of the group's relations until it is popped, and the
+        pending superpositions follow from the rules and retired rules, so
+        active rules that are also confluent (`is_confluent`) are complete."""
+        rewrite = self.rs.rewrite
+        return not self.discarded and all(
+            rewrite(e[2]) == rewrite(e[3]) for e in self._queue if len(e) == 4
+        )
+
     def status(self) -> str:
         if self.rs.active_count() > self.max_rules:
             return STOPPED

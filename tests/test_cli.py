@@ -102,6 +102,132 @@ def test_autostructure_removes_an_earlier_runs_machines(tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == {"R.rws", "report.txt"}
 
 
+# report.txt of each run less its seconds line: (family arguments, run
+# flags, the lines)
+REPORTS = {
+    "verified": (
+        ["KNOT41", "--wirtinger"], [], """\
+outcome: verified
+order: shortlex
+alphabet: x X y Y z Z t T
+rules: 104
+confluent: no
+correction loops: 0
+difference machine states: 21
+word acceptor states: 18
+multiplier states:
+  M_e: 18
+  M_T: 62
+  M_X: 62
+  M_Y: 62
+  M_Z: 62
+  M_t: 62
+  M_x: 62
+  M_y: 62
+  M_z: 62
+"""),
+    "pruned": (
+        ["BSpq", "2", "2"], ["--prune"], """\
+outcome: verified
+order: wreathshortlex
+alphabet: x X y Y
+rules: 8
+confluent: yes
+correction loops: 1
+difference machine states: 27
+difference machine states before pruning: 41
+word acceptor states: 6
+multiplier states:
+  M_e: 6
+  M_X: 7
+  M_Y: 23
+  M_x: 7
+  M_y: 23
+"""),
+    "kb-stopped": (
+        ["BSpq", "2", "2"], ["--kb-max-rules", "2"], """\
+outcome: kb-stopped
+order: wreathshortlex
+alphabet: x X y Y
+rules: 5
+confluent: no
+correction loops: 0
+stopped by: rules cap 2 in stage kb
+"""),
+    "loop-cap": (
+        ["BSpq", "1", "2"], ["--max-loops", "1"], """\
+outcome: loop-limit
+order: wreathshortlex
+alphabet: x X y Y
+rules: 8
+confluent: yes
+correction loops: 2
+difference machine states: 19
+word acceptor states: 6
+multiplier states:
+  M_e: 6
+  M_X: 7
+  M_Y: 21
+  M_x: 7
+  M_y: 21
+witness: ('y', ('Y', 'X', 'X', 'X', 'X'))
+stopped by: correction loops cap 1 in stage domains
+"""),
+    "stalled": (
+        ["KNOT52"], [], """\
+outcome: loop-limit
+order: shortlex
+alphabet: a A x X y Y z Z t T u U
+rules: 164
+confluent: no
+correction loops: 2
+difference machine states: 60
+word acceptor states: 26
+multiplier states:
+  M_e: 26
+  M_A: 27
+  M_T: 119
+  M_U: 120
+  M_X: 119
+  M_Y: 119
+  M_Z: 119
+  M_a: 27
+  M_t: 119
+  M_u: 120
+  M_x: 119
+  M_y: 119
+  M_z: 119
+witness: ('a', ('U', 'T'))
+stopped by: stalled in stage repair
+"""),
+    "product-cap": (
+        ["KNOT74", "--wirtinger"], [], """\
+outcome: loop-limit
+order: shortlex
+alphabet: x X y Y z Z t T u U v V w W
+rules: 745
+confluent: no
+correction loops: 0
+difference machine states: 103
+stopped by: states cap 100000 in stage multipliers
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_autostructure_report_lines_are_pinned(tmp_path, capsys, case):
+    family, flags, want = REPORTS[case]
+    f = tmp_path / "in.pres"
+    assert main(["family", *family]) == 0
+    f.write_text(capsys.readouterr().out)
+    out = tmp_path / "out"
+    code = main(["autostructure", str(f), "-o", str(out), *flags])
+    assert code == (0 if want.startswith("outcome: verified\n") else 2)
+    lines = (out / "report.txt").read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("seconds: ")
+    assert "".join(lines[:-1]) == want
+
+
 def test_autostructure_exit_three_on_bad_file(tmp_path, capsys):
     f = tmp_path / "broken.pres"
     f.write_text("version 1\ngenerators x\n")

@@ -13,7 +13,9 @@ from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
 from autostruct.cli import _report_lines
 from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import ResourceLimit
-from autostruct.formats import diff_to_fsa, serialize_fsa, serialize_rules
+from autostruct.formats import (
+    diff_to_fsa, parse_presentation, serialize_fsa, serialize_rules,
+)
 from autostruct.fsa import Fsa, coreachable, explore, pad_pair, pair_symbols
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct import pipeline
@@ -29,7 +31,7 @@ from autostruct.pipeline import (
     run_knuth_bendix,
 )
 from autostruct.orders import KINDS, SHORTLEX, WREATH, WTLEX, Order
-from autostruct.rewrite import RewriteSystem
+from autostruct.rewrite import KbCompletion, RewriteSystem, is_confluent
 from autostruct.words import PAD, Alphabet
 from test_fsa import project
 from test_acceptance import _structure
@@ -184,6 +186,67 @@ def test_completion_budget_reports_kb_stopped(monkeypatch):
     confluent, stopped_by = run_knuth_bendix(rs, max_rules=5, max_len=40)
     assert not confluent
     assert stopped_by == {"stage": "kb", "cap": "passes", "limit": 1}
+
+
+PSL27_BTOP = Path(__file__).parent / "data" / "PSL27-btop.pres"
+
+
+def psl27(kind):
+    """PSL(2,7) with b on top of the wreath order, or over the same
+    alphabet under another order kind: (order, relations)."""
+    pres, order = parse_presentation(PSL27_BTOP.read_text())
+    return Order(order.alphabet, kind), pres.relations
+
+
+@pytest.mark.parametrize("kind, states", [(WREATH, 56), (SHORTLEX, 86)])
+def test_confluence_is_recognised_where_the_labels_stop(monkeypatch, kind, states):
+    # completion's labels stop moving with superpositions still queued, and
+    # the rules are confluent by then, so W comes from the rules
+    order, relations = psl27(kind)
+    calls = []
+    monkeypatch.setattr(
+        pipeline, "is_confluent", lambda rs: calls.append(rs) or is_confluent(rs)
+    )
+    res = compute_structure(order, relations)
+    assert len(calls) == 1
+    assert (res.outcome, res.confluent) == (VERIFIED, True)
+    assert res.acceptor.num_states == states
+
+
+def test_bspq_18_18_verifies_confluent():
+    # the labels stop before the queue drains; reported not confluent, the
+    # run took the history acceptor and ended at its shadow cap
+    res = run_family("BSpq", 18, 18)
+    assert (res.outcome, res.confluent, res.loops) == (VERIFIED, True, 1)
+    assert (res.acceptor.num_states, res.diff.state_count()) == (22, 2089)
+
+
+@pytest.mark.parametrize("fault", ["retired rule", "discarded"])
+def test_an_unsettled_completion_is_not_confluent(monkeypatch, fault):
+    # at PSL(2,7)'s labels-stable exit the active rules are confluent; a
+    # retired rule still queued that does not join, or an equation dropped
+    # for length, is a relation they need not imply
+    order, relations = psl27(WREATH)
+    rs = RewriteSystem.from_relations(order, relations)
+    made = []
+
+    class Completion(KbCompletion):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    def inject(rs):
+        (comp,) = made
+        if fault == "discarded":
+            comp.discarded = True
+        else:  # b a = a b does not hold in PSL(2,7)
+            comp._push(2, ("b", "a"), ("a", "b"))
+        return is_confluent(rs)
+
+    monkeypatch.setattr(pipeline, "KbCompletion", Completion)
+    monkeypatch.setattr(pipeline, "is_confluent", inject)
+    assert run_knuth_bendix(rs) == (False, None)
+    assert is_confluent(rs)
 
 
 def test_compute_structure_reports_kb_stopped(monkeypatch):
