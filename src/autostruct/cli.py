@@ -125,10 +125,11 @@ def _cmd_autostructure(args) -> int:
     _write(outdir / "report.txt", "\n".join(_report_lines(res)) + "\n")
 
     summary = f"{res.outcome} in {res.seconds:.2f}s"
-    if res.acceptor is not None:
+    report = res.report()
+    if "acceptor_states" in report:
         summary += (
-            f": acceptor {res.acceptor.num_states} states,"
-            f" {res.diff.state_count()} word differences"
+            f": acceptor {report['acceptor_states']} states,"
+            f" {report['difference_states']} word differences"
         )
     print(summary)
     return 0 if res.outcome == VERIFIED else 2

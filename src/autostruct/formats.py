@@ -356,6 +356,8 @@ def parse_fsa(text: str) -> Fsa:
     for s in base:
         if s in _RESERVED:
             _fail(no, f"symbol name {s!r} is reserved")
+        if "," in s:
+            _fail(no, f"symbol name {s!r} contains a comma")
     if "pad" in head:
         no, toks = head["pad"]
         if toks != [PAD]:

@@ -26,10 +26,12 @@ for a side that has fallen off; no move leaves None, so it acts as the sink.
 
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
-and subset construction here and in the acceptor and multiplier builders
-goes through it.  It searches on the states themselves, with their moves
-in flat lists, and numbers them and builds their rows only when no state
-is left to expand, so a search its state cap stops has built neither.
+and subset construction here and in the acceptor builder goes through it.
+It searches on the states themselves, with their moves in flat lists, and
+numbers them and builds their rows only when no state is left to expand,
+so a search its state cap stops has built neither.  The multiplier
+product (`pipeline.build_multiplier`) alone does not: it finds its states
+first, holding no move, and then builds the same numbering and rows.
 `coreachable` is one backward search from acceptance, used for trimming,
 enumeration and emptiness; `search_back` is the same search over an
 implicit graph, which composition uses for its silent tail and to keep
@@ -551,7 +553,9 @@ def explore(symbols, start, successors, is_accept, max_states=None):
     states numbered, in discovery order, and the rows built, so a search
     the cap stops has built neither.  Returns (machine, the state behind
     each number).  Raises ResourceLimit when a new state would pass
-    max_states.
+    max_states.  The multiplier product does not come here: it finds its
+    states in the same order first and then builds these rows
+    (`pipeline.build_multiplier`).
     """
     found = {start: start}  # each state, to the object first found as it
     states = [start]

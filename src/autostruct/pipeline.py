@@ -8,8 +8,9 @@ The stages:
 2. trace the rules into a difference machine and close it;
 3. build the word acceptor from the machine;
 4. build every generator's multiplier from one product of two acceptor
-   copies with the machine, explored once per loop on integer-packed
-   states: M_g minimizes it under the states whose difference is g's
+   copies with the machine, on integer-packed states, once per loop: one
+   walk finds its states against the state cap, and a second builds its
+   rows; M_g minimizes it under the states whose difference is g's
    target; plus the diagonal identity multiplier;
 5. check every multiplier's domain equals the accepted language, by one
    search per generator that runs W in step with the subset construction
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
@@ -179,7 +181,7 @@ def build_multiplier(
     """Every generator's multiplier from one product of two acceptor copies
     with the difference machine.
 
-    The product's moves do not depend on the target, so it is explored
+    The product's moves do not depend on the target, so it is built
     once; targets maps each generator to its target difference state, and
     M_g is the minimization of that one machine accepting where the
     difference is g's target, all from one copy of its moves.  A product
@@ -188,9 +190,14 @@ def build_multiplier(
     far (see `_pad_kind`).  Each row of D's `fsa` is regrouped once by mode
     and track-1 letter; a product state walks W's row at v, each letter
     with the moves of D's row at d that read it, and looks track 2's letter
-    up in W's row at w.  `explore` counts the product's states against the
-    state cap as it finds them and builds its rows only once the product is
-    complete, so a capped product builds none.  Returns {g: M_g}."""
+    up in W's row at w.
+
+    The product is walked twice with the same successors.  The first walk
+    keeps only the states, in breadth-first order, and counts them against
+    the state cap as it finds them, so a capped product holds no move.
+    The second numbers the states by that order and builds each row, which
+    is `explore`'s numbering, rows and accepting states.  Returns
+    {g: M_g}."""
     symbols = pair_symbols(acc.symbols)
     width = diff.fsa.num_states
     side = acc.num_states
@@ -234,18 +241,28 @@ def build_multiplier(
             if tw is not None:
                 yield sym, (v * side + tw) * scale + tail
 
-    def difference(state):
-        return state // 3 % width
-
-    hits = set(targets.values())
     start = (acc.start * side + acc.start) * width * 3 + EPS * 3
-    raw, states = explore(
-        symbols, start, successors, lambda state: difference(state) in hits,
-        max_states=max_states,
-    )
+    # the first walk: the states alone
+    seen, states = {start}, [start]
+    for state in states:
+        for _, nxt in successors(state):
+            if nxt not in seen:
+                if len(states) >= max_states:
+                    raise ResourceLimit("states", max_states)
+                seen.add(nxt)
+                states.append(nxt)
+    del seen
+    # the second walk: the rows
+    number = dict(zip(states, count()))
+    moves = [{sym: number[t] for sym, t in successors(s)} for s in states]
+    del number
+    hits = set(targets.values())
     by_target = {}
-    for i in raw.accepting:
-        by_target.setdefault(difference(states[i]), []).append(i)
+    for i, state in enumerate(states):
+        d = state // 3 % width
+        if d in hits:
+            by_target.setdefault(d, []).append(i)
+    raw = Fsa(symbols, 0, chain.from_iterable(by_target.values()), moves)
     return {g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()}
 
 

@@ -65,8 +65,9 @@ class Alphabet:
 
     Constraints enforced here:
 
-    * symbol names are nonempty, contain no whitespace, and are not one of
-      the reserved tokens ("e", "#", the padding symbol)
+    * symbol names are nonempty, contain no whitespace and no comma (it
+      splits a pair label in machine files), and are not one of the
+      reserved tokens ("e", "#", the padding symbol)
     * the inverse map is a total involution (a generator may be its own
       inverse)
     * weights are integers >= 1
@@ -89,6 +90,8 @@ class Alphabet:
                 raise InputError(f"bad generator name {s!r}")
             if s in _RESERVED:
                 raise InputError(f"generator name {s!r} is reserved")
+            if "," in s:
+                raise InputError(f"generator name {s!r} contains a comma")
             if s in seen:
                 raise InputError(f"duplicate generator {s!r}")
             seen.add(s)

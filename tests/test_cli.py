@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, files written, output text."""
 
+import re
+
 import pytest
 
 from autostruct.cli import main
@@ -226,6 +228,20 @@ def test_autostructure_report_lines_are_pinned(tmp_path, capsys, case):
     lines = (out / "report.txt").read_text().splitlines(keepends=True)
     assert lines[-1].startswith("seconds: ")
     assert "".join(lines[:-1]) == want
+
+
+@pytest.mark.parametrize("family,want", [
+    (["KNOT41", "--wirtinger"],
+     r"verified in \d+\.\d\ds: acceptor 18 states, 21 word differences"),
+    # a run the product cap stopped has no acceptor to size
+    (["KNOT74", "--wirtinger"], r"loop-limit in \d+\.\d\ds"),
+])
+def test_autostructure_summary_line(tmp_path, capsys, family, want):
+    f = tmp_path / "in.pres"
+    assert main(["family", *family]) == 0
+    f.write_text(capsys.readouterr().out)
+    main(["autostructure", str(f), "-o", str(tmp_path / "out")])
+    assert re.fullmatch(want + "\n", capsys.readouterr().out)
 
 
 def test_autostructure_exit_three_on_bad_file(tmp_path, capsys):

@@ -177,6 +177,9 @@ def test_alphabet_validation():
         Alphabet(["a", "b"], {"a": "b"})  # involution not closed
     with pytest.raises(InputError):
         Alphabet(["e", "E"], {"e": "E", "E": "e"})  # reserved name
+    with pytest.raises(InputError, match="contains a comma"):
+        # a machine file's pair label g,h could not name it
+        Alphabet(["a,b", "B"], {"a,b": "B", "B": "a,b"})
     with pytest.raises(InputError):
         Alphabet(["a", "b"], {"a": "b", "b": "a"}, weights={"a": 0, "b": 1})
     with pytest.raises(InputError):

@@ -192,6 +192,10 @@ def test_fsa_hand_written_parses():
         .replace("alphabet x", "alphabet x _").replace("1 x 2", "1 x,_ 2"),
         "line 3: symbol name '_' is reserved",
     ),
+    (
+        lambda t: t.replace("alphabet x", "alphabet x a,b"),
+        "line 3: symbol name 'a,b' contains a comma",
+    ),
     (lambda t: t.replace("states 2\n", ""), "missing states"),
     # a state no line names is refused before a row is built for each
     (lambda t: t.replace("states 2", "states 3"), "line 5: state 3 is named by no line"),

@@ -377,8 +377,9 @@ def test_multiplier_product_cap_is_exact(monkeypatch):
 RUN_CASES = [("BSpq", 1, 1), ("BSpq", 3, 3), ("KNOT41", 1, 1)]
 
 
-def one_target_multiplier(acc, diff, target) -> tuple:
-    """Reference: the product for one target alone, on tuple states."""
+def tuple_product(acc, diff, is_target) -> tuple:
+    """Reference: `explore` of the multiplier product on tuple states
+    (v, w, d, mode), accepting where is_target(d)."""
     symbols = pair_symbols(acc.symbols)
 
     def successors(state):
@@ -394,12 +395,48 @@ def one_target_multiplier(acc, diff, target) -> tuple:
             if None not in (nv, nw, nd):
                 yield sym, (nv, nw, nd, kind)
 
-    raw, states = explore(
+    return explore(
         symbols, (acc.start, acc.start, EPS, 0), successors,
-        lambda state: state[2] == target,
+        lambda state: is_target(state[2]),
     )
+
+
+def one_target_multiplier(acc, diff, target) -> tuple:
+    """Reference: the product for one target alone."""
+    raw, states = tuple_product(acc, diff, lambda d: d == target)
     used = {diff.labels[states[i][2]] for i in coreachable(raw)}
     return raw.minimized(), used
+
+
+@pytest.mark.parametrize("case", RUN_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_multiplier_product_is_the_explored_product(monkeypatch, case):
+    # build_multiplier finds the product's states before it builds a row;
+    # the machine it minimizes is explore's, move for move
+    name, p, q = case
+    fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT41")
+    res = compute_structure(fam.order, fam.presentation.relations)
+    acc, diff = res.acceptor, res.diff
+    targets = multiplier_targets(diff)
+    seen = []
+    real = Fsa.minimized
+
+    def spy(self, *args):
+        seen.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Fsa, "minimized", spy)
+    build_multiplier(acc, diff, targets)
+    raw = seen[0]
+    assert all(m is raw for m in seen)
+    hits = set(targets.values())
+    want, _ = tuple_product(acc, diff, hits.__contains__)
+    assert raw.symbols == want.symbols
+    assert raw.start == want.start
+    assert raw.accepting == want.accepting
+    # rows in alphabet order, which dict equality would not see
+    assert [list(row.items()) for row in raw.moves] == [
+        list(row.items()) for row in want.moves
+    ]
 
 
 @pytest.mark.parametrize("case", RUN_CASES, ids=lambda c: "-".join(map(str, c)))
