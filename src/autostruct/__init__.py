@@ -3,7 +3,7 @@
 from .errors import InputError, LogicError, ResourceLimit
 from .words import PAD, EMPTY, Word, Alphabet, parse_word, format_word
 from .orders import LT, EQ, GT, SHORTLEX, WTLEX, WTSHORTLEX, WREATH, Order
-from .rewrite import RewriteSystem, KbCompletion, kb_complete, is_confluent
+from .rewrite import RewriteSystem, KbCompletion, is_confluent
 from .fsa import Fsa, pair_symbols
 from .diff import DiffMachine
 from .acceptor import build_acceptor, irreducible_word_acceptor
@@ -55,7 +55,6 @@ __all__ = [
     "Order",
     "RewriteSystem",
     "KbCompletion",
-    "kb_complete",
     "is_confluent",
     "Fsa",
     "pair_symbols",

@@ -27,7 +27,7 @@ from .formats import (
 )
 from .pipeline import MAX_LOOPS, VERIFIED, compute_structure
 from .presentations import FAMILY_NAMES, FamilySpec, builtin_family
-from .rewrite import CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, RewriteSystem, kb_complete
+from .rewrite import CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, KbCompletion, RewriteSystem
 from .words import format_word, parse_word
 
 
@@ -138,22 +138,22 @@ def _cmd_autostructure(args) -> int:
 def _cmd_kbcomplete(args) -> int:
     pres, order = parse_presentation(_read(args.file))
     rs = RewriteSystem.from_relations(order, pres.relations)
-    status = kb_complete(
-        rs,
-        max_rules=args.kb_max_rules,
-        max_len=args.kb_max_len,
-        max_pairs=args.max_pairs,
-    )
+    comp = KbCompletion(rs, max_rules=args.kb_max_rules, max_len=args.kb_max_len)
+    # superpositions still queued once the pairs are spent
+    stop = comp.run(args.max_pairs) or "pairs"
     text = serialize_rules(rs)
     if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
-    print(
-        f"{status}: {rs.active_count()} rules",
-        file=sys.stderr,
-    )
-    return 0 if status == CONFLUENT else 2
+    caps = {
+        "rules": args.kb_max_rules,
+        "rule length": args.kb_max_len,
+        "pairs": args.max_pairs,
+    }
+    said = stop if stop == CONFLUENT else f"stopped by {stop} cap {caps[stop]}"
+    print(f"{said}: {rs.active_count()} rules", file=sys.stderr)
+    return 0 if stop == CONFLUENT else 2
 
 
 def _rules_path(path: str) -> str:

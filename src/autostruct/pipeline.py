@@ -54,7 +54,7 @@ from .errors import InputError, ResourceLimit
 from .fsa import Fsa, _pad_kind, explore, pair_symbols
 from .orders import Order
 from .rewrite import (
-    CONFLUENT, MAX_LEN, MAX_RULES, RUNNING, KbCompletion, RewriteSystem, is_confluent,
+    CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, KbCompletion, RewriteSystem, is_confluent,
 )
 from .words import PAD, Word
 
@@ -63,7 +63,7 @@ KB_STOPPED = "kb-stopped"
 LOOP_LIMIT = "loop-limit"
 AXIOM_FAILED = "axiom-failed"
 
-PASS_PAIRS, MAX_PASSES = 500, 400  # completion's passes: size, number
+PASS_PAIRS = 500  # completion's pass size, spending MAX_PAIRS in all
 MAX_PRODUCT_STATES = 100_000  # the multiplier product's states
 MAX_LOOPS = 10  # correction loops
 
@@ -136,20 +136,20 @@ def _rule_labels(rs: RewriteSystem, cache: dict) -> frozenset:
 def run_knuth_bendix(
     rs: RewriteSystem, max_rules: int = MAX_RULES, max_len: int = MAX_LEN
 ) -> tuple:
-    """Drive completion in passes until confluence or the difference
-    labels derived from the rules stop moving.  Returns (confluent,
-    stopped_by).  Where the labels stop, confluent says whether the active
-    rules are confluent and still imply every relation completion has met
-    (`KbCompletion.settled`), though superpositions may be left in its
-    queue.  stopped_by is None when the run may go on, and when the
-    caps won out first it names the one that fired: "rules" (more than
-    max_rules active), "rule length" (pairs past max_len were discarded
-    and nothing else is left) or "passes" (MAX_PASSES ran out)."""
+    """Drive completion in passes of PASS_PAIRS superpositions until
+    confluence or the difference labels derived from the rules stop
+    moving.  Returns (confluent, stopped_by).  Where the labels stop,
+    confluent says whether the active rules are confluent and still imply
+    every relation completion has met (`KbCompletion.settled`), though
+    superpositions may be left in its queue.  stopped_by is None when the
+    run may go on, and when the caps won out first it names the one that
+    fired: the cap `KbCompletion.run` names ("rules" or "rule length"), or
+    "pairs" once MAX_PAIRS superpositions are spent."""
     comp = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
     cache, prev = {}, None
-    for _ in range(MAX_PASSES):
-        status = comp.run(PASS_PAIRS)
-        if status == CONFLUENT:
+    for spent in range(0, MAX_PAIRS, PASS_PAIRS):
+        stop = comp.run(min(PASS_PAIRS, MAX_PAIRS - spent))
+        if stop == CONFLUENT:
             return True, None
         snap = _rule_labels(rs, cache)
         if snap == prev:
@@ -157,11 +157,9 @@ def run_knuth_bendix(
             # spares them the scan of the queue
             return is_confluent(rs) and comp.settled(), None
         prev = snap
-        if status != RUNNING:
-            if rs.active_count() > max_rules:
-                return False, _stop("kb", "rules", max_rules)
-            return False, _stop("kb", "rule length", max_len)
-    return False, _stop("kb", "passes", MAX_PASSES)
+        if stop is not None:
+            return False, _stop("kb", stop, max_rules if stop == "rules" else max_len)
+    return False, _stop("kb", "pairs", MAX_PAIRS)
 
 
 def _stop(stage: str, cap: str, limit: Optional[int]) -> dict:

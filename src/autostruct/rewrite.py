@@ -4,7 +4,8 @@ A system always carries the free-reduction rules (a generator followed by
 its inverse cancels) ahead of the oriented relation rules, and rewriting is
 deterministic: leftmost match first, lowest rule index on ties.  Completion
 is the classic critical-pair loop with interreduction, run in bounded passes
-so a caller can interleave it with other work and stop early.
+so a caller can interleave it with other work and stop early; each pass
+says why completion stopped, if it did.
 
 The active left sides are indexed by a trie (the left-side index of Sims,
 *Computation with Finitely Presented Groups*, 1994).  Each node is a dict
@@ -26,14 +27,14 @@ a run pops few of the superpositions it pushes.  A retired rule waits as
 its own two sides.
 
 Completion keeps one invariant: every active right side is irreducible,
-except those it has not normalized yet (the rules it was built with and
-rules added by anyone else between passes, after which every right side
-is due).  A new rule's left side L is a normal form under the rules before
-it, so no active left side is a factor of L, and every left side holding L
-is retired before pairing.  A right side the completion normalized stays
-irreducible until a new left side occurs in it, since retiring a rule never
-makes a word reducible, and a new rule's right side, being earlier than L
-in a reduction order, cannot hold L.  So each new rule visits only:
+except those it has not normalized yet: the rules it was built with, all
+due at the first new rule.  A new rule's left side L is a normal form
+under the rules before it, so no active left side is a factor of L, and
+every left side holding L is retired before pairing.  A right side the
+completion normalized stays irreducible until a new left side occurs in
+it, since retiring a rule never makes a word reducible, and a new rule's
+right side, being earlier than L in a reduction order, cannot hold L.
+So each new rule visits only:
 
 * for interreduction, the rules with L as a factor of either side, plus
   the ones not yet normalized.  Each rule is spelled as one string, one
@@ -67,8 +68,6 @@ from .orders import EQ, GT, LT, Order
 from .words import Word
 
 CONFLUENT = "confluent"
-STOPPED = "stopped"
-RUNNING = "running"
 
 MAX_RULES, MAX_LEN, MAX_PAIRS = 1000, 40, 200_000  # completion's caps
 
@@ -259,16 +258,16 @@ _TOP = chr(0x10FFFF)  # sorts after every symbol's character
 class KbCompletion:
     """Critical-pair completion driver over a rewriting system.
 
-    Runs in bounded passes; between passes the caller may inspect the rule
-    set or add rules.  Equations whose normalized sides exceed the length
-    cap are discarded but remembered: a drained queue then means the
-    system is incomplete, not confluent.  Queue entries are
-    (length, sequence, lhs1, rhs1, lhs2, rhs2, offset) for a superposition
-    and (length, sequence, lhs, rhs) for a retired rule; `_pop` spells
-    either as the equation it stands for.  The queue starts with every
-    superposition of the rules the system holds; each rule the completion
-    adds is then paired through the left-side indexes alone, itself
-    included (see the module docstring).
+    Runs in bounded passes; between passes the caller may inspect the
+    rules and rewrite with them, but adds none.  Equations whose
+    normalized sides exceed the length cap are discarded but remembered:
+    a drained queue then means the system is incomplete, not confluent.
+    Queue entries are (length, sequence, lhs1, rhs1, lhs2, rhs2, offset)
+    for a superposition and (length, sequence, lhs, rhs) for a retired
+    rule; `_pop` spells either as the equation it stands for.  The queue
+    starts with every superposition of the rules the system holds; each
+    rule the completion adds is then paired through the left-side indexes
+    alone, itself included (see the module docstring).
     """
 
     def __init__(
@@ -290,11 +289,13 @@ class KbCompletion:
         self._texts = []  # per rule: lhs, _ARROW, rhs; "" once retired
         self._heads = ([], [])  # sorted left sides, and their rule indices
         self._tails = ([], [])  # sorted reversed left sides, and theirs
-        self._unnormalized = set()
-        self._catch_up()
+        for i in range(len(rs.rules)):
+            self._index(i)
         rules = [
             (i, r[0], r[1]) for i, r in enumerate(rs.rules) if r[2]
         ]
+        # right sides the completion did not write may be reducible
+        self._unnormalized = {i for i, _l, _r in rules}
         for i, l1, r1 in rules:
             for j, l2, r2 in rules:
                 self._push_pairs(l1, r1, l2, r2, i == j)
@@ -326,18 +327,6 @@ class KbCompletion:
     def _spell(self, w: Word) -> str:
         return "".join(map(self._char, w))
 
-    def _catch_up(self) -> None:
-        """Index the rules appended since the last pass by anyone but the
-        completion.  Their right sides were never normalized here, and
-        their left sides may occur in any right side, so every active rule
-        is due for interreduction."""
-        rules = self.rs.rules
-        if len(self._texts) == len(rules):
-            return
-        for i in range(len(self._texts), len(rules)):
-            self._index(i)
-        self._unnormalized = {i for i, r in enumerate(rules) if r[2]}
-
     def _index(self, i: int) -> None:
         lhs, rhs, on = self.rs.rules[i]
         if not on:
@@ -364,19 +353,17 @@ class KbCompletion:
             rewrite(e[2]) == rewrite(e[3]) for e in self._queue if len(e) == 4
         )
 
-    def status(self) -> str:
-        if self.rs.active_count() > self.max_rules:
-            return STOPPED
-        if self._queue:
-            return RUNNING
-        return STOPPED if self.discarded else CONFLUENT
-
-    def run(self, max_pairs: int) -> str:
-        """Process up to max_pairs queued superpositions; return status."""
+    def run(self, max_pairs: int) -> Optional[str]:
+        """Process up to max_pairs queued superpositions and say why
+        completion stopped: CONFLUENT once the queue drains with nothing
+        discarded, the cap that fired ("rules" past max_rules active, or
+        "rule length" once the queue drains with equations discarded), or
+        None while superpositions are left and no cap has fired."""
+        if max_pairs < 1:
+            raise InputError("completion caps must be positive")
         done = 0
         rs = self.rs
         rules, texts = rs.rules, self._texts
-        self._catch_up()
         while self._queue and done < max_pairs:
             if rs.active_count() > self.max_rules:
                 break
@@ -430,7 +417,11 @@ class KbCompletion:
                     self._push(n + n2 - k, l2, r2, lhs, rhs, n2 - k)
                 else:
                     self._push(n + n2 - k, lhs, rhs, l2, r2, n - k)
-        return self.status()
+        if rs.active_count() > self.max_rules:
+            return "rules"
+        if self._queue:
+            return None
+        return "rule length" if self.discarded else CONFLUENT
 
 
 def _overlapping(index: tuple, word: str, side: int) -> list:
@@ -448,19 +439,3 @@ def _overlapping(index: tuple, word: str, side: int) -> list:
         hi = bisect_left(keys, suffix + _TOP, lo)
         out += [(i, side, n - j) for i in ids[lo:hi]]
     return out
-
-
-def kb_complete(
-    rs: RewriteSystem,
-    max_rules: int = MAX_RULES,
-    max_len: int = MAX_LEN,
-    max_pairs: int = MAX_PAIRS,
-) -> str:
-    """One-shot completion; returns the final status."""
-    if max_pairs < 1:
-        raise InputError("completion caps must be positive")
-    kb = KbCompletion(rs, max_rules=max_rules, max_len=max_len)
-    status = kb.run(max_pairs)
-    if status == RUNNING:
-        status = STOPPED
-    return status

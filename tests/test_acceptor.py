@@ -15,7 +15,7 @@ from autostruct.history import (
 from autostruct.orders import KINDS
 from autostruct.pipeline import LOOP_LIMIT, compute_structure, run_knuth_bendix
 from autostruct.presentations import FamilySpec, builtin_family
-from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
+from autostruct.rewrite import CONFLUENT, MAX_PAIRS, KbCompletion, RewriteSystem
 from autostruct.words import PAD
 from test_core_history import reference_history
 from test_rewrite import _random_presentation
@@ -55,7 +55,7 @@ def test_z2_shortlex_acceptor():
     rs = RewriteSystem.from_relations(
         Order(alpha, SHORTLEX), [(("b", "a"), ("a", "b"))]
     )
-    assert kb_complete(rs, 50, 20) == CONFLUENT
+    assert KbCompletion(rs, 50, 20).run(MAX_PAIRS) == CONFLUENT
     w = build_acceptor(DiffMachine.from_rules(rs))
     assert w.num_states == 5
     assert accepted_language(w, 6) == irreducible_language(rs, 6)
@@ -109,7 +109,7 @@ def test_acceptor_language_prefix_closed():
     rs = RewriteSystem.from_relations(
         Order(alpha, SHORTLEX), [(("b", "a"), ("a", "b"))]
     )
-    kb_complete(rs, 50, 20)
+    KbCompletion(rs, 50, 20).run(MAX_PAIRS)
     w = build_acceptor(DiffMachine.from_rules(rs))
     lang = accepted_language(w, 6)
     for word in lang:

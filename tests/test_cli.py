@@ -288,7 +288,15 @@ def test_bad_usage_is_exit_three(capsys):
     ),
     ("kbcomplete", ["--max-pairs", "-3"], "completion caps must be positive"),
     ("kbcomplete", ["--max-pairs", "0"], "completion caps must be positive"),
-], ids=["max-loops-negative", "max-pairs-negative", "max-pairs-zero"])
+    ("autostructure", ["--kb-max-rules", "0"], "completion caps must be positive"),
+    ("kbcomplete", ["--kb-max-rules", "0"], "completion caps must be positive"),
+    ("autostructure", ["--kb-max-len", "0"], "completion caps must be positive"),
+    ("kbcomplete", ["--kb-max-len", "0"], "completion caps must be positive"),
+], ids=[
+    "max-loops-negative", "max-pairs-negative", "max-pairs-zero",
+    "autostructure-kb-max-rules-zero", "kbcomplete-kb-max-rules-zero",
+    "autostructure-kb-max-len-zero", "kbcomplete-kb-max-len-zero",
+])
 def test_a_cap_below_its_least_is_an_input_error(
     grid_file, tmp_path, capsys, command, cap, message
 ):
@@ -339,6 +347,21 @@ def test_kbcomplete_exit_two_at_tiny_caps(grid_file, tmp_path, capsys):
     ])
     assert code == 2
     assert parse_rules(out.read_text()).active_count() >= 4
+
+
+@pytest.mark.parametrize("family, cap, line", [
+    (["BSpq", "2", "2"], ["--kb-max-rules", "5"], "stopped by rules cap 5: 6 rules"),
+    (["BSpq", "2", "2"], ["--kb-max-len", "3"], "stopped by rule length cap 3: 5 rules"),
+    (["KNOT41", "--wirtinger"], ["--max-pairs", "10"], "stopped by pairs cap 10: 11 rules"),
+], ids=["rules", "rule-length", "pairs"])
+def test_kbcomplete_names_the_cap_that_stopped_it(tmp_path, capsys, family, cap, line):
+    f = tmp_path / "in.pres"
+    assert main(["family", *family]) == 0
+    f.write_text(capsys.readouterr().out)
+    assert main(["kbcomplete", str(f), *cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert parse_rules(captured.out).active_count() == int(line.split()[-2])
 
 
 def test_reduce_accepts_directory_or_file(grid_out, capsys):

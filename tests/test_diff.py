@@ -16,7 +16,7 @@ from autostruct import (
 )
 from autostruct.diff import DiffMachine, EPS
 from autostruct.errors import ResourceLimit
-from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
+from autostruct.rewrite import CONFLUENT, MAX_PAIRS, KbCompletion, RewriteSystem
 
 
 def free_order():
@@ -30,7 +30,7 @@ def z2_system():
     rs = RewriteSystem.from_relations(
         Order(alpha, SHORTLEX), [(("b", "a"), ("a", "b"))]
     )
-    assert kb_complete(rs, 50, 20) == CONFLUENT
+    assert KbCompletion(rs, 50, 20).run(MAX_PAIRS) == CONFLUENT
     return rs
 
 

@@ -226,9 +226,9 @@ def test_fsa_label_names_a_state():
 def test_pair_fsa_round_trip_with_labels():
     fam = builtin_family(FamilySpec("BSpq", 1, 1))
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
-    from autostruct.rewrite import CONFLUENT, kb_complete
+    from autostruct.rewrite import CONFLUENT, MAX_PAIRS, KbCompletion
 
-    assert kb_complete(rs) == CONFLUENT
+    assert KbCompletion(rs).run(MAX_PAIRS) == CONFLUENT
     diff = DiffMachine.from_rules(rs)
     a, labels = diff_to_fsa(diff)
     text = serialize_fsa(a, labels)

@@ -182,10 +182,20 @@ def test_completion_budget_reports_kb_stopped(monkeypatch):
     fam = family("BSpq", 2, 2)
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
     monkeypatch.setattr(pipeline, "PASS_PAIRS", 1)
-    monkeypatch.setattr(pipeline, "MAX_PASSES", 1)
+    monkeypatch.setattr(pipeline, "MAX_PAIRS", 1)
     confluent, stopped_by = run_knuth_bendix(rs, max_rules=5, max_len=40)
     assert not confluent
-    assert stopped_by == {"stage": "kb", "cap": "passes", "limit": 1}
+    assert stopped_by == {"stage": "kb", "cap": "pairs", "limit": 1}
+    # passes of 3, 3 and 1 spend the budget of 7 pairs as one run of 7 does
+    monkeypatch.setattr(pipeline, "PASS_PAIRS", 3)
+    monkeypatch.setattr(pipeline, "MAX_PAIRS", 7)
+    rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
+    assert run_knuth_bendix(rs, max_rules=50, max_len=40) == (
+        False, {"stage": "kb", "cap": "pairs", "limit": 7},
+    )
+    one = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
+    assert KbCompletion(one, max_rules=50, max_len=40).run(7) is None
+    assert rs.rules == one.rules
 
 
 PSL27_BTOP = Path(__file__).parent / "data" / "PSL27-btop.pres"
@@ -250,7 +260,7 @@ def test_an_unsettled_completion_is_not_confluent(monkeypatch, fault):
 
 
 def test_compute_structure_reports_kb_stopped(monkeypatch):
-    why = {"stage": "kb", "cap": "passes", "limit": 400}
+    why = {"stage": "kb", "cap": "pairs", "limit": 200_000}
     monkeypatch.setattr(pipeline, "run_knuth_bendix", lambda *a, **k: (False, why))
     res = run_family("BSpq", 1, 1)
     assert res.outcome == KB_STOPPED

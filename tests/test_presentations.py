@@ -11,7 +11,7 @@ from autostruct.presentations import (
     builtin_family,
     knot_presentation,
 )
-from autostruct.rewrite import CONFLUENT, RewriteSystem, is_confluent, kb_complete
+from autostruct.rewrite import CONFLUENT, KbCompletion, RewriteSystem, is_confluent
 from autostruct.words import Alphabet
 
 
@@ -57,8 +57,8 @@ def test_expected_rules_hold_in_the_group(name, p, q):
     # relation; a confluent completion of that relation decides words
     fam = builtin_family(FamilySpec(name, p, q))
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
-    status = kb_complete(rs, max_rules=400, max_len=40, max_pairs=60_000)
-    if status != CONFLUENT:
+    stop = KbCompletion(rs, max_rules=400, max_len=40).run(60_000)
+    if stop != CONFLUENT:
         pytest.skip("completion did not finish inside the test budget")
     for lhs, rhs in fam.expected.active():
         assert rs.rewrite(lhs) == rs.rewrite(rhs), (lhs, rhs)

@@ -14,15 +14,13 @@ from autostruct.pipeline import run_knuth_bendix
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.rewrite import (
     CONFLUENT,
-    RUNNING,
-    STOPPED,
+    MAX_PAIRS,
     KbCompletion,
     RewriteSystem,
     _offsets,
     _overlapping,
     critical_pairs,
     is_confluent,
-    kb_complete,
 )
 
 
@@ -165,7 +163,7 @@ def test_z2_shortlex_completion():
     rs = RewriteSystem.from_relations(
         order, [(("a", "b"), ("b", "a"))]
     )
-    assert kb_complete(rs) == CONFLUENT
+    assert KbCompletion(rs).run(MAX_PAIRS) == CONFLUENT
     assert is_confluent(rs)
     # commutator collapses
     assert rs.rewrite(tuple("aBAb")) == ()
@@ -201,7 +199,7 @@ def test_g11_wreath_rules_confluent():
         if rhs and len(lhs) == 2 and lhs[0] in ("x", "X"):
             assert rhs[0] in ("y", "Y")
     assert is_confluent(rs)
-    assert kb_complete(rs) == CONFLUENT
+    assert KbCompletion(rs).run(MAX_PAIRS) == CONFLUENT
     assert rs.rewrite(tuple("xy")) == ("y", "x")
     assert rs.rewrite(tuple("xxY")) == ("Y", "x", "x")
 
@@ -213,30 +211,35 @@ def test_bs12_shortlex_diverges():
         order, [(("b", "a"), ("a", "a", "b"))]
     )
     kb = KbCompletion(rs, max_rules=60, max_len=25)
-    status = kb.run(20000)
-    assert status == STOPPED
+    assert kb.run(20000) == "rules"
 
 
-def test_incremental_driver_matches_oneshot():
-    order = sl(free_alpha())
-    rs1 = RewriteSystem.from_relations(order, [(("a", "b"), ("b", "a"))])
+@pytest.mark.parametrize("family,p,q", [
+    ("BSpq", 1, 1), ("BSpq", 2, 2), ("BSpq", 3, 3), ("BSpNegq", 1, 1),
+    ("Hpq", 1, 1), ("Hpq", 2, 1), ("HpNegq", 1, 1), ("HpNegq", 2, 1),
+])
+def test_incremental_driver_matches_oneshot(family, p, q):
+    # the systems whose queue drains: short passes and one run of the
+    # whole budget end on the same rules.  Each drains within one pass of
+    # the pipeline's PASS_PAIRS, so the passes here are of 3 pairs
+    rs1 = _corpus_system(family, p, q)
     kb = KbCompletion(rs1)
-    while kb.run(3) == "running":
-        pass
-    assert kb.status() == CONFLUENT
-    rs2 = RewriteSystem.from_relations(order, [(("a", "b"), ("b", "a"))])
-    kb_complete(rs2)
-    assert sorted(rs1.active()) == sorted(rs2.active())
+    passes = 1
+    while (stop := kb.run(3)) is None:
+        passes += 1
+    assert stop == CONFLUENT and passes > 1
+    rs2 = _corpus_system(family, p, q)
+    assert KbCompletion(rs2).run(MAX_PAIRS) == CONFLUENT
+    assert rs1.rules == rs2.rules
 
 
 def test_discard_flags_incomplete():
     order = sl(free_alpha())
     rs = RewriteSystem.from_relations(order, [(("b", "a"), ("a", "a", "b"))])
     kb = KbCompletion(rs, max_rules=500, max_len=6)
-    status = kb.run(50000)
     # every long equation was dropped, so the drained queue must not claim
     # confluence
-    assert status == STOPPED
+    assert kb.run(50000) == "rule length"
     assert kb.discarded
 
 
@@ -341,7 +344,8 @@ def test_deactivating_twice_counts_once():
 def _full_scan_run(comp, max_pairs):
     """The completion loop as it was before its candidate indexes:
     interreduction rewrites every right side and pairing tries every
-    active rule.  Drives comp's queue and rules in place."""
+    active rule.  Drives comp's queue and rules in place, and says why it
+    stopped as `KbCompletion.run` does."""
     rs = comp.rs
     done = 0
     while comp._queue and done < max_pairs:
@@ -378,13 +382,16 @@ def _full_scan_run(comp, max_pairs):
                 comp._push_pairs(l2, r2, lhs, rhs, False)
             else:
                 comp._push_pairs(lhs, rhs, lhs, rhs, True)
-    return comp.status()
+    if rs.active_count() > comp.max_rules:
+        return "rules"
+    if comp._queue:
+        return None
+    return "rule length" if comp.discarded else CONFLUENT
 
 
-def _assert_same_passes(make_rs, passes, pass_pairs, between=None, **caps):
+def _assert_same_passes(make_rs, passes, pass_pairs, **caps):
     """Run the indexed and the full-scan loop side by side, comparing the
-    rules and the queue after every pass; between(rs) may edit both
-    systems after the first pass."""
+    rules and the queue after every pass."""
     fast = KbCompletion(make_rs(), **caps)
     ref = KbCompletion(make_rs(), **caps)
     for n in range(passes):
@@ -392,11 +399,8 @@ def _assert_same_passes(make_rs, passes, pass_pairs, between=None, **caps):
         assert got == want
         assert fast.rs.rules == ref.rs.rules, n
         assert sorted(fast._queue) == sorted(ref._queue), n
-        if got != RUNNING:
+        if got is not None:
             break
-        if between is not None and n == 0:
-            between(fast.rs)
-            between(ref.rs)
 
 
 def _corpus_system(family, p, q):
@@ -423,7 +427,7 @@ def test_completion_end_state_on_knots(family, digest):
     # under the default caps both stop one rule past the rules cap; the
     # digest pins every rule they end with, so change it only with a reason
     rs = _corpus_system(family, 1, 1)
-    assert kb_complete(rs) == STOPPED
+    assert KbCompletion(rs).run(MAX_PAIRS) == "rules"
     assert rs.active_count() == 1001
     assert hashlib.sha256(serialize_rules(rs).encode()).hexdigest() == digest
 
@@ -471,13 +475,3 @@ def test_completion_normalizes_right_sides_it_did_not_write():
     rs = parse_rules(UNNORMALIZED_RULES)
     assert any(not rs.is_irreducible(rhs) for _lhs, rhs in rs.active())
     _assert_same_passes(lambda: parse_rules(UNNORMALIZED_RULES), 40, 3)
-
-    # a relator added between passes: its left side a b occurs in the
-    # right side of b a -> a b, which the completion had left alone
-    def add_relator(rs):
-        assert (("b", "a"), ("a", "b")) in set(rs.active())
-        rs.add_rule(("a", "b"), ())
-
-    _assert_same_passes(
-        lambda: parse_rules(UNNORMALIZED_RULES), 40, 3, between=add_relator
-    )

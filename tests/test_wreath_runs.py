@@ -27,7 +27,7 @@ from autostruct import acceptor
 from autostruct.formats import diff_to_fsa, parse_presentation, serialize_fsa
 from autostruct.pipeline import VERIFIED, compute_structure
 from autostruct.presentations import FamilySpec, builtin_family
-from autostruct.rewrite import CONFLUENT, RewriteSystem, kb_complete
+from autostruct.rewrite import CONFLUENT, MAX_PAIRS, KbCompletion, RewriteSystem
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,7 +109,7 @@ def test_xtop_conjugation_runs_keep_their_pins(p):
 def test_xtop_acceptor_takes_the_least_word_of_each_class(p):
     fam = builtin_family(FamilySpec("BSpq", p, p))
     solver = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
-    assert kb_complete(solver) == CONFLUENT
+    assert KbCompletion(solver).run(MAX_PAIRS) == CONFLUENT
     res, _ = xtop_run(p)
     order, w = res.order, res.acceptor
     classes = {}  # y-top normal form -> the words of length <= 7 in it
