@@ -154,9 +154,6 @@ class Fsa:
             raise LogicError("accepts_pair needs a track-2 machine")
         return self.accepts(pad_pair(w1, w2))
 
-    def is_empty(self) -> bool:
-        return self.start not in coreachable(self)
-
     # -------------------------------------------------- canonical rebuilds
 
     def minimized(self, accepting=None) -> "Fsa":

@@ -9,9 +9,10 @@ The stages:
 3. build the word acceptor from the machine;
 4. build every generator's multiplier from one product of two acceptor
    copies with the machine, on integer-packed states, once per loop: one
-   walk finds its states against the state cap, and a second builds its
-   rows; M_g minimizes it under the states whose difference is g's
-   target; plus the diagonal identity multiplier;
+   walk finds its states against the state cap, keeping them in arrays of
+   64-bit integers (an open-addressed table and the breadth-first list),
+   and a second builds its rows; M_g minimizes it under the states whose
+   difference is g's target; plus the diagonal identity multiplier;
 5. check every multiplier's domain equals the accepted language, by one
    search per generator that runs W in step with the subset construction
    of M_g's first track; a gap word feeds new differences back in and
@@ -44,6 +45,7 @@ multipliers are the verified machines either way.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Optional
@@ -190,12 +192,20 @@ def build_multiplier(
     with the moves of D's row at d that read it, and looks track 2's letter
     up in W's row at w.
 
+    A packed state fits in a signed 64-bit integer: |W| is at most
+    `acceptor.MAX_STATES` (150 000), so it could overflow only with |D|
+    above about 10^8 states.
+
     The product is walked twice with the same successors.  The first walk
-    keeps only the states, in breadth-first order, and counts them against
-    the state cap as it finds them, so a capped product holds no move.
-    The second numbers the states by that order and builds each row, which
-    is `explore`'s numbering, rows and accepting states.  Returns
-    {g: M_g}."""
+    keeps only the states, unboxed: the breadth-first list is an
+    array("q"), and the states found so far sit in an open-addressed
+    table, an array("q") of 2*max(max_states, 1) + 1 slots filled with -1
+    (no packed state is negative), probed linearly from state % size.  It
+    counts the states against the state cap as it finds them, so a capped
+    product holds no move and no int object beyond the one being checked.
+    The table is dropped before the second walk, which numbers the states
+    by that order and builds each row: `explore`'s numbering, rows and
+    accepting states.  Returns {g: M_g}."""
     symbols = pair_symbols(acc.symbols)
     width = diff.fsa.num_states
     side = acc.num_states
@@ -240,16 +250,27 @@ def build_multiplier(
                 yield sym, (v * side + tw) * scale + tail
 
     start = (acc.start * side + acc.start) * width * 3 + EPS * 3
-    # the first walk: the states alone
-    seen, states = {start}, [start]
+    # the first walk: the states alone.  The table holds at most
+    # max(max_states, 1) states, so fewer than half its slots are taken
+    # and every probe ends at the state or at a free slot (-1)
+    size = 2 * max(max_states, 1) + 1
+    table = array("q", [-1]) * size
+    table[start % size] = start
+    states = array("q", [start])
     for state in states:
         for _, nxt in successors(state):
-            if nxt not in seen:
-                if len(states) >= max_states:
-                    raise ResourceLimit("states", max_states)
-                seen.add(nxt)
-                states.append(nxt)
-    del seen
+            slot = nxt % size
+            found = table[slot]
+            while found != nxt:
+                if found < 0:
+                    if len(states) >= max_states:
+                        raise ResourceLimit("states", max_states)
+                    table[slot] = nxt
+                    states.append(nxt)
+                    break
+                slot = slot + 1 if slot + 1 < size else 0
+                found = table[slot]
+    del table
     # the second walk: the rows
     number = dict(zip(states, count()))
     moves = [{sym: number[t] for sym, t in successors(s)} for s in states]

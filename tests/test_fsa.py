@@ -11,6 +11,7 @@ from autostruct.formats import serialize_fsa
 from autostruct.fsa import (
     Fsa,
     _pad_kind,
+    coreachable,
     empty_fsa,
     explore,
     pad_pair,
@@ -554,7 +555,8 @@ def test_compose_matches_brute_force_join():
 def test_compose_keeps_the_padding_discipline():
     # an input that resumes a padded track cannot make the composite do so
     resumed = fsa_from_words(PAIRS, [((PAD, "a"), ("a", "a"))])
-    assert resumed.compose(diagonal_machine()).is_empty()
+    composite = resumed.compose(diagonal_machine())
+    assert composite.start not in coreachable(composite)
 
 
 def compose_untrimmed(first, second):
@@ -874,9 +876,10 @@ def test_query_walks_match_an_exhaustive_walk():
 
 def test_empty_fsa():
     e = empty_fsa(AB)
-    assert e.is_empty()
+    assert e.start not in coreachable(e)
     assert list(e.enumerate_words(4)) == []
-    assert not even_a_machine().is_empty()
+    even = even_a_machine()
+    assert even.start in coreachable(even)
 
 
 def test_composite_distinct_pair_against_brute_force():

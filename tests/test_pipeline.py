@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,33 @@ def test_multiplier_product_cap_is_exact(monkeypatch):
     assert capped.stopped_by == {
         "stage": "multipliers", "cap": "states", "limit": raw - 1,
     }
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_multiplier_product_stops_at_a_tiny_cap(cap):
+    # the table of found states always keeps a free slot, so a cap that
+    # the start state alone fills still ends in the cap
+    res = run_family("BSpq", 1, 1)
+    targets = multiplier_targets(res.diff)
+    with pytest.raises(ResourceLimit) as hit:
+        build_multiplier(res.acceptor, res.diff, targets, max_states=cap)
+    assert (hit.value.cap, hit.value.limit) == ("states", cap)
+
+
+def test_capped_multiplier_product_memory_per_state():
+    # the first walk keeps its states unboxed: a traced peak of about 89
+    # bytes per found state, where a set and a list of ints took about 176
+    res = run_family("BSpq", 12, 12)
+    targets = multiplier_targets(res.diff)
+    cap = 30_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            build_multiplier(res.acceptor, res.diff, targets, max_states=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cap < 120
 
 
 RUN_CASES = [("BSpq", 1, 1), ("BSpq", 3, 3), ("KNOT41", 1, 1)]
