@@ -99,6 +99,14 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
 
 
 def build_acceptor(diff: DiffMachine) -> Fsa:
+    """The minimal word acceptor of the difference machine.  The raw
+    machine is built in a call of its own, so its interning tables and
+    search states are freed before the minimization copies it."""
+    return _raw_acceptor(diff).minimized()
+
+
+def _raw_acceptor(diff: DiffMachine) -> Fsa:
+    """The subset construction over shadows, unminimized."""
     order = diff.order
     gens = diff.alpha.symbols
     rows = diff.fsa.moves
@@ -213,4 +221,4 @@ def build_acceptor(diff: DiffMachine) -> Fsa:
     raw, _ = explore(
         gens, 1 << root, successors, lambda subset: True, max_states=MAX_STATES
     )
-    return raw.minimized()
+    return raw

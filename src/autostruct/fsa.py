@@ -49,8 +49,9 @@ copy; it builds its composition table once, when composition or
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import LogicError, ResourceLimit
@@ -164,14 +165,18 @@ class Fsa:
 
         The machine is trimmed first and never made total: only the states
         that can still reach acceptance are kept, in index order, with the
-        moves between them.  Moore refinement then reads only those defined
-        moves, so a round costs O(kept moves) rather than O(states *
-        symbols).  A missing move counts as its own value, which is exact
-        only because every kept state is live: without the trim, a move into
-        a dead state would be told apart from a missing move.  The quotient
-        is numbered by `explore` from the start's block, one member per
-        block, so a live state the start cannot reach (only a parsed or
-        hand-written machine has one) adds blocks the quotient never visits.
+        moves between them.  A kept state is the id of its row of symbols
+        (each distinct row is kept once) and a span of one flat list of
+        targets, and the trim's tables are dropped before refinement.
+        Moore refinement then reads only those defined moves, so a round
+        costs O(kept moves) rather than O(states * symbols).  A missing
+        move counts as its own value, which is exact only because every
+        kept state is live: without the trim, a move into a dead state
+        would be told apart from a missing move.  Once the last round's
+        signatures are dropped, the quotient is numbered by `explore` from
+        the start's block, one member per block, so a live state the start
+        cannot reach (only a parsed or hand-written machine has one) adds
+        blocks the quotient never visits.
         """
         accepting = (
             self.accepting if accepting is None else frozenset(accepting)
@@ -181,49 +186,54 @@ class Fsa:
         alive = coreachable(self, accepting)
         if self.start not in alive:
             return empty_fsa(self.symbols)
-        # trim: the live states in index order, each with its row of
-        # symbols and targets in alphabet order
+        # trim: the live states in index order, each as the id of its row
+        # of symbols in alphabet order and a span of one flat target list
         kept = sorted(alive)
-        ids = {s: i for i, s in enumerate(kept)}
-        rows, targets = [], []
+        final = bytearray(s in accepting for s in kept)
+        alive.update(zip(kept, count()))  # each live state, to its new index
+        start = alive[self.start]
+        row_ids = {}  # each distinct row of symbols, to its id
+        row_id, targets, ends = [], [], array("q")
         moves = self.moves
         for s in kept:
-            row, tgts = [], []
+            row = []
             for sym, t in moves[s].items():
-                if t in alive:
+                t = alive.get(t)
+                if t is not None:
                     row.append(sym)
-                    tgts.append(ids[t])
-            rows.append(tuple(row))
-            targets.append(tgts)
-        # Moore refinement; the symbols of a row are fixed, so one id per
-        # distinct row stands for them and a signature is one flat tuple
-        row_ids = {}
-        row_id = [row_ids.setdefault(row, len(row_ids)) for row in rows]
-        block = [1 if s in accepting else 0 for s in kept]
-        count = len(set(block))
+                    targets.append(t)
+            row_id.append(row_ids.setdefault(tuple(row), len(row_ids)))
+            ends.append(len(targets))
+        rows = list(row_ids)
+        del alive, kept, row_ids
+        # Moore refinement; a row id stands for the row's symbols, so a
+        # signature is one flat tuple of block, row id and target blocks
+        block = list(final)
+        blocks = len(set(block))
         while True:
             sig = {}
-            get = block.__getitem__
+            hit = list(map(block.__getitem__, targets))
             block = [
-                sig.setdefault((b, r, *map(get, tgts)), len(sig))
-                for b, r, tgts in zip(block, row_id, targets)
+                sig.setdefault((b, r, *hit[lo:hi]), len(sig))
+                for b, r, lo, hi in zip(block, row_id, chain((0,), ends), ends)
             ]
-            if len(sig) == count:
+            if len(sig) == blocks:
                 break
-            count = len(sig)
+            blocks = len(sig)
+        del sig, hit
         # the partition is stable, so one member per block gives its moves
         rep = {}
         for i, b in enumerate(block):
             rep.setdefault(b, i)
-        final = {block[i] for i, s in enumerate(kept) if s in accepting}
 
         def successors(b):
             i = rep[b]
-            return zip(rows[i], map(block.__getitem__, targets[i]))
+            span = targets[ends[i - 1] if i else 0 : ends[i]]
+            return zip(rows[row_id[i]], map(block.__getitem__, span))
 
         canon, _ = explore(
-            self.symbols, block[ids[self.start]], successors,
-            final.__contains__,
+            self.symbols, block[start], successors,
+            {block[i] for i in compress(count(), final)}.__contains__,
         )
         return canon
 

@@ -10,9 +10,10 @@ The stages:
 4. build every generator's multiplier from one product of two acceptor
    copies with the machine, on integer-packed states, once per loop: one
    walk finds its states against the state cap, keeping them in arrays of
-   64-bit integers (an open-addressed table and the breadth-first list),
-   and a second builds its rows; M_g minimizes it under the states whose
-   difference is g's target; plus the diagonal identity multiplier;
+   machine integers, 32-bit while every packed state fits (an
+   open-addressed table and the breadth-first list), and a second builds
+   its rows; M_g minimizes it under the states whose difference is g's
+   target; plus the diagonal identity multiplier;
 5. check every multiplier's domain equals the accepted language, by one
    search per generator that runs W in step with the subset construction
    of M_g's first track; a gap word feeds new differences back in and
@@ -192,15 +193,18 @@ def build_multiplier(
     with the moves of D's row at d that read it, and looks track 2's letter
     up in W's row at w.
 
-    A packed state fits in a signed 64-bit integer: |W| is at most
-    `acceptor.MAX_STATES` (150 000), so it could overflow only with |D|
-    above about 10^8 states.
+    The packed states lie below |W|^2 * |D| * 3, and one typecode for the
+    first walk's arrays follows from that range (`_packed_typecode`):
+    32-bit integers while it is below 2^31 (KNOT74's Wirtinger product
+    reaches 1.02 * 10^9), 64-bit past that.  A packed state fits in a
+    signed 64-bit integer: |W| is at most `acceptor.MAX_STATES` (150 000),
+    so it could overflow only with |D| above about 10^8 states.
 
     The product is walked twice with the same successors.  The first walk
-    keeps only the states, unboxed: the breadth-first list is an
-    array("q"), and the states found so far sit in an open-addressed
-    table, an array("q") of 2*max(max_states, 1) + 1 slots filled with -1
-    (no packed state is negative), probed linearly from state % size.  It
+    keeps only the states, unboxed: the breadth-first list is an array of
+    that typecode, and the states found so far sit in an open-addressed
+    table, an array of 2*max(max_states, 1) + 1 slots filled with -1 (no
+    packed state is negative), probed linearly from state % size.  It
     counts the states against the state cap as it finds them, so a capped
     product holds no move and no int object beyond the one being checked.
     The table is dropped before the second walk, which numbers the states
@@ -253,10 +257,11 @@ def build_multiplier(
     # the first walk: the states alone.  The table holds at most
     # max(max_states, 1) states, so fewer than half its slots are taken
     # and every probe ends at the state or at a free slot (-1)
+    code = _packed_typecode(side, width)
     size = 2 * max(max_states, 1) + 1
-    table = array("q", [-1]) * size
+    table = array(code, [-1]) * size
     table[start % size] = start
-    states = array("q", [start])
+    states = array(code, [start])
     for state in states:
         for _, nxt in successors(state):
             slot = nxt % size
@@ -283,6 +288,14 @@ def build_multiplier(
             by_target.setdefault(d, []).append(i)
     raw = Fsa(symbols, 0, chain.from_iterable(by_target.values()), moves)
     return {g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()}
+
+
+def _packed_typecode(side: int, width: int) -> str:
+    """The array typecode that holds every packed product state over an
+    acceptor of side states and a difference machine of width states:
+    32-bit while the |W|^2 * |D| * 3 packed values stay below 2^31,
+    64-bit past that."""
+    return "i" if side * side * width * 3 < 2**31 else "q"
 
 
 def _multiplier_target(diff: DiffMachine, g: str) -> int:

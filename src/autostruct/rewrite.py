@@ -19,12 +19,19 @@ left side matches it takes the lowest rule index among all left sides
 that start there, whatever their lengths, and then backs up by the
 longest left side so no earlier match is missed.
 
-The completion queue is a heap keyed by the length of the superposed word,
-then by push order.  A superposition waits in it as the two rules' sides,
-as they were when it was pushed, and the offset of the second left side
-in the first; its two reductions are spelled only when it is popped, since
-a run pops few of the superpositions it pushes.  A retired rule waits as
-its own two sides.
+The completion queue pops by the length of the superposed word, then by
+push order, so it is one first-in-first-out bucket per length and a
+pointer to the shortest bucket that may hold an entry.  A bucket is an
+array of machine integers, three per entry, and a read index; it keeps
+the entries it has read until it drains, and then its array goes.  A superposition waits in it
+as the two rules' sides, as they were when it was pushed, and the offset
+of the second left side in the first; its two reductions are spelled
+only when it is popped, since a run pops few of the superpositions it
+pushes.  A rule's two sides are interned once as one id, so an entry is
+the first rule's id, the second's and the offset.  A retired rule waits
+as its own id with the offset slot -1.  Every slot is a signed 64-bit
+integer, and an id or an offset that did not fit would raise rather than
+wrap.
 
 Completion keeps one invariant: every active right side is irreducible,
 except those it has not normalized yet: the rules it was built with, all
@@ -59,7 +66,7 @@ no-op, so the rules and the queue come out the same.
 
 from __future__ import annotations
 
-import heapq
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional
 
@@ -253,6 +260,7 @@ def is_confluent(rs: RewriteSystem) -> bool:
 
 _ARROW = "\x01"  # parts the two sides in a rule's text
 _TOP = chr(0x10FFFF)  # sorts after every symbol's character
+_RETIRED = -1  # the offset slot of a queued retired rule
 
 
 class KbCompletion:
@@ -262,12 +270,12 @@ class KbCompletion:
     rules and rewrite with them, but adds none.  Equations whose
     normalized sides exceed the length cap are discarded but remembered:
     a drained queue then means the system is incomplete, not confluent.
-    Queue entries are (length, sequence, lhs1, rhs1, lhs2, rhs2, offset)
-    for a superposition and (length, sequence, lhs, rhs) for a retired
-    rule; `_pop` spells either as the equation it stands for.  The queue
-    starts with every superposition of the rules the system holds; each
-    rule the completion adds is then paired through the left-side indexes
-    alone, itself included (see the module docstring).
+    Queue entries, as `pending` yields them, are (length, lhs1, rhs1,
+    lhs2, rhs2, offset) for a superposition and (length, lhs, rhs) for a
+    retired rule; `_pop` spells either as the equation it stands for.  The
+    queue starts with every superposition of the rules the system holds;
+    each rule the completion adds is then paired through the left-side
+    indexes alone, itself included (see the module docstring).
     """
 
     def __init__(
@@ -282,8 +290,16 @@ class KbCompletion:
         self.max_rules = max_rules
         self.max_len = max_len
         self.discarded = False
-        self._queue = []
-        self._seq = 0
+        # the queue: per length, an array of three slots per entry, or None
+        # where none waits; the next unread slot of each; the shortest
+        # length that may hold an entry; and the entries waiting
+        self._buckets = []
+        self._read = []
+        self._low = 0
+        self._waiting = 0
+        self._sides = []  # each interned (lhs, rhs), by its id
+        self._side_ids = {}
+        self._rule_sides = []  # per rule: its sides' id, -1 if never active
         chars = {g: chr(2 + k) for k, g in enumerate(rs.order.alphabet.symbols)}
         self._char = chars.__getitem__
         self._texts = []  # per rule: lhs, _ARROW, rhs; "" once retired
@@ -304,23 +320,85 @@ class KbCompletion:
         """Queue each superposition of the two rules, keyed by its length,
         as the four sides and the offset it is spelled from."""
         n1, n2 = len(l1), len(l2)
+        first = second = None
         for at in _offsets(l1, l2, same):
-            self._push(max(n1, at + n2), l1, r1, l2, r2, at)
+            if first is None:
+                first, second = self._side(l1, r1), self._side(l2, r2)
+            self._enqueue(max(n1, at + n2), first, second, at)
+
+    def _side(self, lhs: Word, rhs: Word) -> int:
+        """The id of a rule's two sides, interned on first use."""
+        key = (lhs, rhs)
+        sid = self._side_ids.get(key)
+        if sid is None:
+            sid = self._side_ids[key] = len(self._sides)
+            self._sides.append(key)
+        return sid
 
     def _push(self, prio, *entry):
-        """Queue an equation under prio: a retired rule as its two sides,
-        a superposition as its four sides and offset."""
-        self._seq += 1
-        heapq.heappush(self._queue, (prio, self._seq, *entry))
+        """Queue an equation under prio, behind every entry of that length:
+        a retired rule as its two sides, a superposition as its four sides
+        and offset."""
+        if len(entry) == 2:
+            self._enqueue(prio, self._side(*entry), 0, _RETIRED)
+        else:
+            l1, r1, l2, r2, at = entry
+            self._enqueue(prio, self._side(l1, r1), self._side(l2, r2), at)
+
+    def _enqueue(self, prio: int, first: int, second: int, offset: int) -> None:
+        """Queue one entry's three slots under prio: the first rule's
+        sides, the second's and the offset, or a retired rule's sides, any
+        id and _RETIRED."""
+        buckets = self._buckets
+        if prio >= len(buckets):
+            grow = prio + 1 - len(buckets)
+            buckets += [None] * grow
+            self._read += [0] * grow
+        bucket = buckets[prio]
+        if bucket is None:
+            bucket = buckets[prio] = array("q")
+        bucket.extend((first, second, offset))
+        if prio < self._low:
+            self._low = prio
+        self._waiting += 1
 
     def _pop(self) -> tuple:
-        """The next queued equation (p, q), spelled now.  An entry keeps
-        the sides it was pushed with, which never change, so it spells the
-        words it stood for when pushed."""
-        entry = heapq.heappop(self._queue)
-        if len(entry) == 4:
-            return entry[2], entry[3]
-        return _reductions(*entry[2:])
+        """The next queued equation (p, q), spelled now; the queue must not
+        be empty.  An entry keeps the sides it was pushed with, which never
+        change, so it spells the words it stood for when pushed."""
+        buckets, n = self._buckets, self._low
+        while buckets[n] is None:
+            n += 1
+        self._low = n
+        bucket = buckets[n]
+        at = self._read[n]
+        first, second, offset = bucket[at : at + 3]
+        at += 3
+        if at == len(bucket):  # drained: the array goes
+            buckets[n] = None
+            at = 0
+        self._read[n] = at
+        self._waiting -= 1
+        sides = self._sides
+        if offset == _RETIRED:
+            return sides[first]
+        return _reductions(*sides[first], *sides[second], offset)
+
+    def pending(self) -> Iterator[tuple]:
+        """The queued entries in the order they will pop: (length, lhs,
+        rhs) for a retired rule, (length, lhs1, rhs1, lhs2, rhs2, offset)
+        for a superposition."""
+        sides = self._sides
+        for n in range(self._low, len(self._buckets)):
+            bucket = self._buckets[n]
+            if bucket is None:
+                continue
+            for k in range(self._read[n], len(bucket), 3):
+                first, second, offset = bucket[k : k + 3]
+                if offset == _RETIRED:
+                    yield (n, *sides[first])
+                else:
+                    yield (n, *sides[first], *sides[second], offset)
 
     # ------------------------------------------------------------ indexes
 
@@ -331,7 +409,9 @@ class KbCompletion:
         lhs, rhs, on = self.rs.rules[i]
         if not on:
             self._texts.append("")
+            self._rule_sides.append(-1)
             return
+        self._rule_sides.append(self._side(lhs, rhs))
         word = self._spell(lhs)
         self._texts.append(word + _ARROW + self._spell(rhs))
         for (keys, ids), key in ((self._heads, word), (self._tails, word[::-1])):
@@ -350,7 +430,7 @@ class KbCompletion:
         active rules that are also confluent (`is_confluent`) are complete."""
         rewrite = self.rs.rewrite
         return not self.discarded and all(
-            rewrite(e[2]) == rewrite(e[3]) for e in self._queue if len(e) == 4
+            rewrite(e[1]) == rewrite(e[2]) for e in self.pending() if len(e) == 3
         )
 
     def run(self, max_pairs: int) -> Optional[str]:
@@ -363,8 +443,9 @@ class KbCompletion:
             raise InputError("completion caps must be positive")
         done = 0
         rs = self.rs
-        rules, texts = rs.rules, self._texts
-        while self._queue and done < max_pairs:
+        rules, texts, sides = rs.rules, self._texts, self._rule_sides
+        enqueue = self._enqueue
+        while self._waiting and done < max_pairs:
             if rs.active_count() > self.max_rules:
                 break
             p, q = self._pop()
@@ -390,11 +471,12 @@ class KbCompletion:
                 if word in texts[i][: len(old_lhs)]:
                     rs.deactivate(i)
                     texts[i] = ""
-                    self._push(len(old_lhs), old_lhs, old_rhs)
+                    enqueue(len(old_lhs), sides[i], 0, _RETIRED)
                     continue
                 reduced = rs.rewrite(old_rhs)
                 if reduced != old_rhs:
                     rs.set_rhs(i, reduced)
+                    sides[i] = self._side(old_lhs, reduced)
                     head = texts[i][: len(old_lhs) + 1]  # through _ARROW
                     texts[i] = head + self._spell(reduced)
             self._unnormalized = set()
@@ -408,18 +490,19 @@ class KbCompletion:
             found = _overlapping(self._tails, word[::-1], 1)
             self._index(new_idx)
             found += _overlapping(self._heads, word, 0)
+            new = sides[new_idx]
             for i, side, k in sorted(found):
-                l2, r2, on = rules[i]
+                l2, _r2, on = rules[i]
                 if not on:
                     continue
-                n2 = len(l2)
+                n2, other = len(l2), sides[i]
                 if side:
-                    self._push(n + n2 - k, l2, r2, lhs, rhs, n2 - k)
+                    enqueue(n + n2 - k, other, new, n2 - k)
                 else:
-                    self._push(n + n2 - k, lhs, rhs, l2, r2, n - k)
+                    enqueue(n + n2 - k, new, other, n - k)
         if rs.active_count() > self.max_rules:
             return "rules"
-        if self._queue:
+        if self._waiting:
             return None
         return "rule length" if self.discarded else CONFLUENT
 

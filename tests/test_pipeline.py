@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -410,6 +411,17 @@ def test_capped_multiplier_product_memory_per_state():
     finally:
         tracemalloc.stop()
     assert peak / cap < 120
+
+
+def test_packed_typecode_widens_at_two_to_the_31():
+    # |W|^2 * |D| * 3 packed values: 32-bit below 2^31, 64-bit from there
+    assert pipeline._packed_typecode(1, 1) == "i"
+    assert pipeline._packed_typecode(1, 715_827_882) == "i"  # 2^31 - 2
+    assert pipeline._packed_typecode(1, 715_827_883) == "q"  # 2^31 + 1
+    assert pipeline._packed_typecode(2**13, 10) == "i"  # 30 * 2^26
+    assert pipeline._packed_typecode(2**13, 11) == "q"  # 33 * 2^26
+    assert array(pipeline._packed_typecode(1, 1)).itemsize == 4
+    assert array(pipeline._packed_typecode(1, 715_827_883)).itemsize == 8
 
 
 RUN_CASES = [("BSpq", 1, 1), ("BSpq", 3, 3), ("KNOT41", 1, 1)]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,13 +88,18 @@ def _spelled_pairs(lhs1, rhs1, lhs2, rhs2, same_rule):
             yield lhs1, rhs1, lhs1[:s] + rhs2 + lhs1[s + n2 :]
 
 
+def _queued(comp) -> bool:
+    return next(comp.pending(), None) is not None
+
+
 def test_queued_superpositions_spell_the_critical_pairs_in_order():
     # left sides over two letters overlap often; a factor of the first, or
     # the first itself, makes containments and self-overlaps
     rng = random.Random(20)
     word = lambda lo, hi: tuple(rng.choice("ab") for _ in range(rng.randint(lo, hi)))
     comp = KbCompletion(RewriteSystem(sl(free_alpha())))
-    comp._queue.clear()
+    while _queued(comp):
+        comp._pop()
     want, contained, self_overlaps = [], 0, 0
     for n in range(300):
         l1, r1, r2 = word(1, 7), word(0, 4), word(0, 4)
@@ -115,10 +121,48 @@ def test_queued_superpositions_spell_the_critical_pairs_in_order():
     want.sort(key=lambda pair: len(pair[0]))
     assert contained > 50 and self_overlaps > 50
     got = []
-    while comp._queue:
-        prio = comp._queue[0][0]
+    for prio, *_sides in list(comp.pending()):
         got.append((prio, *comp._pop()))
     assert got == [(len(sup), p, q) for sup, p, q in want]
+    assert not _queued(comp)
+
+
+def test_a_shorter_entry_pushed_late_pops_next():
+    # after longer entries have popped, a shorter one pushed behind the
+    # rest of them jumps the queue, and the rest keep their order
+    comp = KbCompletion(RewriteSystem(sl(free_alpha())))
+    while _queued(comp):
+        comp._pop()
+    words = [("a",) * n for n in range(1, 7)]
+    for n in (5, 4, 6, 4, 5):
+        comp._push(n, words[n - 1], words[0])
+    assert comp._pop() == (words[3], words[0])
+    assert comp._pop() == (words[3], words[0])
+    comp._push(2, ("b", "a"), ("a", "b"))
+    comp._push(3, ("b", "a", "b"), (), ("b",), ("a",), 0)
+    assert [e[0] for e in comp.pending()] == [2, 3, 5, 5, 6]
+    assert comp._pop() == (("b", "a"), ("a", "b"))
+    assert comp._pop() == ((), ("a", "a", "b"))  # b a b contains b at 0
+    assert [comp._pop() for _ in range(3)] == [
+        (words[4], words[0]), (words[4], words[0]), (words[5], words[0]),
+    ]
+    assert not _queued(comp)
+
+
+def test_queued_entry_memory():
+    # a queued entry is three machine integers in its length's bucket, with
+    # the rules' sides interned once: about 55 bytes an entry of KNOT52's
+    # queue in all, where a heap of 7-tuples took about 162
+    tracemalloc.start()
+    try:
+        comp = KbCompletion(_corpus_system("KNOT52", 1, 1))
+        assert comp.run(3000) is None
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    waiting = sum(1 for _ in comp.pending())
+    assert waiting == 15_267
+    assert current / waiting < 100
 
 
 def _index_of(words):
@@ -348,7 +392,7 @@ def _full_scan_run(comp, max_pairs):
     stopped as `KbCompletion.run` does."""
     rs = comp.rs
     done = 0
-    while comp._queue and done < max_pairs:
+    while _queued(comp) and done < max_pairs:
         if rs.active_count() > comp.max_rules:
             break
         p, q = comp._pop()
@@ -384,7 +428,7 @@ def _full_scan_run(comp, max_pairs):
                 comp._push_pairs(lhs, rhs, lhs, rhs, True)
     if rs.active_count() > comp.max_rules:
         return "rules"
-    if comp._queue:
+    if _queued(comp):
         return None
     return "rule length" if comp.discarded else CONFLUENT
 
@@ -398,7 +442,7 @@ def _assert_same_passes(make_rs, passes, pass_pairs, **caps):
         got, want = fast.run(pass_pairs), _full_scan_run(ref, pass_pairs)
         assert got == want
         assert fast.rs.rules == ref.rs.rules, n
-        assert sorted(fast._queue) == sorted(ref._queue), n
+        assert list(fast.pending()) == list(ref.pending()), n
         if got is not None:
             break
 
