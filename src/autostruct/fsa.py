@@ -3,7 +3,7 @@
 States are 0..num_states-1 and a missing move rejects.  A machine holds its
 moves as one row per state, a dict from symbol to target with its symbols
 in alphabet order, so walking a state's row visits its moves in the order
-every search here needs; `explore` builds the rows once its search ends.
+every search here needs; `explore` fills each row as it expands its state.
 A machine's track follows from its alphabet: track-1 machines read plain
 words; track-2 machines, over symbol pairs, read words of pairs in which
 the shorter of two words has been padded at its tail end.
@@ -26,12 +26,12 @@ for a side that has fallen off; no move leaves None, so it acts as the sink.
 
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
-and subset construction here and in the acceptor builder goes through it.
-It searches on the states themselves, with their moves in flat lists, and
-numbers them and builds their rows only when no state is left to expand,
-so a search its state cap stops has built neither.  The multiplier
-product (`pipeline.build_multiplier`) alone does not: it finds its states
-first, holding no move, and then builds the same numbering and rows.
+and subset construction here, in the acceptor builder and in the
+multiplier product goes through it.  It numbers each state when it finds
+it and fills the state's row when it expands it.  The multiplier product
+(`pipeline.build_multiplier`) first counts its states against its cap in
+a walk of its own, holding no move, and calls `explore` only once the
+product is known to fit.
 `coreachable` is one backward search from acceptance, used for trimming,
 enumeration and emptiness; `search_back` is the same search over an
 implicit graph, which composition uses for its silent tail and to keep
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, Optional
 
 from .errors import LogicError, ResourceLimit
@@ -554,41 +554,31 @@ def explore(symbols, start, successors, is_accept, max_states=None):
     """Build a machine breadth-first from start.
 
     successors(state) yields (symbol, next state) in alphabet order; states
-    are any hashable values.  The search keeps each state once, as the
-    object it was first found as, and each expanded state's moves as flat
-    lists of symbols and target states.  Only once the queue drains are the
-    states numbered, in discovery order, and the rows built, so a search
-    the cap stops has built neither.  Returns (machine, the state behind
-    each number).  Raises ResourceLimit when a new state would pass
-    max_states.  The multiplier product does not come here: it finds its
-    states in the same order first and then builds these rows
-    (`pipeline.build_multiplier`).
+    are any hashable values.  Each state is numbered when it is first
+    found, in discovery order, and its row is filled when it is expanded.
+    Returns (machine, the state behind each number).  Raises ResourceLimit
+    when a new state would pass max_states; the start is always admitted.
     """
-    found = {start: start}  # each state, to the object first found as it
+    ids = {start: 0}
     states = [start]
-    accept = bytearray()  # per expanded state, 1 where it accepts
-    syms, targets, widths = [], [], []  # every move; the moves per state
-    new = object()  # what get gives for a state not found; None may be one
+    accepting = []
+    moves = []
     # the list of states is its own queue: it grows as they are discovered
-    for state in states:
-        accept.append(1 if is_accept(state) else 0)
-        before = len(syms)
+    for sid, state in enumerate(states):
+        if is_accept(state):
+            accepting.append(sid)
+        row = {}
         for sym, nxt in successors(state):
-            t = found.get(nxt, new)
-            if t is new:
-                if max_states is not None and len(states) >= max_states:
+            tid = ids.get(nxt)
+            if tid is None:
+                tid = len(states)
+                if max_states is not None and tid >= max_states:
                     raise ResourceLimit("states", max_states)
-                found[nxt] = t = nxt
+                ids[nxt] = tid
                 states.append(nxt)
-            syms.append(sym)
-            targets.append(t)
-        widths.append(len(syms) - before)
-    found.update(zip(states, count()))  # each state, now to its number
-    # zip takes a symbol before a target, so it ends each row at its width
-    # without taking the next row's first target
-    sym_at, target_at = iter(syms), map(found.__getitem__, targets)
-    moves = [dict(zip(islice(sym_at, width), target_at)) for width in widths]
-    return Fsa(symbols, 0, compress(count(), accept), moves), states
+            row[sym] = tid
+        moves.append(row)
+    return Fsa(symbols, 0, accepting, moves), states
 
 
 def coreachable(fsa: Fsa, accepting=None) -> dict:

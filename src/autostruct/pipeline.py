@@ -11,9 +11,9 @@ The stages:
    copies with the machine, on integer-packed states, once per loop: one
    walk finds its states against the state cap, keeping them in arrays of
    machine integers, 32-bit while every packed state fits (an
-   open-addressed table and the breadth-first list), and a second builds
-   its rows; M_g minimizes it under the states whose difference is g's
-   target; plus the diagonal identity multiplier;
+   open-addressed table and the breadth-first list), and then `explore`
+   builds the product; M_g minimizes it under the states whose difference
+   is g's target; plus the diagonal identity multiplier;
 5. check every multiplier's domain equals the accepted language, by one
    search per generator that runs W in step with the subset construction
    of M_g's first track; a gap word feeds new differences back in and
@@ -48,7 +48,6 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, count
 from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
@@ -207,9 +206,9 @@ def build_multiplier(
     packed state is negative), probed linearly from state % size.  It
     counts the states against the state cap as it finds them, so a capped
     product holds no move and no int object beyond the one being checked.
-    The table is dropped before the second walk, which numbers the states
-    by that order and builds each row: `explore`'s numbering, rows and
-    accepting states.  Returns {g: M_g}."""
+    Both arrays are dropped before the second walk, which is `explore`
+    over the same successors and so finds the states in the same order.
+    Returns {g: M_g}."""
     symbols = pair_symbols(acc.symbols)
     width = diff.fsa.num_states
     side = acc.num_states
@@ -275,18 +274,15 @@ def build_multiplier(
                     break
                 slot = slot + 1 if slot + 1 < size else 0
                 found = table[slot]
-    del table
-    # the second walk: the rows
-    number = dict(zip(states, count()))
-    moves = [{sym: number[t] for sym, t in successors(s)} for s in states]
-    del number
+    del table, states
+    # the product fits: explore builds it in the same order
     hits = set(targets.values())
+    raw, states = explore(
+        symbols, start, successors, lambda s: s // 3 % width in hits
+    )
     by_target = {}
-    for i, state in enumerate(states):
-        d = state // 3 % width
-        if d in hits:
-            by_target.setdefault(d, []).append(i)
-    raw = Fsa(symbols, 0, chain.from_iterable(by_target.values()), moves)
+    for i in raw.accepting:
+        by_target.setdefault(states[i] // 3 % width, []).append(i)
     return {g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()}
 
 

@@ -226,8 +226,9 @@ def test_confluence_is_recognised_where_the_labels_stop(monkeypatch, kind, state
 
 
 def test_bspq_18_18_verifies_confluent():
-    # the labels stop before the queue drains; reported not confluent, the
-    # run took the history acceptor and ended at its shadow cap
+    # the labels stop before the queue drains, with the active rules
+    # already confluent and nothing left unsettled: the run is reported
+    # confluent and verifies in one loop
     res = run_family("BSpq", 18, 18)
     assert (res.outcome, res.confluent, res.loops) == (VERIFIED, True, 1)
     assert (res.acceptor.num_states, res.diff.state_count()) == (22, 2089)
