@@ -12,6 +12,7 @@ from .pipeline import (
     KB_STOPPED,
     LOOP_LIMIT,
     VERIFIED,
+    GeneralMultiplier,
     StructureResult,
     build_all_multipliers,
     check_axioms,
@@ -65,6 +66,7 @@ __all__ = [
     "KB_STOPPED",
     "LOOP_LIMIT",
     "VERIFIED",
+    "GeneralMultiplier",
     "StructureResult",
     "build_all_multipliers",
     "check_axioms",

@@ -36,22 +36,29 @@ product is known to fit.
 enumeration and emptiness; `search_back` is the same search over an
 implicit graph, which composition uses for its silent tail and to keep
 only the middle pairs that can still accept.
-`search_forward` is its forward twin, which stops at the first node where
-a test holds: the language comparison and `domain_gap` (the pipeline's
-domain check) use it to find their least disagreeing word, and
-`composite_distinct_pair` to find two distinct words a composition relates
-without building it.  A machine gathers its predecessor lists once, when
-it is first minimized, so one set of moves minimized under several
-accepting states (the multipliers of one product) is trimmed from one
-copy; it builds its composition table once, when composition or
-`domain_gap` first reads it, and no other module reads that table.
+`search_forward` is its forward twin: for each bit of a mask, it finds
+the least word to a node whose label has that bit, so one search answers
+for every bit at once.  A labelled machine carries a label per state
+(`Fsa.labels`, a bit mask): `minimized` makes one, refining from the
+partition by label, and the multipliers of one product are kept as one
+such machine (`pipeline.GeneralMultiplier`).  The language comparison
+searches for one bit; `domain_gaps` (the pipeline's domain check) and
+`composite_distinct_pairs` (two distinct words a composition relates,
+found without building it: the axiom check) search for every bit of a
+labelled machine's labels, and on a machine without labels for one.  A
+machine gathers its predecessor lists once, when it is first minimized,
+so one set of moves minimized under several accepting states is trimmed
+from one copy; it builds its composition table once, when composition or
+a search first reads it, and no other module reads that table.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import reduce
 from itertools import chain, compress, count
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .errors import LogicError, ResourceLimit
@@ -92,6 +99,7 @@ class Fsa:
         self.accepting = frozenset(accepting)
         self.moves = moves
         self.track = 2 if self.symbols and isinstance(self.symbols[0], tuple) else 1
+        self.labels = None  # a label per state, kept by a labelled minimization
         self._back = None  # predecessor lists, kept by `minimized`
         self._table = None  # kept by `_composition`
 
@@ -106,6 +114,14 @@ class Fsa:
             for row in rows
         ]
         return cls(symbols, start, accepting, moves)
+
+    def relabelled(self, labels) -> "Fsa":
+        """These moves with the given label per state, accepting where the
+        label is not 0."""
+        labels = list(labels)
+        out = Fsa(self.symbols, self.start, compress(count(), labels), self.moves)
+        out.labels = labels
+        return out
 
     # ------------------------------------------------------------- basics
 
@@ -163,6 +179,14 @@ class Fsa:
         One machine minimized under several accepting sets gathers its
         predecessor lists once and keeps them, since it does not change.
 
+        accepting may also map each accepting state to a label, any value
+        but 0: refinement then starts from the partition by label, and the
+        result keeps each state's label, 0 where it rejects, in `labels`.
+        Under the states whose label has a given bit, the result accepts
+        from each state what this machine accepts from the states it
+        stands for, so minimizing it under them gives the bytes minimizing
+        this machine under theirs would.
+
         The machine is trimmed first and never made total: only the states
         that can still reach acceptance are kept, in index order, with the
         moves between them.  A kept state is the id of its row of symbols
@@ -178,18 +202,22 @@ class Fsa:
         cannot reach (only a parsed or hand-written machine has one) adds
         blocks the quotient never visits.
         """
-        accepting = (
-            self.accepting if accepting is None else frozenset(accepting)
-        )
+        if accepting is None:
+            accepting = self.accepting
+        labelled = isinstance(accepting, dict)
+        if not labelled:
+            accepting = frozenset(accepting)
         if self._back is None:
             self._back = _predecessors(self.moves)
         alive = coreachable(self, accepting)
         if self.start not in alive:
-            return empty_fsa(self.symbols)
+            empty = empty_fsa(self.symbols)
+            return empty.relabelled([0]) if labelled else empty
         # trim: the live states in index order, each as the id of its row
         # of symbols in alphabet order and a span of one flat target list
         kept = sorted(alive)
         final = bytearray(s in accepting for s in kept)
+        first = [accepting.get(s, 0) for s in kept] if labelled else None
         alive.update(zip(kept, count()))  # each live state, to its new index
         start = alive[self.start]
         row_ids = {}  # each distinct row of symbols, to its id
@@ -206,9 +234,10 @@ class Fsa:
             ends.append(len(targets))
         rows = list(row_ids)
         del alive, kept, row_ids
-        # Moore refinement; a row id stands for the row's symbols, so a
-        # signature is one flat tuple of block, row id and target blocks
-        block = list(final)
+        # Moore refinement from the partition by label, or by acceptance; a
+        # row id stands for the row's symbols, so a signature is one flat
+        # tuple of block, row id and target blocks
+        block = list(final) if first is None else first
         blocks = len(set(block))
         while True:
             sig = {}
@@ -231,10 +260,12 @@ class Fsa:
             span = targets[ends[i - 1] if i else 0 : ends[i]]
             return zip(rows[row_id[i]], map(block.__getitem__, span))
 
-        canon, _ = explore(
+        canon, found = explore(
             self.symbols, block[start], successors,
             {block[i] for i in compress(count(), final)}.__contains__,
         )
+        if first is not None:
+            canon.labels = [first[rep[b]] for b in found]
         return canon
 
     def _bfs_form(self) -> tuple:
@@ -324,10 +355,9 @@ class Fsa:
         if self.track != 2:
             raise LogicError("compose needs track-2 machines")
         self._check_compatible(other)
-        done = -1  # a finished side: it counts as accepting
-        final_a = self.accepting | {done}
-        final_b = other.accepting | {done}
-        rows_a, moves_b = self._composition()[0], other._composition()[1]
+        # a finished side counts as accepting: it has a label
+        rows_a, _, final_a = self._composition()
+        _, moves_b, final_b = other._composition()
         # every middle pair reachable from the start over the triple moves,
         # silent and finishing ones included, with its predecessors, and
         # apart from them its predecessors on silent moves alone
@@ -350,7 +380,7 @@ class Fsa:
         # a pair accepts when silent moves take it to two accepting sides,
         # and is live when some moves take it to an accepting pair
         tail = search_back(
-            [p for p in found if p[0] in final_a and p[1] in final_b],
+            [p for p in found if final_a[p[0]] and final_b[p[1]]],
             lambda p: silent_into.get(p, ()),
         )
         live = search_back(tail, into.__getitem__)
@@ -382,29 +412,42 @@ class Fsa:
     def composite_distinct_pair(self, other: "Fsa") -> Optional[tuple]:
         """A padded pair word (u, w) with u != w that the composite
         ``self.compose(other)`` accepts, or None when it accepts no such
-        pair, found without building the composite.
+        pair, found without building the composite: the answer of
+        `composite_distinct_pairs` for machines without labels."""
+        return self.composite_distinct_pairs(other).get(0)
+
+    def composite_distinct_pairs(self, other: "Fsa") -> dict:
+        """For each label bit k: a padded pair word (u, w) with u != w that
+        the composite of this machine and the other accepts, each side
+        taken under its states whose label has bit k, as {k: (u, w)}; a
+        bit with no such pair has no entry.  A machine without labels has
+        label 1 where it accepts.
 
         One `search_forward` over nodes (state here, state there, whether
         the outer words differ yet, outer pad kind) reads triples (x, y, z)
         that share the middle letter y: this machine steps on (x, y) and
         the other on (y, z).  As in `compose`, a side may finish only from
-        an accepting state; finishing reads (padding, padding), after which
-        the side is done and reads only that.  No move leaves both sides
-        done.  Also as in `compose`, the outer pair (x, z) keeps the padding
-        discipline, its kind carried in the node, and once both outer
-        letters are padding only such silent moves follow.  A node is found
-        when the flag is set and both sides accept or are done.  Rows are
-        in alphabet order with padding last, and finishing comes after
-        them, so the search meets the least triple word first.  The witness
-        is that word with the middle track and the silent tail dropped.
+        a state with a label; finishing reads (padding, padding) into the
+        finished side that keeps that label, which reads only that.  No
+        move leaves both sides finished.  Also as in `compose`, the outer
+        pair (x, z) keeps the padding discipline, its kind carried in the
+        node, and once both outer letters are padding only such silent
+        moves follow.  A node has bit k when the flag is set and both
+        sides' labels have it.  Rows are in alphabet order with padding
+        last, and finishing comes after them, so the search meets the
+        least triple word to each bit first: the one the search for that
+        bit alone, over the two machines minimized under its states, would
+        meet, since each side then finishes exactly where it may there.
+        The witness is that word with the middle track and the silent tail
+        dropped.
         """
         if self.track != 2:
             raise LogicError("composite_distinct_pair needs track-2 machines")
         self._check_compatible(other)
-        done = -1  # a finished side: it counts as accepting
-        final_a = self.accepting | {done}
-        final_b = other.accepting | {done}
-        rows_a, moves_b = self._composition()[0], other._composition()[1]
+        rows_a, _, labels_a = self._composition()
+        _, moves_b, labels_b = other._composition()
+        # the finished sides are numbered past the machines' own states
+        ends_a, ends_b = self.num_states, other.num_states
 
         def successors(node):
             sa, sb, differs, kind = node
@@ -413,32 +456,42 @@ class Fsa:
                 for z, tb in by_y.get(y, ()):
                     # the pad kind of (x, z), 3 when both are padding
                     k = (z == PAD) + 2 * (x == PAD)
-                    if kind and k != kind and k != 3 or ta == tb == done:
+                    if (kind and k != kind and k != 3
+                            or ta >= ends_a and tb >= ends_b):
                         continue
                     yield (x, y, z), (ta, tb, differs or x != z, k)
 
-        path = search_forward(
+        paths = search_forward(
             (self.start, other.start, False, 0), successors,
-            lambda n: n[2] and n[0] in final_a and n[1] in final_b,
+            lambda n: n[2] and labels_a[n[0]] & labels_b[n[1]],
+            reduce(or_, set(labels_a)) & reduce(or_, set(labels_b)),
         )
-        if path is None:
-            return None
-        return tuple((x, z) for x, _y, z in path if (x, z) != (PAD, PAD))
+        return {
+            k: tuple((x, z) for x, _y, z in path if (x, z) != (PAD, PAD))
+            for k, path in paths.items()
+        }
 
-    def domain_gap(self, words: "Fsa") -> Optional[tuple]:
-        """The shortest, then alphabet-first, word that the word machine
-        and this machine's first track do not both accept or both reject,
-        or None.  One `search_forward` runs over nodes (state of words, or
-        None once it has fallen off; the set of states here the word can
-        reach as a first track, closed under the silent moves (padding,
-        b)): the subset construction of the first-track projection run in
-        step with the word machine.  Whether the two disagree is a function
-        of the node, so the first disagreeing node gives the least word,
-        the witness comparing with the minimized projection would return."""
-        by_first = self._composition()[1]  # the moves by first-track letter
+    def domain_gaps(self, words: "Fsa", want: int) -> dict:
+        """For each bit k of want: the shortest, then alphabet-first, word
+        that the word machine and this machine's first track, under its
+        states whose label has bit k, do not both accept or both reject, as
+        {k: word}; a bit on which they agree has no entry.  A machine
+        without labels has label 1 where it accepts.
+
+        One `search_forward` runs over nodes (state of words, or None once
+        it has fallen off; the set of states here the word can reach as a
+        first track, closed under the silent moves (padding, b)): the
+        subset construction of the first-track projection run in step with
+        the word machine.  A node has bit k when the word machine's verdict
+        differs from whether some state of the set has bit k, a function
+        of the node, so the first node found with it ends the least word,
+        the witness comparing with the projection minimized under bit k
+        would return."""
+        _, by_first, labels = self._composition()  # moves by first-track letter
+        accepted = want  # every bit, where the word machine accepts
 
         def closure(seeds) -> frozenset:
-            # along the silent moves (PAD, b); (PAD, PAD) finishes, into -1
+            # along the silent moves (PAD, b); (PAD, PAD) finishes
             seen = set(seeds)
             todo = list(seen)
             while todo:
@@ -448,27 +501,40 @@ class Fsa:
                         todo.append(t)
             return frozenset(seen)
 
+        # each state's targets by first-track letter, closed under the
+        # silent moves, so a set's successor is the union of its members';
+        # filled as the search meets the state
+        steps = [None] * self.num_states
+        nothing = frozenset()
+
         def successors(node):
             w, cur = node
             reads = {}  # first-track letter -> the states here it leads to
             for s in cur:
-                for a, moves in by_first[s].items():
-                    if a != PAD:
-                        into = reads.setdefault(a, set())
-                        for _b, t in moves:
-                            into.add(t)
+                row = steps[s]
+                if row is None:
+                    row = steps[s] = {
+                        a: closure(t for _b, t in moves)
+                        for a, moves in by_first[s].items() if a != PAD
+                    }
+                for a, into in row.items():
+                    got = reads.get(a)
+                    reads[a] = into if got is None else got | into
             row_w = {} if w is None else words.moves[w]
             for a in words.symbols:
-                nw, nxt = row_w.get(a), reads.get(a, ())
+                nw, nxt = row_w.get(a), reads.get(a)
                 if nw is not None or nxt:  # else both reject every longer word
-                    yield a, (nw, closure(nxt))
+                    yield a, (nw, nxt or nothing)
 
         def disagree(node):
             w, cur = node
-            return (w in words.accepting) != (not self.accepting.isdisjoint(cur))
+            found = 0
+            for s in cur:
+                found |= labels[s]
+            return found ^ accepted if w in words.accepting else found
 
         return search_forward(
-            (words.start, closure((self.start,))), successors, disagree
+            (words.start, closure((self.start,))), successors, disagree, want
         )
 
     # -------------------------------------------------------- enumeration
@@ -503,20 +569,38 @@ class Fsa:
 
     def _composition(self) -> tuple:
         """The composition table, built on first use and kept: (rows,
-        by_first).  rows lists each state's (symbol, target) moves in
-        alphabet order, finishing last: (PAD, PAD) from an accepting state
-        into -1, the finished side, whose row, the extra last one, holds
-        only that move.  by_first groups each row's moves (y, z) as (z,
-        target) lists keyed by y, which on the right is the middle letter."""
+        by_first, labels).  rows lists each state's (symbol, target) moves
+        in alphabet order, finishing last: (PAD, PAD) from a state with a
+        label into the finished side that keeps it.  The finished sides,
+        one per distinct label, are states of their own numbered past the
+        machine's, each with a row that holds only its finishing move.
+        labels gives every state's label, the finished sides' too; a
+        machine without labels has label 1 where it accepts.  by_first
+        groups each row's moves (y, z) as (z, target) lists keyed by y,
+        which on the right is the middle letter."""
         if self._table is None:
-            rows = [list(row.items()) for row in self.moves] + [[]]
-            for s in (*self.accepting, -1):
-                rows[s].append(((PAD, PAD), -1))
+            n = self.num_states
+            labels = (
+                [int(s in self.accepting) for s in range(n)]
+                if self.labels is None else list(self.labels)
+            )
+            rows = [list(row.items()) for row in self.moves]
+            done = {}  # each label, to its finished side
+            for s in range(n):
+                if labels[s]:
+                    t = done.get(labels[s])
+                    if t is None:
+                        t = done[labels[s]] = len(rows)
+                        rows.append([])
+                        labels.append(labels[s])
+                    rows[s].append(((PAD, PAD), t))
+            for t in done.values():
+                rows[t].append(((PAD, PAD), t))
             by_first = [{} for _ in rows]
             for group, row in zip(by_first, rows):
                 for (y, z), t in row:
                     group.setdefault(y, []).append((z, t))
-            self._table = rows, by_first
+            self._table = rows, by_first, labels
         return self._table
 
     # -------------------------------------------------------- comparisons
@@ -533,8 +617,8 @@ class Fsa:
         kinds = [(sym, _pad_kind(sym) if pair else 0) for sym in self.symbols]
         return search_forward(
             (self.start, other.start, 0), self._pairs(other, kinds),
-            lambda n: (n[0] in self.accepting) != (n[1] in other.accepting),
-        )
+            lambda n: (n[0] in self.accepting) != (n[1] in other.accepting), 1,
+        ).get(0)
 
 
 def empty_fsa(symbols) -> Fsa:
@@ -601,24 +685,33 @@ def _predecessors(moves) -> list:
     return back
 
 
-def search_forward(start, successors, found) -> Optional[tuple]:
-    """Breadth-first search forwards from start: the shortest, then
-    alphabet-first, word to a node where found holds, or None.
+def search_forward(start, successors, label, want: int) -> dict:
+    """Breadth-first search forwards from start: for each bit k of want,
+    the shortest, then alphabet-first, word to a node whose label(node)
+    has bit k, as {k: word}; a bit no node has gets no entry.  The search
+    stops once every bit of want is found.
 
     successors(node) yields (symbol, next node) in alphabet order, at most
     one move per symbol, so the search reaches each node first by its
-    least word."""
+    least word, and the first node found with a bit ends the least word
+    to that bit."""
+    found = {}
     seen = {start}
     queue = deque([(start, ())])
-    while queue:
+    while queue and want:
         node, path = queue.popleft()
-        if found(node):
-            return path
+        hit = label(node) & want
+        if hit:
+            want ^= hit
+            while hit:
+                low = hit & -hit
+                found[low.bit_length() - 1] = path
+                hit ^= low
         for sym, nxt in successors(node):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, path + (sym,)))
-    return None
+    return found
 
 
 def search_back(targets, predecessors) -> dict:

@@ -7,23 +7,27 @@ The stages:
    caps bite;
 2. trace the rules into a difference machine and close it;
 3. build the word acceptor from the machine;
-4. build every generator's multiplier from one product of two acceptor
-   copies with the machine, on integer-packed states, once per loop: one
-   walk finds its states against the state cap, keeping them in arrays of
+4. build the general multiplier from one product of two acceptor copies
+   with the machine, on integer-packed states, once per loop: one walk
+   finds its states against the state cap, keeping them in arrays of
    machine integers, 32-bit while every packed state fits (an
    open-addressed table and the breadth-first list), and then `explore`
-   builds the product; M_g minimizes it under the states whose difference
-   is g's target; plus the diagonal identity multiplier;
+   builds the product; it is minimized once, each state labelled with the
+   generators whose target difference it holds, and M_g, that machine
+   minimized under the states labelled g, is built only when read; plus
+   the diagonal identity multiplier;
 5. check every multiplier's domain equals the accepted language, by one
-   search per generator that runs W in step with the subset construction
-   of M_g's first track; a gap word feeds new differences back in and
-   restarts from stage 3;
+   search that runs W in step with the subset construction of the general
+   multiplier's first track and records every generator's least gap word;
+   a gap word feeds new differences back in and restarts from stage 3;
 6. unless the rewriting system was confluent, check every defining
    relation (and every generator against its inverse): compose the
-   multipliers of each half of the word, and search the two halves for a
+   multipliers of each half of a relator, and search the two halves for a
    pair of distinct words the whole word relates, which exists exactly
-   when the composite is not the identity multiplier; a witness feeds
-   back in, and if that adds nothing the structure is refuted.
+   when the composite is not the identity multiplier; the words g.g^-1
+   take one such search for all generators, over the general multiplier
+   against itself; a witness feeds back in, and if that adds nothing the
+   structure is refuted.
 
 The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
 AXIOM_FAILED, with the machines and counts gathered in the result.  When a
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -175,22 +180,88 @@ def _diagonal_multiplier(acc: Fsa) -> Fsa:
     return Fsa(pair_symbols(acc.symbols), acc.start, acc.accepting, moves).minimized()
 
 
+class GeneralMultiplier(Mapping):
+    """Every generator's multiplier in one machine, as KBMAG's general
+    multiplier keeps them.  ``fsa`` is a minimized track-2 machine whose
+    states each carry a label (`Fsa.labels`): the mask of the generators
+    accepting there, bit i for the i-th of ``gens``.
+
+    As a read-only mapping it gives each generator g its multiplier M_g:
+    ``fsa`` minimized under the states whose label has g's bit, built when
+    first read and kept.  Minimization is canonical, so M_g has the bytes
+    of the machine ``fsa`` was minimized from, minimized under g's states.
+    The domain and axiom checks search ``fsa`` itself, once for every
+    generator, and read no M_g."""
+
+    def __init__(self, gens, fsa: Fsa):
+        self.gens = tuple(gens)
+        self.fsa = fsa
+        self.index = {g: i for i, g in enumerate(self.gens)}  # g's bit number
+        self._built = {}
+
+    @classmethod
+    def of(cls, mults: dict) -> "GeneralMultiplier":
+        """The general multiplier of the given machines, {g: M_g} over one
+        alphabet: their product, run in step, each state labelled with the
+        generators accepting there, minimized under those labels."""
+        machines = list(mults.values())
+        symbols = machines[0].symbols
+
+        def successors(node):
+            for sym in symbols:
+                nxt = tuple(
+                    None if s is None else m.moves[s].get(sym)
+                    for m, s in zip(machines, node)
+                )
+                if nxt.count(None) < len(nxt):
+                    yield sym, nxt
+
+        def label(node) -> int:
+            return sum(
+                1 << i for i, (m, s) in enumerate(zip(machines, node))
+                if s in m.accepting
+            )
+
+        raw, states = explore(
+            symbols, tuple(m.start for m in machines), successors, label
+        )
+        labels = {i: label(states[i]) for i in raw.accepting}
+        return cls(mults, raw.minimized(labels))
+
+    def __getitem__(self, g) -> Fsa:
+        m = self._built.get(g)
+        if m is None:
+            bit = 1 << self.index[g]
+            m = self._built[g] = self.fsa.minimized(
+                [s for s, label in enumerate(self.fsa.labels) if label & bit]
+            )
+        return m
+
+    def __iter__(self):
+        return iter(self.gens)
+
+    def __len__(self) -> int:
+        return len(self.gens)
+
+
 def build_multiplier(
     acc: Fsa, diff: DiffMachine, targets: dict, max_states: int = MAX_PRODUCT_STATES
-) -> dict:
+) -> GeneralMultiplier:
     """Every generator's multiplier from one product of two acceptor copies
     with the difference machine.
 
     The product's moves do not depend on the target, so it is built
-    once; targets maps each generator to its target difference state, and
-    M_g is the minimization of that one machine accepting where the
-    difference is g's target, all from one copy of its moves.  A product
-    state (v, w, d, mode) is packed into the integer
-    ((v*|W| + w)*|D| + d)*3 + mode, where the mode is the pad kind read so
-    far (see `_pad_kind`).  Each row of D's `fsa` is regrouped once by mode
-    and track-1 letter; a product state walks W's row at v, each letter
-    with the moves of D's row at d that read it, and looks track 2's letter
-    up in W's row at w.
+    once; targets maps each generator to its target difference state.  The
+    product is minimized once, labelled: each state whose difference is a
+    target is labelled with the generators it is the target of, and Moore
+    refinement starts from the partition by label.  That is the general
+    multiplier, from which M_g is the machine minimized under the states
+    labelled g (`GeneralMultiplier`).  A product state (v, w, d, mode) is
+    packed into the integer ((v*|W| + w)*|D| + d)*3 + mode, where the mode
+    is the pad kind read so far (see `_pad_kind`).  Each row of D's `fsa`
+    is regrouped once by mode and track-1 letter; a product state walks W's
+    row at v, each letter with the moves of D's row at d that read it, and
+    looks track 2's letter up in W's row at w.
 
     The packed states lie below |W|^2 * |D| * 3, and one typecode for the
     first walk's arrays follows from that range (`_packed_typecode`):
@@ -203,12 +274,12 @@ def build_multiplier(
     keeps only the states, unboxed: the breadth-first list is an array of
     that typecode, and the states found so far sit in an open-addressed
     table, an array of 2*max(max_states, 1) + 1 slots filled with -1 (no
-    packed state is negative), probed linearly from state % size.  It
-    counts the states against the state cap as it finds them, so a capped
-    product holds no move and no int object beyond the one being checked.
+    packed state is negative), probed linearly from a slot that mixes the
+    state's bits.  It counts the states against the state cap as it finds
+    them, so a capped product holds no move and no int object beyond the
+    one being checked.
     Both arrays are dropped before the second walk, which is `explore`
-    over the same successors and so finds the states in the same order.
-    Returns {g: M_g}."""
+    over the same successors and so finds the states in the same order."""
     symbols = pair_symbols(acc.symbols)
     width = diff.fsa.num_states
     side = acc.num_states
@@ -255,15 +326,20 @@ def build_multiplier(
     start = (acc.start * side + acc.start) * width * 3 + EPS * 3
     # the first walk: the states alone.  The table holds at most
     # max(max_states, 1) states, so fewer than half its slots are taken
-    # and every probe ends at the state or at a free slot (-1)
+    # and every probe ends at the state or at a free slot (-1).  The
+    # states of one (v, w) pair are runs of consecutive integers, which
+    # state % size would lay on runs of slots that linear probing walks as
+    # one cluster; multiplying by the 64-bit golden ratio first (Knuth's
+    # multiplicative hashing) spreads them
+    golden = 0x9E3779B97F4A7C15  # 2^64 over the golden ratio, odd
     code = _packed_typecode(side, width)
     size = 2 * max(max_states, 1) + 1
     table = array(code, [-1]) * size
-    table[start % size] = start
+    table[(start * golden >> 17) % size] = start
     states = array(code, [start])
     for state in states:
         for _, nxt in successors(state):
-            slot = nxt % size
+            slot = (nxt * golden >> 17) % size
             found = table[slot]
             while found != nxt:
                 if found < 0:
@@ -276,14 +352,15 @@ def build_multiplier(
                 found = table[slot]
     del table, states
     # the product fits: explore builds it in the same order
-    hits = set(targets.values())
+    masks = {}  # each target, to the mask of the generators it is the target of
+    for i, t in enumerate(targets.values()):
+        masks[t] = masks.get(t, 0) | 1 << i
     raw, states = explore(
-        symbols, start, successors, lambda s: s // 3 % width in hits
+        symbols, start, successors, lambda s: s // 3 % width in masks
     )
-    by_target = {}
-    for i in raw.accepting:
-        by_target.setdefault(states[i] // 3 % width, []).append(i)
-    return {g: raw.minimized(by_target.get(t, ())) for g, t in targets.items()}
+    labels = {i: masks[states[i] // 3 % width] for i in raw.accepting}
+    del states
+    return GeneralMultiplier(targets, raw.minimized(labels))
 
 
 def _packed_typecode(side: int, width: int) -> str:
@@ -310,26 +387,24 @@ def _multiplier_target(diff: DiffMachine, g: str) -> int:
 
 
 def build_all_multipliers(acc: Fsa, diff: DiffMachine) -> tuple:
-    """({g: M_g}, M_e).  Every target is resolved first, since resolving
-    one may grow the machine the product reads."""
+    """(the general multiplier, M_e).  Every target is resolved first,
+    since resolving one may grow the machine the product reads."""
     targets = {g: _multiplier_target(diff, g) for g in diff.alpha.symbols}
     return build_multiplier(acc, diff, targets), _diagonal_multiplier(acc)
 
 
-def check_domains(acc: Fsa, mults: dict) -> list:
+def check_domains(acc: Fsa, mults: GeneralMultiplier) -> list:
     """Words the acceptor takes but some multiplier cannot move, or that a
-    multiplier moves but the acceptor rejects: for each generator g, the
-    least word whose acceptance by W differs from its acceptance as a first
-    track of M_g (`Fsa.domain_gap`)."""
-    gaps = []
-    for g in acc.symbols:
-        wit = mults[g].domain_gap(acc)
-        if wit is not None:
-            gaps.append((g, wit))
-    return gaps
+    multiplier moves but the acceptor rejects: for each generator g, in
+    alphabet order, the least word whose acceptance by W differs from its
+    acceptance as a first track of M_g.  One search over the general
+    multiplier finds every generator's word (`Fsa.domain_gaps`)."""
+    bits = [mults.index[g] for g in acc.symbols]
+    gaps = mults.fsa.domain_gaps(acc, sum(1 << i for i in bits))
+    return [(g, gaps[i]) for g, i in zip(acc.symbols, bits) if i in gaps]
 
 
-def _compose_chain(mults: dict, letters: Word) -> Fsa:
+def _compose_chain(mults, letters: Word) -> Fsa:
     # every multiplier's first track lies in the accepted language, so
     # starting from the identity multiplier would change nothing
     out = mults[letters[0]]
@@ -339,20 +414,26 @@ def _compose_chain(mults: dict, letters: Word) -> Fsa:
 
 
 def check_axioms(
-    order: Order, relations, mults: dict, identity: Fsa
+    order: Order, relations, mults: GeneralMultiplier, identity: Fsa
 ) -> Optional[tuple]:
     """First relator (or generator-inverse word) r whose composed
     multiplier differs from the identity multiplier, with a padded pair
     word (s, w), s != w, that the composite accepts.  An empty relator
-    holds trivially.
+    holds trivially.  The relators come first, in order, then every
+    generator against its inverse, in alphabet order.
 
-    Each word r is split at k = len(r) // 2 into u = r[:k] and v = r[k:];
+    Each relator r is split at k = len(r) // 2 into u = r[:k] and v = r[k:];
     M_u and M_v are composed (an empty half is the identity multiplier, a
     one-letter half M_g itself, and halves are shared between words), and
     one reachability search, `Fsa.composite_distinct_pair`, asks for
     (s, x) in M_u and (x, w) in M_v with s != w.  The x track of the two
     halves may end at different times: a side finishes only from an
-    accepting state, reading (padding, padding), and stays finished.
+    accepting state, reading (padding, padding), and stays finished.  The
+    words (g, g^-1) take one such search for every generator at once
+    (`Fsa.composite_distinct_pairs`), over the general multiplier against
+    itself with each label's bit of g^-1 moved to g's, so that bit k asks
+    for M_g composed with M_(g^-1); each generator's witness is the one
+    its own search would find.
 
     This is exact because the check runs only after `check_domains` found
     no gap, so every M_g is total on L(W).  W is prefix-closed, every
@@ -365,8 +446,6 @@ def check_axioms(
     only to itself, totality gives it every (u, u).
     """
     alpha = order.alphabet
-    words = [x + alpha.invert(y) for x, y in relations]
-    words += [(g, alpha.inverse[g]) for g in alpha.symbols]
     halves = {(): identity}
 
     def half(letters: Word) -> Fsa:
@@ -375,13 +454,26 @@ def check_axioms(
             m = halves[letters] = _compose_chain(mults, letters)
         return m
 
-    for r in words:
+    for x, y in relations:
+        r = x + alpha.invert(y)
         if not r:
             continue
         k = len(r) // 2
         wit = half(r[:k]).composite_distinct_pair(half(r[k:]))
         if wit is not None:
             return r, wit
+    # the words g g^-1, in one search: on the right, a label has g's bit
+    # where g^-1 accepts
+    general, index = mults.fsa, mults.index
+    swap = [(1 << index[alpha.inverse[g]], 1 << i) for g, i in index.items()]
+    inverses = general.relabelled([
+        sum(to for frm, to in swap if label & frm) for label in general.labels
+    ])
+    wits = general.composite_distinct_pairs(inverses)
+    for g in alpha.symbols:
+        wit = wits.get(index[g])
+        if wit is not None:
+            return (g, alpha.inverse[g]), wit
     return None
 
 
@@ -458,7 +550,7 @@ def compute_structure(
 
     res = StructureResult(
         outcome, rs, confluent, loops, diff=diff, acceptor=acc,
-        multipliers=mults, identity=identity, witness=witness,
+        multipliers=dict(mults), identity=identity, witness=witness,
         stopped_by=stopped_by,
     )
     if prune and outcome == VERIFIED:

@@ -19,6 +19,7 @@ from autostruct import (
     PAD,
     Alphabet,
     Fsa,
+    GeneralMultiplier,
     Order,
     check_axioms,
     check_domains,
@@ -395,7 +396,7 @@ def _check_fault_injection():
     gutted = dict(res.multipliers)
     m = gutted["x"]
     gutted["x"] = Fsa(m.symbols, m.start, frozenset(), m.moves)
-    gaps = check_domains(res.acceptor, gutted)
+    gaps = check_domains(res.acceptor, GeneralMultiplier.of(gutted))
     assert any(g == "x" for g, _ in gaps)
     assert all(isinstance(w, tuple) for _, w in gaps)
 
@@ -413,6 +414,7 @@ def _check_fault_injection():
         [{(a, PAD): t for a, t in row.items()} for row in acc.moves],
     )
     for mults in (swapped, merged, collapsed):
+        mults = GeneralMultiplier.of(mults)
         assert check_domains(res.acceptor, mults) == []
         bad = check_axioms(fam.order, fam.presentation.relations, mults, res.identity)
         assert bad is not None

@@ -26,6 +26,7 @@ from autostruct.pipeline import (
     KB_STOPPED,
     LOOP_LIMIT,
     VERIFIED,
+    GeneralMultiplier,
     build_multiplier,
     check_axioms,
     check_domains,
@@ -364,9 +365,9 @@ def test_multiplier_product_cap_is_exact(monkeypatch):
     targets = multiplier_targets(diff)
     seen = raw_sizes(monkeypatch)
     want = build_multiplier(acc, diff, targets)
-    # the one product goes straight to minimization, once per generator
+    # the one product goes straight to minimization, once, labelled
     raw = seen[0]
-    assert seen == [raw] * len(targets)
+    assert seen == [raw]
     assert raw > max(m.num_states for m in want.values())
     got = build_multiplier(acc, diff, targets, max_states=raw)
     assert {g: serialize_fsa(m) for g, m in got.items()} == {
@@ -412,6 +413,49 @@ def test_capped_multiplier_product_memory_per_state():
     finally:
         tracemalloc.stop()
     assert peak / cap < 120
+
+
+class CountingTable(list):
+    """Stands in for the first walk's arrays, counting the reads of any of
+    them; the walk reads only its table by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingTable.reads += 1
+        return list.__getitem__(self, i)
+
+    def __mul__(self, n):
+        return CountingTable(list.__mul__(self, n))
+
+
+def test_first_walk_probes_spread_over_dense_keys(monkeypatch):
+    # BSpNegq(8, 8)'s packed states come in runs of consecutive integers.
+    # With a cap of exactly its state count the table is about half full,
+    # and probing from state % size took 21 extra probes per lookup on it
+    # (220 156 in all); the mixed first slot takes about 0.3
+    res = run_family("BSpNegq", 8, 8)
+    targets = multiplier_targets(res.diff)
+    seen = raw_sizes(monkeypatch)
+    build_multiplier(res.acceptor, res.diff, targets)
+    raw_states = seen[0]
+    raws = []
+    real = Fsa.minimized
+
+    def spy(self, *args):
+        raws.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Fsa, "minimized", spy)
+    monkeypatch.setattr(pipeline, "array", lambda code, init: CountingTable(init))
+    CountingTable.reads = 0
+    build_multiplier(res.acceptor, res.diff, targets, max_states=raw_states)
+    # one lookup per product move, and every move is a row entry of the
+    # raw product explore builds after the walk
+    lookups = sum(len(row) for row in raws[0].moves)
+    assert raws[0].num_states == raw_states
+    assert lookups > 10_000
+    assert CountingTable.reads - lookups < lookups / 2
 
 
 def test_packed_typecode_widens_at_two_to_the_31():
@@ -511,6 +555,37 @@ def test_shared_product_matches_one_product_per_target(case):
     assert {diff.labels[d] for d in walked} == want_used
 
 
+@pytest.mark.parametrize("case", [
+    ("KNOT41", 1, 1), ("KNOT52", 1, 1), ("BSpq", 3, 3), ("Hpq", 2, 1), ("BSpq", 1, 2),
+], ids=lambda c: "-".join(map(str, c)))
+def test_general_multiplier_keeps_every_multipliers_bytes(monkeypatch, case):
+    # each loop's M_g, read from the one general multiplier, against the
+    # raw product minimized under g's target states alone
+    name, p, q = case
+    fam = builtin_family(FamilySpec(name, p, q), wirtinger=name.startswith("KNOT"))
+    real = pipeline.build_all_multipliers
+    loops = []
+
+    def spy(acc, diff):
+        mults, identity = real(acc, diff)
+        targets = multiplier_targets(diff)
+        raw, states = tuple_product(acc, diff, set(targets.values()).__contains__)
+        by_target = {}
+        for i in raw.accepting:
+            by_target.setdefault(states[i][2], []).append(i)
+        for g, t in targets.items():
+            want = raw.minimized(by_target.get(t, ()))
+            assert serialize_fsa(mults[g]) == serialize_fsa(want), (len(loops), g)
+        loops.append(len(targets))
+        return mults, identity
+
+    monkeypatch.setattr(pipeline, "build_all_multipliers", spy)
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert len(loops) == res.loops + (res.outcome == VERIFIED)
+    if name == "KNOT52":
+        assert len(loops) == 2
+
+
 def domains_by_projection(acc, mults) -> list:
     """Reference: each multiplier's first-track projection against W."""
     gaps = []
@@ -573,7 +648,7 @@ def test_fused_domain_check_matches_the_projection():
     for i in range(200):
         acc, mults = random_domain_case(rng, i % 4)
         want = domains_by_projection(acc, mults)
-        assert check_domains(acc, mults) == want, i
+        assert check_domains(acc, GeneralMultiplier.of(mults)) == want, i
         found += len(want)
     assert found > 100  # most cases do have gaps to compare
 
@@ -583,19 +658,19 @@ def test_fused_domain_check_matches_the_projection_on_runs(case):
     name, p, q = case
     fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT41")
     res = compute_structure(fam.order, fam.presentation.relations)
-    assert check_domains(res.acceptor, res.multipliers) == []
+    assert check_domains(res.acceptor, GeneralMultiplier.of(res.multipliers)) == []
     assert domains_by_projection(res.acceptor, res.multipliers) == []
     # the first loop's machines, before any repair, and a gutted multiplier
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
     confluent, _ = run_knuth_bendix(rs)
     diff = DiffMachine.from_rules(rs)
     acc = irreducible_word_acceptor(rs) if confluent else build_acceptor(diff)
-    mults, _ = pipeline.build_all_multipliers(acc, diff)
+    mults = dict(pipeline.build_all_multipliers(acc, diff)[0])
     m = mults[fam.order.alphabet.symbols[0]]
     mults[fam.order.alphabet.symbols[-1]] = Fsa(
         m.symbols, m.start, frozenset(), m.moves
     )
-    gaps = check_domains(acc, mults)
+    gaps = check_domains(acc, GeneralMultiplier.of(mults))
     assert gaps
     assert gaps == domains_by_projection(acc, mults)
 
@@ -653,7 +728,8 @@ def test_axiom_check_matches_composition_on_knots(name):
     fam, res = _structure(name, wirtinger=True)
     assert res.outcome == VERIFIED and not res.confluent
     assert assert_axioms_match_reference(
-        fam.order, fam.presentation.relations, res.multipliers, res.identity
+        fam.order, fam.presentation.relations,
+        GeneralMultiplier.of(res.multipliers), res.identity,
     ) is None
 
 
@@ -671,9 +747,10 @@ def test_axiom_check_matches_composition_on_faults_domains_miss():
             faults.append(mults)
         mults = dict(res.multipliers)
         mults[g] = mults[g].union(mults[syms[(i + 1) % len(syms)]])
-        assert check_domains(res.acceptor, mults) == []
         faults.append(mults)
     for mults in faults:
+        mults = GeneralMultiplier.of(mults)
+        assert check_domains(res.acceptor, mults) == []
         assert assert_axioms_match_reference(
             fam.order, fam.presentation.relations, mults, res.identity
         ) is not None
@@ -684,10 +761,42 @@ def test_axiom_check_flags_swapped_multipliers():
     fam = family("BSpq", 1, 1)
     mults = dict(res.multipliers)
     mults["x"], mults["y"] = mults["y"], mults["x"]
-    bad = check_axioms(fam.order, fam.presentation.relations, mults, res.identity)
+    bad = check_axioms(
+        fam.order, fam.presentation.relations, GeneralMultiplier.of(mults),
+        res.identity,
+    )
     assert bad is not None
     relator, wit = bad
     assert isinstance(wit, tuple)  # a pair word witnesses the mismatch
+
+
+FREE_XY = (["x", "X", "y", "Y"], {"x": "X", "X": "x", "y": "Y", "Y": "y"})
+FREE_AX = (["a", "x", "X"], {"a": "a", "x": "X", "X": "x"})  # a = a^-1
+
+
+@pytest.mark.parametrize("group, fault, first", [
+    (FREE_XY, {"x": "y", "y": "x"}, "x"),  # every generator fails; x first
+    (FREE_XY, {"y": "Y"}, "y"),  # only y and Y fail
+    (FREE_AX, {"a": "x"}, "a"),  # the involution: M_x composed with itself
+    (FREE_AX, {"x": "X"}, "x"),  # the involution holds; x against X does not
+])
+def test_one_inverse_search_names_the_first_failing_generator(group, fault, first):
+    # a free group has no relator and every domain holds, so only the
+    # inverse words can fail, all of them in the one search
+    order = Order(Alphabet(*group), SHORTLEX)
+    res = compute_structure(order, [])
+    assert res.outcome == VERIFIED and res.confluent
+    assert check_axioms(
+        order, [], GeneralMultiplier.of(res.multipliers), res.identity
+    ) is None
+    mults = dict(res.multipliers)
+    mults.update({g: res.multipliers[h] for g, h in fault.items()})
+    gm = GeneralMultiplier.of(mults)
+    assert check_domains(res.acceptor, gm) == []
+    inv = order.alphabet.inverse[first]
+    wit = mults[first].composite_distinct_pair(mults[inv])
+    assert wit is not None
+    assert check_axioms(order, [], gm, res.identity) == ((first, inv), wit)
 
 
 def test_domain_check_flags_a_gutted_multiplier():
@@ -701,7 +810,7 @@ def test_domain_check_flags_a_gutted_multiplier():
     )
     mults = dict(res.multipliers)
     mults["x"] = starved
-    gaps = check_domains(res.acceptor, mults)
+    gaps = check_domains(res.acceptor, GeneralMultiplier.of(mults))
     assert [g for g, _ in gaps] == ["x"]
     assert res.acceptor.accepts(gaps[0][1])
 
