@@ -34,14 +34,17 @@ a walk of its own, holding no move, and calls `explore` only once the
 product is known to fit.
 `coreachable` is one backward search from acceptance, used for trimming,
 enumeration and emptiness; `search_back` is the same search over an
-implicit graph, which composition uses for its silent tail and to keep
-only the middle pairs that can still accept.
+implicit graph, which composition uses to keep only the middle pairs that
+can still accept.
 `search_forward` is its forward twin: for each bit of a mask, it finds
 the least word to a node whose label has that bit, so one search answers
 for every bit at once.  A labelled machine carries a label per state
 (`Fsa.labels`, a bit mask): `minimized` makes one, refining from the
-partition by label, and the multipliers of one product are kept as one
-such machine (`pipeline.GeneralMultiplier`).  The language comparison
+partition by label, and so does `compose` given pairs of bits, each bit
+of its result the composite under one bit of each side, all from one
+subset construction (the axiom check's halves of one length).  The
+multipliers of one product are kept as one such machine
+(`pipeline.GeneralMultiplier`).  The language comparison
 searches for one bit; `domain_gaps` (the pipeline's domain check) and
 `composite_distinct_pairs` (two distinct words a composition relates,
 found without building it: the axiom check) search for every bit of a
@@ -326,38 +329,60 @@ class Fsa:
         every = Fsa(self.symbols, 0, (), [dict.fromkeys(self.symbols, 0)])
         return self._product(every, lambda a, _: not a)
 
-    def compose(self, other: "Fsa") -> "Fsa":
+    def compose(self, other: "Fsa", pairs=None) -> "Fsa":
         """Relational composition of two pair languages.
 
         Accepts (u, w) when some middle word v has (u, v) here and (v, w)
         there.  One subset construction reads (x, z) by guessing the middle
         letter y, padding included: this machine steps on (x, y) and the
         other on (y, z), except that a side whose pair is (padding, padding)
-        has finished.  A side may finish only from an accepting state, and
-        then it stays frozen; each side reads that finishing move like any
-        other, from its kept table (`_composition`).  Each subset state also
-        carries the pad kind read so far, so only words obeying the padding
-        discipline are accepted.  The middle word may outlive both outer words; those
-        silent tail moves read (padding, padding) on the outer tracks, and
-        one backward search folds them into acceptance.
+        has finished.  A side may finish only from a state with a label,
+        and then it stays frozen, keeping that label; each side reads that
+        finishing move like any other, from its kept table
+        (`_composition`).  Each subset state also carries the pad kind read
+        so far, so only words obeying the padding discipline are accepted.
+        The middle word may outlive both outer words; those silent tail
+        moves read (padding, padding) on the outer tracks.
+
+        Without pairs the result accepts where both sides have a label and
+        has no labels itself.  pairs, a list of bit pairs (i, j), asks for
+        a labelled result instead: its bit k accepts (u, w) when some v has
+        (u, v) here under the states whose label has bit i and (v, w) there
+        under those with bit j, where (i, j) is pairs[k].  Each bit of the
+        result, minimized alone, has the bytes the composition of the two
+        machines minimized under those bits has: both accept the same
+        language, a side finishing from a state without its bit keeps a
+        label without it, and minimization is canonical.
 
         Before the subset construction one walk finds the middle pairs
         (state here, state there) reachable from the start pair over every
-        triple move, silent and finishing ones included, and a second
-        backward search keeps the live ones: those that reach an accepting
-        pair.  A subset takes in live pairs only.  This is exact: a dead
-        pair accepts nothing on any continuation, so dropping it from every
-        subset leaves the language unchanged.  Liveness ignores the pad
-        kind, so it keeps a pair too many rather than one too few.  The
-        result is minimized, which is canonical, so the trim changes the
-        raw machine's size but not the bytes of the result.
+        triple move, silent and finishing ones included.  A middle pair's
+        label holds bit k when its sides' labels hold pair k's bits, and
+        its tail label is the OR of the labels the silent moves reach from
+        it, itself included: one fixpoint back along the silent moves.  A
+        backward search from every pair with a tail label keeps the live
+        pairs, and a subset takes in live pairs only.  This is exact: a
+        dead pair accepts nothing on any continuation under any bit, so
+        dropping it from every subset leaves each bit's language
+        unchanged.  Liveness ignores the pad kind, so it keeps a pair too
+        many rather than one too few.  A subset's label is the OR of its
+        members' tail labels.  The raw machine is minimized once, under
+        those labels, which is canonical, so the trim changes the raw
+        machine's size but not the bytes of the result.
         """
         if self.track != 2:
             raise LogicError("compose needs track-2 machines")
         self._check_compatible(other)
-        # a finished side counts as accepting: it has a label
-        rows_a, _, final_a = self._composition()
-        _, moves_b, final_b = other._composition()
+        # a finished side has the label of the state it finished from
+        rows_a, _, labels_a = self._composition()
+        _, moves_b, labels_b = other._composition()
+        # each side's label as the mask of the result's bits it allows
+        if pairs is None:
+            bits_a = [int(label != 0) for label in labels_a]
+            bits_b = [int(label != 0) for label in labels_b]
+        else:
+            bits_a = _pair_bits(labels_a, [i for i, _ in pairs])
+            bits_b = _pair_bits(labels_b, [j for _, j in pairs])
         # every middle pair reachable from the start over the triple moves,
         # silent and finishing ones included, with its predecessors, and
         # apart from them its predecessors on silent moves alone
@@ -377,12 +402,22 @@ class Fsa:
                         sources.append(pair)
                     if x == PAD and z == PAD:
                         silent_into.setdefault((ta, tb), []).append(pair)
-        # a pair accepts when silent moves take it to two accepting sides,
-        # and is live when some moves take it to an accepting pair
-        tail = search_back(
-            [p for p in found if final_a[p[0]] and final_b[p[1]]],
-            lambda p: silent_into.get(p, ()),
-        )
+        # a pair's tail label: the bits of the pairs its silent moves reach
+        tail = {}
+        for p in found:
+            mask = bits_a[p[0]] & bits_b[p[1]]
+            if mask:
+                tail[p] = mask
+        todo = list(tail)
+        while todo:
+            q = todo.pop()
+            mask = tail[q]
+            for p in silent_into.get(q, ()):
+                old = tail.get(p, 0)
+                if old | mask != old:
+                    tail[p] = old | mask
+                    todo.append(p)
+        # a pair is live when some moves take it to a pair with a label
         live = search_back(tail, into.__getitem__)
 
         rank = {sym: k for k, sym in enumerate(self.symbols)}.__getitem__
@@ -403,18 +438,18 @@ class Fsa:
                 if k == kind or not kind:
                     yield sym, (k, frozenset(nxt[sym]))
 
-        raw, _ = explore(
-            self.symbols, (0, frozenset({start})), successors,
-            lambda state: not tail.keys().isdisjoint(state[1]),
-        )
-        return raw.minimized()
+        def label(state) -> int:
+            out = 0
+            for p in state[1]:
+                out |= tail.get(p, 0)
+            return out
 
-    def composite_distinct_pair(self, other: "Fsa") -> Optional[tuple]:
-        """A padded pair word (u, w) with u != w that the composite
-        ``self.compose(other)`` accepts, or None when it accepts no such
-        pair, found without building the composite: the answer of
-        `composite_distinct_pairs` for machines without labels."""
-        return self.composite_distinct_pairs(other).get(0)
+        raw, states = explore(
+            self.symbols, (0, frozenset({start})), successors, label
+        )
+        if pairs is None:
+            return raw.minimized()
+        return raw.minimized({i: label(states[i]) for i in raw.accepting})
 
     def composite_distinct_pairs(self, other: "Fsa") -> dict:
         """For each label bit k: a padded pair word (u, w) with u != w that
@@ -442,7 +477,7 @@ class Fsa:
         dropped.
         """
         if self.track != 2:
-            raise LogicError("composite_distinct_pair needs track-2 machines")
+            raise LogicError("composite_distinct_pairs needs track-2 machines")
         self._check_compatible(other)
         rows_a, _, labels_a = self._composition()
         _, moves_b, labels_b = other._composition()
@@ -675,6 +710,15 @@ def coreachable(fsa: Fsa, accepting=None) -> dict:
     if accepting is None:
         accepting = fsa.accepting
     return search_back(accepting, back.__getitem__)
+
+
+def _pair_bits(labels, bits) -> list:
+    """Each label as the mask of the positions k whose bits[k] it holds."""
+    masks = {
+        label: sum(1 << k for k, i in enumerate(bits) if label >> i & 1)
+        for label in set(labels)
+    }
+    return [masks[label] for label in labels]
 
 
 def _predecessors(moves) -> list:

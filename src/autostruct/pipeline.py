@@ -21,13 +21,16 @@ The stages:
    multiplier's first track and records every generator's least gap word;
    a gap word feeds new differences back in and restarts from stage 3;
 6. unless the rewriting system was confluent, check every defining
-   relation (and every generator against its inverse): compose the
-   multipliers of each half of a relator, and search the two halves for a
-   pair of distinct words the whole word relates, which exists exactly
-   when the composite is not the identity multiplier; the words g.g^-1
-   take one such search for all generators, over the general multiplier
-   against itself; a witness feeds back in, and if that adds nothing the
-   structure is refuted.
+   relation (and every generator against its inverse): split each word
+   into two halves, and search the two halves for a pair of distinct
+   words the whole word relates, which exists exactly when the composite
+   is not the identity multiplier.  Every half of one length j is a bit
+   of one labelled machine, built by one composition of the machine for
+   length j - 1 with the general multiplier (which is the machine for
+   length 1), and the words whose halves have the same two lengths take
+   one search for all of them, the words g.g^-1 one over the general
+   multiplier against itself; a witness feeds back in, and if that adds
+   nothing the structure is refuted.
 
 The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
 AXIOM_FAILED, with the machines and counts gathered in the result.  When a
@@ -53,12 +56,13 @@ import time
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
-from .fsa import Fsa, _pad_kind, explore, pair_symbols
+from .fsa import Fsa, _pad_kind, _pair_bits, explore, pair_symbols
 from .orders import Order
 from .rewrite import (
     CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, KbCompletion, RewriteSystem, is_confluent,
@@ -404,15 +408,6 @@ def check_domains(acc: Fsa, mults: GeneralMultiplier) -> list:
     return [(g, gaps[i]) for g, i in zip(acc.symbols, bits) if i in gaps]
 
 
-def _compose_chain(mults, letters: Word) -> Fsa:
-    # every multiplier's first track lies in the accepted language, so
-    # starting from the identity multiplier would change nothing
-    out = mults[letters[0]]
-    for a in letters[1:]:
-        out = out.compose(mults[a])
-    return out
-
-
 def check_axioms(
     order: Order, relations, mults: GeneralMultiplier, identity: Fsa
 ) -> Optional[tuple]:
@@ -422,18 +417,27 @@ def check_axioms(
     holds trivially.  The relators come first, in order, then every
     generator against its inverse, in alphabet order.
 
-    Each relator r is split at k = len(r) // 2 into u = r[:k] and v = r[k:];
-    M_u and M_v are composed (an empty half is the identity multiplier, a
-    one-letter half M_g itself, and halves are shared between words), and
-    one reachability search, `Fsa.composite_distinct_pair`, asks for
-    (s, x) in M_u and (x, w) in M_v with s != w.  The x track of the two
-    halves may end at different times: a side finishes only from an
-    accepting state, reading (padding, padding), and stays finished.  The
-    words (g, g^-1) take one such search for every generator at once
-    (`Fsa.composite_distinct_pairs`), over the general multiplier against
-    itself with each label's bit of g^-1 moved to g's, so that bit k asks
-    for M_g composed with M_(g^-1); each generator's witness is the one
-    its own search would find.
+    Each word r is split at k = len(r) // 2 into u = r[:k] and v = r[k:].
+    The halves of one length j are all read from one labelled machine,
+    level j, whose bits are the prefixes of length j some half needs:
+    level 1 is the general multiplier itself, level j is level j - 1
+    composed with it (`Fsa.compose` with bit pairs), the bit of p taking
+    p[:-1]'s bit on the left and p[-1]'s on the right, and level 0, read
+    only by a one-letter relator's empty half, is the identity
+    multiplier.  Then one reachability search per pair of half lengths,
+    `Fsa.composite_distinct_pairs`, asks for every word of that pair at
+    once, each a bit of relabelled copies of the two levels: for (s, x)
+    under u's bit on the left and (x, w) under v's on the right with
+    s != w.  The x track of the two halves may end at different times: a
+    side finishes only from a state with a label, reading (padding,
+    padding), and stays finished, keeping that label.
+
+    Each witness is the one a search over M_u and M_v alone returns, M_u
+    being u's multipliers composed letter by letter.  Minimization is
+    canonical, so each bit of level j, minimized alone, has the bytes of
+    that chain; a word's verdict at a node of the search is a function of
+    the node, and the search meets each node first by its least triple
+    word, the one the search over M_u and M_v meets first.
 
     This is exact because the check runs only after `check_domains` found
     no gap, so every M_g is total on L(W).  W is prefix-closed, every
@@ -446,35 +450,54 @@ def check_axioms(
     only to itself, totality gives it every (u, u).
     """
     alpha = order.alphabet
-    halves = {(): identity}
-
-    def half(letters: Word) -> Fsa:
-        m = halves.get(letters)
-        if m is None:
-            m = halves[letters] = _compose_chain(mults, letters)
-        return m
-
-    for x, y in relations:
-        r = x + alpha.invert(y)
-        if not r:
-            continue
-        k = len(r) // 2
-        wit = half(r[:k]).composite_distinct_pair(half(r[k:]))
-        if wit is not None:
-            return r, wit
-    # the words g g^-1, in one search: on the right, a label has g's bit
-    # where g^-1 accepts
-    general, index = mults.fsa, mults.index
-    swap = [(1 << index[alpha.inverse[g]], 1 << i) for g, i in index.items()]
-    inverses = general.relabelled([
-        sum(to for frm, to in swap if label & frm) for label in general.labels
-    ])
-    wits = general.composite_distinct_pairs(inverses)
-    for g in alpha.symbols:
-        wit = wits.get(index[g])
-        if wit is not None:
-            return (g, alpha.inverse[g]), wit
-    return None
+    words = [r for x, y in relations if (r := x + alpha.invert(y))]
+    words += [(g, alpha.inverse[g]) for g in alpha.symbols]
+    halves = [(r[: len(r) // 2], r[len(r) // 2 :]) for r in words]
+    # the prefixes each level carries: every half, and every prefix of a
+    # longer level's prefix
+    need = {}
+    for half in chain.from_iterable(halves):
+        need.setdefault(len(half), set()).add(half)
+    for j in range(max(need), 2, -1):
+        need.setdefault(j - 1, set()).update(p[:-1] for p in need[j])
+    # each level, with the bit of each prefix it carries
+    general = mults.fsa
+    levels = {1: (general, {(g,): i for g, i in mults.index.items()})}
+    if 0 in need:
+        levels[0] = (
+            identity.relabelled(
+                int(s in identity.accepting) for s in range(identity.num_states)
+            ),
+            {(): 0},
+        )
+    for j in range(2, max(need) + 1):
+        below, at = levels[j - 1]
+        prefixes = sorted(need[j])
+        levels[j] = (
+            below.compose(
+                general, [(at[p[:-1]], mults.index[p[-1]]) for p in prefixes]
+            ),
+            {p: k for k, p in enumerate(prefixes)},
+        )
+    # one search per pair of half lengths, each of its words a bit
+    groups = {}
+    for t, (u, v) in enumerate(halves):
+        groups.setdefault((len(u), len(v)), []).append(t)
+    failed = {}
+    for (a, b), members in groups.items():
+        (left, at_left), (right, at_right) = levels[a], levels[b]
+        left = left.relabelled(
+            _pair_bits(left.labels, [at_left[halves[t][0]] for t in members])
+        )
+        right = right.relabelled(
+            _pair_bits(right.labels, [at_right[halves[t][1]] for t in members])
+        )
+        for k, wit in left.composite_distinct_pairs(right).items():
+            failed[members[k]] = wit
+    if not failed:
+        return None
+    first = min(failed)
+    return words[first], failed[first]
 
 
 def compute_structure(

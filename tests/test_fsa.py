@@ -677,6 +677,44 @@ def test_trimmed_compose_matches_the_untrimmed_one_on_knot_halves():
     assert steps > 0
 
 
+def labelled_machine(rng, bits=2):
+    """A random partial pair machine with a random label per state."""
+    m = random_partial_machine(rng, PAIRS, max_states=3, density=0.5)
+    return m.relabelled(rng.randrange(1 << bits) for _ in range(m.num_states))
+
+
+def under_bit(m, bit):
+    """A labelled machine minimized under the states whose label has bit."""
+    return m.minimized([s for s, label in enumerate(m.labels) if label >> bit & 1])
+
+
+def test_labelled_compose_keeps_each_bits_bytes():
+    # every bit of a labelled composite, minimized alone, has the bytes the
+    # reference gives for the two sides minimized under its pair of bits;
+    # one bit over machines without labels keeps compose's own bytes
+    rng = random.Random(3939)
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    empty = serialize_fsa(empty_fsa(PAIRS))
+    nonempty = 0
+    for n in range(150):
+        first, second = labelled_machine(rng), labelled_machine(rng)
+        got = first.compose(second, pairs)
+        assert len(got.labels) == got.num_states, n
+        for k, (i, j) in enumerate(pairs):
+            want = serialize_fsa(
+                compose_untrimmed(under_bit(first, i), under_bit(second, j))
+            )
+            assert serialize_fsa(under_bit(got, k)) == want, (n, k)
+            nonempty += want != empty
+        plain = [Fsa(m.symbols, m.start, m.accepting, m.moves) for m in (first, second)]
+        one = plain[0].compose(plain[1], [(0, 0)])
+        assert one.labels == [int(s in one.accepting) for s in range(one.num_states)]
+        assert serialize_fsa(one) == serialize_fsa(plain[0].compose(plain[1])) == (
+            serialize_fsa(compose_untrimmed(*plain))
+        ), n
+    assert nonempty > 200
+
+
 def test_compose_with_a_dead_start_pair_is_empty():
     # the start pair moves, but only to a pair that can never accept
     first = relation_machine([(("a",), ("a",))])
@@ -932,7 +970,7 @@ def test_composite_distinct_pair_against_brute_force():
         first, second = machine(), machine()
         composite = first.compose(second)
         brute = any(composite.accepts(p) for p in valid)
-        got = first.composite_distinct_pair(second)
+        got = first.composite_distinct_pairs(second).get(0)
         assert got is not None or not brute, n
         if got is not None:
             u = tuple(a for a, _ in got if a != PAD)
@@ -963,7 +1001,7 @@ def test_a_kept_composition_table_serves_both_sides():
             assert serialize_fsa(first.compose(second)) == serialize_fsa(
                 fresh(first).compose(fresh(second))
             ), (g, h)
-            wit = first.composite_distinct_pair(second)
-            assert wit == fresh(first).composite_distinct_pair(fresh(second))
+            wit = first.composite_distinct_pairs(second).get(0)
+            assert wit == fresh(first).composite_distinct_pairs(fresh(second)).get(0)
             witnesses += wit is not None
     assert witnesses > 0

@@ -687,6 +687,37 @@ def test_acceptor_subset_cap_fires(monkeypatch):
         build_acceptor(diff)
 
 
+def compose_chain(mults, letters):
+    """The multiplier of a word: its letters' multipliers composed one by
+    one from the left."""
+    out = mults[letters[0]]
+    for a in letters[1:]:
+        out = out.compose(mults[a])
+    return out
+
+
+def axioms_by_halves(order, relations, mults, identity):
+    """Reference: the axiom check one word at a time.  Each word's halves
+    are composed letter by letter, an empty half being M_e, and one search
+    over the two halves per word asks for two distinct words they relate.
+    The first failing word, with its witness."""
+    alpha = order.alphabet
+    words = [x + alpha.invert(y) for x, y in relations]
+    words += [(g, alpha.inverse[g]) for g in alpha.symbols]
+    halves = {(): identity}
+    for r in words:
+        if not r:
+            continue
+        k = len(r) // 2
+        for h in (r[:k], r[k:]):
+            if h not in halves:
+                halves[h] = compose_chain(mults, h)
+        wit = halves[r[:k]].composite_distinct_pairs(halves[r[k:]]).get(0)
+        if wit is not None:
+            return r, wit
+    return None
+
+
 def axioms_by_composition(order, relations, mults, identity):
     """Reference: the axiom check as a whole composite per word.  The first
     relator (or generator-inverse word) whose multiplier, composed letter
@@ -698,7 +729,7 @@ def axioms_by_composition(order, relations, mults, identity):
     for r in words:
         if not r:
             continue
-        composite = pipeline._compose_chain(mults, r)
+        composite = compose_chain(mults, r)
         wit = composite.equal_languages(identity)
         if wit is not None:
             return r, wit, composite
@@ -756,6 +787,105 @@ def test_axiom_check_matches_composition_on_faults_domains_miss():
         ) is not None
 
 
+def compose_spy(monkeypatch) -> list:
+    """Record (this machine, the other, pairs, result) of every
+    Fsa.compose call."""
+    calls = []
+    real = Fsa.compose
+
+    def spy(self, other, pairs=None):
+        out = real(self, other, pairs)
+        calls.append((self, other, pairs, out))
+        return out
+
+    monkeypatch.setattr(Fsa, "compose", spy)
+    return calls
+
+
+def knot41_multipliers(fault):
+    """KNOT41's verified structure, with its multipliers as verified, with
+    M_x and M_y swapped, or with M_x replaced by M_x | M_y."""
+    fam, res = _structure("KNOT41", wirtinger=True)
+    mults = dict(res.multipliers)
+    if fault == "swapped":
+        mults["x"], mults["y"] = mults["y"], mults["x"]
+    elif fault == "union":
+        mults["x"] = mults["x"].union(mults["y"])
+    return fam, res, mults
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("KNOT41", None), ("KNOT52", None), ("KNOT41", "swapped"), ("KNOT41", "union"),
+])
+def test_every_half_keeps_its_bytes(monkeypatch, name, fault):
+    # each bit of the one labelled machine of the halves of length two,
+    # minimized alone, is the composite of its two multipliers
+    if name == "KNOT41":
+        fam, res, mults = knot41_multipliers(fault)
+    else:
+        fam, res = _structure(name, wirtinger=True)
+        mults = dict(res.multipliers)
+    general = GeneralMultiplier.of(mults)
+    calls = compose_spy(monkeypatch)
+    check_axioms(fam.order, fam.presentation.relations, general, res.identity)
+    [(left, right, pairs, level)] = calls
+    assert left is right is general.fsa
+    assert len(pairs) == len(set(pairs)) > 1
+    for k, (i, j) in enumerate(pairs):
+        half = level.minimized(
+            [s for s, label in enumerate(level.labels) if label >> k & 1]
+        )
+        g, h = general.gens[i], general.gens[j]
+        assert serialize_fsa(half) == serialize_fsa(mults[g].compose(mults[h])), (g, h)
+
+
+@pytest.mark.parametrize("fault", [None, "swapped", "union"])
+def test_mixed_length_relators_match_the_word_by_word_check(fault):
+    # words of lengths 1 (an empty half, M_e), 2, 3, 5 and 8 on KNOT41's
+    # verified structure: rotations and products of its relators hold;
+    # x, x.y, x.y.z, x.r, and r.s with its last letter changed do not.  The
+    # first failing word and its witness are the ones a search per word
+    # over its composed halves finds
+    fam, res, mults = knot41_multipliers(fault)
+    r, s, t = (x for x, _ in fam.presentation.relations)
+    true = [r[1:] + r[:1], r + s, s[2:] + s[:2], ("x", "X"), t + r]
+    false = [("x",), ("x", "y"), ("x", "y", "z"), ("x",) + r, r + s[:3] + ("y",)]
+    lists = [true, true[:2] + false[::-1], true + false]
+    lists += [true[:i] + [w] + true[i:] for i, w in enumerate(false)]
+    general = GeneralMultiplier.of(mults)
+    answers = set()
+    for words in lists:
+        relations = [(w, ()) for w in words]
+        got = check_axioms(fam.order, relations, general, res.identity)
+        assert got == axioms_by_halves(fam.order, relations, mults, res.identity)
+        answers.add(got and got[0])
+    if fault is None:
+        assert answers == {None, *false}
+    else:
+        assert None not in answers
+
+
+def test_one_axiom_check_composes_once(monkeypatch):
+    # KNOT52's one axiom check, in its final loop, builds one labelled
+    # machine for every half of length two, and composes nothing else
+    calls = compose_spy(monkeypatch)
+    checks = []
+    real = pipeline.check_axioms
+
+    def spy(*args):
+        before = len(calls)
+        out = real(*args)
+        checks.append((len(calls) - before, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "check_axioms", spy)
+    fam = builtin_family(FamilySpec("KNOT52", 1, 1), wirtinger=True)
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert res.outcome == VERIFIED and res.loops == 1
+    assert checks == [(1, None)]
+    assert len(calls) == 1
+
+
 def test_axiom_check_flags_swapped_multipliers():
     res = run_family("BSpq", 1, 1)
     fam = family("BSpq", 1, 1)
@@ -794,7 +924,7 @@ def test_one_inverse_search_names_the_first_failing_generator(group, fault, firs
     gm = GeneralMultiplier.of(mults)
     assert check_domains(res.acceptor, gm) == []
     inv = order.alphabet.inverse[first]
-    wit = mults[first].composite_distinct_pair(mults[inv])
+    wit = mults[first].composite_distinct_pairs(mults[inv]).get(0)
     assert wit is not None
     assert check_axioms(order, [], gm, res.identity) == ((first, inv), wit)
 
