@@ -39,20 +39,23 @@ can still accept.
 `search_forward` is its forward twin: for each bit of a mask, it finds
 the least word to a node whose label has that bit, so one search answers
 for every bit at once.  A labelled machine carries a label per state
-(`Fsa.labels`, a bit mask): `minimized` makes one, refining from the
-partition by label, and so does `compose` given pairs of bits, each bit
-of its result the composite under one bit of each side, all from one
-subset construction (the axiom check's halves of one length).  The
-multipliers of one product are kept as one such machine
-(`pipeline.GeneralMultiplier`).  The language comparison
-searches for one bit; `domain_gaps` (the pipeline's domain check) and
-`composite_distinct_pairs` (two distinct words a composition relates,
-found without building it: the axiom check) search for every bit of a
-labelled machine's labels, and on a machine without labels for one.  A
+(`Fsa.labels`, a bit mask), and a machine without labels has label 1
+where it accepts.  `minimized` always refines from the partition by
+label and keeps the labels it refined from.  `compose` and
+`composite_distinct_pairs` both take a list of bit pairs (i, j): pair k
+composes this machine under the states whose label has bit i with the
+other under those with bit j.  `compose` builds every pair as a bit of
+one labelled machine, all from one subset construction (the axiom
+check's halves of one length); `composite_distinct_pairs` (two distinct
+words a composition relates, found without building it: the axiom
+check) searches for every pair at once.  The multipliers of one product
+are kept as one labelled machine (`pipeline.GeneralMultiplier`).  The
+language comparison searches for one bit, and `domain_gaps` (the
+pipeline's domain check) for every bit of a machine's labels.  A
 machine gathers its predecessor lists once, when it is first minimized,
-so one set of moves minimized under several accepting states is trimmed
-from one copy; it builds its composition table once, when composition or
-a search first reads it, and no other module reads that table.
+so one set of moves minimized under several labellings is trimmed from
+one copy; it builds its composition table once, when composition or a
+search first reads it, and no other module reads that table.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import chain, count
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -102,7 +105,7 @@ class Fsa:
         self.accepting = frozenset(accepting)
         self.moves = moves
         self.track = 2 if self.symbols and isinstance(self.symbols[0], tuple) else 1
-        self.labels = None  # a label per state, kept by a labelled minimization
+        self.labels = None  # a label per state, kept by `minimized`
         self._back = None  # predecessor lists, kept by `minimized`
         self._table = None  # kept by `_composition`
 
@@ -117,14 +120,6 @@ class Fsa:
             for row in rows
         ]
         return cls(symbols, start, accepting, moves)
-
-    def relabelled(self, labels) -> "Fsa":
-        """These moves with the given label per state, accepting where the
-        label is not 0."""
-        labels = list(labels)
-        out = Fsa(self.symbols, self.start, compress(count(), labels), self.moves)
-        out.labels = labels
-        return out
 
     # ------------------------------------------------------------- basics
 
@@ -176,19 +171,20 @@ class Fsa:
 
     # -------------------------------------------------- canonical rebuilds
 
-    def minimized(self, accepting=None) -> "Fsa":
+    def minimized(self, labels=None) -> "Fsa":
         """Canonical minimal partial DFA with the same language, or with
-        these moves under the given accepting states instead of its own.
-        One machine minimized under several accepting sets gathers its
+        these moves under the given labels instead of its own acceptance.
+        One machine minimized under several labellings gathers its
         predecessor lists once and keeps them, since it does not change.
 
-        accepting may also map each accepting state to a label, any value
-        but 0: refinement then starts from the partition by label, and the
-        result keeps each state's label, 0 where it rejects, in `labels`.
-        Under the states whose label has a given bit, the result accepts
-        from each state what this machine accepts from the states it
-        stands for, so minimizing it under them gives the bytes minimizing
-        this machine under theirs would.
+        labels maps each accepting state to its label, any value but 0; a
+        machine minimized without them has label 1 where it accepts.
+        Refinement starts from the partition by label, and the result
+        keeps each state's label, 0 where it rejects, in `labels`.  Under
+        the states whose label has a given bit, the result accepts from
+        each state what this machine accepts from the states it stands
+        for, so minimizing it under them gives the bytes minimizing this
+        machine under theirs would.
 
         The machine is trimmed first and never made total: only the states
         that can still reach acceptance are kept, in index order, with the
@@ -205,22 +201,22 @@ class Fsa:
         cannot reach (only a parsed or hand-written machine has one) adds
         blocks the quotient never visits.
         """
-        if accepting is None:
-            accepting = self.accepting
-        labelled = isinstance(accepting, dict)
-        if not labelled:
-            accepting = frozenset(accepting)
+        accepting = self.accepting if labels is None else labels
         if self._back is None:
             self._back = _predecessors(self.moves)
         alive = coreachable(self, accepting)
         if self.start not in alive:
             empty = empty_fsa(self.symbols)
-            return empty.relabelled([0]) if labelled else empty
-        # trim: the live states in index order, each as the id of its row
-        # of symbols in alphabet order and a span of one flat target list
+            empty.labels = [0]
+            return empty
+        # trim: the live states in index order, each with its label, as the
+        # id of its row of symbols in alphabet order and a span of one flat
+        # target list
         kept = sorted(alive)
-        final = bytearray(s in accepting for s in kept)
-        first = [accepting.get(s, 0) for s in kept] if labelled else None
+        first = (
+            [int(s in accepting) for s in kept] if labels is None
+            else [labels.get(s, 0) for s in kept]
+        )
         alive.update(zip(kept, count()))  # each live state, to its new index
         start = alive[self.start]
         row_ids = {}  # each distinct row of symbols, to its id
@@ -237,10 +233,10 @@ class Fsa:
             ends.append(len(targets))
         rows = list(row_ids)
         del alive, kept, row_ids
-        # Moore refinement from the partition by label, or by acceptance; a
-        # row id stands for the row's symbols, so a signature is one flat
-        # tuple of block, row id and target blocks
-        block = list(final) if first is None else first
+        # Moore refinement from the partition by label; a row id stands for
+        # the row's symbols, so a signature is one flat tuple of block, row
+        # id and target blocks
+        block = first
         blocks = len(set(block))
         while True:
             sig = {}
@@ -264,11 +260,9 @@ class Fsa:
             return zip(rows[row_id[i]], map(block.__getitem__, span))
 
         canon, found = explore(
-            self.symbols, block[start], successors,
-            {block[i] for i in compress(count(), final)}.__contains__,
+            self.symbols, block[start], successors, lambda b: first[rep[b]]
         )
-        if first is not None:
-            canon.labels = [first[rep[b]] for b in found]
+        canon.labels = [first[rep[b]] for b in found]
         return canon
 
     def _bfs_form(self) -> tuple:
@@ -329,60 +323,51 @@ class Fsa:
         every = Fsa(self.symbols, 0, (), [dict.fromkeys(self.symbols, 0)])
         return self._product(every, lambda a, _: not a)
 
-    def compose(self, other: "Fsa", pairs=None) -> "Fsa":
-        """Relational composition of two pair languages.
+    def compose(self, other: "Fsa", pairs=((0, 0),)) -> "Fsa":
+        """Relational composition of two pair languages, one per pair of
+        label bits.
 
-        Accepts (u, w) when some middle word v has (u, v) here and (v, w)
-        there.  One subset construction reads (x, z) by guessing the middle
-        letter y, padding included: this machine steps on (x, y) and the
-        other on (y, z), except that a side whose pair is (padding, padding)
-        has finished.  A side may finish only from a state with a label,
-        and then it stays frozen, keeping that label; each side reads that
+        pairs lists bit pairs (i, j), and the result is a labelled machine:
+        its bit k accepts (u, w) when some middle word v has (u, v) here
+        under the states whose label has bit i and (v, w) there under those
+        with bit j, where (i, j) is pairs[k].  A machine without labels has
+        label 1 where it accepts, so the one pair (0, 0), the default,
+        composes two such machines' languages.  Each bit of the result,
+        minimized alone, has the bytes the composition of the two machines
+        minimized under those bits has: both accept the same language, a
+        side finishing from a state without its bit keeps a label without
+        it, and minimization is canonical.
+
+        One subset construction reads (x, z) by guessing the middle letter
+        y, padding included: this machine steps on (x, y) and the other on
+        (y, z), except that a side whose pair is (padding, padding) has
+        finished.  A side may finish only from a state with a label, and
+        then it stays frozen, keeping that label; each side reads that
         finishing move like any other, from its kept table
-        (`_composition`).  Each subset state also carries the pad kind read
-        so far, so only words obeying the padding discipline are accepted.
-        The middle word may outlive both outer words; those silent tail
-        moves read (padding, padding) on the outer tracks.
-
-        Without pairs the result accepts where both sides have a label and
-        has no labels itself.  pairs, a list of bit pairs (i, j), asks for
-        a labelled result instead: its bit k accepts (u, w) when some v has
-        (u, v) here under the states whose label has bit i and (v, w) there
-        under those with bit j, where (i, j) is pairs[k].  Each bit of the
-        result, minimized alone, has the bytes the composition of the two
-        machines minimized under those bits has: both accept the same
-        language, a side finishing from a state without its bit keeps a
-        label without it, and minimization is canonical.
+        (`_composition`), with each label read as the mask of the pairs
+        whose bit it holds on that side (`_sides`).  Each subset state also
+        carries the pad kind read so far, so only words obeying the padding
+        discipline are accepted.  The middle word may outlive both outer
+        words; those silent tail moves read (padding, padding) on the outer
+        tracks.
 
         Before the subset construction one walk finds the middle pairs
         (state here, state there) reachable from the start pair over every
         triple move, silent and finishing ones included.  A middle pair's
-        label holds bit k when its sides' labels hold pair k's bits, and
-        its tail label is the OR of the labels the silent moves reach from
-        it, itself included: one fixpoint back along the silent moves.  A
-        backward search from every pair with a tail label keeps the live
-        pairs, and a subset takes in live pairs only.  This is exact: a
-        dead pair accepts nothing on any continuation under any bit, so
-        dropping it from every subset leaves each bit's language
-        unchanged.  Liveness ignores the pad kind, so it keeps a pair too
-        many rather than one too few.  A subset's label is the OR of its
-        members' tail labels.  The raw machine is minimized once, under
-        those labels, which is canonical, so the trim changes the raw
-        machine's size but not the bytes of the result.
+        label holds bit k when its sides' masks hold it, and its tail label
+        is the OR of the labels the silent moves reach from it, itself
+        included: one fixpoint back along the silent moves.  A backward
+        search from every pair with a tail label keeps the live pairs, and
+        a subset takes in live pairs only.  This is exact: a dead pair
+        accepts nothing on any continuation under any bit, so dropping it
+        from every subset leaves each bit's language unchanged.  Liveness
+        ignores the pad kind, so it keeps a pair too many rather than one
+        too few.  A subset's label is the OR of its members' tail labels.
+        The raw machine is minimized once, under those labels, which is
+        canonical, so the trim changes the raw machine's size but not the
+        bytes of the result.
         """
-        if self.track != 2:
-            raise LogicError("compose needs track-2 machines")
-        self._check_compatible(other)
-        # a finished side has the label of the state it finished from
-        rows_a, _, labels_a = self._composition()
-        _, moves_b, labels_b = other._composition()
-        # each side's label as the mask of the result's bits it allows
-        if pairs is None:
-            bits_a = [int(label != 0) for label in labels_a]
-            bits_b = [int(label != 0) for label in labels_b]
-        else:
-            bits_a = _pair_bits(labels_a, [i for i, _ in pairs])
-            bits_b = _pair_bits(labels_b, [j for _, j in pairs])
+        rows_a, moves_b, bits_a, bits_b = self._sides(other, pairs)
         # every middle pair reachable from the start over the triple moves,
         # silent and finishing ones included, with its predecessors, and
         # apart from them its predecessors on silent moves alone
@@ -447,40 +432,36 @@ class Fsa:
         raw, states = explore(
             self.symbols, (0, frozenset({start})), successors, label
         )
-        if pairs is None:
-            return raw.minimized()
         return raw.minimized({i: label(states[i]) for i in raw.accepting})
 
-    def composite_distinct_pairs(self, other: "Fsa") -> dict:
-        """For each label bit k: a padded pair word (u, w) with u != w that
-        the composite of this machine and the other accepts, each side
-        taken under its states whose label has bit k, as {k: (u, w)}; a
-        bit with no such pair has no entry.  A machine without labels has
-        label 1 where it accepts.
+    def composite_distinct_pairs(self, other: "Fsa", pairs=((0, 0),)) -> dict:
+        """For each bit pair (i, j) of pairs, as in `compose`: a padded pair
+        word (u, w) with u != w that the composite of this machine under
+        the states whose label has bit i and the other under those with
+        bit j accepts, as {k: (u, w)} for pairs[k]; a pair with no such
+        word has no entry.  A machine without labels has label 1 where it
+        accepts.
 
         One `search_forward` over nodes (state here, state there, whether
         the outer words differ yet, outer pad kind) reads triples (x, y, z)
         that share the middle letter y: this machine steps on (x, y) and
-        the other on (y, z).  As in `compose`, a side may finish only from
-        a state with a label; finishing reads (padding, padding) into the
-        finished side that keeps that label, which reads only that.  No
-        move leaves both sides finished.  Also as in `compose`, the outer
-        pair (x, z) keeps the padding discipline, its kind carried in the
-        node, and once both outer letters are padding only such silent
-        moves follow.  A node has bit k when the flag is set and both
-        sides' labels have it.  Rows are in alphabet order with padding
-        last, and finishing comes after them, so the search meets the
-        least triple word to each bit first: the one the search for that
-        bit alone, over the two machines minimized under its states, would
-        meet, since each side then finishes exactly where it may there.
-        The witness is that word with the middle track and the silent tail
-        dropped.
+        the other on (y, z), each label read as the mask of the pairs whose
+        bit it holds on that side (`_sides`).  As in `compose`, a side may
+        finish only from a state with a label, here one whose mask is not
+        0; finishing reads (padding, padding) into the finished side that
+        keeps that label, which reads only that.  No move leaves both
+        sides finished.  Also as in `compose`, the outer pair (x, z) keeps
+        the padding discipline, its kind carried in the node, and once
+        both outer letters are padding only such silent moves follow.  A
+        node has bit k when the flag is set and both sides' masks have it.
+        Rows are in alphabet order with padding last, and finishing comes
+        after them, so the search meets the least triple word to each bit
+        first: the one the search for that pair alone, over the two
+        machines minimized under its bits, would meet, since each side
+        then finishes exactly where it may there.  The witness is that
+        word with the middle track and the silent tail dropped.
         """
-        if self.track != 2:
-            raise LogicError("composite_distinct_pairs needs track-2 machines")
-        self._check_compatible(other)
-        rows_a, _, labels_a = self._composition()
-        _, moves_b, labels_b = other._composition()
+        rows_a, moves_b, bits_a, bits_b = self._sides(other, pairs)
         # the finished sides are numbered past the machines' own states
         ends_a, ends_b = self.num_states, other.num_states
 
@@ -488,23 +469,41 @@ class Fsa:
             sa, sb, differs, kind = node
             by_y = moves_b[sb]
             for (x, y), ta in rows_a[sa]:
+                done_a = ta >= ends_a
+                if done_a and not bits_a[sa]:
+                    continue
                 for z, tb in by_y.get(y, ()):
+                    if tb >= ends_b and (done_a or not bits_b[sb]):
+                        continue
                     # the pad kind of (x, z), 3 when both are padding
                     k = (z == PAD) + 2 * (x == PAD)
-                    if (kind and k != kind and k != 3
-                            or ta >= ends_a and tb >= ends_b):
+                    if kind and k != kind and k != 3:
                         continue
                     yield (x, y, z), (ta, tb, differs or x != z, k)
 
         paths = search_forward(
             (self.start, other.start, False, 0), successors,
-            lambda n: n[2] and labels_a[n[0]] & labels_b[n[1]],
-            reduce(or_, set(labels_a)) & reduce(or_, set(labels_b)),
+            lambda n: n[2] and bits_a[n[0]] & bits_b[n[1]],
+            reduce(or_, set(bits_a)) & reduce(or_, set(bits_b)),
         )
         return {
             k: tuple((x, z) for x, _y, z in path if (x, z) != (PAD, PAD))
             for k, path in paths.items()
         }
+
+    def _sides(self, other: "Fsa", pairs) -> tuple:
+        """(rows here, moves there by middle letter, each side's labels as
+        the mask of the pairs whose bit they hold), from the kept tables."""
+        if self.track != 2:
+            raise LogicError("composition needs track-2 machines")
+        self._check_compatible(other)
+        rows_a, _, labels_a = self._composition()
+        _, moves_b, labels_b = other._composition()
+        return (
+            rows_a, moves_b,
+            _pair_bits(labels_a, [i for i, _ in pairs]),
+            _pair_bits(labels_b, [j for _, j in pairs]),
+        )
 
     def domain_gaps(self, words: "Fsa", want: int) -> dict:
         """For each bit k of want: the shortest, then alphabet-first, word

@@ -29,8 +29,10 @@ The stages:
    length j - 1 with the general multiplier (which is the machine for
    length 1), and the words whose halves have the same two lengths take
    one search for all of them, the words g.g^-1 one over the general
-   multiplier against itself; a witness feeds back in, and if that adds
-   nothing the structure is refuted.
+   multiplier against itself.  The searches run in the order of their
+   first words, each building the levels it reads, and end at the first
+   that comes after a failing word; a witness feeds back in, and if that
+   adds nothing the structure is refuted.
 
 The outcome is always one of VERIFIED, KB_STOPPED, LOOP_LIMIT or
 AXIOM_FAILED, with the machines and counts gathered in the result.  When a
@@ -62,7 +64,7 @@ from typing import Optional
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
-from .fsa import Fsa, _pad_kind, _pair_bits, explore, pair_symbols
+from .fsa import Fsa, _pad_kind, explore, pair_symbols
 from .orders import Order
 from .rewrite import (
     CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, KbCompletion, RewriteSystem, is_confluent,
@@ -237,7 +239,7 @@ class GeneralMultiplier(Mapping):
         if m is None:
             bit = 1 << self.index[g]
             m = self._built[g] = self.fsa.minimized(
-                [s for s, label in enumerate(self.fsa.labels) if label & bit]
+                {s: 1 for s, label in enumerate(self.fsa.labels) if label & bit}
             )
         return m
 
@@ -424,13 +426,19 @@ def check_axioms(
     composed with it (`Fsa.compose` with bit pairs), the bit of p taking
     p[:-1]'s bit on the left and p[-1]'s on the right, and level 0, read
     only by a one-letter relator's empty half, is the identity
-    multiplier.  Then one reachability search per pair of half lengths,
-    `Fsa.composite_distinct_pairs`, asks for every word of that pair at
-    once, each a bit of relabelled copies of the two levels: for (s, x)
-    under u's bit on the left and (x, w) under v's on the right with
-    s != w.  The x track of the two halves may end at different times: a
-    side finishes only from a state with a label, reading (padding,
-    padding), and stays finished, keeping that label.
+    multiplier, whose label is 1 where it accepts.  Then one reachability
+    search per pair of half lengths, `Fsa.composite_distinct_pairs`,
+    asks for every word of that pair at once, each word the bit pair of
+    its two halves: for (s, x) under u's bit on the left and (x, w) under
+    v's on the right with s != w.  The x track of the two halves may end
+    at different times: a side finishes only from a state with the bit,
+    reading (padding, padding), and stays finished, keeping its label.
+
+    The groups are searched in the order of their first words, and a
+    level is built when a group first reads it, carrying every prefix of
+    its length that some half needs.  Once a word has failed, a group
+    whose first word comes after it cannot name an earlier one, so the
+    check stops there: a check that passes searches every group.
 
     Each witness is the one a search over M_u and M_v alone returns, M_u
     being u's multipliers composed letter by letter.  Minimization is
@@ -460,44 +468,36 @@ def check_axioms(
         need.setdefault(len(half), set()).add(half)
     for j in range(max(need), 2, -1):
         need.setdefault(j - 1, set()).update(p[:-1] for p in need[j])
-    # each level, with the bit of each prefix it carries
+    # each level, with the bit of each prefix it carries, built when a
+    # group first reads it
     general = mults.fsa
-    levels = {1: (general, {(g,): i for g, i in mults.index.items()})}
-    if 0 in need:
-        levels[0] = (
-            identity.relabelled(
-                int(s in identity.accepting) for s in range(identity.num_states)
-            ),
-            {(): 0},
-        )
-    for j in range(2, max(need) + 1):
-        below, at = levels[j - 1]
-        prefixes = sorted(need[j])
-        levels[j] = (
-            below.compose(
-                general, [(at[p[:-1]], mults.index[p[-1]]) for p in prefixes]
-            ),
-            {p: k for k, p in enumerate(prefixes)},
-        )
-    # one search per pair of half lengths, each of its words a bit
+    levels = [(identity, {(): 0}), (general, {(g,): i for g, i in mults.index.items()})]
+    # one search per pair of half lengths, in the order of its first word
     groups = {}
     for t, (u, v) in enumerate(halves):
         groups.setdefault((len(u), len(v)), []).append(t)
-    failed = {}
+    failed = None  # the first failing word so far, with its witness
     for (a, b), members in groups.items():
+        if failed is not None and failed[0] < members[0]:
+            break
+        while len(levels) <= max(a, b):
+            below, at = levels[-1]
+            prefixes = sorted(need[len(levels)])
+            levels.append((
+                below.compose(
+                    general, [(at[p[:-1]], mults.index[p[-1]]) for p in prefixes]
+                ),
+                {p: k for k, p in enumerate(prefixes)},
+            ))
         (left, at_left), (right, at_right) = levels[a], levels[b]
-        left = left.relabelled(
-            _pair_bits(left.labels, [at_left[halves[t][0]] for t in members])
+        found = left.composite_distinct_pairs(
+            right, [(at_left[halves[t][0]], at_right[halves[t][1]]) for t in members]
         )
-        right = right.relabelled(
-            _pair_bits(right.labels, [at_right[halves[t][1]] for t in members])
-        )
-        for k, wit in left.composite_distinct_pairs(right).items():
-            failed[members[k]] = wit
-    if not failed:
-        return None
-    first = min(failed)
-    return words[first], failed[first]
+        if found:
+            k = min(found)
+            if failed is None or members[k] < failed[0]:
+                failed = members[k], found[k]
+    return failed and (words[failed[0]], failed[1])
 
 
 def compute_structure(
@@ -577,7 +577,7 @@ def compute_structure(
         stopped_by=stopped_by,
     )
     if prune and outcome == VERIFIED:
-        _prune_verified(res)
+        _prune_verified(res, mults.fsa)
     res.seconds = time.monotonic() - began
     return res
 
@@ -598,35 +598,35 @@ def _repair_step(
     return w
 
 
-def _walked_differences(diff: DiffMachine, mults: dict) -> set:
-    """The D states met walking each M_g in step with D from (start, EPS).
-    Every M_g is trimmed, so these are the differences of every prefix of
-    every pair it accepts: those on the multiplier product's paths to a
-    target."""
-    rows = diff.fsa.moves
-    walked = set()
-    for m in mults.values():
+def _walked_differences(diff: DiffMachine, general: Fsa) -> set:
+    """The D states met walking the general multiplier in step with D from
+    (start, EPS).  It is trimmed under its labels, so these are the
+    differences of every prefix of every pair some M_g accepts: those on
+    the multiplier product's paths to a target."""
+    rows, moves = diff.fsa.moves, general.moves
 
-        def successors(node):
-            s, d = node
-            for sym, t in m.moves[s].items():
-                yield sym, (t, rows[d][sym])
+    def successors(node):
+        s, d = node
+        for sym, t in moves[s].items():
+            yield sym, (t, rows[d][sym])
 
-        nodes = explore(m.symbols, (m.start, EPS), successors, lambda n: False)[1]
-        walked.update(d for _, d in nodes)
-    return walked
+    _, nodes = explore(
+        general.symbols, (general.start, EPS), successors, lambda n: False
+    )
+    return {d for _, d in nodes}
 
 
-def _prune_verified(res: StructureResult) -> None:
-    """Restrict the verified D to the states its multipliers walk through,
-    closed under inversion.  The restriction's moves are recomputed from
-    the same rewrites, so its multiplier product is the full product's
-    induced subgraph on those states, which holds every path to a target:
-    it would rebuild the verified multipliers, so they are not rebuilt.
-    W, M_e and M_g stay as verified; only ``res.diff`` changes, and on a
-    run that was not confluent only if the restriction's acceptor is W."""
+def _prune_verified(res: StructureResult, general: Fsa) -> None:
+    """Restrict the verified D to the states its multipliers walk through
+    (general is their general multiplier), closed under inversion.  The
+    restriction's moves are recomputed from the same rewrites, so its
+    multiplier product is the full product's induced subgraph on those
+    states, which holds every path to a target: it would rebuild the
+    verified multipliers, so they are not rebuilt.  W, M_e and M_g stay
+    as verified; only ``res.diff`` changes, and on a run that was not
+    confluent only if the restriction's acceptor is W."""
     diff = res.diff
-    keep = _walked_differences(diff, res.multipliers)
+    keep = _walked_differences(diff, general)
     # a fixpoint, since in a non-confluent system the reduced inverse of a
     # reduced inverse need not be the label; close() made the full label
     # set closed under this map, so it stays inside it

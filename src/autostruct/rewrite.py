@@ -335,16 +335,6 @@ class KbCompletion:
             self._sides.append(key)
         return sid
 
-    def _push(self, prio, *entry):
-        """Queue an equation under prio, behind every entry of that length:
-        a retired rule as its two sides, a superposition as its four sides
-        and offset."""
-        if len(entry) == 2:
-            self._enqueue(prio, self._side(*entry), 0, _RETIRED)
-        else:
-            l1, r1, l2, r2, at = entry
-            self._enqueue(prio, self._side(l1, r1), self._side(l2, r2), at)
-
     def _enqueue(self, prio: int, first: int, second: int, offset: int) -> None:
         """Queue one entry's three slots under prio: the first rule's
         sides, the second's and the offset, or a retired rule's sides, any

@@ -233,8 +233,8 @@ def test_minimize_against_brute_force_residuals():
         )
         acc = {s for s in range(n) if more.random() < 0.35}
         assert serialize_fsa(
-            renamed.minimized({perm[s] for s in acc})
-        ) == serialize_fsa(m.minimized(acc))
+            renamed.minimized({perm[s]: 1 for s in acc})
+        ) == serialize_fsa(m.minimized(dict.fromkeys(acc, 1)))
         pairs = random_partial_machine(more, PAIRS, max_states=7)
         assert serialize_fsa(renumbered(pairs, more)[0].minimized()) == (
             serialize_fsa(pairs.minimized())
@@ -680,12 +680,16 @@ def test_trimmed_compose_matches_the_untrimmed_one_on_knot_halves():
 def labelled_machine(rng, bits=2):
     """A random partial pair machine with a random label per state."""
     m = random_partial_machine(rng, PAIRS, max_states=3, density=0.5)
-    return m.relabelled(rng.randrange(1 << bits) for _ in range(m.num_states))
+    labels = [rng.randrange(1 << bits) for _ in range(m.num_states)]
+    accepting = (s for s, label in enumerate(labels) if label)
+    out = Fsa(m.symbols, m.start, accepting, m.moves)
+    out.labels = labels
+    return out
 
 
 def under_bit(m, bit):
     """A labelled machine minimized under the states whose label has bit."""
-    return m.minimized([s for s, label in enumerate(m.labels) if label >> bit & 1])
+    return m.minimized({s: 1 for s, label in enumerate(m.labels) if label >> bit & 1})
 
 
 def test_labelled_compose_keeps_each_bits_bytes():
@@ -713,6 +717,27 @@ def test_labelled_compose_keeps_each_bits_bytes():
             serialize_fsa(compose_untrimmed(*plain))
         ), n
     assert nonempty > 200
+
+
+def test_distinct_pairs_under_bit_pairs_match_each_pair_alone():
+    # on two labelled machines, the witness keyed by each bit pair's index,
+    # a repeated pair included, is the one the search over the two sides
+    # minimized under that pair's bits returns, or absent with it
+    rng = random.Random(4848)
+    pairs = [(1, 0), (0, 0), (1, 1), (0, 1), (1, 0)]
+    found = missing = 0
+    for n in range(200):
+        first, second = labelled_machine(rng), labelled_machine(rng)
+        got = first.composite_distinct_pairs(second, pairs)
+        assert set(got) <= set(range(len(pairs))), n
+        for k, (i, j) in enumerate(pairs):
+            want = under_bit(first, i).composite_distinct_pairs(
+                under_bit(second, j)
+            ).get(0)
+            assert got.get(k) == want, (n, k)
+            found += want is not None
+            missing += want is None
+    assert found > 300 and missing > 300
 
 
 def test_compose_with_a_dead_start_pair_is_empty():

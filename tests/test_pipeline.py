@@ -34,7 +34,7 @@ from autostruct.pipeline import (
     run_knuth_bendix,
 )
 from autostruct.orders import KINDS, SHORTLEX, WREATH, WTLEX, Order
-from autostruct.rewrite import KbCompletion, RewriteSystem, is_confluent
+from autostruct.rewrite import _RETIRED, KbCompletion, RewriteSystem, is_confluent
 from autostruct.words import PAD, Alphabet
 from test_fsa import project
 from test_acceptance import _structure
@@ -254,7 +254,7 @@ def test_an_unsettled_completion_is_not_confluent(monkeypatch, fault):
         if fault == "discarded":
             comp.discarded = True
         else:  # b a = a b does not hold in PSL(2,7)
-            comp._push(2, ("b", "a"), ("a", "b"))
+            comp._enqueue(2, comp._side(("b", "a"), ("a", "b")), 0, _RETIRED)
         return is_confluent(rs)
 
     monkeypatch.setattr(pipeline, "KbCompletion", Completion)
@@ -551,7 +551,7 @@ def test_shared_product_matches_one_product_per_target(case):
         want_used |= ref_used
     # the differences pruning starts from: the verified multipliers walk
     # through the labels on the useful paths of each target's own product
-    walked = pipeline._walked_differences(diff, res.multipliers)
+    walked = pipeline._walked_differences(diff, mults.fsa)
     assert {diff.labels[d] for d in walked} == want_used
 
 
@@ -574,7 +574,7 @@ def test_general_multiplier_keeps_every_multipliers_bytes(monkeypatch, case):
         for i in raw.accepting:
             by_target.setdefault(states[i][2], []).append(i)
         for g, t in targets.items():
-            want = raw.minimized(by_target.get(t, ()))
+            want = raw.minimized(dict.fromkeys(by_target.get(t, ()), 1))
             assert serialize_fsa(mults[g]) == serialize_fsa(want), (len(loops), g)
         loops.append(len(targets))
         return mults, identity
@@ -793,7 +793,7 @@ def compose_spy(monkeypatch) -> list:
     calls = []
     real = Fsa.compose
 
-    def spy(self, other, pairs=None):
+    def spy(self, other, pairs=((0, 0),)):
         out = real(self, other, pairs)
         calls.append((self, other, pairs, out))
         return out
@@ -833,7 +833,7 @@ def test_every_half_keeps_its_bytes(monkeypatch, name, fault):
     assert len(pairs) == len(set(pairs)) > 1
     for k, (i, j) in enumerate(pairs):
         half = level.minimized(
-            [s for s, label in enumerate(level.labels) if label >> k & 1]
+            {s: 1 for s, label in enumerate(level.labels) if label >> k & 1}
         )
         g, h = general.gens[i], general.gens[j]
         assert serialize_fsa(half) == serialize_fsa(mults[g].compose(mults[h])), (g, h)
@@ -884,6 +884,29 @@ def test_one_axiom_check_composes_once(monkeypatch):
     assert res.outcome == VERIFIED and res.loops == 1
     assert checks == [(1, None)]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault", [None, "inverse"])
+def test_a_check_failing_at_its_first_relator_builds_no_later_level(
+    monkeypatch, fault
+):
+    # KNOT41's relators (halves of length 2), then a true word of length 8
+    # (halves of length 4).  A check that passes builds levels 2, 3 and 4;
+    # with M_x and M_X swapped the first relator fails, and the check stops
+    # before the long word's group, having built level 2 alone
+    fam, res, mults = knot41_multipliers(None)
+    if fault:
+        mults["x"], mults["X"] = mults["X"], mults["x"]
+    relations = list(fam.presentation.relations)
+    r, s, _t = (x for x, _ in relations)
+    relations.append((r + s, ()))
+    want = axioms_by_halves(fam.order, relations, mults, res.identity)
+    general = GeneralMultiplier.of(mults)
+    calls = compose_spy(monkeypatch)
+    got = check_axioms(fam.order, relations, general, res.identity)
+    assert got == want
+    assert (got and got[0]) == (r if fault else None)
+    assert len(calls) == (1 if fault else 3)
 
 
 def test_axiom_check_flags_swapped_multipliers():
@@ -983,6 +1006,7 @@ def test_pruning_keeps_the_language_and_the_verdict():
 
 def test_pruning_checks_against_the_verified_machines_only(monkeypatch):
     res = run_family("BSpq", 3, 3)
+    general = GeneralMultiplier.of(res.multipliers).fsa
 
     def forbidden(*args, **kw):
         raise AssertionError("pruning re-ran a stage of the pipeline")
@@ -991,7 +1015,7 @@ def test_pruning_checks_against_the_verified_machines_only(monkeypatch):
     for name in ("build_multiplier", "check_domains", "_diagonal_multiplier",
                  "irreducible_word_acceptor", "build_acceptor"):
         monkeypatch.setattr(pipeline, name, forbidden)
-    pipeline._prune_verified(res)
+    pipeline._prune_verified(res, general)
     assert (res.raw_diff_count, res.diff.state_count()) == (59, 39)
 
 
@@ -1010,7 +1034,7 @@ def test_pruning_a_non_confluent_run_keeps_its_acceptor(monkeypatch):
     before = plain.diff
     rejects_all = Fsa(alpha.symbols, 0, frozenset(), [{}])
     monkeypatch.setattr(pipeline, "build_acceptor", lambda diff: rejects_all)
-    pipeline._prune_verified(plain)
+    pipeline._prune_verified(plain, GeneralMultiplier.of(plain.multipliers).fsa)
     assert plain.diff is before and plain.raw_diff_count is None
 
 

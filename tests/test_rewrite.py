@@ -18,6 +18,7 @@ from autostruct.rewrite import (
     MAX_PAIRS,
     KbCompletion,
     RewriteSystem,
+    _RETIRED,
     _offsets,
     _overlapping,
     critical_pairs,
@@ -135,11 +136,11 @@ def test_a_shorter_entry_pushed_late_pops_next():
         comp._pop()
     words = [("a",) * n for n in range(1, 7)]
     for n in (5, 4, 6, 4, 5):
-        comp._push(n, words[n - 1], words[0])
+        comp._enqueue(n, comp._side(words[n - 1], words[0]), 0, _RETIRED)
     assert comp._pop() == (words[3], words[0])
     assert comp._pop() == (words[3], words[0])
-    comp._push(2, ("b", "a"), ("a", "b"))
-    comp._push(3, ("b", "a", "b"), (), ("b",), ("a",), 0)
+    comp._enqueue(2, comp._side(("b", "a"), ("a", "b")), 0, _RETIRED)
+    comp._enqueue(3, comp._side(("b", "a", "b"), ()), comp._side(("b",), ("a",)), 0)
     assert [e[0] for e in comp.pending()] == [2, 3, 5, 5, 6]
     assert comp._pop() == (("b", "a"), ("a", "b"))
     assert comp._pop() == ((), ("a", "a", "b"))  # b a b contains b at 0
@@ -412,7 +413,7 @@ def _full_scan_run(comp, max_pairs):
             old_lhs, old_rhs = rule[0], rule[1]
             if any(old_lhs[k : k + n] == lhs for k in range(len(old_lhs) - n + 1)):
                 rs.deactivate(i)
-                comp._push(len(old_lhs), old_lhs, old_rhs)
+                comp._enqueue(len(old_lhs), comp._side(old_lhs, old_rhs), 0, _RETIRED)
                 continue
             reduced = rs.rewrite(old_rhs)
             if reduced != old_rhs:
