@@ -206,17 +206,6 @@ class DiffMachine:
                     )
         return out
 
-    # ------------------------------------------------------------ walking
-
-    def trace_pair(self, w1: Word, w2: Word) -> Optional[int]:
-        """Target state of the padded pair, or None when it falls off."""
-        s, moves = EPS, self.fsa.moves
-        for sym in pad_pair(w1, w2):
-            s = moves[s].get(sym)
-            if s is None:
-                return None
-        return s
-
     # ----------------------------------------------------------- reducing
 
     def reduce(self, w: Word) -> Word:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .diff import DiffMachine
 from .errors import InputError
-from .fsa import Fsa, pair_symbols
+from .fsa import Fsa, explore, pair_symbols
 from .orders import KINDS, Order, WREATH, WTLEX, WTSHORTLEX
 from .presentations import Presentation
 from .rewrite import RewriteSystem
@@ -285,7 +285,9 @@ def serialize_fsa(a: Fsa, labels: Optional[dict] = None) -> str:
     labels, when given, maps original state numbers to words and is
     renumbered along with the states.
     """
-    canon, order = a._bfs_form()
+    canon, order = explore(
+        a.symbols, a.start, lambda s: a.moves[s].items(), a.accepting.__contains__
+    )
     number = {s: i for i, s in enumerate(order)}
     carried = {number[s]: w for s, w in (labels or {}).items() if s in number}
 

@@ -152,9 +152,6 @@ class Fsa:
             if sym == (PAD, PAD):
                 raise LogicError("the double-padding pair is not a symbol")
 
-    def step(self, s: int, sym) -> Optional[int]:
-        return self.moves[s].get(sym)
-
     def accepts(self, w) -> bool:
         s, moves = self.start, self.moves
         for sym in w:
@@ -264,14 +261,6 @@ class Fsa:
         )
         canon.labels = [first[rep[b]] for b in found]
         return canon
-
-    def _bfs_form(self) -> tuple:
-        """(reachable part renumbered breadth-first in alphabet order,
-        the original state behind each new number)."""
-        return explore(
-            self.symbols, self.start, lambda s: self.moves[s].items(),
-            self.accepting.__contains__,
-        )
 
     # ------------------------------------------------------ rational ops
 

@@ -117,10 +117,6 @@ class Order:
             return EQ
         return LT if self._key(u) < self._key(v) else GT
 
-    def precedes(self, u: Word, v: Word) -> bool:
-        """Strictly earlier in the order."""
-        return self.compare(u, v) == LT
-
     def weight(self, s: str) -> int:
         # Plain shortlex ignores declared weights entirely; reading them as 1
         # here keeps the history machinery consistent with compare().

@@ -83,16 +83,35 @@ MAX_LOOPS = 10  # correction loops
 
 @dataclass
 class StructureResult:
+    """What a run of `compute_structure` found.
+
+    - ``outcome``: VERIFIED, KB_STOPPED, LOOP_LIMIT or AXIOM_FAILED;
+    - ``rws``, ``confluent``: the rewriting system as completion and repair
+      left it, and whether completion found it confluent;
+    - ``loops``: the checks that found a gap or a failing relator;
+    - ``diff``, ``acceptor``, ``identity``: the last loop's difference
+      machine D, word acceptor W and diagonal multiplier M_e;
+    - ``multipliers``: the general multiplier that loop checked, a
+      `GeneralMultiplier` whose ``fsa`` is its labelled machine.  As a
+      mapping g -> M_g it builds each M_g when first read, and the run
+      reads none.  ``{}`` when no loop built one;
+    - ``witness``: the last loop's domain gap (g, word), or its failing
+      relator with a padded pair word; None on a verified run;
+    - ``raw_diff_count``: D's states before pruning, if pruning shrank D;
+    - ``stopped_by``: the stage, cap and limit that ended the run;
+    - ``seconds``: the run's wall time.
+    """
+
     outcome: str
     rws: RewriteSystem
     confluent: bool
     loops: int
     diff: Optional[DiffMachine] = None
     acceptor: Optional[Fsa] = None
-    multipliers: dict = field(default_factory=dict)
+    multipliers: Mapping = field(default_factory=dict)
     identity: Optional[Fsa] = None
     witness: Optional[tuple] = None
-    raw_diff_count: Optional[int] = None  # before pruning, if it shrank D
+    raw_diff_count: Optional[int] = None
     stopped_by: Optional[dict] = None  # {"stage", "cap", "limit"}
     seconds: float = 0.0
 
@@ -192,12 +211,13 @@ class GeneralMultiplier(Mapping):
     states each carry a label (`Fsa.labels`): the mask of the generators
     accepting there, bit i for the i-th of ``gens``.
 
-    As a read-only mapping it gives each generator g its multiplier M_g:
-    ``fsa`` minimized under the states whose label has g's bit, built when
-    first read and kept.  Minimization is canonical, so M_g has the bytes
-    of the machine ``fsa`` was minimized from, minimized under g's states.
-    The domain and axiom checks search ``fsa`` itself, once for every
-    generator, and read no M_g."""
+    As a mapping it gives each generator g its multiplier M_g: ``fsa``
+    minimized under the states whose label has g's bit, built when first
+    read and kept.  Minimization is canonical, so M_g has the bytes of the
+    machine ``fsa`` was minimized from, minimized under g's states.  The
+    domain and axiom checks search ``fsa`` itself, once for every
+    generator, and read no M_g.  Assigning M_g replaces the machine kept
+    for g, as a test injecting a fault does; ``fsa`` is left as it is."""
 
     def __init__(self, gens, fsa: Fsa):
         self.gens = tuple(gens)
@@ -242,6 +262,11 @@ class GeneralMultiplier(Mapping):
                 {s: 1 for s, label in enumerate(self.fsa.labels) if label & bit}
             )
         return m
+
+    def __setitem__(self, g, m: Fsa) -> None:
+        if g not in self.index:  # the keys stay the generators
+            raise KeyError(g)
+        self._built[g] = m
 
     def __iter__(self):
         return iter(self.gens)
@@ -573,11 +598,11 @@ def compute_structure(
 
     res = StructureResult(
         outcome, rs, confluent, loops, diff=diff, acceptor=acc,
-        multipliers=dict(mults), identity=identity, witness=witness,
+        multipliers=mults, identity=identity, witness=witness,
         stopped_by=stopped_by,
     )
     if prune and outcome == VERIFIED:
-        _prune_verified(res, mults.fsa)
+        _prune_verified(res)
     res.seconds = time.monotonic() - began
     return res
 
@@ -616,9 +641,9 @@ def _walked_differences(diff: DiffMachine, general: Fsa) -> set:
     return {d for _, d in nodes}
 
 
-def _prune_verified(res: StructureResult, general: Fsa) -> None:
+def _prune_verified(res: StructureResult) -> None:
     """Restrict the verified D to the states its multipliers walk through
-    (general is their general multiplier), closed under inversion.  The
+    (those of ``res.multipliers.fsa``), closed under inversion.  The
     restriction's moves are recomputed from the same rewrites, so its
     multiplier product is the full product's induced subgraph on those
     states, which holds every path to a target: it would rebuild the
@@ -626,7 +651,7 @@ def _prune_verified(res: StructureResult, general: Fsa) -> None:
     as verified; only ``res.diff`` changes, and on a run that was not
     confluent only if the restriction's acceptor is W."""
     diff = res.diff
-    keep = _walked_differences(diff, general)
+    keep = _walked_differences(diff, res.multipliers.fsa)
     # a fixpoint, since in a non-confluent system the reduced inverse of a
     # reduced inverse need not be the label; close() made the full label
     # set closed under this map, so it stays inside it

@@ -136,9 +136,6 @@ class Alphabet:
                         f"{s!r} and its inverse must share a level"
                     )
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
     def __contains__(self, s: str) -> bool:
         return s in self._rank
 

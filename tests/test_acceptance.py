@@ -30,6 +30,7 @@ from autostruct import (
 from autostruct.history import decide_precedes, history_step, root_history
 from autostruct.presentations import FamilySpec, builtin_family
 from test_core_history import reference_history
+from test_diff import trace_pair
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +172,7 @@ def _one_step_diff_reduction(diff, order, w):
             t = s
             short = True
             for kk in range(k, n):
-                t = diff.fsa.step(t, (v[kk], PAD))
+                t = diff.fsa.moves[t].get((v[kk], PAD))
                 if t is None:
                     short = False
                     break
@@ -179,7 +180,7 @@ def _one_step_diff_reduction(diff, order, w):
                 return True
             a = v[k]
             for b in alpha.symbols:
-                t2 = diff.fsa.step(s, (a, b))
+                t2 = diff.fsa.moves[s].get((a, b))
                 if t2 is None:
                     continue
                 nr = rel
@@ -450,7 +451,7 @@ def _check_weight_bound(res, mu, maxlen, cap=4000):
             for a, b in ((p1, p2), (p2, p1)):
                 if len(b) > len(a):
                     continue
-                s = diff.trace_pair(a, b)
+                s = trace_pair(diff, a, b)
                 if s is None:
                     continue
                 d = diff.labels[s]
@@ -468,7 +469,7 @@ def _check_level_bound(res, maxlen, cap=3000):
             for a, b in ((p1, p2), (p2, p1)):
                 if len(b) > len(a):
                     continue
-                s = diff.trace_pair(a, b)
+                s = trace_pair(diff, a, b)
                 if s is None:
                     continue
                 d = diff.labels[s]

@@ -126,7 +126,7 @@ def fresh_shadows(diff, bound, g) -> frozenset:
     order = diff.order
     out = set()
     for h in diff.alpha.symbols + (PAD,):
-        t = diff.fsa.step(EPS, (g, h))
+        t = diff.fsa.moves[EPS].get((g, h))
         if t is not None and t != EPS and h != g:
             hist = reference_history(order, (g,), () if h == PAD else (h,))
             if in_bounds(order, bound, hist, diff.labels[t]):
@@ -155,11 +155,11 @@ def without_dominated(order, shadows: frozenset) -> frozenset:
 def reference_kills(diff, d, hist, g) -> bool:
     """Does the shadow (d, hist) kill the word under g?"""
     order = diff.order
-    t = diff.fsa.step(d, (g, PAD))
+    t = diff.fsa.moves[d].get((g, PAD))
     if t == EPS and decide_precedes(order, hist, (g,), ()):
         return True
     for h in diff.alpha.symbols:
-        t = diff.fsa.step(d, (g, h))
+        t = diff.fsa.moves[d].get((g, h))
         if t is None:
             continue
         if t == EPS:
@@ -177,7 +177,7 @@ def reference_steps(diff, bound, d, hist, g) -> list:
     order = diff.order
     out = []
     for h in (PAD,) if hist.longer else (PAD,) + diff.alpha.symbols:
-        t = diff.fsa.step(d, (g, h))
+        t = diff.fsa.moves[d].get((g, h))
         if t is not None and t != EPS:
             nh = history_step(order, hist, g, h)
             if in_bounds(order, bound, nh, diff.labels[t]):
@@ -410,7 +410,7 @@ def recomputed_moves(diff) -> list:
             left = inv((a,)) if a != PAD else ()
             right = (b,) if b != PAD else ()
             want = diff.index.get(rewrite(left + label + right))
-            got = diff.fsa.step(s, (a, b))
+            got = diff.fsa.moves[s].get((a, b))
             if got != want:
                 out.append((s, (a, b), got, want))
     return out

@@ -121,7 +121,7 @@ ORDERS = [
 def order_id(order):
     """Kind and alphabet size, plus the declared levels when they skip one."""
     tiers = sorted(set((order.alphabet.levels or {}).values()))
-    name = f"{order.kind}-{len(order.alphabet)}"
+    name = f"{order.kind}-{len(order.alphabet.symbols)}"
     if tiers != list(range(1, len(tiers) + 1)):
         name += "-levels-" + "-".join(map(str, tiers))
     return name

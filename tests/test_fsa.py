@@ -148,7 +148,7 @@ def residual(m, q, max_len=8):
             out.add(w)
         if len(w) < max_len:
             for sym in m.symbols:
-                t = m.step(s, sym)
+                t = m.moves[s].get(sym)
                 if t is not None:
                     stack.append((t, w + (sym,)))
     return frozenset(out)
@@ -160,7 +160,7 @@ def reachable(m):
     while stack:
         s = stack.pop()
         for sym in m.symbols:
-            t = m.step(s, sym)
+            t = m.moves[s].get(sym)
             if t is not None and t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -443,7 +443,7 @@ def project(m, keep):
         while todo:
             s = todo.pop()
             for sym in silent:
-                t = m.step(s, sym)
+                t = m.moves[s].get(sym)
                 if t is not None and t not in seen:
                     seen.add(t)
                     todo.append(t)
@@ -943,7 +943,7 @@ def test_query_walks_match_an_exhaustive_walk():
     def walk(m, w):
         s = m.start
         for sym in w:
-            s = m.step(s, sym)
+            s = m.moves[s].get(sym)
             if s is None:
                 return False
         return s in m.accepting

@@ -484,9 +484,9 @@ def tuple_product(acc, diff, is_target) -> tuple:
             kind = 2 if a == PAD else 1 if b == PAD else 0
             if mode and kind != mode:
                 continue
-            nv = v if a == PAD else acc.step(v, a)
-            nw = w if b == PAD else acc.step(w, b)
-            nd = diff.fsa.step(d, sym)
+            nv = v if a == PAD else acc.moves[v].get(a)
+            nw = w if b == PAD else acc.moves[w].get(b)
+            nd = diff.fsa.moves[d].get(sym)
             if None not in (nv, nw, nd):
                 yield sym, (nv, nw, nd, kind)
 
@@ -586,6 +586,47 @@ def test_general_multiplier_keeps_every_multipliers_bytes(monkeypatch, case):
         assert len(loops) == 2
 
 
+def test_a_run_keeps_its_general_multiplier_and_builds_no_multiplier(monkeypatch):
+    # Wirtinger KNOT52 verifies in its second loop.  The result is that
+    # loop's general multiplier, and the run reads no M_g from it; each M_g
+    # read afterwards has the bytes of its target's own product
+    reads = []
+    real = GeneralMultiplier.__getitem__
+
+    def spy(self, g):
+        reads.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(GeneralMultiplier, "__getitem__", spy)
+    fam = builtin_family(FamilySpec("KNOT52", 1, 1), wirtinger=True)
+    res = compute_structure(fam.order, fam.presentation.relations)
+    assert res.outcome == VERIFIED and res.loops == 1
+    assert reads == []
+    assert isinstance(res.multipliers, GeneralMultiplier)
+    targets = multiplier_targets(res.diff)
+    assert list(res.multipliers) == list(targets) == list(fam.order.alphabet.symbols)
+    for g, target in targets.items():
+        ref, _ = one_target_multiplier(res.acceptor, res.diff, target)
+        assert serialize_fsa(res.multipliers[g]) == serialize_fsa(ref), g
+
+
+def test_an_assigned_multiplier_replaces_the_kept_one():
+    # a fault injected by assignment is what the mapping then gives; the
+    # labelled machine the run checked stays as it was.  A run of its own,
+    # since _structure's results are shared
+    fam = builtin_family(FamilySpec("KNOT41", 1, 1), wirtinger=True)
+    res = compute_structure(fam.order, fam.presentation.relations)
+    mults = res.multipliers
+    general = mults.fsa
+    m_x, m_y = mults["x"], mults["y"]
+    mults["x"], mults["y"] = m_y, m_x
+    assert mults["x"] is m_y and mults["y"] is m_x
+    assert mults.fsa is general
+    with pytest.raises(KeyError):
+        mults["not a generator"] = m_x
+    assert list(mults) == list(fam.order.alphabet.symbols)
+
+
 def domains_by_projection(acc, mults) -> list:
     """Reference: each multiplier's first-track projection against W."""
     gaps = []
@@ -658,7 +699,7 @@ def test_fused_domain_check_matches_the_projection_on_runs(case):
     name, p, q = case
     fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT41")
     res = compute_structure(fam.order, fam.presentation.relations)
-    assert check_domains(res.acceptor, GeneralMultiplier.of(res.multipliers)) == []
+    assert check_domains(res.acceptor, res.multipliers) == []
     assert domains_by_projection(res.acceptor, res.multipliers) == []
     # the first loop's machines, before any repair, and a gutted multiplier
     rs = RewriteSystem.from_relations(fam.order, fam.presentation.relations)
@@ -759,8 +800,7 @@ def test_axiom_check_matches_composition_on_knots(name):
     fam, res = _structure(name, wirtinger=True)
     assert res.outcome == VERIFIED and not res.confluent
     assert assert_axioms_match_reference(
-        fam.order, fam.presentation.relations,
-        GeneralMultiplier.of(res.multipliers), res.identity,
+        fam.order, fam.presentation.relations, res.multipliers, res.identity
     ) is None
 
 
@@ -939,9 +979,7 @@ def test_one_inverse_search_names_the_first_failing_generator(group, fault, firs
     order = Order(Alphabet(*group), SHORTLEX)
     res = compute_structure(order, [])
     assert res.outcome == VERIFIED and res.confluent
-    assert check_axioms(
-        order, [], GeneralMultiplier.of(res.multipliers), res.identity
-    ) is None
+    assert check_axioms(order, [], res.multipliers, res.identity) is None
     mults = dict(res.multipliers)
     mults.update({g: res.multipliers[h] for g, h in fault.items()})
     gm = GeneralMultiplier.of(mults)
@@ -1006,7 +1044,6 @@ def test_pruning_keeps_the_language_and_the_verdict():
 
 def test_pruning_checks_against_the_verified_machines_only(monkeypatch):
     res = run_family("BSpq", 3, 3)
-    general = GeneralMultiplier.of(res.multipliers).fsa
 
     def forbidden(*args, **kw):
         raise AssertionError("pruning re-ran a stage of the pipeline")
@@ -1015,7 +1052,7 @@ def test_pruning_checks_against_the_verified_machines_only(monkeypatch):
     for name in ("build_multiplier", "check_domains", "_diagonal_multiplier",
                  "irreducible_word_acceptor", "build_acceptor"):
         monkeypatch.setattr(pipeline, name, forbidden)
-    pipeline._prune_verified(res, general)
+    pipeline._prune_verified(res)
     assert (res.raw_diff_count, res.diff.state_count()) == (59, 39)
 
 
@@ -1034,7 +1071,7 @@ def test_pruning_a_non_confluent_run_keeps_its_acceptor(monkeypatch):
     before = plain.diff
     rejects_all = Fsa(alpha.symbols, 0, frozenset(), [{}])
     monkeypatch.setattr(pipeline, "build_acceptor", lambda diff: rejects_all)
-    pipeline._prune_verified(plain, GeneralMultiplier.of(plain.multipliers).fsa)
+    pipeline._prune_verified(plain)
     assert plain.diff is before and plain.raw_diff_count is None
 
 
