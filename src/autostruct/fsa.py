@@ -20,9 +20,11 @@ serialize identically and callers never minimize a result again.
 Minimization trims by a filter, keeping the states that can still accept,
 and then refines only along the defined moves; the final `explore` from
 the start's block drops whatever the start cannot reach.
-No machine ever gets a sink state: the products (the complement is one)
-and the language comparison walk each machine's own moves and carry None
-for a side that has fallen off; no move leaves None, so it acts as the sink.
+No machine ever gets a sink state.  Every product of whole machines, the
+complement and the language comparison (and, in the pipeline, the general
+multiplier of given machines and the walk of it with D) goes through one
+walk, `in_step`: it reads each machine's own moves and carries None for a
+machine that has fallen off; no move leaves None, so it acts as the sink.
 
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
@@ -264,45 +266,19 @@ class Fsa:
 
     # ------------------------------------------------------ rational ops
 
-    def _check_compatible(self, other: "Fsa") -> None:
-        if self.symbols != other.symbols:
-            raise LogicError("machines over different alphabets")
-
-    def _pairs(self, other: "Fsa", kinds):
-        """Successors of (state here, state there, pad kind) nodes, a side
-        that has fallen off carried as None.  kinds pairs each symbol with
-        its pad kind; a symbol of another kind than the node's (unless
-        that is 0) would break the padding discipline and is skipped."""
-        moves_a, moves_b = self.moves, other.moves
-
-        def successors(node):
-            s, t, kind = node
-            row_a = {} if s is None else moves_a[s]
-            row_b = {} if t is None else moves_b[t]
-            for sym, k in kinds:
-                if kind and k != kind:
-                    continue
-                s2, t2 = row_a.get(sym), row_b.get(sym)
-                if s2 is not None or t2 is not None:
-                    yield sym, (s2, t2, k)
-
-        return successors
-
-    def _product(self, other: "Fsa", accept) -> "Fsa":
-        """Product machine accepting where accept(here, there) holds."""
-        self._check_compatible(other)
-        raw, _ = explore(
-            self.symbols, (self.start, other.start, 0),
-            self._pairs(other, [(sym, 0) for sym in self.symbols]),
-            lambda n: accept(n[0] in self.accepting, n[1] in other.accepting),
-        )
+    def _product(self, other: "Fsa", keep) -> "Fsa":
+        """Product machine accepting where keep(label) holds: bit 0 of the
+        label is set where this machine accepts, bit 1 where the other
+        does (`in_step`)."""
+        start, successors, label = in_step((self, other))
+        raw, _ = explore(self.symbols, start, successors, lambda n: keep(label(n)))
         return raw.minimized()
 
     def intersect(self, other: "Fsa") -> "Fsa":
-        return self._product(other, lambda a, b: a and b)
+        return self._product(other, lambda label: label == 3)
 
     def union(self, other: "Fsa") -> "Fsa":
-        return self._product(other, lambda a, b: a or b)
+        return self._product(other, bool)
 
     def complement(self) -> "Fsa":
         """Complement of a word machine's language among all words: the
@@ -310,7 +286,7 @@ class Fsa:
         if self.track != 1:
             raise LogicError("complement needs a track-1 machine")
         every = Fsa(self.symbols, 0, (), [dict.fromkeys(self.symbols, 0)])
-        return self._product(every, lambda a, _: not a)
+        return self._product(every, lambda label: not label & 1)
 
     def compose(self, other: "Fsa", pairs=((0, 0),)) -> "Fsa":
         """Relational composition of two pair languages, one per pair of
@@ -485,7 +461,8 @@ class Fsa:
         the mask of the pairs whose bit they hold), from the kept tables."""
         if self.track != 2:
             raise LogicError("composition needs track-2 machines")
-        self._check_compatible(other)
+        if self.symbols != other.symbols:
+            raise LogicError("machines over different alphabets")
         rows_a, _, labels_a = self._composition()
         _, moves_b, labels_b = other._composition()
         return (
@@ -635,12 +612,10 @@ class Fsa:
         For track-2 machines only words obeying the padding discipline are
         compared; disagreement outside it is meaningless.
         """
-        self._check_compatible(other)
         pair = self.track == 2
-        kinds = [(sym, _pad_kind(sym) if pair else 0) for sym in self.symbols]
+        start, successors, label = in_step((self, other), disciplined=pair)
         return search_forward(
-            (self.start, other.start, 0), self._pairs(other, kinds),
-            lambda n: (n[0] in self.accepting) != (n[1] in other.accepting), 1,
+            start, successors, lambda n: label(n) in (1, 2), 1
         ).get(0)
 
 
@@ -686,6 +661,44 @@ def explore(symbols, start, successors, is_accept, max_states=None):
             row[sym] = tid
         moves.append(row)
     return Fsa(symbols, 0, accepting, moves), states
+
+
+def in_step(machines, disciplined=False) -> tuple:
+    """Machines over one alphabet run in step, as (start node, successors,
+    label) for `explore` or `search_forward`: the one walk of every product
+    of whole machines.
+
+    A node holds each machine's state, None once that machine has fallen
+    off (no move leaves None, so it acts as the sink), and then the pad
+    kind read so far.  successors(node) yields, in alphabet order, each
+    symbol some machine moves on.  With disciplined, a pair symbol of
+    another pad kind than the node's, unless that is 0, would break the
+    padding discipline and is skipped; without it the kind stays 0.
+    label(node) has bit i set where machine i accepts."""
+    symbols = machines[0].symbols
+    if any(m.symbols != symbols for m in machines):
+        raise LogicError("machines over different alphabets")
+    rows = [m.moves for m in machines]
+    accepting = [m.accepting for m in machines]
+    kinds = [(sym, _pad_kind(sym) if disciplined else 0) for sym in symbols]
+    nothing = {}
+
+    def successors(node):
+        kind = node[-1]
+        here = [nothing if s is None else r[s] for r, s in zip(rows, node)]
+        for sym, k in kinds:
+            if kind and k != kind:
+                continue
+            nxt = tuple(row.get(sym) for row in here)
+            if nxt.count(None) < len(nxt):
+                yield sym, (*nxt, k)
+
+    def label(node) -> int:
+        return sum(
+            1 << i for i, (acc, s) in enumerate(zip(accepting, node)) if s in acc
+        )
+
+    return (*(m.start for m in machines), 0), successors, label
 
 
 def coreachable(fsa: Fsa, accepting=None) -> dict:

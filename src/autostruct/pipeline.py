@@ -64,7 +64,7 @@ from typing import Optional
 from .acceptor import build_acceptor, irreducible_word_acceptor
 from .diff import EPS, DiffMachine, prefix_differences
 from .errors import InputError, ResourceLimit
-from .fsa import Fsa, _pad_kind, explore, pair_symbols
+from .fsa import Fsa, _pad_kind, explore, in_step, pair_symbols
 from .orders import Order
 from .rewrite import (
     CONFLUENT, MAX_LEN, MAX_PAIRS, MAX_RULES, KbCompletion, RewriteSystem, is_confluent,
@@ -231,26 +231,8 @@ class GeneralMultiplier(Mapping):
         alphabet: their product, run in step, each state labelled with the
         generators accepting there, minimized under those labels."""
         machines = list(mults.values())
-        symbols = machines[0].symbols
-
-        def successors(node):
-            for sym in symbols:
-                nxt = tuple(
-                    None if s is None else m.moves[s].get(sym)
-                    for m, s in zip(machines, node)
-                )
-                if nxt.count(None) < len(nxt):
-                    yield sym, nxt
-
-        def label(node) -> int:
-            return sum(
-                1 << i for i, (m, s) in enumerate(zip(machines, node))
-                if s in m.accepting
-            )
-
-        raw, states = explore(
-            symbols, tuple(m.start for m in machines), successors, label
-        )
+        start, successors, label = in_step(machines)
+        raw, states = explore(machines[0].symbols, start, successors, label)
         labels = {i: label(states[i]) for i in raw.accepting}
         return cls(mults, raw.minimized(labels))
 
@@ -628,17 +610,11 @@ def _walked_differences(diff: DiffMachine, general: Fsa) -> set:
     (start, EPS).  It is trimmed under its labels, so these are the
     differences of every prefix of every pair some M_g accepts: those on
     the multiplier product's paths to a target."""
-    rows, moves = diff.fsa.moves, general.moves
-
-    def successors(node):
-        s, d = node
-        for sym, t in moves[s].items():
-            yield sym, (t, rows[d][sym])
-
-    _, nodes = explore(
-        general.symbols, (general.start, EPS), successors, lambda n: False
-    )
-    return {d for _, d in nodes}
+    # D's own moves go on past the general multiplier's end; those nodes
+    # are not on its paths
+    start, successors, _ = in_step((general, diff.fsa))
+    _, nodes = explore(general.symbols, start, successors, lambda n: False)
+    return {d for s, d, _ in nodes if s is not None}
 
 
 def _prune_verified(res: StructureResult) -> None:

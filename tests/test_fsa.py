@@ -19,6 +19,7 @@ from autostruct.fsa import (
     pair_symbols,
     search_back,
 )
+from autostruct.pipeline import GeneralMultiplier
 from autostruct.presentations import FamilySpec, builtin_family
 from autostruct.words import PAD
 
@@ -368,6 +369,21 @@ def test_pair_machine_ops_against_brute_force():
             for p in itertools.product(PAIRS, repeat=n):
                 assert union.accepts(p) == (m1.accepts(p) or m2.accepts(p)), p
     assert 20 < disagreed < 50
+
+
+def test_general_multiplier_of_random_pair_machines():
+    # GeneralMultiplier.of runs its machines in step; its result minimized
+    # under bit i has the bytes of machine i minimized
+    for seed in range(40):
+        rng = random.Random(seed)
+        machines = [
+            random_partial_machine(rng, PAIRS, max_states=3, density=0.4)
+            for _ in range(3)
+        ]
+        general = GeneralMultiplier.of(dict(zip("xyz", machines))).fsa
+        for i, m in enumerate(machines):
+            bit = {s: 1 for s, label in enumerate(general.labels) if label >> i & 1}
+            assert serialize_fsa(general.minimized(bit)) == serialize_fsa(m.minimized())
 
 
 # ------------------------------------------------------------- track 2
