@@ -29,15 +29,14 @@ machine that has fallen off; no move leaves None, so it acts as the sink.
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product
 and subset construction here, in the acceptor builder and in the
-multiplier product goes through it.  It numbers each state when it finds
-it and fills the state's row when it expands it.  The multiplier product
-(`pipeline.build_multiplier`) first counts its states against its cap in
-a walk of its own, holding no move, and calls `explore` only once the
-product is known to fit.
+multiplier product goes through it, and so do composition's middle pairs.
+It numbers each state when it finds it and fills the state's row when it
+expands it.  The multiplier product (`pipeline.build_multiplier`), when
+its packed range can pass its cap, first counts its states against the
+cap in a walk of its own, holding no move.
 `coreachable` is one backward search from acceptance, used for trimming,
-enumeration and emptiness; `search_back` is the same search over an
-implicit graph, which composition uses to keep only the middle pairs that
-can still accept.
+enumeration, emptiness and composition's live middle pairs;
+`search_back` is the same search over any predecessor function.
 `search_forward` is its forward twin: for each bit of a mask, it finds
 the least word to a node whose label has that bit, so one search answers
 for every bit at once.  A labelled machine carries a label per state
@@ -316,14 +315,16 @@ class Fsa:
         words; those silent tail moves read (padding, padding) on the outer
         tracks.
 
-        Before the subset construction one walk finds the middle pairs
-        (state here, state there) reachable from the start pair over every
-        triple move, silent and finishing ones included.  A middle pair's
-        label holds bit k when its sides' masks hold it, and its tail label
-        is the OR of the labels the silent moves reach from it, itself
-        included: one fixpoint back along the silent moves.  A backward
-        search from every pair with a tail label keeps the live pairs, and
-        a subset takes in live pairs only.  This is exact: a dead pair
+        Before the subset construction `explore` builds the middle machine:
+        its states are the pairs (state here, state there) reachable from
+        the start pair, and its moves every triple move (x, y, z), silent
+        and finishing ones included.  A middle pair's label holds bit k
+        when its sides' masks hold it, and its tail label is the OR of the
+        labels the silent moves reach from it, itself included: one
+        fixpoint back along the silent moves.  `coreachable` keeps the
+        live pairs, those that reach a pair with a label, and a subset
+        takes in live pairs only, each member read from its row of the
+        middle machine.  This is exact: a dead pair
         accepts nothing on any continuation under any bit, so dropping it
         from every subset leaves each bit's language unchanged.  Liveness
         ignores the pad kind, so it keeps a pair too many rather than one
@@ -333,56 +334,52 @@ class Fsa:
         bytes of the result.
         """
         rows_a, moves_b, bits_a, bits_b = self._sides(other, pairs)
-        # every middle pair reachable from the start over the triple moves,
-        # silent and finishing ones included, with its predecessors, and
-        # apart from them its predecessors on silent moves alone
-        start = (self.start, other.start)
-        into, silent_into = {start: []}, {}
-        found = [start]  # the list of pairs is its own queue
-        for pair in found:
-            sa, sb = pair
-            by_y = moves_b[sb]
-            for (x, y), ta in rows_a[sa]:
+
+        def triples(pair):
+            by_y = moves_b[pair[1]]
+            for (x, y), ta in rows_a[pair[0]]:
                 for z, tb in by_y.get(y, ()):
-                    sources = into.get((ta, tb))
-                    if sources is None:
-                        into[ta, tb] = [pair]
-                        found.append((ta, tb))
-                    else:
-                        sources.append(pair)
-                    if x == PAD and z == PAD:
-                        silent_into.setdefault((ta, tb), []).append(pair)
+                    yield (x, y, z), (ta, tb)
+
+        # the middle machine reads triples; its alphabet is never read
+        middle, found = explore(
+            (), (self.start, other.start), triples,
+            lambda pair: bits_a[pair[0]] & bits_b[pair[1]],
+        )
+        rows = middle.moves
         # a pair's tail label: the bits of the pairs its silent moves reach
-        tail = {}
-        for p in found:
-            mask = bits_a[p[0]] & bits_b[p[1]]
-            if mask:
-                tail[p] = mask
-        todo = list(tail)
+        tail = [bits_a[sa] & bits_b[sb] for sa, sb in found]
+        silent_into = _predecessors(
+            [{m: t for m, t in row.items() if m[0] == m[2] == PAD} for row in rows]
+        )
+        todo = list(middle.accepting)
         while todo:
             q = todo.pop()
-            mask = tail[q]
-            for p in silent_into.get(q, ()):
-                old = tail.get(p, 0)
-                if old | mask != old:
-                    tail[p] = old | mask
+            for p in silent_into[q]:
+                if tail[p] | tail[q] != tail[p]:
+                    tail[p] |= tail[q]
                     todo.append(p)
         # a pair is live when some moves take it to a pair with a label
-        live = search_back(tail, into.__getitem__)
+        live = coreachable(middle)
 
         rank = {sym: k for k, sym in enumerate(self.symbols)}.__getitem__
+
+        # each live pair's moves into live pairs, by outer letters; a silent
+        # tail move, reading (PAD, PAD) there, is covered by acceptance
+        steps = {
+            p: [
+                ((x, z), t) for (x, _, z), t in rows[p].items()
+                if t in live and not x == z == PAD
+            ]
+            for p in live
+        }
 
         def successors(state):
             kind, cur = state
             nxt = {}
-            for sa, sb in cur:
-                by_y = moves_b[sb]
-                for (x, y), ta in rows_a[sa]:
-                    for z, tb in by_y.get(y, ()):
-                        if (ta, tb) in live:
-                            nxt.setdefault((x, z), set()).add((ta, tb))
-            # (PAD, PAD) here is a silent tail move, which acceptance covers
-            nxt.pop((PAD, PAD), None)
+            for p in cur:
+                for sym, t in steps.get(p, ()):
+                    nxt.setdefault(sym, set()).add(t)
             for sym in sorted(nxt, key=rank):
                 k = _pad_kind(sym)
                 if k == kind or not kind:
@@ -391,12 +388,10 @@ class Fsa:
         def label(state) -> int:
             out = 0
             for p in state[1]:
-                out |= tail.get(p, 0)
+                out |= tail[p]
             return out
 
-        raw, states = explore(
-            self.symbols, (0, frozenset({start})), successors, label
-        )
+        raw, states = explore(self.symbols, (0, frozenset({0})), successors, label)
         return raw.minimized({i: label(states[i]) for i in raw.accepting})
 
     def composite_distinct_pairs(self, other: "Fsa", pairs=((0, 0),)) -> dict:

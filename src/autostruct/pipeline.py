@@ -8,14 +8,15 @@ The stages:
 2. trace the rules into a difference machine and close it;
 3. build the word acceptor from the machine;
 4. build the general multiplier from one product of two acceptor copies
-   with the machine, on integer-packed states, once per loop: one walk
-   finds its states against the state cap, keeping them in arrays of
-   machine integers, 32-bit while every packed state fits (an
-   open-addressed table and the breadth-first list), and then `explore`
-   builds the product; it is minimized once, each state labelled with the
-   generators whose target difference it holds, and M_g, that machine
-   minimized under the states labelled g, is built only when read; plus
-   the diagonal identity multiplier;
+   with the machine, on integer-packed states, once per loop: where the
+   packed range can pass the state cap, one walk first finds its states
+   against the cap, keeping them in arrays of machine integers, 32-bit
+   while every packed state fits (an open-addressed table and the
+   breadth-first list); then `explore` builds the product; it is
+   minimized once, each state labelled with the generators whose target
+   difference it holds, and M_g, that machine minimized under the states
+   labelled g, is built only when read; plus the diagonal identity
+   multiplier;
 5. check every multiplier's domain equals the accepted language, by one
    search that runs W in step with the subset construction of the general
    multiplier's first track and records every generator's least gap word;
@@ -283,14 +284,16 @@ def build_multiplier(
     signed 64-bit integer: |W| is at most `acceptor.MAX_STATES` (150 000),
     so it could overflow only with |D| above about 10^8 states.
 
-    The product is walked twice with the same successors.  The first walk
-    keeps only the states, unboxed: the breadth-first list is an array of
-    that typecode, and the states found so far sit in an open-addressed
-    table, an array of 2*max(max_states, 1) + 1 slots filled with -1 (no
-    packed state is negative), probed linearly from a slot that mixes the
-    state's bits.  It counts the states against the state cap as it finds
-    them, so a capped product holds no move and no int object beyond the
-    one being checked.
+    Where the packed range can pass max_states, the product is walked
+    twice with the same successors; below that it cannot pass the cap, and
+    `explore` alone builds it.  The first walk keeps only the states,
+    unboxed: the breadth-first list is an array of that typecode, and the
+    states found so far sit in an open-addressed table, an array of
+    2*max(max_states, 1) + 1 slots filled with -1 (no packed state is
+    negative), probed linearly from a slot that mixes the state's bits.
+    It counts the states against the state cap as it finds them, so a
+    capped product holds no move and no int object beyond the one being
+    checked.
     Both arrays are dropped before the second walk, which is `explore`
     over the same successors and so finds the states in the same order."""
     symbols = pair_symbols(acc.symbols)
@@ -337,33 +340,34 @@ def build_multiplier(
                 yield sym, (v * side + tw) * scale + tail
 
     start = (acc.start * side + acc.start) * width * 3 + EPS * 3
-    # the first walk: the states alone.  The table holds at most
-    # max(max_states, 1) states, so fewer than half its slots are taken
-    # and every probe ends at the state or at a free slot (-1).  The
-    # states of one (v, w) pair are runs of consecutive integers, which
-    # state % size would lay on runs of slots that linear probing walks as
-    # one cluster; multiplying by the 64-bit golden ratio first (Knuth's
-    # multiplicative hashing) spreads them
-    golden = 0x9E3779B97F4A7C15  # 2^64 over the golden ratio, odd
-    code = _packed_typecode(side, width)
-    size = 2 * max(max_states, 1) + 1
-    table = array(code, [-1]) * size
-    table[(start * golden >> 17) % size] = start
-    states = array(code, [start])
-    for state in states:
-        for _, nxt in successors(state):
-            slot = (nxt * golden >> 17) % size
-            found = table[slot]
-            while found != nxt:
-                if found < 0:
-                    if len(states) >= max_states:
-                        raise ResourceLimit("states", max_states)
-                    table[slot] = nxt
-                    states.append(nxt)
-                    break
-                slot = slot + 1 if slot + 1 < size else 0
+    # the first walk, only where the packed range can pass the cap: the
+    # states alone.  The table holds at most max(max_states, 1) states, so
+    # fewer than half its slots are taken and every probe ends at the
+    # state or at a free slot (-1).  The states of one (v, w) pair are runs
+    # of consecutive integers, which state % size would lay on runs of
+    # slots that linear probing walks as one cluster; multiplying by the
+    # 64-bit golden ratio first (Knuth's multiplicative hashing) spreads them
+    if side * side * width * 3 > max_states:
+        golden = 0x9E3779B97F4A7C15  # 2^64 over the golden ratio, odd
+        code = _packed_typecode(side, width)
+        size = 2 * max(max_states, 1) + 1
+        table = array(code, [-1]) * size
+        table[(start * golden >> 17) % size] = start
+        states = array(code, [start])
+        for state in states:
+            for _, nxt in successors(state):
+                slot = (nxt * golden >> 17) % size
                 found = table[slot]
-    del table, states
+                while found != nxt:
+                    if found < 0:
+                        if len(states) >= max_states:
+                            raise ResourceLimit("states", max_states)
+                        table[slot] = nxt
+                        states.append(nxt)
+                        break
+                    slot = slot + 1 if slot + 1 < size else 0
+                    found = table[slot]
+        del table, states
     # the product fits: explore builds it in the same order
     masks = {}  # each target, to the mask of the generators it is the target of
     for i, t in enumerate(targets.values()):

@@ -458,6 +458,28 @@ def test_first_walk_probes_spread_over_dense_keys(monkeypatch):
     assert CountingTable.reads - lookups < lookups / 2
 
 
+@pytest.mark.parametrize("case", [("KNOT52", 1, 1), ("BSpq", 3, 3)])
+def test_the_first_walk_runs_only_where_the_cap_can_fire(monkeypatch, case):
+    # below the packed range the walk runs and the product still fits: the
+    # general multiplier keeps its bytes, and the default cap, which the
+    # packed range cannot pass, reads no table
+    name, p, q = case
+    fam = builtin_family(FamilySpec(name, p, q), wirtinger=name == "KNOT52")
+    res = compute_structure(fam.order, fam.presentation.relations)
+    acc, diff = res.acceptor, res.diff
+    targets = multiplier_targets(diff)
+    packed = acc.num_states ** 2 * diff.fsa.num_states * 3
+    assert packed <= pipeline.MAX_PRODUCT_STATES
+    monkeypatch.setattr(pipeline, "array", lambda code, init: CountingTable(init))
+    CountingTable.reads = 0
+    want = build_multiplier(acc, diff, targets)
+    assert CountingTable.reads == 0
+    got = build_multiplier(acc, diff, targets, max_states=packed - 1)
+    assert CountingTable.reads > 0
+    assert serialize_fsa(got.fsa) == serialize_fsa(want.fsa)
+    assert got.fsa.labels == want.fsa.labels
+
+
 def test_packed_typecode_widens_at_two_to_the_31():
     # |W|^2 * |D| * 3 packed values: 32-bit below 2^31, 64-bit from there
     assert pipeline._packed_typecode(1, 1) == "i"
