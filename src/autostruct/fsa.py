@@ -22,9 +22,9 @@ and then refines only along the defined moves; the final `explore` from
 the start's block drops whatever the start cannot reach.
 No machine ever gets a sink state.  Every product of whole machines, the
 complement and the language comparison (and, in the pipeline, the general
-multiplier of given machines and the walk of it with D) goes through one
-walk, `in_step`: it reads each machine's own moves and carries None for a
-machine that has fallen off; no move leaves None, so it acts as the sink.
+multiplier of given machines) goes through one walk, `in_step`: it reads
+each machine's own moves and carries None for a machine that has fallen
+off; no move leaves None, so it acts as the sink.
 
 A few helpers carry all the graph searches.  `explore` builds a machine
 breadth-first from a start state and a successor function; every product

@@ -610,15 +610,23 @@ def _repair_step(
 
 
 def _walked_differences(diff: DiffMachine, general: Fsa) -> set:
-    """The D states met walking the general multiplier in step with D from
-    (start, EPS).  It is trimmed under its labels, so these are the
-    differences of every prefix of every pair some M_g accepts: those on
-    the multiplier product's paths to a target."""
-    # D's own moves go on past the general multiplier's end; those nodes
-    # are not on its paths
-    start, successors, _ = in_step((general, diff.fsa))
+    """The D states met walking the general multiplier's moves from (start,
+    EPS), each move read in D too.  It is trimmed under its labels, so
+    these are the differences of every prefix of every pair some M_g
+    accepts: those on the multiplier product's paths to a target, so D
+    moves on each of their symbols.  D's own moves past them are not on
+    those paths."""
+    walk, steps = general.moves, diff.fsa.moves
+
+    def successors(node):
+        s, d = node
+        step = steps[d]
+        for sym, t in walk[s].items():
+            yield sym, (t, step[sym])
+
+    start = (general.start, diff.fsa.start)
     _, nodes = explore(general.symbols, start, successors, lambda n: False)
-    return {d for s, d, _ in nodes if s is not None}
+    return {d for _, d in nodes}
 
 
 def _prune_verified(res: StructureResult) -> None:

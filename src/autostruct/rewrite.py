@@ -20,18 +20,16 @@ that start there, whatever their lengths, and then backs up by the
 longest left side so no earlier match is missed.
 
 The completion queue pops by the length of the superposed word, then by
-push order, so it is one first-in-first-out bucket per length and a
-pointer to the shortest bucket that may hold an entry.  A bucket is an
-array of machine integers, three per entry, and a read index; it keeps
-the entries it has read until it drains, and then its array goes.  A superposition waits in it
-as the two rules' sides, as they were when it was pushed, and the offset
-of the second left side in the first; its two reductions are spelled
-only when it is popped, since a run pops few of the superpositions it
-pushes.  A rule's two sides are interned once as one id, so an entry is
-the first rule's id, the second's and the offset.  A retired rule waits
-as its own id with the offset slot -1.  Every slot is a signed 64-bit
-integer, and an id or an offset that did not fit would raise rather than
-wrap.
+push order, so it is one first-in-first-out deque per length and a pointer
+to the shortest length that may hold an entry.  A superposition waits as
+three slots: the two rules' sides, as they were when it was pushed, and the
+offset of the second left side in the first; its two reductions are
+spelled only when it is popped, since a run pops few of the superpositions
+it pushes.  A rule's sides are one (lhs, rhs) tuple, made when the rule
+joins or its right side changes, so every entry pushed for one version of
+a rule holds the same tuple.  A retired rule waits as its sides, None and
+the offset _RETIRED.  A deque frees its slots as they pop, and goes once
+it drains.
 
 Completion keeps one invariant: every active right side is irreducible,
 except those it has not normalized yet: the rules it was built with, all
@@ -66,8 +64,8 @@ no-op, so the rules and the queue come out the same.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
+from collections import deque
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, LogicError
@@ -290,16 +288,13 @@ class KbCompletion:
         self.max_rules = max_rules
         self.max_len = max_len
         self.discarded = False
-        # the queue: per length, an array of three slots per entry, or None
-        # where none waits; the next unread slot of each; the shortest
-        # length that may hold an entry; and the entries waiting
-        self._buckets = []
-        self._read = []
+        # the queue: per length, a deque of three slots per entry, or None
+        # where none waits; the shortest length that may hold an entry; and
+        # the entries waiting
+        self._queue = []
         self._low = 0
         self._waiting = 0
-        self._sides = []  # each interned (lhs, rhs), by its id
-        self._side_ids = {}
-        self._rule_sides = []  # per rule: its sides' id, -1 if never active
+        self._rule_sides = []  # per rule: its (lhs, rhs), None if never active
         chars = {g: chr(2 + k) for k, g in enumerate(rs.order.alphabet.symbols)}
         self._char = chars.__getitem__
         self._texts = []  # per rule: lhs, _ARROW, rhs; "" once retired
@@ -307,88 +302,69 @@ class KbCompletion:
         self._tails = ([], [])  # sorted reversed left sides, and theirs
         for i in range(len(rs.rules)):
             self._index(i)
-        rules = [
-            (i, r[0], r[1]) for i, r in enumerate(rs.rules) if r[2]
-        ]
+        rules = [(i, s) for i, s in enumerate(self._rule_sides) if s is not None]
         # right sides the completion did not write may be reducible
-        self._unnormalized = {i for i, _l, _r in rules}
-        for i, l1, r1 in rules:
-            for j, l2, r2 in rules:
-                self._push_pairs(l1, r1, l2, r2, i == j)
+        self._unnormalized = {i for i, _ in rules}
+        for i, first in rules:
+            for j, second in rules:
+                self._push_pairs(first, second, i == j)
 
-    def _push_pairs(self, l1, r1, l2, r2, same):
-        """Queue each superposition of the two rules, keyed by its length,
-        as the four sides and the offset it is spelled from."""
-        n1, n2 = len(l1), len(l2)
-        first = second = None
-        for at in _offsets(l1, l2, same):
-            if first is None:
-                first, second = self._side(l1, r1), self._side(l2, r2)
+    def _push_pairs(self, first: tuple, second: tuple, same: bool) -> None:
+        """Queue each superposition of the rules with sides first and
+        second, keyed by its length, as those sides and the offset it is
+        spelled from."""
+        n1, n2 = len(first[0]), len(second[0])
+        for at in _offsets(first[0], second[0], same):
             self._enqueue(max(n1, at + n2), first, second, at)
 
-    def _side(self, lhs: Word, rhs: Word) -> int:
-        """The id of a rule's two sides, interned on first use."""
-        key = (lhs, rhs)
-        sid = self._side_ids.get(key)
-        if sid is None:
-            sid = self._side_ids[key] = len(self._sides)
-            self._sides.append(key)
-        return sid
-
-    def _enqueue(self, prio: int, first: int, second: int, offset: int) -> None:
+    def _enqueue(
+        self, prio: int, first: tuple, second: Optional[tuple], offset: int
+    ) -> None:
         """Queue one entry's three slots under prio: the first rule's
-        sides, the second's and the offset, or a retired rule's sides, any
-        id and _RETIRED."""
-        buckets = self._buckets
-        if prio >= len(buckets):
-            grow = prio + 1 - len(buckets)
-            buckets += [None] * grow
-            self._read += [0] * grow
-        bucket = buckets[prio]
-        if bucket is None:
-            bucket = buckets[prio] = array("q")
-        bucket.extend((first, second, offset))
+        (lhs, rhs), the second's and the offset, or a retired rule's
+        (lhs, rhs), None and _RETIRED."""
+        queue = self._queue
+        if prio >= len(queue):
+            queue += [None] * (prio + 1 - len(queue))
+        slots = queue[prio]
+        if slots is None:
+            slots = queue[prio] = deque()
+        slots.extend((first, second, offset))
         if prio < self._low:
             self._low = prio
         self._waiting += 1
 
     def _pop(self) -> tuple:
         """The next queued equation (p, q), spelled now; the queue must not
-        be empty.  An entry keeps the sides it was pushed with, which never
+        be empty.  An entry holds the sides it was pushed with, which never
         change, so it spells the words it stood for when pushed."""
-        buckets, n = self._buckets, self._low
-        while buckets[n] is None:
+        queue, n = self._queue, self._low
+        while queue[n] is None:
             n += 1
         self._low = n
-        bucket = buckets[n]
-        at = self._read[n]
-        first, second, offset = bucket[at : at + 3]
-        at += 3
-        if at == len(bucket):  # drained: the array goes
-            buckets[n] = None
-            at = 0
-        self._read[n] = at
+        slots = queue[n]
+        first, second, offset = slots.popleft(), slots.popleft(), slots.popleft()
+        if not slots:
+            queue[n] = None
         self._waiting -= 1
-        sides = self._sides
         if offset == _RETIRED:
-            return sides[first]
-        return _reductions(*sides[first], *sides[second], offset)
+            return first
+        return _reductions(*first, *second, offset)
 
     def pending(self) -> Iterator[tuple]:
         """The queued entries in the order they will pop: (length, lhs,
         rhs) for a retired rule, (length, lhs1, rhs1, lhs2, rhs2, offset)
         for a superposition."""
-        sides = self._sides
-        for n in range(self._low, len(self._buckets)):
-            bucket = self._buckets[n]
-            if bucket is None:
+        for n in range(self._low, len(self._queue)):
+            slots = self._queue[n]
+            if slots is None:
                 continue
-            for k in range(self._read[n], len(bucket), 3):
-                first, second, offset = bucket[k : k + 3]
+            slots = iter(slots)
+            for first, second, offset in zip(slots, slots, slots):
                 if offset == _RETIRED:
-                    yield (n, *sides[first])
+                    yield (n, *first)
                 else:
-                    yield (n, *sides[first], *sides[second], offset)
+                    yield (n, *first, *second, offset)
 
     # ------------------------------------------------------------ indexes
 
@@ -399,9 +375,9 @@ class KbCompletion:
         lhs, rhs, on = self.rs.rules[i]
         if not on:
             self._texts.append("")
-            self._rule_sides.append(-1)
+            self._rule_sides.append(None)
             return
-        self._rule_sides.append(self._side(lhs, rhs))
+        self._rule_sides.append((lhs, rhs))
         word = self._spell(lhs)
         self._texts.append(word + _ARROW + self._spell(rhs))
         for (keys, ids), key in ((self._heads, word), (self._tails, word[::-1])):
@@ -461,12 +437,12 @@ class KbCompletion:
                 if word in texts[i][: len(old_lhs)]:
                     rs.deactivate(i)
                     texts[i] = ""
-                    enqueue(len(old_lhs), sides[i], 0, _RETIRED)
+                    enqueue(len(old_lhs), sides[i], None, _RETIRED)
                     continue
                 reduced = rs.rewrite(old_rhs)
                 if reduced != old_rhs:
                     rs.set_rhs(i, reduced)
-                    sides[i] = self._side(old_lhs, reduced)
+                    sides[i] = (old_lhs, reduced)
                     head = texts[i][: len(old_lhs) + 1]  # through _ARROW
                     texts[i] = head + self._spell(reduced)
             self._unnormalized = set()

@@ -14,7 +14,8 @@ exactly when they name one group element.
 - Hpq and HpNegq are <x, y | x^p y = Y x^(sq)>.  With t = x^p y the
   relator says t^2 = x^n, n = p + sq, so the group is the amalgam
   <x> *_{x^n = t^2} <t>, in which z = x^n = t^2 is central: an element is
-  z^k times alternating syllables x^r (0 < r < |n|) and t.
+  z^k times alternating syllables x^r (0 < r < |n|) and t.  With n = 0 it
+  is the free product Z * Z/2: z = 1, and x has no period.
 """
 
 import pytest
@@ -54,16 +55,16 @@ def britton(p, q, s):
 
 def amalgam(p, q, s):
     """Normal form in <x, y | x^p y = Y x^(sq)> as <x> *_{x^n = t^2} <t>,
-    n = p + sq != 0: the power of the central z = x^n, then the syllables."""
+    n = p + sq: the power of the central z = x^n, then the syllables.  With
+    n = 0, z = 1 and the x syllables are any nonzero power."""
     n = p + s * q
-    assert n, "n = 0 gives Z * Z/2, which this solver does not cover"
     # y = x^-p t and Y = t^-1 x^p
     spell = {
         "x": (("x", 1),), "X": (("x", -1),),
         "y": (("x", -p), ("t", 1)), "Y": (("t", -1), ("x", p)),
     }
     period = {"x": abs(n), "t": 2}
-    unit = {"x": 1 if n > 0 else -1, "t": 1}  # z per period of each factor
+    unit = {"x": 1 if n > 0 else -1, "t": 1 if n else 0}  # z per period
 
     def nf(word):
         k, syllables = 0, []
@@ -71,7 +72,7 @@ def amalgam(p, q, s):
             for factor, e in spell[letter]:
                 if syllables and syllables[-1][0] == factor:
                     e += syllables.pop()[1]
-                c, r = divmod(e, period[factor])
+                c, r = divmod(e, period[factor]) if period[factor] else (0, e)
                 k += c * unit[factor]
                 if r:
                     syllables.append((factor, r))
@@ -87,7 +88,7 @@ SOLVERS = {
     "HpNegq": lambda p, q: amalgam(p, q, -1),
 }
 CASES = [("BSpq", 2, 2), ("BSpq", 3, 3), ("BSpNegq", 2, 2), ("Hpq", 2, 1),
-         ("HpNegq", 2, 1)]
+         ("HpNegq", 2, 1), ("HpNegq", 2, 2), ("HpNegq", 3, 3)]
 
 
 def machine(fsa):
@@ -124,6 +125,20 @@ def pairs(multiplier, max_u):
             stack.append((t, u + a.replace(PAD, ""), v + b.replace(PAD, ""),
                           a == PAD, b == PAD))
     return out
+
+
+def wrong_moves(nf, labels, rows):
+    """The moves d -> d' on (a, b) of a difference machine, its states
+    labelled by words, where d' and a^-1 d b differ, a padded coordinate
+    counting as empty."""
+    inverse = str.maketrans("xXyY", "XxYy")
+    bad = []
+    for d, row in zip(labels, rows):
+        for (a, b), t in row.items():
+            a, b = a.replace(PAD, ""), b.replace(PAD, "")
+            if nf(a.translate(inverse) + d + b) != nf(labels[t]):
+                bad.append((d, a, b, labels[t]))
+    return bad
 
 
 def wrong_pairs(nf, acceptor, multiplier, g, max_u):
@@ -182,3 +197,16 @@ def test_a_redirected_multiplier_move_is_caught(case):
     moved = [dict(row) for row in rows]
     moved[start][sym] = start
     assert wrong_pairs(nf, acc, (start, accepting, moved), "y", 6)
+
+
+def test_difference_moves_are_right(case):
+    _, res, nf = case
+    labels = ["".join(w) for w in res.diff.labels]
+    assert wrong_moves(nf, labels, res.diff.fsa.moves) == []
+
+
+def test_swapped_difference_labels_are_caught(case):
+    _, res, nf = case
+    labels = ["".join(w) for w in res.diff.labels]
+    labels[1], labels[2] = labels[2], labels[1]
+    assert wrong_moves(nf, labels, res.diff.fsa.moves)

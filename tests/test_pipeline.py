@@ -254,7 +254,7 @@ def test_an_unsettled_completion_is_not_confluent(monkeypatch, fault):
         if fault == "discarded":
             comp.discarded = True
         else:  # b a = a b does not hold in PSL(2,7)
-            comp._enqueue(2, comp._side(("b", "a"), ("a", "b")), 0, _RETIRED)
+            comp._enqueue(2, (("b", "a"), ("a", "b")), None, _RETIRED)
         return is_confluent(rs)
 
     monkeypatch.setattr(pipeline, "KbCompletion", Completion)
@@ -1062,6 +1062,28 @@ def test_pruning_keeps_the_language_and_the_verdict():
     assert set(pruned.multipliers) == set(plain.multipliers)
     for g, m in plain.multipliers.items():
         assert serialize_fsa(pruned.multipliers[g]) == serialize_fsa(m), g
+
+
+def test_pruning_walks_only_the_general_multipliers_paths(monkeypatch):
+    # the walk follows the general multiplier's moves alone: D's own moves
+    # past its end would expand 85 nodes here, to keep the same labels
+    res = run_family("BSpq", 2, 2)
+    expanded = []
+
+    def spy(*args, **kw):
+        fsa, states = explore(*args, **kw)
+        expanded.append(len(states))
+        return fsa, states
+
+    monkeypatch.setattr(pipeline, "explore", spy)
+    pipeline._prune_verified(res)
+    assert expanded == [44]
+    kept = {"".join(w) for w in res.diff.labels}
+    assert kept == {
+        "", "X", "XX", "Y", "YX", "YXX", "YXXX", "Yx", "Yxx", "Yxxx", "x",
+        "xY", "xYXX", "xYXXXX", "xYxx", "xx", "xy", "xyXX", "xyXXXX", "xyxx",
+        "y", "yX", "yXX", "yXXX", "yx", "yxx", "yxxx",
+    }
 
 
 def test_pruning_checks_against_the_verified_machines_only(monkeypatch):

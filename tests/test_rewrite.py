@@ -117,7 +117,7 @@ def test_queued_superpositions_spell_the_critical_pairs_in_order():
         contained += sum(sup == l1 for sup, _p, _q in pairs)
         self_overlaps += len(pairs) if same else 0
         want += pairs
-        comp._push_pairs(l1, r1, l2, r2, same)
+        comp._push_pairs((l1, r1), (l2, r2), same)
     # shorter superpositions first, pushes in order within a length
     want.sort(key=lambda pair: len(pair[0]))
     assert contained > 50 and self_overlaps > 50
@@ -136,11 +136,11 @@ def test_a_shorter_entry_pushed_late_pops_next():
         comp._pop()
     words = [("a",) * n for n in range(1, 7)]
     for n in (5, 4, 6, 4, 5):
-        comp._enqueue(n, comp._side(words[n - 1], words[0]), 0, _RETIRED)
+        comp._enqueue(n, (words[n - 1], words[0]), None, _RETIRED)
     assert comp._pop() == (words[3], words[0])
     assert comp._pop() == (words[3], words[0])
-    comp._enqueue(2, comp._side(("b", "a"), ("a", "b")), 0, _RETIRED)
-    comp._enqueue(3, comp._side(("b", "a", "b"), ()), comp._side(("b",), ("a",)), 0)
+    comp._enqueue(2, (("b", "a"), ("a", "b")), None, _RETIRED)
+    comp._enqueue(3, (("b", "a", "b"), ()), (("b",), ("a",)), 0)
     assert [e[0] for e in comp.pending()] == [2, 3, 5, 5, 6]
     assert comp._pop() == (("b", "a"), ("a", "b"))
     assert comp._pop() == ((), ("a", "a", "b"))  # b a b contains b at 0
@@ -151,9 +151,9 @@ def test_a_shorter_entry_pushed_late_pops_next():
 
 
 def test_queued_entry_memory():
-    # a queued entry is three machine integers in its length's bucket, with
-    # the rules' sides interned once: about 55 bytes an entry of KNOT52's
-    # queue in all, where a heap of 7-tuples took about 162
+    # a queued entry is three slots in its length's deque, two of them the
+    # (lhs, rhs) tuples each rule version shares: about 52 bytes an entry
+    # of KNOT52's queue in all, where a heap of 7-tuples took about 162
     tracemalloc.start()
     try:
         comp = KbCompletion(_corpus_system("KNOT52", 1, 1))
@@ -446,7 +446,7 @@ def _full_scan_run(comp, max_pairs):
             old_lhs, old_rhs = rule[0], rule[1]
             if any(old_lhs[k : k + n] == lhs for k in range(len(old_lhs) - n + 1)):
                 rs.deactivate(i)
-                comp._enqueue(len(old_lhs), comp._side(old_lhs, old_rhs), 0, _RETIRED)
+                comp._enqueue(len(old_lhs), (old_lhs, old_rhs), None, _RETIRED)
                 continue
             reduced = rs.rewrite(old_rhs)
             if reduced != old_rhs:
@@ -456,10 +456,10 @@ def _full_scan_run(comp, max_pairs):
                 continue
             l2, r2 = rule[0], rule[1]
             if i != new_idx:
-                comp._push_pairs(lhs, rhs, l2, r2, False)
-                comp._push_pairs(l2, r2, lhs, rhs, False)
+                comp._push_pairs((lhs, rhs), (l2, r2), False)
+                comp._push_pairs((l2, r2), (lhs, rhs), False)
             else:
-                comp._push_pairs(lhs, rhs, lhs, rhs, True)
+                comp._push_pairs((lhs, rhs), (lhs, rhs), True)
     if rs.active_count() > comp.max_rules:
         return "rules"
     if _queued(comp):
