@@ -48,8 +48,6 @@ dropped histories are never expanded.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .diff import EPS, DiffMachine
 from .errors import ResourceLimit
 from .fsa import Fsa, explore
@@ -70,29 +68,22 @@ def irreducible_word_acceptor(rs: RewriteSystem) -> Fsa:
 
     For a confluent system this language is exactly the set of least
     representatives, so it can serve as the word acceptor directly,
-    bypassing the history construction."""
-    prefixes = {()}
-    for lhs, _ in rs.active():
-        for i in range(len(lhs)):
-            prefixes.add(lhs[:i])
-
-    def extend(p: Word, a: str) -> Optional[Word]:
-        # the live suffix p holds no left side, so any in w ends at a
-        w = p + (a,)
-        if not rs.is_irreducible(w):
-            return None
-        for i in range(len(w) + 1):
-            if w[i:] in prefixes:
-                return w[i:]  # longest live suffix
-        return ()
-
+    bypassing the history construction.  A state is the longest suffix of
+    the word read so far that is a proper prefix of a left side.  A left
+    side that a further letter a completes ends at a, and the rest of it
+    is such a suffix, no longer than the state; so the move on a dies
+    exactly when some suffix of state + a is a left side, and otherwise
+    goes to the longest suffix of state + a that is a proper prefix."""
+    lefts = {lhs for lhs, _ in rs.active()}
+    prefixes = {lhs[:i] for lhs in lefts for i in range(len(lhs))}
     gens = rs.order.alphabet.symbols
 
     def successors(p: Word):
         for a in gens:
-            t = extend(p, a)
-            if t is not None:
-                yield a, t
+            w = p + (a,)
+            suffixes = [w[i:] for i in range(len(w))]  # longest first
+            if lefts.isdisjoint(suffixes):
+                yield a, next((s for s in suffixes if s in prefixes), ())
 
     raw, _ = explore(gens, (), successors, lambda p: True)
     return raw.minimized()

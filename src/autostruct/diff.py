@@ -80,7 +80,7 @@ class DiffMachine:
     def _add_label(self, w: Word) -> int:
         if w in self.index:
             return self.index[w]
-        if not self.rws.is_irreducible(w):
+        if self.rws.rewrite(w) != w:
             raise LogicError(f"difference label {w!r} is not reduced")
         self.labels.append(w)
         self.index[w] = len(self.labels) - 1

@@ -191,18 +191,6 @@ class RewriteSystem:
             i = max(0, i - self._max_lhs + 1)
         return tuple(out)
 
-    def is_irreducible(self, w: Word) -> bool:
-        trie = self._trie
-        for i in range(len(w)):
-            node = trie
-            for j in range(i, len(w)):
-                node = node.get(w[j])
-                if node is None:
-                    break
-                if None in node:
-                    return False
-        return True
-
 
 # -------------------------------------------------------- critical pairs
 
@@ -430,10 +418,7 @@ class KbCompletion:
             # and renormalize the right sides it occurs in
             holding = {i for i, text in enumerate(texts) if word in text}
             for i in sorted(holding | self._unnormalized):
-                rule = rules[i]
-                if not rule[2]:
-                    continue
-                old_lhs, old_rhs = rule[0], rule[1]
+                old_lhs, old_rhs, _on = rules[i]
                 if word in texts[i][: len(old_lhs)]:
                     rs.deactivate(i)
                     texts[i] = ""

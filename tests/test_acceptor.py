@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from autostruct import Alphabet, Order, SHORTLEX, WREATH, WTLEX, acceptor, pipeline
-from autostruct.acceptor import build_acceptor
+from autostruct.acceptor import build_acceptor, irreducible_word_acceptor
 from autostruct.diff import EPS, DiffMachine
 from autostruct.errors import LogicError, ResourceLimit
 from autostruct.formats import diff_to_fsa, serialize_fsa
@@ -29,12 +29,51 @@ def all_words(syms, max_len):
 def irreducible_language(rs, max_len):
     return {
         w for w in all_words(rs.order.alphabet.symbols, max_len)
-        if rs.is_irreducible(w)
+        if rs.rewrite(w) == w
     }
 
 
 def accepted_language(fsa, max_len):
     return set(fsa.enumerate_words(max_len))
+
+
+def _left_sides(rng) -> list:
+    """A few left sides over the self-inverse a and b, mostly alternating
+    (the words aa and bb leave alive), one a proper factor of another."""
+    def word(lo, hi):
+        n = rng.randint(lo, hi)
+        if rng.random() < 0.25:
+            return tuple(rng.choice("ab") for _ in range(n))
+        first = rng.randrange(2)
+        return tuple("ab"[(first + i) % 2] for i in range(n))
+
+    outer = word(3, 6)
+    n = rng.randint(2, len(outer) - 1)
+    start = rng.randint(0, len(outer) - n)
+    inner = outer[start : start + n]
+    return [outer, inner] + [word(2, 5) for _ in range(rng.randint(0, 3))]
+
+
+def test_irreducible_acceptor_matches_a_factor_check_on_any_rules():
+    # rule sets completion never produces: a left side holding another as
+    # a factor, as b a beside a b a b, and right sides never reduced
+    alpha = Alphabet(("a", "b"), {"a": "a", "b": "b"})
+    order = Order(alpha, SHORTLEX)
+    words = list(all_words(alpha.symbols, 6))
+    rng = random.Random(47)
+    for _ in range(200):
+        rs = RewriteSystem(order)
+        for lhs in _left_sides(rng):
+            rhs = tuple(rng.choice("ab") for _ in range(rng.randrange(len(lhs))))
+            rs.add_rule(lhs, rhs)
+        lefts = [lhs for lhs, _ in rs.active()]
+        want = {
+            w for w in words
+            if not any(w[i : i + len(lhs)] == lhs
+                       for lhs in lefts for i in range(len(w)))
+        }
+        acc = irreducible_word_acceptor(rs)
+        assert accepted_language(acc, 6) == want, lefts
 
 
 def test_free_group_two_generators():

@@ -18,6 +18,8 @@ exactly when they name one group element.
   is the free product Z * Z/2: z = 1, and x has no period.
 """
 
+import random
+
 import pytest
 
 from autostruct.pipeline import compute_structure
@@ -89,6 +91,9 @@ SOLVERS = {
 }
 CASES = [("BSpq", 2, 2), ("BSpq", 3, 3), ("BSpNegq", 2, 2), ("Hpq", 2, 1),
          ("HpNegq", 2, 1), ("HpNegq", 2, 2), ("HpNegq", 3, 3)]
+# large p: W's words up to length 8 hold no x-run of p, so these are
+# checked on random walks of length 4p
+WALK_CASES = [("BSpq", 12, 12), ("BSpNegq", 12, 12)]
 
 
 def machine(fsa):
@@ -105,6 +110,55 @@ def words(acceptor, max_len):
             out.append(w)
         if len(w) < max_len:
             stack.extend((t, w + a) for a, t in rows[state].items())
+    return out
+
+
+def accepts(acceptor, w):
+    start, accepting, rows = acceptor
+    state = start
+    for a in w:
+        state = rows[state].get(a)
+        if state is None:
+            return False
+    return state in accepting
+
+
+def walk(acceptor, rng, n):
+    """A random path of n moves from the acceptor's start, as a word."""
+    start, _, rows = acceptor
+    state, u = start, ""
+    for _ in range(n):
+        a, state = rng.choice(sorted(rows[state].items()))
+        u += a
+    return u
+
+
+def products(multiplier, u):
+    """Every v the multiplier takes (u, v) for: track 1 reads u and then
+    pads, track 2 pads once it stops.  Past u's end each state is entered
+    once, by the first v to reach it."""
+    start, accepting, rows = multiplier
+    frontier = [(start, "", False)]
+    for a in u:
+        frontier = [
+            (t, v + b.replace(PAD, ""), b == PAD)
+            for state, v, stopped in frontier
+            for (c, b), t in rows[state].items()
+            if c == a and (b == PAD or not stopped)
+        ]
+    out = [v for state, v, _ in frontier if state in accepting]
+    frontier = [(state, v) for state, v, stopped in frontier if not stopped]
+    seen = {state for state, _ in frontier}
+    while frontier:
+        later = []
+        for state, v in frontier:
+            for (c, b), t in rows[state].items():
+                if c == PAD and t not in seen:
+                    seen.add(t)
+                    later.append((t, v + b))
+                    if t in accepting:
+                        out.append(v + b)
+        frontier = later
     return out
 
 
@@ -154,13 +208,16 @@ def wrong_pairs(nf, acceptor, multiplier, g, max_u):
     return bad
 
 
-@pytest.fixture(scope="module", params=CASES, ids=lambda c: "%s-%d-%d" % c)
-def case(request):
-    name, p, q = request.param
+def verified_case(name, p, q):
     fam = builtin_family(FamilySpec(name, p, q))
     res = compute_structure(fam.order, fam.presentation.relations)
     assert res.verified
     return fam, res, SOLVERS[name](p, q)
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: "%s-%d-%d" % c)
+def case(request):
+    return verified_case(*request.param)
 
 
 def test_relators_are_the_identity(case):
@@ -210,3 +267,22 @@ def test_swapped_difference_labels_are_caught(case):
     labels = ["".join(w) for w in res.diff.labels]
     labels[1], labels[2] = labels[2], labels[1]
     assert wrong_moves(nf, labels, res.diff.fsa.moves)
+
+
+@pytest.mark.parametrize("spec", WALK_CASES, ids=lambda c: "%s-%d-%d" % c)
+def test_long_walks_multiply_right(spec):
+    # for each walk u in W and generator g, the one v with (u, v) in M_g
+    # names u g and is in W
+    _, res, nf = verified_case(*spec)
+    p = spec[1]
+    acc = machine(res.acceptor)
+    rng = random.Random(p)
+    walks = [walk(acc, rng, 4 * p) for _ in range(20)]
+    assert any("x" * p in u or "X" * p in u for u in walks)
+    for u in walks:
+        assert accepts(acc, u), u
+        for g in "xXyY":
+            vs = products(machine(res.multipliers[g]), u)
+            assert len(vs) == 1, (u, g, vs)
+            assert nf(u + g) == nf(vs[0]), (u, g, vs)
+            assert accepts(acc, vs[0]), (u, g, vs)
